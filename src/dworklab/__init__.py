@@ -4,7 +4,6 @@ groups and their free products, and related congruence checks.
 """
 
 from .exactcore import INFINITY, Rat, legendre_valuation, vp
-from .kernels import BACKEND as KERNEL_BACKEND
 
-__all__ = ["INFINITY", "Rat", "vp", "legendre_valuation", "KERNEL_BACKEND"]
+__all__ = ["INFINITY", "Rat", "vp", "legendre_valuation"]
 __version__ = "0.1.0"

@@ -211,7 +211,6 @@ def _cmd_analyze_series(args) -> int:
 def _tight_classes_claim(cls) -> list[int]:
     """Residue classes (mod the recurrence step) where tightness is claimed."""
     if cls.p2_exception:
-        step = 2 ** (cls.half + 3)
         return [0, 2 ** (cls.half + 1), 2 ** (cls.half + 2)]
     return [0]
 

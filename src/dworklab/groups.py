@@ -119,9 +119,6 @@ class SubgroupCounts:
     def as_dict(self) -> dict[int, int]:
         return dict(self.counts)
 
-    def total(self) -> int:
-        return sum(c for _, c in self.counts)
-
     def to_log_series(self, n_max: int) -> LogSeries:
         values = [0] * (n_max + 1)
         for idx, c in self.counts:
@@ -193,7 +190,7 @@ def abelian_subgroup_counts_bruteforce(t: PartitionType) -> SubgroupCounts:
     Walks the subgroup lattice level by level: each subgroup of order
     p^{k+1} is the closure of a subgroup H of order p^k together with one
     extra element g satisfying p*g in H; duplicate element sets are merged.
-    The closure loop itself lives in the kernel backends.
+    The closure loop itself is `kernels.subgroup_lattice_sizes`.
     """
     if t.group_order > BRUTEFORCE_ORDER_CAP:
         raise ValueError(f"group order cap {BRUTEFORCE_ORDER_CAP} exceeded")
@@ -435,10 +432,6 @@ def hom_count_ints_mod(spec: GroupSpec, n_max: int, modulus: int) -> list[int]:
         h = kernels.hall_exp_mod(svals, n_max, modulus)
         out = h if out is None else [a * b % modulus for a, b in zip(out, h)]
     return out
-
-
-def hom_count_series(spec: GroupSpec, n_max: int) -> ExpSeries:
-    return ExpSeries(tuple(hom_count_ints(spec, n_max)))
 
 
 def subgroup_count_series(spec: GroupSpec, n_max: int) -> LogSeries:

@@ -1,8 +1,4 @@
-"""Pure-Python reference implementations of the hot integer kernels.
-
-The same API is provided by the optional compiled extension
-``dworklab.kernels._speedups``; see ``dworklab.kernels`` for backend
-selection.  All functions operate on arbitrary precision Python ints.
+"""The hot integer kernels, on arbitrary precision Python ints.
 
 The central recurrence converts between the two coefficient sequences of
 ``H(z) = sum h_n z^n / n! = exp(sum s_n z^n / n)``:
@@ -17,7 +13,17 @@ done in `hall_log_mod_residues`.
 
 from __future__ import annotations
 
-BACKEND_NAME = "pure-python"
+BACKEND = "pure-python"  # the kernel implementation that perfbench/run.py records
+
+__all__ = [
+    "vp_int",
+    "hall_exp",
+    "hall_exp_mod",
+    "hall_log",
+    "hall_log_mod_residues",
+    "log_residue_precision",
+    "subgroup_lattice_sizes",
+]
 
 
 def vp_int(x: int, p: int) -> int:
@@ -139,7 +145,6 @@ def hall_log(h):
     if nmax < 0 or h[0] != 1:
         raise ValueError("h_0 must be 1")
     s = [0] * (nmax + 1)
-    fact = 1  # (n-1)! for the current n
     for n in range(1, nmax + 1):
         acc = h[n]
         poch = 1
@@ -148,9 +153,7 @@ def hall_log(h):
             if sk:
                 acc -= poch * sk * h[n - k]
             poch *= n - k
-        # here poch == (n-1)!
-        fact = poch
-        q, r = divmod(acc, fact)
+        q, r = divmod(acc, poch)  # poch == (n-1)!
         if r:
             raise ValueError(f"inverse transform not integral at n={n}")
         s[n] = q
@@ -168,6 +171,8 @@ def subgroup_lattice_sizes(order: int, p: int, add_flat: bytes) -> list[int]:
     """
     if order > 256:
         raise ValueError("subgroup enumeration is capped at order 256")
+    if len(add_flat) != order * order:
+        raise ValueError("addition table has the wrong size")
     ptimes = []
     for g in range(order):
         acc = 0

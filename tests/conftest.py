@@ -1,83 +1,16 @@
-"""Shared oracles, generators and fixtures for the test suite.
+"""Shared oracles and generators for the test suite.
 
 The oracles deliberately avoid the library's own recurrences: the
 polynomial exponential multiplies out sum S^k / k! term by term, the
 involution recurrence is the classical two-term one, and the series
 repair acts on raw coefficient lists.
-
-The ``compiled_kernels`` fixture supplies the compiled kernel twin to the
-backend-parametrized kernel tests, building it from the tracked sources
-when it is not installed.
 """
 
 from __future__ import annotations
 
-import importlib
-import importlib.util
-import os
-import shutil
-import sysconfig
 from fractions import Fraction
-from pathlib import Path
-
-import pytest
 
 from dworklab.kernels import vp_int
-
-_SPEEDUPS = "dworklab.kernels._speedups"
-_KERNELS_SRC = Path(__file__).resolve().parent.parent / "src" / "dworklab" / "kernels"
-
-
-def _c_toolchain_present() -> bool:
-    """A C compiler on PATH and the Python headers, which build_ext needs."""
-    compiler = os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
-    headers = Path(sysconfig.get_paths()["include"], "Python.h")
-    return shutil.which(compiler.split()[0]) is not None and headers.is_file()
-
-
-needs_compiled_kernels = pytest.mark.skipif(
-    importlib.util.find_spec(_SPEEDUPS) is None and not _c_toolchain_present(),
-    reason=f"{_SPEEDUPS} is not built and no C compiler with Python.h is present to build it",
-)
-
-
-def _build_speedups(workdir: Path):
-    """Compile the kernel twin inside ``workdir`` and load it from there.
-
-    As in setup.py, the .pyx is compiled when Cython is importable;
-    otherwise the shipped .c is.  The module is not entered in
-    sys.modules, so ``dworklab.kernels`` keeps the backend it chose.
-    """
-    from setuptools import Distribution, Extension
-
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        cythonize = None
-    source = workdir / ("_speedups.pyx" if cythonize else "_speedups.c")
-    shutil.copyfile(_KERNELS_SRC / source.name, source)
-    ext_modules = [Extension(_SPEEDUPS, [str(source)])]
-    if cythonize:
-        ext_modules = cythonize(ext_modules, language_level=3)
-    dist = Distribution({"ext_modules": ext_modules})
-    build = dist.get_command_obj("build_ext")
-    build.build_lib = str(workdir / "lib")
-    build.build_temp = str(workdir / "temp")
-    dist.run_command("build_ext")
-    spec = importlib.util.spec_from_file_location(_SPEEDUPS, build.get_ext_fullpath(_SPEEDUPS))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.fixture(scope="session")
-def compiled_kernels(tmp_path_factory):
-    """The compiled kernel twin: the installed one if importable, else one
-    built from the tracked sources in a temporary directory."""
-    try:
-        return importlib.import_module(_SPEEDUPS)
-    except ImportError:
-        return _build_speedups(tmp_path_factory.mktemp("speedups"))
 
 
 def poly_mul_trunc(a: list[Fraction], b: list[Fraction], n_max: int) -> list[Fraction]:

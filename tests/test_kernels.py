@@ -1,26 +1,18 @@
-"""Backend-parametrized kernel tests: the pure and compiled twins must
-agree with each other and with independent oracles."""
+"""Kernel tests: each kernel is checked against an independent oracle or
+known counts."""
 
 import random
 
 import pytest
 
-import dworklab.kernels._pure as pure
-from conftest import involution_oracle, naive_vp, needs_compiled_kernels, poly_exp_oracle
+from conftest import involution_oracle, naive_vp, poly_exp_oracle
+from dworklab import kernels
 
 
-@pytest.fixture(params=["pure-python", pytest.param("cython", marks=needs_compiled_kernels)])
+# one parameter, so that each test id names the kernel implementation
+@pytest.fixture(params=[kernels], ids=[kernels.BACKEND])
 def kern(request):
-    if request.param == "pure-python":
-        return pure
-    return request.getfixturevalue("compiled_kernels")
-
-
-@needs_compiled_kernels
-def test_both_backends_present(compiled_kernels):
-    # the compiled twin builds from the tracked sources; a failed build fails here
-    assert pure.BACKEND_NAME == "pure-python"
-    assert compiled_kernels.BACKEND_NAME == "cython"
+    return request.param
 
 
 def test_hall_exp_matches_polynomial_exponential(kern):
@@ -112,6 +104,9 @@ def _klein_table():
 def test_subgroup_lattice_sizes_klein(kern):
     order, flat = _klein_table()
     assert kern.subgroup_lattice_sizes(order, 2, flat) == [1, 2, 2, 2, 4]
+    for bad in (flat[:-1], flat + b"\0"):
+        with pytest.raises(ValueError, match="wrong size"):
+            kern.subgroup_lattice_sizes(order, 2, bad)
 
 
 def test_subgroup_lattice_sizes_c9(kern):
@@ -131,13 +126,3 @@ def test_subgroup_lattice_sizes_elementary27(kern):
     assert sizes.count(3) == 13
     assert sizes.count(9) == 13
     assert sizes.count(27) == 1
-
-
-@needs_compiled_kernels
-def test_backends_agree_on_lattices(compiled_kernels):
-    from dworklab.groups import _addition_table
-
-    for parts, p in [((2, 1), 2), ((1, 1), 3), ((1, 1, 1, 1), 2), ((2, 2), 2)]:
-        order, flat = _addition_table(parts, p)
-        results = [mod.subgroup_lattice_sizes(order, p, flat) for mod in (pure, compiled_kernels)]
-        assert results[0] == results[1]
