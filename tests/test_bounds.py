@@ -69,6 +69,43 @@ def test_bound_value_examples():
     assert bound_value(BoundKind("thm5.5", 2, dihedral_m=6), 10) == 5 - 2
 
 
+PINNED_NS = (0, 1, 2, 8, 9, 27, 64, 100, 243, 1000)
+
+# e(n) at PINNED_NS for at least one admissible kind of every tag, and for
+# each branch of the tags whose formula branches
+PINNED_BOUNDS = [
+    (("thm2.1", 3, {"l": 2, "m": 1}), [0, 0, 0, 2, 3, 9, 21, 33, 81, 333]),
+    (("cor2.4", 2, {"l": 3}), [0, 0, 1, 4, 4, 13, 32, 51, 121, 500]),
+    (("thm2.7", 2, {"l": 3}), [0, 0, 1, 6, 6, 20, 50, 78, 189, 781]),
+    (("thm3.1", 5, {"l": 1}), [0, 0, 0, 1, 1, 4, 7, 12, 30, 125]),
+    (("thm3.3", 3, {}), [0, 0, 0, 1, 2, 6, 12, 20, 49, 195]),
+    (("thm3.4", 2, {"l": 1}), [0, 0, 1, 2, 2, 7, 16, 25, 61, 250]),
+    (("thm3.4", 2, {"l": 2}), [0, 0, 1, 4, 4, 13, 32, 50, 121, 500]),
+    (("thm3.4", 2, {"l": 3}), [0, 0, 1, 5, 5, 17, 44, 69, 166, 687]),
+    (("cor3.6", 2, {}), [0, 0, 1, 2, 2, 7, 16, 25, 61, 250]),
+    (("cor3.6", 3, {}), [0, 0, 0, 1, 2, 6, 12, 20, 49, 195]),
+    (("cor3.6", 5, {}), [0, 0, 0, 1, 1, 4, 7, 12, 30, 125]),
+    (("thm3.7", 3, {"l": 2}), [0, -1, -1, 1, 3, 10, 22, 36, 89, 361]),
+    (("thm5.2", 3, {}), [0, 0, 0, 2, 2, 6, 14, 22, 54, 222]),
+    (("thm5.3", 5, {}), [0, 0, 0, 1, 1, 6, 14, 24, 55, 224]),
+    (("thm5.5", 2, {"dihedral_m": 12}), [0, 0, 1, 4, 4, 13, 32, 50, 121, 500]),
+    (("thm5.5", 2, {"dihedral_m": 6}), [0, 0, 1, 2, 2, 7, 16, 25, 61, 250]),
+    (("thm6.1", 3, {"partition": (2, 1)}), [0, 0, 0, 2, 4, 11, 26, 41, 99, 407]),
+    (("thm6.1", 3, {"partition": (1, 1)}), [0, 0, 0, 2, 3, 9, 21, 33, 81, 333]),
+    (("thm6.1", 3, {"partition": (2, 2, 1)}), [0, 0, 0, 2, 4, 13, 30, 46, 114, 469]),
+    (("thm6.2", 2, {"partition": (2, 1, 1)}), [0, 0, 1, 6, 6, 20, 50, 78, 189, 781]),
+    (("kty", 3, {"l": 2, "m": 1}), [0, 0, 0, 2, 4, 11, 26, 41, 99, 407]),
+    (("hnc2", 2, {}), [0, 0, 1, 2, 2, 7, 16, 25, 61, 250]),
+]
+
+
+@pytest.mark.parametrize("kind_args, values", PINNED_BOUNDS)
+def test_bound_value_pinned(kind_args, values):
+    tag, p, params = kind_args
+    kind = BoundKind(tag, p, **params)
+    assert [bound_value(kind, n) for n in PINNED_NS] == values
+
+
 def test_bound_value_kty_matches_rank_formulas():
     # case I of the general bound specializes to the rank <= 2 display
     for p in (2, 3):

@@ -1,0 +1,89 @@
+"""Byte-identity pins for the command line.
+
+Each case runs `dworklab.cli.main` in-process and compares its exit status
+and the SHA-256 of its stdout with values recorded from an earlier tree, so
+a refactor that must keep every report byte for byte is checked here. Runs
+that exit 0 or 1 must also write nothing to stderr. Runs that exit 2 pin
+only the status and the `error: ` prefix, so a validation message may be
+reworded without touching this file.
+
+The runs happen in a temporary working directory with relative `--input`
+names, because `analyze-series` echoes the input path in its report.
+"""
+
+import hashlib
+
+import pytest
+
+from dworklab.cli import main
+
+# name -> (p, N, {n: s_n}) for the series files the runs read; the
+# supports are subgroup counts of small Abelian groups, plus a series with
+# a non-integral coefficient
+SERIES = {
+    "k4.series": (2, 64, {1: 1, 2: 3, 4: 1}),
+    "inv.series": (2, 64, {1: 1, 2: 1}),
+    "c3c3.series": (3, 81, {1: 1, 3: 4, 9: 1}),
+    "c5c5.series": (5, 60, {1: 1, 5: 6, 25: 1}),
+    "half.series": (3, 24, {1: 1, 2: (1, 2), 3: 1}),
+}
+
+# (id, argv, exit status, sha256 of stdout; None where the status is 2)
+CASES = [
+    ("an-thm2.1", ["analyze-series", "--input", "c3c3.series", "--theorem", "thm2.1", "--l", "2", "--m", "1"], 0, "6b432ddb3499af94b23380afc4de64b92b4b1141b576ac6c1cb5d08bd2469735"),
+    ("an-cor2.4", ["analyze-series", "--input", "inv.series", "--theorem", "cor2.4", "--l", "2"], 0, "497fb0af59f93ce6be1ecd74599e7d52945a0d531b4780ed7d70b57cd71433ba"),
+    ("an-cor2.5", ["analyze-series", "--input", "k4.series", "--theorem", "cor2.5", "--l", "2", "--m", "1"], 1, "79617305dcc5050598de7e7e05f83723d166c03ec2e8bd426a9df4ffc4f299f1"),
+    ("an-thm2.7", ["analyze-series", "--input", "k4.series", "--theorem", "thm2.7", "--l", "2"], 0, "983c9b6b91074dd96f0ba34f9eb33c9ddde3011333602da334f439fba565a002"),
+    ("an-thm3.1", ["analyze-series", "--input", "c5c5.series", "--theorem", "thm3.1", "--l", "1"], 0, "28fc2fab685d1cb832985317c30ffb869befb9099b61c1b49a756e8b617a67e5"),
+    ("an-thm3.3", ["analyze-series", "--input", "c3c3.series", "--theorem", "thm3.3"], 0, "b6cf83c7a30fcf24e02846503457d88727bc53ca671bc7d89ad042c015e60474"),
+    ("an-thm3.3-l2", ["analyze-series", "--input", "c3c3.series", "--theorem", "thm3.3", "--l", "2"], 0, "1a43cb61f5c01e9f50b6d844c23eff9e4239d880368ca92a141d43b87e18d662"),
+    ("an-thm3.4-tsv", ["analyze-series", "--input", "inv.series", "--theorem", "thm3.4", "--l", "1", "--format", "tsv"], 0, "c5c053340455656f5e0b70408f3bfa4719913a6195740787ff8c94920e5cdac7"),
+    ("an-thm3.7", ["analyze-series", "--input", "c5c5.series", "--theorem", "thm3.7", "--l", "1", "--n-max", "40"], 0, "2628a290cb6a0690f4ce0e3f0571d5c4a11006c3d45c85ef89b0716323625aa1"),
+    ("an-cor3.6", ["analyze-series", "--input", "c3c3.series", "--theorem", "cor3.6"], 0, "7d2e19135dfb78907349004f501a3fefc031151f889eb5078e738a30883a882b"),
+    ("an-cor3.6-fraction", ["analyze-series", "--input", "half.series", "--theorem", "cor3.6"], 0, "90e2393abc858f396f4fc40e48164b0f32a839c9fce92b9168432a1aaeef22c0"),
+    ("an-thm3.7-p3-l1", ["analyze-series", "--input", "c3c3.series", "--theorem", "thm3.7", "--l", "1"], 2, None),
+    ("an-thm2.1-no-m", ["analyze-series", "--input", "c3c3.series", "--theorem", "thm2.1", "--l", "2"], 2, None),
+    ("an-thm2.7-p3", ["analyze-series", "--input", "c3c3.series", "--theorem", "thm2.7", "--l", "2"], 2, None),
+    ("vg-3-21", ["verify-group", "--spec", "A[3;2,1]", "--n-max", "100"], 0, "043c6a9010cf47132696040ae7a2860f0a846f77fedbc6f817d6295d4150c608"),
+    ("vg-3-111", ["verify-group", "--spec", "A[3;1,1,1]", "--n-max", "100"], 0, "112b735f65f65eb841cbb277450e09f8d39eedd6dfb26999cf70963a1a2cd591"),
+    ("vg-2-11-tsv", ["verify-group", "--spec", "A[2;1,1]", "--n-max", "64", "--format", "tsv"], 0, "6ad717e97d03946b18eec41fce61b0ff63b4af5d71f0f3d9ca13c285e2481a15"),
+    ("vg-2-211", ["verify-group", "--spec", "A[2;2,1,1]", "--n-max", "64"], 1, "9d5e611e0a312908b1c3b2ed45ba1cf28e1eb98114483ac29b9f140025d7a759"),
+    ("vg-2-31", ["verify-group", "--spec", "A[2;3,1]", "--n-max", "64"], 0, "bdb2ecece982d152f4f1f35bb6beb9bf5116022bb68daee69ff9951d4a2d6024"),
+    ("vg-3-11-cache", ["verify-group", "--spec", "A[3;1,1]", "--n-max", "60", "--cache-dir", "cache"], 0, "a8df0fe520fa1cbc36e7a22b45e45bfe08414cb1d3f554dfa5d7fb011d51656a"),
+    ("vg-not-abelian", ["verify-group", "--spec", "C[4]"], 2, None),
+    ("vd-12", ["verify-dihedral", "--m", "12", "--n-max", "64", "--odd-n-max", "50"], 0, "c41fc57defc092422abc1708c8c268c0fccce73ac283f41e8219a2d8e70ef8ab"),
+    ("vp-pi2-3-1", ["verify-permutations", "--variant", "pi2", "--p", "3", "--l", "1", "--A", "1", "--n-max", "60"], 0, "eb87f41fd7971452b06eeb0ea3a473600e6932d73fe9f0e567ddb636931c5889"),
+    ("vp-pi3-5-1", ["verify-permutations", "--variant", "pi3", "--p", "5", "--l", "1", "--A", "1,2", "--n-max", "60"], 0, "f902577eb5ddd42c6400abdf460eb16e72069322b6dd92d0d414f03c8120184a"),
+    ("vp-pi3-3-1", ["verify-permutations", "--variant", "pi3", "--p", "3", "--l", "1", "--A", "1"], 2, None),
+    ("sc-3", ["supercongruence", "--p", "3", "--a-max", "2"], 0, "68ddc73bbcf6c6d20d4e72140582831d36108f6aed595a719adc516e04be23ca"),
+    ("pd-c2c4", ["periodicity", "--spec", "C[2]*C[4]", "--p", "2", "--n-max", "60"], 0, "6664f2da555415ec439ec22cc1b40d32013f53a48b9049ea57985250ce471a4b"),
+    ("lm-2-1", ["lemmas", "--p", "2", "--l", "1", "--i-max", "40", "--j-max", "10"], 0, "63d47e4ee52bcecbf181da07f4b23cd2ad77448acd7b9717f6b1889544a2e5c7"),
+    ("lm-3-1-negative-j-tsv", ["lemmas", "--p", "3", "--l", "1", "--i-max", "30", "--j-max", "5", "--j-min", "-1", "--format", "tsv"], 1, "8bb19bab05f6f205d59b459681b3f647cdf47e86d24e8958585fcbb4526cd8d4"),
+]
+
+
+def _series_text(p: int, n_max: int, support: dict) -> str:
+    lines = [f"{n_max} {p}"]
+    for n in range(1, n_max + 1):
+        num, den = support.get(n, 0), 1
+        if isinstance(num, tuple):
+            num, den = num
+        lines.append(f"{n} {num} {den}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, status, digest", [case[1:] for case in CASES], ids=[case[0] for case in CASES]
+)
+def test_cli_report_bytes(tmp_path, monkeypatch, capsys, argv, status, digest):
+    monkeypatch.chdir(tmp_path)
+    for name, (p, n_max, support) in SERIES.items():
+        (tmp_path / name).write_text(_series_text(p, n_max, support), encoding="utf-8")
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == status
+    if status == 2:
+        assert err.startswith("error: ")
+    else:
+        assert err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
