@@ -1,12 +1,18 @@
 """Valuation-bound catalog and verification harness.
 
-`BoundKind` names one exponent formula e(n) together with its parameters;
-`bound_value` evaluates it exactly; `verify_bounds` compares v_p(h_n)
-against it row by row (violations are never dropped); `q_sequence` and
-`verify_q_recurrence` check the mod-p recurrence of the normalized
-quotients Q_n = h_n / p^{e(n)} that certifies tightness; and
-`floor_lemma_checks` exhaustively tests the two floor-sum inequalities
-the bound proofs rest on.
+`RULES` is the catalog: one `Rule` record per bound kind holds the
+parameters the kind needs, the range of primes and parameters it admits,
+its exponent e(n), and, where one is stated, the recurrence of the
+normalized quotients Q_n = h_n / p^{e(n)} and the residue classes claimed
+tight.  `THEOREMS` maps each checkable theorem id to the rule whose
+exponent it proves.  Adding a rule means adding one record.
+
+`BoundKind` names one rule together with its parameters; `bound_value`
+evaluates e(n) exactly; `verify_bounds` compares v_p(h_n) against it row
+by row (violations are never dropped); `q_sequence` and
+`verify_q_recurrence` check the mod-p recurrence of the quotients that
+certifies tightness; and `floor_lemma_checks` exhaustively tests the two
+floor-sum inequalities the bound proofs rest on.
 """
 
 from __future__ import annotations
@@ -14,31 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .exactcore import INFINITY, Valuation, check_prime, residue_mod_p, vp
-from .series import ExpSeries, LogSeries
 
-TAGS = (
-    "thm2.1",
-    "cor2.4",
-    "thm2.7",
-    "thm3.1",
-    "thm3.3",
-    "thm3.4",
-    "cor3.6",
-    "thm3.7",
-    "thm5.2",
-    "thm5.3",
-    "thm5.5",
-    "thm6.1",
-    "thm6.2",
-    "kty",
-    "hnc2",
-)
-
-_NEEDS_L = {"thm2.1", "cor2.4", "thm2.7", "thm3.1", "thm3.4", "thm3.7", "kty"}
-_NEEDS_M = {"thm2.1", "kty"}
+if TYPE_CHECKING:
+    from .series import ExpSeries, LogSeries
 
 
 def partition_case(parts: Sequence[int]) -> tuple[str, int, int]:
@@ -75,43 +62,14 @@ class BoundKind:
 
     def __post_init__(self):
         check_prime(self.p)
-        tag = self.tag
-        if tag not in TAGS:
-            raise ValueError(f"unknown bound kind {tag!r}")
-        if tag in _NEEDS_L and self.l is None:
-            raise ValueError(f"{tag} needs parameter l")
-        if tag in _NEEDS_M and self.m is None:
-            raise ValueError(f"{tag} needs parameter m")
-        if tag == "thm2.1" and not 0 <= self.m < self.l:
-            raise ValueError("thm2.1 needs 0 <= m < l")
-        if tag in ("cor2.4", "thm3.4") and self.l < 1:
-            raise ValueError(f"{tag} needs l >= 1")
-        if tag == "thm2.7" and (self.p != 2 or self.l < 2):
-            raise ValueError("thm2.7 needs p = 2 and l >= 2")
-        if tag in ("thm3.1", "thm3.7"):
-            if self.p < 3 or self.l < 1 or (self.p, self.l) == (3, 1):
-                raise ValueError(f"{tag} needs p >= 3, l >= 1, (p, l) != (3, 1)")
-        if tag == "thm3.3" and self.p != 3:
-            raise ValueError("thm3.3 needs p = 3")
-        if tag == "thm3.4" and self.p != 2:
-            raise ValueError("thm3.4 needs p = 2")
-        if tag == "thm5.3" and self.p == 2:
-            raise ValueError("thm5.3 concerns groups of odd order")
-        if tag == "thm5.5":
-            if self.p != 2 or self.dihedral_m is None or self.dihedral_m < 1:
-                raise ValueError("thm5.5 needs p = 2 and a dihedral order parameter")
-        if tag in ("thm6.1", "thm6.2"):
-            if self.partition is None:
-                raise ValueError(f"{tag} needs a partition")
-            partition_case(self.partition)  # validates shape
-            if tag == "thm6.2":
-                case, _, _ = partition_case(self.partition)
-                if self.p != 2 or case != "II":
-                    raise ValueError("thm6.2 needs p = 2 and a case II partition")
-        if tag == "kty" and not 0 <= self.m <= self.l:
-            raise ValueError("kty needs l >= m >= 0")
-        if tag == "hnc2" and self.p != 2:
-            raise ValueError("hnc2 is a p = 2 bound")
+        rule = RULES.get(self.tag)
+        if rule is None:
+            raise ValueError(f"unknown bound kind {self.tag!r}")
+        for name in rule.needs:
+            if getattr(self, name) is None:
+                raise ValueError(f"{self.tag} needs parameter {name}")
+        if not rule.admissible(self):
+            raise ValueError(f"{self.tag} needs {rule.requirement}")
 
     def describe(self) -> dict:
         out = {"tag": self.tag, "p": self.p}
@@ -148,76 +106,208 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
+def _first_exponent(n: int, p: int, l: int, m: int) -> int:
+    """thm2.1: sum_{s=1}^{l-1} floor(n/p^s) - (l-m-1) floor(n/p^l).
+
+    cor2.4 is m = 0, kty is (l+1, m), and thm6.1 is the (l, m) of the
+    partition's case.
+    """
+    return _floor_sum(n, p, 1, l - 1) - (l - m - 1) * (n // p**l)
+
+
+def _p2_exponent(n: int, l: int) -> int:
+    """thm2.7; thm6.2 is l = A_1 + 1."""
+    return _floor_sum(n, 2, 1, l - 1) + n // 2 ** (l + 1) - n // 2 ** (l + 2)
+
+
+def _thm33_exponent(n: int) -> int:
+    # the correction term is ceil(floor(n/9)/2): up to floor(n/9) tail
+    # indices at 3^2 each cost half a digit, rounded up since the
+    # valuation is an integer (floor(n/18) is too small at n = 9)
+    return _floor_sum(n, 3, 1) - _floor_sum_half(n, 3, 1) - _ceil_div(n // 9, 2)
+
+
+def _thm34_exponent(kind: BoundKind, n: int) -> int:
+    l = kind.l
+    if l == 1:
+        return n // 2 - n // 4
+    if l == 2:
+        return n // 2
+    return _floor_sum(n, 2, 1, l + 1) - (l - 1) * (n // 2**l)
+
+
+def _cor36_exponent(kind: BoundKind, n: int) -> int:
+    p = kind.p
+    if p == 2:
+        return n // 2 - n // 4
+    if p == 3:
+        return _thm33_exponent(n)
+    return _floor_sum(n, p, 1) - _floor_sum_half(n, p, 1)
+
+
+def _first_family(p: int, l: int, m: int) -> tuple[int, int, int, int, int]:
+    """rho = (-1)^l (s_{p^l} - s_{p^{l-1}}) / p^m with step p^l."""
+    return p ** (l - 1), p**l, m, p**l, (-1) ** l
+
+
+def _p2_family(l: int) -> tuple[int, int, int, int, int]:
+    """rho = (s_{2^{l+1}} - s_{2^l}) / 2^{l-2} with step 2^{l+2}."""
+    return 2**l, 2 ** (l + 1), l - 2, 2 ** (l + 2), 1
+
+
+def _thm61_recurrence(kind: BoundKind) -> tuple[int, int, int, int, int]:
+    case, l, m = partition_case(kind.partition)
+    if case == "II" and kind.p == 2:
+        raise ValueError(
+            "p = 2 case II has no first-family quotient recurrence; "
+            "use the thm6.2 kind"
+        )
+    return _first_family(kind.p, l, m)
+
+
+def _thm62_l(kind: BoundKind) -> int:
+    return sum(kind.partition) // 2 + 1  # A_1 + 1
+
+
+def _odd_p_admissible(kind: BoundKind) -> bool:
+    return kind.p >= 3 and kind.l >= 1 and (kind.p, kind.l) != (3, 1)
+
+
+_ODD_P_REQUIREMENT = "p >= 3, l >= 1, (p, l) != (3, 1)"
+
+
+@dataclass(frozen=True)
+class Rule:
+    """One bound kind of the catalog.
+
+    `exponent(kind, n)` is e(n).  `admissible(kind)` runs once every field
+    named in `needs` is set and says whether the kind lies in the rule's
+    range; `requirement` states that range in the error message.
+    `recurrence(kind)` gives (lo, hi, shift, step, sign) of the quotient
+    recurrence Q_n = rho Q_{n-step} (mod p), rho = sign (s_hi - s_lo) /
+    p^shift.  `tight_classes(kind)` lists the residues mod that step at
+    which the bound is claimed tight.
+    """
+
+    exponent: Callable[[BoundKind, int], int]
+    needs: tuple[str, ...] = ()
+    admissible: Callable[[BoundKind], bool] = lambda kind: True
+    requirement: str = ""
+    recurrence: Callable[[BoundKind], tuple[int, int, int, int, int]] | None = None
+    tight_classes: Callable[[BoundKind], list[int]] | None = None
+
+
+RULES: dict[str, Rule] = {
+    "thm2.1": Rule(
+        lambda k, n: _first_exponent(n, k.p, k.l, k.m),
+        needs=("l", "m"),
+        admissible=lambda k: 0 <= k.m < k.l,
+        requirement="0 <= m < l",
+        recurrence=lambda k: _first_family(k.p, k.l, k.m),
+    ),
+    "cor2.4": Rule(
+        lambda k, n: _first_exponent(n, k.p, k.l, 0),
+        needs=("l",),
+        admissible=lambda k: k.l >= 1,
+        requirement="l >= 1",
+        recurrence=lambda k: _first_family(k.p, k.l, 0),
+    ),
+    "thm2.7": Rule(
+        lambda k, n: _p2_exponent(n, k.l),
+        needs=("l",),
+        admissible=lambda k: k.p == 2 and k.l >= 2,
+        requirement="p = 2 and l >= 2",
+        recurrence=lambda k: _p2_family(k.l),
+    ),
+    "thm3.1": Rule(
+        lambda k, n: _floor_sum(n, k.p, 1)
+        - (k.l - 1) * (n // k.p**k.l)
+        - _floor_sum_half(n, k.p, k.l),
+        needs=("l",),
+        admissible=_odd_p_admissible,
+        requirement=_ODD_P_REQUIREMENT,
+    ),
+    "thm3.3": Rule(
+        lambda k, n: _thm33_exponent(n),
+        admissible=lambda k: k.p == 3,
+        requirement="p = 3",
+    ),
+    "thm3.4": Rule(
+        _thm34_exponent,
+        needs=("l",),
+        admissible=lambda k: k.p == 2 and k.l >= 1,
+        requirement="p = 2 and l >= 1",
+    ),
+    "cor3.6": Rule(_cor36_exponent),
+    "thm3.7": Rule(
+        lambda k, n: _floor_sum(n, k.p, 1)
+        - (k.l - 1) * _ceil_div(n, 2 * k.p**k.l)
+        - _floor_sum_half(n, k.p, k.l),
+        needs=("l",),
+        admissible=_odd_p_admissible,
+        requirement=_ODD_P_REQUIREMENT,
+    ),
+    "thm5.2": Rule(lambda k, n: n // k.p - n // k.p**2),
+    "thm5.3": Rule(
+        lambda k, n: n // k.p + n // k.p**2 - 2 * (n // k.p**3),
+        admissible=lambda k: k.p != 2,
+        requirement="an odd p",
+    ),
+    "thm5.5": Rule(
+        lambda k, n: n // 2 if k.dihedral_m % 4 == 0 else n // 2 - n // 4,
+        needs=("dihedral_m",),
+        admissible=lambda k: k.p == 2 and k.dihedral_m >= 1,
+        requirement="p = 2 and dihedral_m >= 1",
+    ),
+    "thm6.1": Rule(
+        lambda k, n: _first_exponent(n, k.p, *partition_case(k.partition)[1:]),
+        needs=("partition",),
+        # partition_case raises on a malformed partition
+        admissible=lambda k: bool(partition_case(k.partition)),
+        requirement="a partition",
+        recurrence=_thm61_recurrence,
+        tight_classes=lambda k: [0],
+    ),
+    "thm6.2": Rule(
+        lambda k, n: _p2_exponent(n, _thm62_l(k)),
+        needs=("partition",),
+        admissible=lambda k: partition_case(k.partition)[0] == "II" and k.p == 2,
+        requirement="p = 2 and a case II partition",
+        recurrence=lambda k: _p2_family(_thm62_l(k)),
+        tight_classes=lambda k: [0, 2 ** _thm62_l(k), 2 ** (_thm62_l(k) + 1)],
+    ),
+    "kty": Rule(
+        lambda k, n: _first_exponent(n, k.p, k.l + 1, k.m),
+        needs=("l", "m"),
+        admissible=lambda k: 0 <= k.m <= k.l,
+        requirement="l >= m >= 0",
+    ),
+    "hnc2": Rule(
+        lambda k, n: (n + 2) // 4,
+        admissible=lambda k: k.p == 2,
+        requirement="p = 2",
+    ),
+}
+
+# checkable theorem id -> the rule whose exponent it proves
+THEOREMS = {
+    "thm2.1": "thm2.1",
+    "cor2.4": "cor2.4",
+    "cor2.5": "thm2.1",
+    "thm2.7": "thm2.7",
+    "thm3.1": "thm3.1",
+    "thm3.3": "thm3.3",
+    "thm3.4": "thm3.4",
+    "thm3.7": "thm3.7",
+    "cor3.6": "cor3.6",
+}
+
+
 def bound_value(kind: BoundKind, n: int) -> int:
     """Exact integer value of the named exponent formula at n >= 0."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    p, tag = kind.p, kind.tag
-    if tag == "thm2.1":
-        return _floor_sum(n, p, 1, kind.l - 1) - (kind.l - kind.m - 1) * (n // p**kind.l)
-    if tag == "cor2.4":
-        return _floor_sum(n, p, 1, kind.l - 1) - (kind.l - 1) * (n // p**kind.l)
-    if tag == "thm2.7":
-        l = kind.l
-        return (
-            _floor_sum(n, 2, 1, l - 1) + n // 2 ** (l + 1) - n // 2 ** (l + 2)
-        )
-    if tag == "thm3.1":
-        l = kind.l
-        return _floor_sum(n, p, 1) - (l - 1) * (n // p**l) - _floor_sum_half(n, p, l)
-    if tag == "thm3.3":
-        # the correction term is ceil(floor(n/9)/2): up to floor(n/9) tail
-        # indices at 3^2 each cost half a digit, rounded up since the
-        # valuation is an integer (floor(n/18) is too small at n = 9)
-        return _floor_sum(n, 3, 1) - _floor_sum_half(n, 3, 1) - _ceil_div(n // 9, 2)
-    if tag == "thm3.4":
-        l = kind.l
-        if l == 1:
-            return n // 2 - n // 4
-        if l == 2:
-            return n // 2
-        return _floor_sum(n, 2, 1, l + 1) - (l - 1) * (n // 2**l)
-    if tag == "cor3.6":
-        if p == 2:
-            return n // 2 - n // 4
-        if p == 3:
-            return bound_value(BoundKind("thm3.3", 3), n)
-        return _floor_sum(n, p, 1) - _floor_sum_half(n, p, 1)
-    if tag == "thm3.7":
-        l = kind.l
-        return (
-            _floor_sum(n, p, 1)
-            - (l - 1) * _ceil_div(n, 2 * p**l)
-            - _floor_sum_half(n, p, l)
-        )
-    if tag == "thm5.2":
-        return n // p - n // p**2
-    if tag == "thm5.3":
-        return n // p + n // p**2 - 2 * (n // p**3)
-    if tag == "thm5.5":
-        return n // 2 if kind.dihedral_m % 4 == 0 else n // 2 - n // 4
-    if tag == "thm6.1":
-        case, l, m = partition_case(kind.partition)
-        if case == "I":
-            a1 = kind.partition[0]
-            rest = sum(kind.partition) - a1
-            return _floor_sum(n, p, 1, a1) - (a1 - rest) * (n // p ** (a1 + 1))
-        if case == "II":
-            return _floor_sum(n, p, 1, m)  # m == A_1
-        half = m + 1  # A_2
-        return _floor_sum(n, p, 1, half) - n // p ** (half + 1)
-    if tag == "thm6.2":
-        a1 = sum(kind.partition) // 2
-        return (
-            _floor_sum(n, 2, 1, a1) + n // 2 ** (a1 + 2) - n // 2 ** (a1 + 3)
-        )
-    if tag == "kty":
-        return _floor_sum(n, p, 1, kind.l) - (kind.l - kind.m) * (
-            n // p ** (kind.l + 1)
-        )
-    if tag == "hnc2":
-        return (n + 2) // 4
-    raise AssertionError(tag)
+    return RULES[kind.tag].exponent(kind, n)
 
 
 @dataclass(frozen=True)
@@ -345,45 +435,22 @@ class QRecurrenceReport:
 
 
 def q_recurrence_parameters(kind: BoundKind, s: LogSeries) -> tuple[int, int]:
-    """(step, multiplier residue) of the quotient recurrence for this kind.
+    """(step, multiplier residue) of the quotient recurrence in the kind's rule.
 
-    The multiplier is (-1)^l (s_{p^l} - s_{p^{l-1}}) / p^m reduced mod p
-    for the first family, and (s_{2^{l+1}} - s_{2^l}) / 2^{l-2} mod 2 for
-    the p = 2 improved-bound family.  Raises if the required difference
+    Raises if the rule states none, or if the required difference
     congruence fails (the multiplier would not be p-integral).
     """
-    p, tag = kind.p, kind.tag
-    if tag in ("thm2.1", "cor2.4", "thm6.1"):
-        if tag == "thm2.1":
-            l, m = kind.l, kind.m
-        elif tag == "cor2.4":
-            l, m = kind.l, 0
-        else:
-            case, l, m = partition_case(kind.partition)
-            if case == "II" and p == 2:
-                raise ValueError(
-                    "p = 2 case II has no first-family quotient recurrence; "
-                    "use the thm6.2 kind"
-                )
-        diff = s[p**l] - s[p ** (l - 1)]
-        mult = diff / Fraction(p**m)
-        if vp(mult, p) < 0:
-            raise ValueError(
-                "difference congruence hypothesis violated: multiplier not p-integral"
-            )
-        step = p**l
-        rho = (-1) ** l * residue_mod_p(mult, p) % p
-        return step, rho
-    if tag in ("thm2.7", "thm6.2"):
-        l = kind.l if tag == "thm2.7" else sum(kind.partition) // 2 + 1
-        diff = s[2 ** (l + 1)] - s[2**l]
-        mult = diff / Fraction(2 ** (l - 2))
-        if vp(mult, 2) < 0:
-            raise ValueError(
-                "difference congruence hypothesis violated: multiplier not 2-integral"
-            )
-        return 2 ** (l + 2), residue_mod_p(mult, 2)
-    raise ValueError(f"no quotient recurrence is defined for kind {tag!r}")
+    recurrence = RULES[kind.tag].recurrence
+    if recurrence is None:
+        raise ValueError(f"no quotient recurrence is defined for kind {kind.tag!r}")
+    lo, hi, shift, step, sign = recurrence(kind)
+    p = kind.p
+    mult = (s[hi] - s[lo]) / Fraction(p**shift)
+    if vp(mult, p) < 0:
+        raise ValueError(
+            "difference congruence hypothesis violated: multiplier not p-integral"
+        )
+    return step, sign * residue_mod_p(mult, p) % p
 
 
 def verify_q_recurrence(q: QSeq, kind: BoundKind, s: LogSeries) -> QRecurrenceReport:

@@ -24,6 +24,8 @@ from .applications import (
     verify_permutation_divisibility,
 )
 from .bounds import (
+    RULES,
+    THEOREMS,
     BoundKind,
     floor_lemma_checks,
     q_sequence,
@@ -53,19 +55,6 @@ DETERMINISM_NOTE = (
     "deterministic: no timestamps or machine identifiers; identical flags "
     "produce byte-identical output"
 )
-
-_BOUND_KIND_FOR_THEOREM = {
-    "thm2.1": "thm2.1",
-    "cor2.4": "cor2.4",
-    "cor2.5": "thm2.1",  # same exponent formula
-    "thm2.7": "thm2.7",
-    "thm3.1": "thm3.1",
-    "thm3.3": "thm3.3",
-    "thm3.4": "thm3.4",
-    "thm3.7": "thm3.7",
-    "cor3.6": "cor3.6",
-}
-
 
 def _encode(value):
     if value is INFINITY:
@@ -176,14 +165,10 @@ def _cmd_analyze_series(args) -> int:
     s, file_p = load_log_series(Path(args.input).read_text(encoding="utf-8"))
     p = args.p if args.p is not None else file_p
     check_prime(p)
-    kwargs = {}
-    if args.l is not None:
-        kwargs["l"] = args.l
-    if args.m is not None:
-        kwargs["m"] = args.m
-    hyp = check_hypotheses(s, p, args.theorem, **kwargs)
-    kind_tag = _BOUND_KIND_FOR_THEOREM[args.theorem]
-    kind = BoundKind(kind_tag, p, l=args.l, m=args.m if kind_tag == "thm2.1" else None)
+    hyp = check_hypotheses(s, p, args.theorem, l=args.l, m=args.m)
+    kind_tag = THEOREMS[args.theorem]
+    m = args.m if "m" in RULES[kind_tag].needs else None
+    kind = BoundKind(kind_tag, p, l=args.l, m=m)
     h = exp_transform(s)
     n_hi = min(args.n_max, h.n_max) if args.n_max is not None else h.n_max
     report = verify_bounds(h, kind, 0, n_hi)
@@ -206,13 +191,6 @@ def _cmd_analyze_series(args) -> int:
     )
     _emit(doc, args.format, args.output)
     return 1 if failed else 0
-
-
-def _tight_classes_claim(cls) -> list[int]:
-    """Residue classes (mod the recurrence step) where tightness is claimed."""
-    if cls.p2_exception:
-        return [0, 2 ** (cls.half + 1), 2 ** (cls.half + 2)]
-    return [0]
 
 
 def _cmd_verify_group(args) -> int:
@@ -239,7 +217,7 @@ def _cmd_verify_group(args) -> int:
     report = verify_bounds(h, kind)
     tight_failures: list[int] = []
     qrec_summary = None
-    claimed = _tight_classes_claim(cls)
+    claimed = RULES[kind.tag].tight_classes(kind)
     if report.ok:
         q = q_sequence(h, kind)
         qrec = verify_q_recurrence(q, kind, s)
@@ -438,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze-series", help="check hypotheses and bounds on a series file")
     p_an.add_argument("--input", required=True, help="series file: header 'N p', lines 'n num den'")
     p_an.add_argument("--p", type=int, help="prime (default: from the file header)")
-    p_an.add_argument("--theorem", required=True, choices=sorted(_BOUND_KIND_FOR_THEOREM))
+    p_an.add_argument("--theorem", required=True, choices=sorted(THEOREMS))
     p_an.add_argument("--l", type=int)
     p_an.add_argument("--m", type=int)
     p_an.add_argument("--n-max", type=int, dest="n_max")

@@ -12,9 +12,6 @@ from fractions import Fraction
 
 from .kernels import vp_int
 
-#: Exact rational type used throughout the package.
-Rat = Fraction
-
 
 class _Infinity:
     """The valuation of zero.  Compares greater than every integer."""
@@ -84,7 +81,7 @@ def check_prime(p: int) -> int:
     return p
 
 
-def vp(x: Rat | int, p: int) -> Valuation:
+def vp(x: Fraction | int, p: int) -> Valuation:
     """p-adic valuation of an exact rational (or integer).
 
     For nonzero x = a/b in lowest terms this is v_p(a) - v_p(b); for zero
@@ -155,7 +152,7 @@ def floor_log(base: int, n: int) -> int:
     return e
 
 
-def residue_mod_p(x: Rat | int, p: int) -> int:
+def residue_mod_p(x: Fraction | int, p: int) -> int:
     """Reduce a p-integral rational modulo p.
 
     Requires vp(x) >= 0, i.e. the denominator in lowest terms is coprime

@@ -90,9 +90,6 @@ class PartitionType:
     def group_order(self) -> int:
         return self.p**self.weight
 
-    def conjugate(self) -> tuple[int, ...]:
-        return conjugate_partition(self.parts)
-
     def half_weight(self) -> int:
         """A_1 = weight/2 for even weight, A_2 = (weight+1)/2 for odd."""
         return (self.weight + 1) // 2

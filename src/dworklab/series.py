@@ -8,7 +8,8 @@ Connects the two coefficient views of H(z) = exp(S(z)):
 and provides the transforms between them, the gap series S(z^p) - pS(z)
 whose low-order p-integrality drives all valuation bounds, the corrected
 tail coefficients (lambda sequence), and exact hypothesis checkers for
-the theorem catalog used by `dworklab.bounds`.
+the theorems in `dworklab.bounds.THEOREMS`, whose parameters are
+validated by the rule each theorem maps to.
 
 Truncation is strict: indexing beyond N raises, and hypothesis conditions
 quantified over an infinite index range are only confirmed up to N (the
@@ -23,7 +24,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from . import kernels
-from .exactcore import INFINITY, Rat, check_prime, floor_log, vp
+from .bounds import RULES, THEOREMS, BoundKind
+from .exactcore import INFINITY, check_prime, floor_log, vp
 
 
 def _to_fraction_tuple(values: Iterable) -> tuple[Fraction, ...]:
@@ -190,25 +192,6 @@ def truncation_level(s: LogSeries, p: int) -> int:
     return level
 
 
-@dataclass(frozen=True)
-class LambdaSeq:
-    """Corrected tail coefficients lambda_i for p^l < i <= N.
-
-    lambda_i = s_i when i / p^{v_p(i)} >= p^l; otherwise s_i - s_{i/p^e}
-    with e minimal such that i / p^e < p^l.
-    """
-
-    lam: Mapping[int, Fraction]
-    p: int
-    l: int
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.lam[i]
-
-    def indices(self) -> list[int]:
-        return sorted(self.lam)
-
-
 def _lambda_at(s: LogSeries, p: int, l: int, i: int) -> Fraction:
     pl = p**l
     stripped = i
@@ -224,15 +207,19 @@ def _lambda_at(s: LogSeries, p: int, l: int, i: int) -> Fraction:
     return s[i] - s[reduced]
 
 
-def lambda_sequence(s: LogSeries, p: int, l: int) -> LambdaSeq:
+def lambda_sequence(s: LogSeries, p: int, l: int) -> dict[int, Fraction]:
+    """Corrected tail coefficients lambda_i for p^l < i <= N.
+
+    lambda_i = s_i when i / p^{v_p(i)} >= p^l; otherwise s_i - s_{i/p^e}
+    with e minimal such that i / p^e < p^l.
+    """
     check_prime(p)
     if l < 1:
         raise ValueError("l must be positive")
     if p**l > s.n_max:
         raise ValueError("p^l exceeds the truncation")
     pl = p**l
-    lam = {i: _lambda_at(s, p, l, i) for i in range(pl + 1, s.n_max + 1)}
-    return LambdaSeq(lam, p, l)
+    return {i: _lambda_at(s, p, l, i) for i in range(pl + 1, s.n_max + 1)}
 
 
 def reference_series(s: LogSeries, p: int, l: int) -> LogSeries:
@@ -259,18 +246,6 @@ def reference_series(s: LogSeries, p: int, l: int) -> LogSeries:
 # ---------------------------------------------------------------------------
 # hypothesis checking
 # ---------------------------------------------------------------------------
-
-THEOREM_IDS = (
-    "thm2.1",
-    "cor2.4",
-    "cor2.5",
-    "thm2.7",
-    "thm3.1",
-    "thm3.3",
-    "thm3.4",
-    "thm3.7",
-    "cor3.6",
-)
 
 PASS = "pass"
 FAIL = "fail"
@@ -331,11 +306,6 @@ class _Checker:
         return HypothesisReport(
             theorem, p, params, tuple(self.conditions), overall, fully
         )
-
-
-def _require(cond, message):
-    if not cond:
-        raise ValueError(message)
 
 
 def _check_integrality(chk: _Checker, s: LogSeries, p: int):
@@ -406,17 +376,14 @@ def check_hypotheses(
     Conditions whose index set extends past the truncation are only
     confirmed up to N; the report's `fully_verified` flag records that.
     """
-    check_prime(p)
-    if theorem not in THEOREM_IDS:
+    if theorem not in THEOREMS:
         raise ValueError(f"unknown theorem id {theorem!r}")
+    kind = BoundKind(THEOREMS[theorem], p, l=l, m=m)
+    params = {name: getattr(kind, name) for name in RULES[kind.tag].needs}
     n = s.n_max
     chk = _Checker()
-    params: dict = {}
 
     if theorem == "thm2.1":
-        _require(l is not None and m is not None, "thm2.1 needs l and m")
-        _require(0 <= m < l, "thm2.1 needs 0 <= m < l")
-        params = {"l": l, "m": m}
         gap = dwork_gap(s, p)
         _check_gap(chk, gap, p**l - 1, "gap integrality below z^(p^l)")
         if p**l <= n:
@@ -430,15 +397,10 @@ def check_hypotheses(
         _check_sdiff(chk, s, p, l, m)
 
     elif theorem == "cor2.4":
-        _require(l is not None and l >= 1, "cor2.4 needs l >= 1")
-        params = {"l": l}
         _check_integrality(chk, s, p)
         _check_gap(chk, dwork_gap(s, p), p**l - 1, "gap integrality below z^(p^l)")
 
     elif theorem == "cor2.5":
-        _require(l is not None and m is not None, "cor2.5 needs l and m")
-        _require(0 <= m < l, "cor2.5 needs 0 <= m < l")
-        params = {"l": l, "m": m}
         powers = set()
         q = 1
         while q <= n:
@@ -480,9 +442,6 @@ def check_hypotheses(
         )
 
     elif theorem == "thm2.7":
-        _require(p == 2, "thm2.7 is a p = 2 statement")
-        _require(l is not None and l >= 2, "thm2.7 needs l >= 2")
-        params = {"l": l}
         gap = dwork_gap(s, 2)
         _check_gap(chk, gap, 2**l - 1, "gap integrality below z^(2^l)")
         pairs = [
@@ -511,32 +470,22 @@ def check_hypotheses(
         _check_sdiff2(chk, s, l)
 
     elif theorem in ("thm3.1", "thm3.7"):
-        _require(p >= 3, f"{theorem} needs p >= 3")
-        _require(l is not None and l >= 1, f"{theorem} needs l >= 1")
-        _require((p, l) != (3, 1), f"{theorem} excludes (p, l) = (3, 1)")
-        params = {"l": l}
         _check_integrality(chk, s, p)
         hi = p**l if theorem == "thm3.1" else 2 * p**l - 1
         _check_gap(chk, dwork_gap(s, p), hi, f"gap integrality through z^{hi}")
 
     elif theorem == "thm3.3":
-        _require(p == 3, "thm3.3 is a p = 3 statement")
-        params = {}
         _check_integrality(chk, s, p)
         _check_gap(chk, dwork_gap(s, p), 3, "gap integrality through z^3")
 
     elif theorem == "thm3.4":
-        _require(p == 2, "thm3.4 is a p = 2 statement")
-        _require(l is not None and l >= 1, "thm3.4 needs l >= 1")
-        params = {"l": l}
         _check_integrality(chk, s, p)
         _check_gap(chk, dwork_gap(s, p), 2**l, f"gap integrality through z^{2 ** l}")
 
     elif theorem == "cor3.6":
-        params = {}
         _check_integrality(chk, s, p)
         if p <= n:
-            branch = "divisibility" if vp(s[1] - s[p], p) >= 1 else "indivisibility"
+            branch = dividing_line_branch(s, p)
             chk.conditions.append(
                 ConditionVerdict(
                     "dividing-line branch",

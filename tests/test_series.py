@@ -1,9 +1,11 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from conftest import involution_oracle, poly_exp_oracle, repaired_integer_series
+from dworklab.bounds import THEOREMS, BoundKind
 from dworklab.exactcore import INFINITY, legendre_valuation, vp
 from dworklab.series import (
     FAIL,
@@ -135,7 +137,7 @@ def test_lambda_sequence_examples():
     lam = lambda_sequence(s, 2, 2)
     assert lam[8] == -1  # s_8 - s_2 with e = 2
     assert lam[5] == 0  # first clause: 5 is odd and >= 4, lambda = s_5
-    assert lam.indices() == list(range(5, 11))
+    assert sorted(lam) == list(range(5, 11))
     # s supported on powers of p with equal values: second clause vanishes
     powers = {3**e: 1 for e in range(5) if 3**e <= 90}
     s2 = LogSeries.from_map(powers, 90)
@@ -225,6 +227,22 @@ def test_check_hypotheses_parameter_errors():
         check_hypotheses(s, 3, "thm3.1", l=1)
     with pytest.raises(ValueError):
         check_hypotheses(s, 2, "thm2.7", l=1)
+
+
+@pytest.mark.parametrize("theorem", sorted(THEOREMS))
+def test_check_hypotheses_admits_exactly_the_rule_kinds(theorem):
+    # the parameter checks are the rule's: same verdict, same message
+    s = LogSeries.from_map({1: 1, 2: 3, 3: 4, 4: 1}, 30)
+    for p in (2, 3, 5):
+        for l in (None, 0, 1, 2, 3):
+            for m in (None, 0, 1, 2, 3):
+                try:
+                    BoundKind(THEOREMS[theorem], p, l=l, m=m)
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=re.escape(str(exc))):
+                        check_hypotheses(s, p, theorem, l=l, m=m)
+                else:
+                    check_hypotheses(s, p, theorem, l=l, m=m)
 
 
 def test_dividing_line_branch():
