@@ -208,7 +208,10 @@ def test_q_sequence_c2():
 def test_q_sequence_violation_aborts():
     s = c2_series(20)
     h = exp_transform(s)
-    with pytest.raises(ValueError, match="n=4"):
+    with pytest.raises(
+        ValueError,
+        match=r"^bound violated at n=4: v_2\(h_n\) = 1 < 3; Q_4 undefined$",
+    ):
         q_sequence(h, BoundKind("cor2.4", 2, l=3))
 
 

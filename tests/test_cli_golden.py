@@ -44,7 +44,11 @@ CASES = [
     ("an-thm3.7-p3-l1", ["analyze-series", "--input", "c3c3.series", "--theorem", "thm3.7", "--l", "1"], 2, None),
     ("an-thm2.1-no-m", ["analyze-series", "--input", "c3c3.series", "--theorem", "thm2.1", "--l", "2"], 2, None),
     ("an-thm2.7-p3", ["analyze-series", "--input", "c3c3.series", "--theorem", "thm2.7", "--l", "2"], 2, None),
+    ("an-cor2.4-violated", ["analyze-series", "--input", "k4.series", "--theorem", "cor2.4", "--l", "3"], 1, "ab22e785fc99069b09ea4967fecf62919348d0a40f8fadd95d0ded4aba39334f"),
     ("vg-3-21", ["verify-group", "--spec", "A[3;2,1]", "--n-max", "100"], 0, "043c6a9010cf47132696040ae7a2860f0a846f77fedbc6f817d6295d4150c608"),
+    # at n = 1024 the valuations exceed 64, beyond one chunk of p^64
+    ("vg-3-21-n1024", ["verify-group", "--spec", "A[3;2,1]", "--n-max", "1024"], 0, "53a79b1d7fef370918c1ecb2dde8ac8fe86bd4f265cc7ff38149373179d6a78d"),
+    ("vg-5-11-n1024-tsv", ["verify-group", "--spec", "A[5;1,1]", "--n-max", "1024", "--format", "tsv"], 0, "708db969933cfbd485a8048300c391071f42f8d57c3df0362b4b8cc064ad99f7"),
     ("vg-3-111", ["verify-group", "--spec", "A[3;1,1,1]", "--n-max", "100"], 0, "112b735f65f65eb841cbb277450e09f8d39eedd6dfb26999cf70963a1a2cd591"),
     ("vg-2-11-tsv", ["verify-group", "--spec", "A[2;1,1]", "--n-max", "64", "--format", "tsv"], 0, "6ad717e97d03946b18eec41fce61b0ff63b4af5d71f0f3d9ca13c285e2481a15"),
     ("vg-2-211", ["verify-group", "--spec", "A[2;2,1,1]", "--n-max", "64"], 1, "9d5e611e0a312908b1c3b2ed45ba1cf28e1eb98114483ac29b9f140025d7a759"),
