@@ -9,10 +9,11 @@ exponent it proves.  Adding a rule means adding one record.
 
 `BoundKind` names one rule together with its parameters; `bound_value`
 evaluates e(n) exactly; `verify_bounds` compares v_p(h_n) against it row
-by row (violations are never dropped); `q_sequence` and
-`verify_q_recurrence` check the mod-p recurrence of the quotients that
-certifies tightness; and `floor_lemma_checks` exhaustively tests the two
-floor-sum inequalities the bound proofs rest on.
+by row (violations are never dropped), and yields each row's valuation
+and Q_n mod p from one reduction of h_n modulo p^(e(n)+64); `q_sequence`
+and `verify_q_recurrence` check the mod-p recurrence of the quotients
+that certifies tightness; and `floor_lemma_checks` exhaustively tests the
+two floor-sum inequalities the bound proofs rest on.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .exactcore import INFINITY, Valuation, check_prime, residue_mod_p, vp
+from .kernels import vp_int
 
 if TYPE_CHECKING:
     from .series import ExpSeries, LogSeries
@@ -336,6 +338,9 @@ class BoundReport:
     violations: list[int] = field(default_factory=list)
     tight_set: list[int] = field(default_factory=list)
     min_slack: Valuation = INFINITY
+    # Q_n mod p for each row, None where the bound is violated; not part
+    # of the report document
+    q_residues: tuple[int | None, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -351,20 +356,62 @@ class BoundReport:
         }
 
 
+# digits of p kept beyond p^e(n) when a row is reduced; the largest slack
+# seen on group series up to n = 4096 is 7
+_GUARD = 64
+
+
+def _split_row(x: Fraction | int, p: int, e: int) -> tuple[Valuation, int | None]:
+    """(v_p(x), Q mod p) for Q = x / p^e; the residue is None when v_p(x) < e.
+
+    For integral x and e >= 0 one reduction r = x mod p^(e+64) gives both:
+    when r != 0, v_p(x) = v_p(r) < e + 64 and Q = r / p^e (mod p).  When
+    r == 0 the valuation is taken from x itself and Q = 0 (mod p).  For
+    p = 2 both come from the bits of x.  Non-integral x and e < 0 go
+    through the exact rational quotient.
+    """
+    if x == 0:
+        return INFINITY, 0
+    if isinstance(x, Fraction) and x.denominator == 1:
+        x = x.numerator
+    if e < 0 or not isinstance(x, int):
+        val = vp(x, p)
+        if val < e:
+            return val, None
+        q = x / Fraction(p**e) if e >= 0 else x * Fraction(p ** (-e))
+        return val, residue_mod_p(q, p)
+    if p == 2:
+        val = (x & -x).bit_length() - 1
+        return val, (x >> e) & 1 if val >= e else None
+    r = x % p ** (e + _GUARD)
+    if r == 0:
+        return vp_int(x, p), 0
+    q, t = divmod(r, p**e)
+    if t:
+        return vp_int(t, p), None
+    return e + vp_int(q, p), q % p
+
+
 def verify_bounds(
     h: ExpSeries, kind: BoundKind, n_lo: int = 0, n_hi: int | None = None
 ) -> BoundReport:
-    """One row per n in [n_lo, n_hi]: valuation, bound, slack, tightness."""
+    """One row per n in [n_lo, n_hi]: valuation, bound, slack, tightness.
+
+    The report also keeps Q_n mod p of every row (`q_residues`), found in
+    the same pass as the valuation.
+    """
     n_hi = h.n_max if n_hi is None else n_hi
     if n_hi > h.n_max:
         raise ValueError("range exceeds truncation")
     rows = []
     violations = []
     tight_set = []
+    residues = []
     min_slack: Valuation = INFINITY
     for n in range(n_lo, n_hi + 1):
-        val = vp(h[n], kind.p)
         bnd = bound_value(kind, n)
+        val, residue = _split_row(h[n], kind.p, bnd)
+        residues.append(residue)
         slack = val - bnd if val is not INFINITY else INFINITY
         tight = slack == 0
         rows.append(VerifyRow(n, val, bnd, slack, tight))
@@ -374,7 +421,7 @@ def verify_bounds(
             tight_set.append(n)
         if slack < min_slack:
             min_slack = slack
-    return BoundReport(kind, rows, violations, tight_set, min_slack)
+    return BoundReport(kind, rows, violations, tight_set, min_slack, tuple(residues))
 
 
 @dataclass(frozen=True)
@@ -394,22 +441,14 @@ class QSeq:
 
 def q_sequence(h: ExpSeries, kind: BoundKind, n_hi: int | None = None) -> QSeq:
     """Build the Q-sequence; any bound violation aborts with an error."""
-    n_hi = h.n_max if n_hi is None else n_hi
-    if n_hi > h.n_max:
-        raise ValueError("range exceeds truncation")
-    p = kind.p
-    residues = []
-    for n in range(n_hi + 1):
-        e = bound_value(kind, n)
-        hn = h[n]
-        val = vp(hn, p)
-        if val < e:
-            raise ValueError(
-                f"bound violated at n={n}: v_{p}(h_n) = {val} < {e}; Q_{n} undefined"
-            )
-        q = hn / Fraction(p**e) if e >= 0 else hn * Fraction(p ** (-e))
-        residues.append(residue_mod_p(q, p))
-    return QSeq(tuple(residues), kind)
+    report = verify_bounds(h, kind, 0, n_hi)
+    if report.violations:
+        row = report.rows[report.violations[0]]
+        raise ValueError(
+            f"bound violated at n={row.n}: v_{kind.p}(h_n) = {row.valuation} "
+            f"< {row.bound}; Q_{row.n} undefined"
+        )
+    return QSeq(report.q_residues, kind)
 
 
 @dataclass

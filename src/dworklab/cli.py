@@ -27,8 +27,8 @@ from .bounds import (
     RULES,
     THEOREMS,
     BoundKind,
+    QSeq,
     floor_lemma_checks,
-    q_sequence,
     verify_bounds,
     verify_q_recurrence,
 )
@@ -219,8 +219,7 @@ def _cmd_verify_group(args) -> int:
     qrec_summary = None
     claimed = RULES[kind.tag].tight_classes(kind)
     if report.ok:
-        q = q_sequence(h, kind)
-        qrec = verify_q_recurrence(q, kind, s)
+        qrec = verify_q_recurrence(QSeq(report.q_residues, kind), kind, s)
         qrec_summary = qrec.summary()
         step = qrec.step
         if qrec.multiplier == 0:

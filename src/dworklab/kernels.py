@@ -33,27 +33,17 @@ def vp_int(x: int, p: int) -> int:
     if p == 2:
         return (x & -x).bit_length() - 1
     v = 0
-    # strip in large chunks first so huge valuations cost few divisions
-    chunk = 64
-    pe = p**chunk
+    # strip p^64 at a time so huge valuations cost few divisions; the
+    # first remainder that is not zero lies below p^64 and carries the
+    # rest of the valuation, so only that small number is stripped further
+    pe = p**64
     while True:
-        q, r = divmod(x, pe)
+        x, r = divmod(x, pe)
         if r:
             break
-        x = q
-        v += chunk
-    pe = p**8
-    while True:
-        q, r = divmod(x, pe)
-        if r:
-            break
-        x = q
-        v += 8
-    while True:
-        q, r = divmod(x, p)
-        if r:
-            break
-        x = q
+        v += 64
+    while r % p == 0:
+        r //= p
         v += 1
     return v
 

@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import involution_oracle
 from dworklab.bounds import (
     BoundKind,
+    _split_row,
     bound_value,
     floor_lemma_checks,
     floor_sum_gap,
@@ -16,7 +19,7 @@ from dworklab.bounds import (
     verify_bounds,
     verify_q_recurrence,
 )
-from dworklab.exactcore import INFINITY, legendre_valuation, vp
+from dworklab.exactcore import INFINITY, legendre_valuation, residue_mod_p, vp
 from dworklab.series import ExpSeries, LogSeries, exp_transform
 
 
@@ -213,6 +216,79 @@ def test_q_sequence_violation_aborts():
         match=r"^bound violated at n=4: v_2\(h_n\) = 1 < 3; Q_4 undefined$",
     ):
         q_sequence(h, BoundKind("cor2.4", 2, l=3))
+
+
+def _split_row_reference(x, p, e):
+    """v_p(x), and Q = x / p^e reduced mod p through the exact rational."""
+    val = vp(x, p)
+    if val < e:
+        return val, None
+    q = x / Fraction(p**e) if e >= 0 else x * Fraction(p ** (-e))
+    return val, residue_mod_p(q, p)
+
+
+@st.composite
+def _split_row_cases(draw):
+    """(x, p, e) with x = unit p^k / den, as an int or a Fraction.
+
+    e is drawn near k as often as freely, so that violated rows (v < e),
+    tight rows and rows with slack >= 64 all occur.
+    """
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    k = draw(st.integers(0, 400))
+    unit = draw(st.integers(-(10**200), 10**200))
+    den = draw(st.sampled_from([1, 1, 1, 2, 3, 5, 7, 11, 35, p, p**3]))
+    e = draw(st.one_of(st.integers(-3, 400), st.integers(k - 80, k + 5)))
+    x = Fraction(unit * p**k, den)
+    if den == 1 and draw(st.booleans()):
+        x = x.numerator
+    return x, p, e
+
+
+@settings(deadline=None, max_examples=500)
+@given(_split_row_cases())
+@example((0, 3, 5))
+@example((Fraction(0), 2, -1))
+@example((-(3**70) * 2, 3, 4))  # negative, slack >= 64
+@example((7 * 5**200, 5, 100))  # slack 100 >= 64
+@example((Fraction(-5 * 3**300), 3, 236))  # slack exactly 64
+@example((-5 * 3**300, 3, 300))  # tight, Q = -5
+@example((-(2**90) * 3, 2, 10))
+@example((Fraction(9, 4), 3, 1))
+@example((Fraction(4, 9), 3, -2))
+@example((Fraction(4, 9), 3, -3))
+@example((3**5 * 10**40, 3, 7))  # violated row
+def test_split_row_matches_rational_definition(case):
+    x, p, e = case
+    assert _split_row(x, p, e) == _split_row_reference(x, p, e)
+
+
+@pytest.mark.parametrize(
+    "svals, n_max, kind",
+    [
+        ({1: 1, 2: 1}, 200, BoundKind("cor2.4", 2, l=2)),
+        ({1: 1, 2: 3, 4: 1}, 128, BoundKind("thm6.2", 2, partition=(1, 1))),
+        ({1: 1, 3: 4, 9: 1}, 243, BoundKind("thm6.1", 3, partition=(1, 1))),
+        ({1: 1, 5: 6, 25: 1}, 250, BoundKind("thm6.1", 5, partition=(1, 1))),
+    ],
+)
+def test_q_sequence_is_the_bounds_pass_residues(svals, n_max, kind):
+    h = exp_transform(LogSeries.from_map(svals, n_max))
+    report = verify_bounds(h, kind)
+    assert report.ok
+    assert q_sequence(h, kind).residues == report.q_residues
+    assert report.q_residues == tuple(
+        _split_row_reference(h[n], kind.p, bound_value(kind, n))[1]
+        for n in range(n_max + 1)
+    )
+
+
+def test_verify_bounds_keeps_no_residue_on_violated_rows():
+    h = exp_transform(c2_series(20))
+    report = verify_bounds(h, BoundKind("cor2.4", 2, l=3))
+    assert report.violations
+    for n in range(21):
+        assert (report.q_residues[n] is None) == (n in report.violations)
 
 
 def test_q_recurrence_c2():

@@ -4,6 +4,8 @@ known counts."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import involution_oracle, naive_vp, poly_exp_oracle
 from dworklab import kernels
@@ -93,6 +95,18 @@ def test_vp_int(kern):
             assert kern.vp_int(-x, p) == v
     with pytest.raises(ValueError):
         kern.vp_int(0, 3)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 97]),
+    unit=st.integers(-(10**80), 10**80).filter(bool),
+    k=st.integers(0, 300),
+)
+def test_vp_int_matches_naive_strip(p, unit, k):
+    # the unit may itself hold powers of p; the naive strip counts them too
+    x = unit * p**k
+    assert kernels.vp_int(x, p) == naive_vp(x, p)
 
 
 def _klein_table():
