@@ -18,14 +18,28 @@ import pytest
 from dworklab.cli import main
 
 # name -> (p, N, {n: s_n}) for the series files the runs read; the
-# supports are subgroup counts of small Abelian groups, plus a series with
-# a non-integral coefficient
+# supports are subgroup counts of small Abelian groups, plus series with
+# non-integral coefficients: rat5 is 5-integral with denominators 3 and 7
+# and meets the gap condition below z^25 (s_5k = s_k mod 5 for k < 5), and
+# odd3 is the Klein four-group's series plus a 2-adically small term at
+# every other index, over 3 at odd ones, which meets thm2.7 at l = 2
 SERIES = {
     "k4.series": (2, 64, {1: 1, 2: 3, 4: 1}),
     "inv.series": (2, 64, {1: 1, 2: 1}),
     "c3c3.series": (3, 81, {1: 1, 3: 4, 9: 1}),
     "c5c5.series": (5, 60, {1: 1, 5: 6, 25: 1}),
     "half.series": (3, 24, {1: 1, 2: (1, 2), 3: 1}),
+    "rat5.series": (
+        5,
+        125,
+        {1: 1, 2: (1, 3), 3: (2, 7), 5: (8, 3), 7: (4, 21), 10: (22, 21), 15: (37, 7), 25: (1, 7)},
+    ),
+    "odd3.series": (
+        2,
+        96,
+        {n: (2 ** (n // 2) * (n % 5 + 1), 3 if n % 2 else 1) for n in range(1, 97)}
+        | {1: 1, 2: 3, 4: 1},
+    ),
 }
 
 # (id, argv, exit status, sha256 of stdout; None where the status is 2)
@@ -41,6 +55,11 @@ CASES = [
     ("an-thm3.7", ["analyze-series", "--input", "c5c5.series", "--theorem", "thm3.7", "--l", "1", "--n-max", "40"], 0, "2628a290cb6a0690f4ce0e3f0571d5c4a11006c3d45c85ef89b0716323625aa1"),
     ("an-cor3.6", ["analyze-series", "--input", "c3c3.series", "--theorem", "cor3.6"], 0, "7d2e19135dfb78907349004f501a3fefc031151f889eb5078e738a30883a882b"),
     ("an-cor3.6-fraction", ["analyze-series", "--input", "half.series", "--theorem", "cor3.6"], 0, "90e2393abc858f396f4fc40e48164b0f32a839c9fce92b9168432a1aaeef22c0"),
+    ("an-cor3.6-l2", ["analyze-series", "--input", "c3c3.series", "--theorem", "cor3.6", "--l", "2"], 0, "e80891af92feb002b8a8de79320ea0140ff6f2ca4bc31887489c1a4e6528e88c"),
+    ("an-rat5-cor2.4", ["analyze-series", "--input", "rat5.series", "--theorem", "cor2.4", "--l", "2"], 0, "96782ca3b5ced7385a9b74da4692492a13caf7c5a4f53dbca0d17adebe8017a8"),
+    ("an-rat5-thm2.1", ["analyze-series", "--input", "rat5.series", "--theorem", "thm2.1", "--l", "2", "--m", "0"], 0, "2e2b68a5b60799252cc5c1b7725198c91768a1c1469e2918df28e8af86fc73c0"),
+    ("an-rat5-thm2.1-tsv", ["analyze-series", "--input", "rat5.series", "--theorem", "thm2.1", "--l", "2", "--m", "0", "--format", "tsv"], 0, "2eda62dc9ee5d3020ccd3dd7426225aeda53264c6dcf27595d8fdb4733b910c9"),
+    ("an-odd3-thm2.7", ["analyze-series", "--input", "odd3.series", "--theorem", "thm2.7", "--l", "2"], 0, "a86da9987798cb032ae6cacb89620dace9d7c45c98cdd71b339bcaf5b50ca1e2"),
     ("an-thm3.7-p3-l1", ["analyze-series", "--input", "c3c3.series", "--theorem", "thm3.7", "--l", "1"], 2, None),
     ("an-thm2.1-no-m", ["analyze-series", "--input", "c3c3.series", "--theorem", "thm2.1", "--l", "2"], 2, None),
     ("an-thm2.7-p3", ["analyze-series", "--input", "c3c3.series", "--theorem", "thm2.7", "--l", "2"], 2, None),
