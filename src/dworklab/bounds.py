@@ -364,16 +364,15 @@ _GUARD = 64
 def _split_row(x: Fraction | int, p: int, e: int) -> tuple[Valuation, int | None]:
     """(v_p(x), Q mod p) for Q = x / p^e; the residue is None when v_p(x) < e.
 
-    For integral x and e >= 0 one reduction r = x mod p^(e+64) gives both:
+    For an int x and e >= 0 one reduction r = x mod p^(e+64) gives both:
     when r != 0, v_p(x) = v_p(r) < e + 64 and Q = r / p^e (mod p).  When
     r == 0 the valuation is taken from x itself and Q = 0 (mod p).  For
-    p = 2 both come from the bits of x.  Non-integral x and e < 0 go
-    through the exact rational quotient.
+    p = 2 both come from the bits of x.  A Fraction x, which a series holds
+    only for a non-integral coefficient, and e < 0 go through the exact
+    rational quotient.
     """
     if x == 0:
         return INFINITY, 0
-    if isinstance(x, Fraction) and x.denominator == 1:
-        x = x.numerator
     if e < 0 or not isinstance(x, int):
         val = vp(x, p)
         if val < e:
@@ -553,10 +552,8 @@ class FloorLemmaReport:
 
 
 def half_floor_inequality_holds(j: int, x: Fraction) -> bool:
-    """j + floor(x) <= floor(3j/2 + x) - floor(j/2)/2, checked exactly."""
-    lhs = Fraction(j + math.floor(x))
-    rhs = Fraction(math.floor(Fraction(3 * j, 2) + x)) - Fraction(j // 2, 2)
-    return lhs <= rhs
+    """j + floor(x) <= floor(3j/2 + x) - floor(j/2)/2, checked doubled in ints."""
+    return 2 * (j + math.floor(x)) <= 2 * math.floor(Fraction(3 * j, 2) + x) - j // 2
 
 
 def floor_lemma_checks(

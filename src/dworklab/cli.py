@@ -166,9 +166,7 @@ def _cmd_analyze_series(args) -> int:
     p = args.p if args.p is not None else file_p
     check_prime(p)
     hyp = check_hypotheses(s, p, args.theorem, l=args.l, m=args.m)
-    kind_tag = THEOREMS[args.theorem]
-    m = args.m if "m" in RULES[kind_tag].needs else None
-    kind = BoundKind(kind_tag, p, l=args.l, m=m)
+    kind = BoundKind(THEOREMS[args.theorem], p, **hyp.params)
     h = exp_transform(s)
     n_hi = min(args.n_max, h.n_max) if args.n_max is not None else h.n_max
     report = verify_bounds(h, kind, 0, n_hi)
@@ -273,7 +271,7 @@ def _cmd_verify_dihedral(args) -> int:
         check_prime(p)
         first = None
         for n in range(args.odd_n_max + 1):
-            if h[n].numerator % p != 0:
+            if h[n] % p != 0:
                 first = n
                 break
         exhibitions[str(p)] = first

@@ -25,7 +25,7 @@ from typing import Iterator, Mapping
 from . import kernels
 from .bounds import partition_case
 from .exactcore import check_prime, vp
-from .series import ExpSeries, LogSeries, exp_transform
+from .series import ExpSeries, LogSeries, log_transform
 
 ABELIAN_WEIGHT_CAP = 40
 BRUTEFORCE_ORDER_CAP = 256
@@ -311,19 +311,6 @@ def difference_valuation_profile(c: SubgroupCounts, t: PartitionType) -> DiffPro
     return report
 
 
-def free_product_hom(parts: list[ExpSeries]) -> ExpSeries:
-    """Pointwise product h_n = prod_i h_n(G_i); truncations must agree."""
-    if not parts:
-        raise ValueError("free product needs at least one factor series")
-    n_max = parts[0].n_max
-    if any(q.n_max != n_max for q in parts):
-        raise ValueError("mismatched truncations in free product")
-    out = list(parts[0].coeffs)
-    for q in parts[1:]:
-        out = [a * b for a, b in zip(out, q.coeffs)]
-    return ExpSeries(tuple(out))
-
-
 # ---------------------------------------------------------------------------
 # group-spec grammar:  A[p;a1,a2,...]  C[m]  D[m]  joined with "*"
 # ---------------------------------------------------------------------------
@@ -435,8 +422,10 @@ def subgroup_count_series(spec: GroupSpec, n_max: int) -> LogSeries:
     """s_1..s_{n_max}; for free products recovered by the inverse transform."""
     if not spec.is_free_product():
         return finite_subgroup_counts(spec).to_log_series(n_max)
-    s = kernels.hall_log(hom_count_ints(spec, n_max))
-    return LogSeries(tuple(s[1:]))
+    s = log_transform(ExpSeries(tuple(hom_count_ints(spec, n_max))))
+    if not s.is_integral():
+        raise ValueError("inverse transform of the hom counts is not integral")
+    return s
 
 
 def subgroup_residues_mod_p(spec: GroupSpec, n_max: int, p: int) -> list[int]:

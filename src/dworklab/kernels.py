@@ -6,9 +6,10 @@ The central recurrence converts between the two coefficient sequences of
     h_n = sum_{k=1}^{n} (n-k+1)_{k-1} * s_k * h_{n-k},    h_0 = 1,
 
 where ``(a)_j`` is the rising factorial.  The recurrence contains no
-divisions, so it reduces exactly modulo any modulus; the inverse
-recurrence divides by (n-1)! and therefore needs the precision bookkeeping
-done in `hall_log_mod_residues`.
+divisions, so it reduces exactly modulo any modulus.  The inverse
+recurrence divides by (n-1)!: its exact form, which may leave the
+integers, is `dworklab.series.log_transform`, and here it runs only
+modulo p, with the precision bookkeeping done in `hall_log_mod_residues`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ __all__ = [
     "vp_int",
     "hall_exp",
     "hall_exp_mod",
-    "hall_log",
     "hall_log_mod_residues",
     "log_residue_precision",
     "subgroup_lattice_sizes",
@@ -123,31 +123,6 @@ def hall_exp_mod(s, nmax, modulus):
             poch = poch * (n - k) % modulus
         h[n] = acc % modulus
     return h
-
-
-def hall_log(h):
-    """Invert `hall_exp`: recover integer s_1..s_N from integer h_0..h_N.
-
-    Raises ValueError if h_0 != 1 or if some step is not exactly divisible
-    by (n-1)! (i.e. h is not the transform of an integer sequence).
-    """
-    nmax = len(h) - 1
-    if nmax < 0 or h[0] != 1:
-        raise ValueError("h_0 must be 1")
-    s = [0] * (nmax + 1)
-    for n in range(1, nmax + 1):
-        acc = h[n]
-        poch = 1
-        for k in range(1, n):
-            sk = s[k]
-            if sk:
-                acc -= poch * sk * h[n - k]
-            poch *= n - k
-        q, r = divmod(acc, poch)  # poch == (n-1)!
-        if r:
-            raise ValueError(f"inverse transform not integral at n={n}")
-        s[n] = q
-    return s
 
 
 def subgroup_lattice_sizes(order: int, p: int, add_flat: bytes) -> list[int]:

@@ -11,6 +11,9 @@ tail coefficients (lambda sequence), and exact hypothesis checkers for
 the theorems in `dworklab.bounds.THEOREMS`, whose parameters are
 validated by the rule each theorem maps to.
 
+Coefficients are exact: a plain int where the value is integral, as on
+every group and cycle series, and a `Fraction` only where it is not.
+
 Truncation is strict: indexing beyond N raises, and hypothesis conditions
 quantified over an infinite index range are only confirmed up to N (the
 report says so rather than claiming a full pass).
@@ -19,118 +22,111 @@ report says so rather than claiming a full pass).
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from . import kernels
 from .bounds import RULES, THEOREMS, BoundKind
 from .exactcore import INFINITY, check_prime, floor_log, vp
 
 
-def _to_fraction_tuple(values: Iterable) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in values)
+def _exact(v) -> int | Fraction:
+    """v as an int when it is integral, else as a Fraction."""
+    if type(v) is int:
+        return v
+    v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
 
 
 @dataclass(frozen=True)
 class LogSeries:
     """Coefficients s_1..s_N of S(z) = sum_{n>=1} s_n z^n / n."""
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", _to_fraction_tuple(self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(_exact, self.coeffs)))
 
     @property
     def n_max(self) -> int:
         return len(self.coeffs)
 
-    def __getitem__(self, n: int) -> Fraction:
+    def __getitem__(self, n: int) -> int | Fraction:
         if not 1 <= n <= self.n_max:
             raise IndexError(f"s_{n} is outside the truncation 1..{self.n_max}")
         return self.coeffs[n - 1]
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
-
-    def integer_values(self) -> list[int]:
-        """Kernel layout: position n holds s_n, position 0 is unused."""
-        if not self.is_integral():
-            raise ValueError("series has non-integer coefficients")
-        return [0] + [c.numerator for c in self.coeffs]
+        return all(type(c) is int for c in self.coeffs)
 
     @classmethod
     def from_map(cls, values: Mapping[int, int | Fraction], n_max: int) -> "LogSeries":
-        return cls(tuple(Fraction(values.get(n, 0)) for n in range(1, n_max + 1)))
+        return cls(tuple(values.get(n, 0) for n in range(1, n_max + 1)))
 
 
 @dataclass(frozen=True)
 class ExpSeries:
     """Coefficients h_0..h_N of H(z) = sum_{n>=0} h_n z^n / n!."""
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
 
     def __post_init__(self):
         if not self.coeffs:
             raise ValueError("an exp-series needs at least h_0")
-        object.__setattr__(self, "coeffs", _to_fraction_tuple(self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(_exact, self.coeffs)))
 
     @property
     def n_max(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, n: int) -> Fraction:
+    def __getitem__(self, n: int) -> int | Fraction:
         if not 0 <= n <= self.n_max:
             raise IndexError(f"h_{n} is outside the truncation 0..{self.n_max}")
         return self.coeffs[n]
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
-
-    def integer_values(self) -> list[int]:
-        if not self.is_integral():
-            raise ValueError("series has non-integer coefficients")
-        return [c.numerator for c in self.coeffs]
+        return all(type(c) is int for c in self.coeffs)
 
 
 def exp_transform(s: LogSeries) -> ExpSeries:
-    """h_n = sum_{k=1}^{n} (n-k+1)_{k-1} s_k h_{n-k}, with h_0 = 1."""
-    if s.is_integral():
-        return ExpSeries(tuple(kernels.hall_exp(s.integer_values(), s.n_max)))
-    n_max = s.n_max
-    h: list[Fraction] = [Fraction(1)] + [Fraction(0)] * n_max
-    for n in range(1, n_max + 1):
-        acc = Fraction(0)
-        poch = 1
-        for k in range(1, n + 1):
-            sk = s[k]
-            if sk:
-                acc += poch * sk * h[n - k]
-            poch *= n - k
-        h[n] = acc
-    return ExpSeries(tuple(h))
+    """h_n = sum_{k=1}^{n} (n-k+1)_{k-1} s_k h_{n-k}, with h_0 = 1.
+
+    With d the least common denominator of the s_k, H_n = d^n h_n obeys
+    the same division-free recurrence with the integers d^k s_k in place of
+    s_k, so `kernels.hall_exp` computes it; d = 1 on an integral series.
+    """
+    d = math.lcm(*(c.denominator for c in s.coeffs))
+    scaled = [0] + [c.numerator * (d**k // c.denominator) for k, c in enumerate(s.coeffs, 1)]
+    big_h = kernels.hall_exp(scaled, s.n_max)
+    if d == 1:
+        return ExpSeries(tuple(big_h))
+    return ExpSeries(tuple(Fraction(x, d**n) for n, x in enumerate(big_h)))
 
 
 def log_transform(h: ExpSeries) -> LogSeries:
-    """Inverse of `exp_transform`; requires h_0 = 1."""
-    if h[0] != 1:
+    """Inverse of `exp_transform`; requires h_0 = 1.
+
+    s_n = (h_n - sum_{k<n} (n-k+1)_{k-1} s_k h_{n-k}) / (n-1)!.  The
+    division stays in ints while it is exact and builds a Fraction only
+    where it is not: an integer h need not come from an integer s.
+    """
+    hc = h.coeffs
+    if hc[0] != 1:
         raise ValueError("not an exponential of a series with zero constant term")
-    if h.is_integral():
-        try:
-            ints = kernels.hall_log(h.integer_values())
-            return LogSeries(tuple(ints[1:]))
-        except ValueError:
-            pass  # integer h need not come from an integer s
     n_max = h.n_max
-    s: list[Fraction] = [Fraction(0)] * (n_max + 1)
+    s: list[int | Fraction] = [0] * (n_max + 1)
     for n in range(1, n_max + 1):
-        acc = h[n]
+        acc = hc[n]
         poch = 1
         for k in range(1, n):
-            if s[k]:
-                acc -= poch * s[k] * h[n - k]
+            sk = s[k]
+            if sk:
+                acc -= poch * sk * hc[n - k]
             poch *= n - k
-        s[n] = acc / poch  # poch == (n-1)!
+        q, r = divmod(acc, poch)  # poch == (n-1)!
+        s[n] = Fraction(acc, poch) if r else q
     return LogSeries(tuple(s[1:]))
 
 
@@ -553,7 +549,7 @@ def _load(text: str, start: int):
             raise ValueError(f"series index {n}, expected {expected}")
         if den <= 0:
             raise ValueError(f"non-positive denominator in line {ln!r}")
-        coeffs.append(Fraction(num, den))
+        coeffs.append(num if den == 1 else Fraction(num, den))
         expected += 1
     if expected != n_max + 1:
         raise ValueError(f"series ends at {expected - 1}, header claims {n_max}")

@@ -251,7 +251,7 @@ def _split_row_cases(draw):
 @example((Fraction(0), 2, -1))
 @example((-(3**70) * 2, 3, 4))  # negative, slack >= 64
 @example((7 * 5**200, 5, 100))  # slack 100 >= 64
-@example((Fraction(-5 * 3**300), 3, 236))  # slack exactly 64
+@example((-5 * 3**300, 3, 236))  # slack exactly 64
 @example((-5 * 3**300, 3, 300))  # tight, Q = -5
 @example((-(2**90) * 3, 2, 10))
 @example((Fraction(9, 4), 3, 1))

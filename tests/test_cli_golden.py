@@ -50,12 +50,12 @@ CASES = [
     ("an-thm2.7", ["analyze-series", "--input", "k4.series", "--theorem", "thm2.7", "--l", "2"], 0, "983c9b6b91074dd96f0ba34f9eb33c9ddde3011333602da334f439fba565a002"),
     ("an-thm3.1", ["analyze-series", "--input", "c5c5.series", "--theorem", "thm3.1", "--l", "1"], 0, "28fc2fab685d1cb832985317c30ffb869befb9099b61c1b49a756e8b617a67e5"),
     ("an-thm3.3", ["analyze-series", "--input", "c3c3.series", "--theorem", "thm3.3"], 0, "b6cf83c7a30fcf24e02846503457d88727bc53ca671bc7d89ad042c015e60474"),
-    ("an-thm3.3-l2", ["analyze-series", "--input", "c3c3.series", "--theorem", "thm3.3", "--l", "2"], 0, "1a43cb61f5c01e9f50b6d844c23eff9e4239d880368ca92a141d43b87e18d662"),
+    ("an-thm3.3-l2", ["analyze-series", "--input", "c3c3.series", "--theorem", "thm3.3", "--l", "2"], 0, "efda2ace28d064ce540848d4867b3ae9c9541ad0e020d009aafd5df8acce442c"),
     ("an-thm3.4-tsv", ["analyze-series", "--input", "inv.series", "--theorem", "thm3.4", "--l", "1", "--format", "tsv"], 0, "c5c053340455656f5e0b70408f3bfa4719913a6195740787ff8c94920e5cdac7"),
     ("an-thm3.7", ["analyze-series", "--input", "c5c5.series", "--theorem", "thm3.7", "--l", "1", "--n-max", "40"], 0, "2628a290cb6a0690f4ce0e3f0571d5c4a11006c3d45c85ef89b0716323625aa1"),
     ("an-cor3.6", ["analyze-series", "--input", "c3c3.series", "--theorem", "cor3.6"], 0, "7d2e19135dfb78907349004f501a3fefc031151f889eb5078e738a30883a882b"),
     ("an-cor3.6-fraction", ["analyze-series", "--input", "half.series", "--theorem", "cor3.6"], 0, "90e2393abc858f396f4fc40e48164b0f32a839c9fce92b9168432a1aaeef22c0"),
-    ("an-cor3.6-l2", ["analyze-series", "--input", "c3c3.series", "--theorem", "cor3.6", "--l", "2"], 0, "e80891af92feb002b8a8de79320ea0140ff6f2ca4bc31887489c1a4e6528e88c"),
+    ("an-cor3.6-l2", ["analyze-series", "--input", "c3c3.series", "--theorem", "cor3.6", "--l", "2"], 0, "28e11546f551565b26bd6cfde5273ab78dd77c0f1f48742b0321de4d7588731a"),
     ("an-rat5-cor2.4", ["analyze-series", "--input", "rat5.series", "--theorem", "cor2.4", "--l", "2"], 0, "96782ca3b5ced7385a9b74da4692492a13caf7c5a4f53dbca0d17adebe8017a8"),
     ("an-rat5-thm2.1", ["analyze-series", "--input", "rat5.series", "--theorem", "thm2.1", "--l", "2", "--m", "0"], 0, "2e2b68a5b60799252cc5c1b7725198c91768a1c1469e2918df28e8af86fc73c0"),
     ("an-rat5-thm2.1-tsv", ["analyze-series", "--input", "rat5.series", "--theorem", "thm2.1", "--l", "2", "--m", "0", "--format", "tsv"], 0, "2eda62dc9ee5d3020ccd3dd7426225aeda53264c6dcf27595d8fdb4733b910c9"),

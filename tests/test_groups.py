@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from dworklab import groups
+from dworklab.cli import cache_get_or_compute
 from dworklab.exactcore import vp
 from dworklab.groups import (
     GroupSpec,
@@ -16,7 +18,6 @@ from dworklab.groups import (
     dihedral_subgroup_counts,
     dump_counts,
     finite_subgroup_counts,
-    free_product_hom,
     hom_count_ints,
     hom_count_ints_mod,
     load_counts,
@@ -27,7 +28,7 @@ from dworklab.groups import (
     subgroup_residues_mod_p,
     subgroup_type_count,
 )
-from dworklab.series import ExpSeries, LogSeries, exp_transform, log_transform
+from dworklab.series import LogSeries, dump_exp_series, exp_transform, load_exp_series
 
 from conftest import dihedral_subgroup_counts_oracle
 
@@ -164,18 +165,6 @@ def test_difference_profile_catches_corruption():
     assert not prof.ok
 
 
-def test_free_product_hom():
-    c2 = exp_transform(LogSeries((1, 1, 0, 0)))
-    prod = free_product_hom([c2, c2])
-    assert int(prod[2]) == 4
-    trivial = exp_transform(LogSeries((1, 0, 0, 0)))  # the trivial group C_1
-    assert all(x == 1 for x in trivial.coeffs)
-    assert free_product_hom([c2, trivial]).coeffs == c2.coeffs
-    assert free_product_hom([c2]).coeffs == c2.coeffs
-    with pytest.raises(ValueError, match="mismatched"):
-        free_product_hom([c2, exp_transform(LogSeries((1, 1)))])
-
-
 def test_parse_group_spec():
     spec = parse_group_spec("A[3;1,1]")
     assert spec.variant == "abelian" and spec.partition.parts == (1, 1)
@@ -201,6 +190,12 @@ def test_hom_count_ints_matches_series_path():
     h = hom_count_ints(spec, 40)
     s = finite_subgroup_counts(spec).to_log_series(40)
     assert h == [int(x) for x in exp_transform(s).coeffs]
+    # the trivial group C_1 has one homomorphism from each C_n, so it is a
+    # neutral factor of a free product
+    assert hom_count_ints(parse_group_spec("C[1]"), 12) == [1] * 13
+    assert hom_count_ints(parse_group_spec("C[1]*C[2]"), 40) == hom_count_ints(
+        parse_group_spec("C[2]"), 40
+    )
 
 
 def test_free_product_subgroup_counts():
@@ -212,6 +207,32 @@ def test_free_product_subgroup_counts():
     h = hom_count_ints(spec, 10)
     involutions = exp_transform(LogSeries((1, 1) + (0,) * 8))
     assert h == [int(x) ** 2 for x in involutions.coeffs]
+
+
+def test_subgroup_count_series_rejects_non_integral_inverse(monkeypatch):
+    # h = (1, 0, 0, 0, 1) is no group's hom-count sequence: s_4 = 1/6
+    monkeypatch.setattr(groups, "hom_count_ints", lambda spec, n_max: [1, 0, 0, 0, 1])
+    with pytest.raises(ValueError, match="not integral"):
+        subgroup_count_series(parse_group_spec("C[2]*C[2]"), 4)
+
+
+def test_group_and_cycle_coefficients_are_plain_ints(tmp_path):
+    spec = parse_group_spec("A[3;1,1]")
+    cold = cache_get_or_compute(spec, 40, str(tmp_path))
+    assert len(list(tmp_path.glob("*.series"))) == 1
+    series = {
+        "to_log_series": finite_subgroup_counts(spec).to_log_series(40),
+        "subgroup_count_series": subgroup_count_series(parse_group_spec("C[2]*C[3]"), 40),
+        # cycle lengths 1 and 2: the involution counts
+        "exp_transform": exp_transform(LogSeries((1, 1) + (0,) * 38)),
+        "cache, none": cache_get_or_compute(spec, 40, None),
+        "cache, cold": cold,
+        "cache, warm": cache_get_or_compute(spec, 30, str(tmp_path)),
+        "load_exp_series": load_exp_series(dump_exp_series(cold, 3))[0],
+    }
+    for name, s in series.items():
+        assert s.is_integral(), name
+        assert all(type(c) is int for c in s.coeffs), name
 
 
 def test_subgroup_residues_match_exact():

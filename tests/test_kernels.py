@@ -38,20 +38,6 @@ def test_hall_exp_short_series(kern):
     assert kern.hall_exp([], 3) == [1, 0, 0, 0]
 
 
-def test_hall_log_roundtrip(kern):
-    rng = random.Random(12)
-    svals = [0] + [rng.randint(-20, 20) for _ in range(60)]
-    h = kern.hall_exp(svals, 60)
-    assert kern.hall_log(h) == svals
-
-
-def test_hall_log_rejects_non_integral(kern):
-    with pytest.raises(ValueError, match="not integral"):
-        kern.hall_log([1, 0, 0, 0, 1])
-    with pytest.raises(ValueError, match="h_0"):
-        kern.hall_log([2, 1])
-
-
 def test_hall_exp_mod_matches_exact(kern):
     rng = random.Random(13)
     svals = [0] + [rng.randint(-30, 30) for _ in range(80)]

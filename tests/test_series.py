@@ -3,6 +3,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import involution_oracle, poly_exp_oracle, repaired_integer_series
 from dworklab.bounds import THEOREMS, BoundKind
@@ -86,6 +88,68 @@ def test_round_trip_random_rationals():
         h = exp_transform(s)
         assert log_transform(h).coeffs == svals
         assert exp_transform(log_transform(h)).coeffs == h.coeffs
+
+
+def test_log_transform_integer_round_trip():
+    rng = random.Random(12)
+    svals = tuple(rng.randint(-20, 20) for _ in range(60))
+    s = log_transform(exp_transform(LogSeries(svals)))
+    assert s.coeffs == svals
+    assert s.is_integral()
+
+
+def test_log_transform_leaves_the_integers_exactly():
+    # h = (1, 0, 0, 0, 1) comes from no integer s: s_4 = h_4 / 3!
+    s = log_transform(ExpSeries((1, 0, 0, 0, 1)))
+    assert s.coeffs == (0, 0, 0, Fraction(1, 6))
+    assert [type(c) for c in s.coeffs] == [int, int, int, Fraction]
+    assert not s.is_integral()
+
+
+def _stored_exactly(series) -> bool:
+    """Integral coefficients are ints, the others Fractions."""
+    return all(
+        type(c) is int or (type(c) is Fraction and c.denominator > 1) for c in series.coeffs
+    )
+
+
+def test_coefficients_are_normalised_on_construction():
+    s = LogSeries((Fraction(4, 2), Fraction(1, 3), 5, Fraction(-6, 3), True))
+    assert [type(c) for c in s.coeffs] == [int, Fraction, int, int, int]
+    assert s.coeffs == (2, Fraction(1, 3), 5, -2, 1)
+    h = ExpSeries((Fraction(1), Fraction(3, 6)))
+    assert [type(c) for c in h.coeffs] == [int, Fraction]
+
+
+# denominators include powers of 2, 3 and 5, so the series are often not
+# p-integral at the primes the bounds use
+_mixed_coefficient = st.one_of(
+    st.integers(-30, 30),
+    st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 2, 3, 4, 7, 9, 25, 27])),
+)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.lists(_mixed_coefficient, max_size=12))
+def test_exp_transform_mixed_series_matches_oracle_and_round_trips(svals):
+    s = LogSeries(tuple(svals))
+    h = exp_transform(s)
+    assert list(h.coeffs) == poly_exp_oracle([0, *svals])
+    assert _stored_exactly(s) and _stored_exactly(h)
+    back = log_transform(h)
+    assert back.coeffs == s.coeffs
+    assert _stored_exactly(back)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.lists(st.integers(-50, 50), max_size=14))
+def test_log_transform_inverts_exp_transform_on_integer_h(tail):
+    # such an h rarely comes from an integer s, so the inverse recurrence
+    # leaves the integers part way and must continue exactly
+    h = ExpSeries((1, *tail))
+    s = log_transform(h)
+    assert _stored_exactly(s)
+    assert exp_transform(s).coeffs == h.coeffs
 
 
 def test_dwork_gap_examples():
