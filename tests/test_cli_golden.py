@@ -80,6 +80,12 @@ CASES = [
     ("vp-pi3-3-1", ["verify-permutations", "--variant", "pi3", "--p", "3", "--l", "1", "--A", "1"], 2, None),
     ("sc-3", ["supercongruence", "--p", "3", "--a-max", "2"], 0, "68ddc73bbcf6c6d20d4e72140582831d36108f6aed595a719adc516e04be23ca"),
     ("pd-c2c4", ["periodicity", "--spec", "C[2]*C[4]", "--p", "2", "--n-max", "60"], 0, "6664f2da555415ec439ec22cc1b40d32013f53a48b9049ea57985250ce471a4b"),
+    # workload-scale residues: products with a p-part at their own prime
+    # (C[2]*C[16], A[3;1,1]*C[9], C[4]*C[6]) and one without (C[3]*C[9] at p = 2)
+    ("pd-c2c16-n1000", ["periodicity", "--spec", "C[2]*C[16]", "--p", "2", "--n-max", "1000"], 0, "4b0f136649e70d7157a0e3c7d94dd9ac78b6cb43c92694cd0432b2dcf03273ee"),
+    ("pd-a311c9-p3-n1000", ["periodicity", "--spec", "A[3;1,1]*C[9]", "--p", "3", "--n-max", "1000"], 0, "e29d0001cc237b89de8668f54b0b303dda1a07c6576061374ed52e130a568423"),
+    ("pd-c4c6-n1200", ["periodicity", "--spec", "C[4]*C[6]", "--p", "2", "--n-max", "1200"], 0, "3724f0e195498e2a5b67a876f44afb1cbf47c1053da71423d5293490c3955688"),
+    ("pd-c3c9-p2-n1000", ["periodicity", "--spec", "C[3]*C[9]", "--p", "2", "--n-max", "1000"], 1, "2edf40dbb231a1069d188a34cfcc38102d8cea52825e6d29874eed09a72f3f28"),
     ("lm-2-1", ["lemmas", "--p", "2", "--l", "1", "--i-max", "40", "--j-max", "10"], 0, "63d47e4ee52bcecbf181da07f4b23cd2ad77448acd7b9717f6b1889544a2e5c7"),
     ("lm-3-1-negative-j-tsv", ["lemmas", "--p", "3", "--l", "1", "--i-max", "30", "--j-max", "5", "--j-min", "-1", "--format", "tsv"], 1, "8bb19bab05f6f205d59b459681b3f647cdf47e86d24e8958585fcbb4526cd8d4"),
 ]
