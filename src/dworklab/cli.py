@@ -32,7 +32,7 @@ from .bounds import (
     verify_bounds,
     verify_q_recurrence,
 )
-from .exactcore import INFINITY, check_prime, vp
+from .exactcore import INFINITY, check_prime
 from .groups import (
     GroupSpec,
     classify_abelian_case,
@@ -476,6 +476,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "n_max", None) is not None and args.n_max < 1:
+            raise ValueError(f"--n-max must be at least 1, got {args.n_max}")
         return args.func(args)
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

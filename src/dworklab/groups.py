@@ -429,16 +429,18 @@ def subgroup_count_series(spec: GroupSpec, n_max: int) -> LogSeries:
 
 
 def subgroup_residues_mod_p(spec: GroupSpec, n_max: int, p: int) -> list[int]:
-    """s_n mod p for 0 <= n <= n_max, via capped p-adic precision.
+    """s_n mod p for 0 <= n <= n_max, at the p-adic precision h calls for.
 
-    Matches `subgroup_count_series` exactly (cross-checked in the tests)
-    while keeping every intermediate value below p**C with
-    C = `kernels.log_residue_precision(n_max, p)`.
+    Matches `subgroup_count_series` exactly (cross-checked in the tests).
+    h is reduced modulo p**C with C = `kernels.log_residue_precision(n_max,
+    p)`, and recomputed at more digits only when the kernel asks for them.
     """
     check_prime(p)
     modulus = p ** kernels.log_residue_precision(n_max, p)
     h = hom_count_ints_mod(spec, n_max, modulus)
-    return kernels.hall_log_mod_residues(h, p, n_max)
+    return kernels.hall_log_mod_residues(
+        h, p, n_max, lambda digits: hom_count_ints_mod(spec, n_max, p**digits)
+    )
 
 
 # ---------------------------------------------------------------------------

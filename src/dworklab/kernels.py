@@ -171,7 +171,7 @@ def subgroup_lattice_sizes(order: int, p: int, add_flat: bytes) -> list[int]:
 
 
 def log_residue_precision(nmax: int, p: int) -> int:
-    """p-adic precision needed by `hall_log_mod_residues` up to nmax."""
+    """Digits C = v_p((nmax-1)!) + 1 of h that `hall_log_mod_residues` reads."""
     total = 0
     q = (nmax - 1) // p if nmax >= 1 else 0
     while q:
@@ -180,21 +180,137 @@ def log_residue_precision(nmax: int, p: int) -> int:
     return total + 1
 
 
-def hall_log_mod_residues(h, p, nmax):
+def _precision_plan(hred, p, nmax, C):
+    """(P, D) for `hall_log_mod_residues`, or None when P + D >= C.
+
+    ``hred`` holds h_0..h_nmax modulo p**C.  D = max delta_j and
+    P = 1 + max Delta_n, as defined in the kernel's docstring.
+    """
+    delta = [0] * max(nmax, 1)
+    w = 0  # v_p(j!)
+    for j in range(1, nmax):
+        m = j
+        while m % p == 0:
+            w += 1
+            m //= p
+        # h_j = 0 mod p**C has v_p(h_j) >= C > w, so delta_j = 0
+        if hred[j]:
+            d = w - vp_int(hred[j], p)
+            if 2 * d + 1 >= C:  # P >= D + 1, so P + D >= C
+                return None
+            delta[j] = max(d, 0)
+    D = max(delta)
+    support = [j for j in range(1, nmax) if delta[j]]
+    limit = C - D - 1  # P + D < C  <=>  max Delta < limit
+    loss = [0] * (nmax + 1)
+    for n in range(2, nmax + 1):
+        # Delta is nondecreasing (delta >= 0), so max_k Delta_k = Delta_{n-1}
+        worst = loss[n - 1]
+        for j in support:
+            if j >= n:
+                break
+            if loss[n - j] + delta[j] > worst:
+                worst = loss[n - j] + delta[j]
+        if worst >= limit:
+            return None
+        loss[n] = worst
+    return loss[nmax] + 1, D
+
+
+def hall_log_mod_residues(h, p, nmax, lift=None):
     """Residues of s_n modulo p from h values known modulo p**C.
 
     ``h`` must contain integers congruent to the exact h_n modulo p**C
     with C = `log_residue_precision(nmax, p)`; exact values work too.
-    The inverse recurrence divides by (n-1)!; writing (n-1)! = p^v * u,
-    the division loses exactly v digits of p-adic precision, and
-    v_p((k-1)!) + v_p((n-k)!) <= v_p((n-1)!) guarantees the surviving
-    precision is always >= 1 digit, so the returned residues are exact.
+    ``lift``, if given, maps a digit count d to h_0..h_nmax modulo p**d;
+    it is called at most once, when the data below need more than C
+    digits of h.
+
+    With a_j = h_j / j!, the derivative of H = exp(S) gives
+
+        s_n = n a_n - sum_{k<n} s_k a_{n-k},    n a_n = h_n / (n-1)!.
+
+    Write w_j = v_p(j!) and j! = p^(w_j) u_j.  The precision is read from
+    the data; no theorem about h is assumed:
+
+    - delta_j = max(0, w_j - v_p(h_j)) for j < nmax, read from h mod p**C
+      (h_j = 0 mod p**C gives delta_j = 0, since w_j < C), so
+      v_p(a_j) >= -delta_j.  D = max delta_j.
+    - alpha_j = p^D a_j = h_j p^(D - w_j) / u_j is p-integral, and the
+      leading term p^D n a_n = h_n p^(D - w_(n-1)) / u_(n-1) is p-integral
+      whenever s_n and s_1..s_(n-1) are, because the sum is.
+    - Run p^D s_n = p^D n a_n - sum_{k<n} s_k alpha_(n-k) modulo
+      p^(P+D), keeping s_n modulo p^P.  If s_k is known modulo p^(P -
+      Delta_k), the term s_k alpha_(n-k) is known modulo
+      p^(P - Delta_k - delta_(n-k) + D), so s_n is known modulo p^(P -
+      Delta_n) with Delta_1 = 0 and
+      Delta_n = max(0, max_{k<n} Delta_k + delta_(n-k)).
+      P = 1 + max Delta_n therefore leaves every s_n right modulo p.
+    - alpha_j needs h_j modulo p^(w_j + P) and the leading term h_n
+      modulo p^(w_(n-1) + P); the largest is w_(nmax-1) + P = C + P - 1,
+      so P = 1 runs on the given h and P > 1 asks ``lift`` for more.
+
+    Every scaling division by a power of p, and the final one by p^D, is
+    checked exact; an inexact one means some s_n is not p-integral and
+    raises ``ValueError``.  Since Delta_n >= delta_(n-1), P >= D + 1; when
+    P + D >= C (in particular when 2D + 1 >= C), or when P > 1 and no
+    ``lift`` is given, the recurrence runs at the fixed precision C
+    instead: the division by (n-1)! = p^v u loses exactly v digits, and
+    v_p((k-1)!) + v_p((n-k)!) <= v_p((n-1)!) leaves at least one.
     """
     C = log_residue_precision(nmax, p)
     modulus = p**C
     if len(h) <= nmax or h[0] % modulus != 1 % modulus:
         raise ValueError("h must cover 0..nmax and have h_0 = 1")
     hred = [x % modulus for x in h[: nmax + 1]]
+    plan = _precision_plan(hred, p, nmax, C)
+    if plan is not None and (plan[0] == 1 or lift is not None):
+        P, D = plan
+        if P > 1:
+            digits = C + P - 1
+            lifted = lift(digits)
+            if len(lifted) <= nmax:
+                raise ValueError("lifted h must cover 0..nmax")
+            lifted = [x % p**digits for x in lifted[: nmax + 1]]
+            if any(x % modulus != y for x, y in zip(lifted, hred)):
+                raise ValueError("lifted h disagrees with h modulo p**C")
+            hred = lifted
+        work = p ** (P + D)
+        pD = p**D
+        # alpha_j and the leading term p^D n a_n with n = j + 1 share the
+        # factor p^(D - w_j) / u_j; both are taken modulo p^(P+D)
+        alpha = [0] * (nmax + 1)
+        lead = [0] * (nmax + 1)
+        w = 0  # w_j
+        u = 1  # u_j modulo p^(P+D)
+        for j in range(nmax):
+            if j > 0:
+                m = j
+                while m % p == 0:
+                    w += 1
+                    m //= p
+                u = u * m % work
+            inv = pow(u, -1, work)
+            for target, n in ((alpha, j), (lead, j + 1)):
+                x = hred[n]
+                if D >= w:
+                    x *= p ** (D - w)
+                else:
+                    x, r = divmod(x, p ** (w - D))
+                    if r:
+                        raise ValueError(f"inverse transform not integral at n={j + 1}")
+                target[n] = x * inv % work
+        s = [0] * (nmax + 1)  # s_n modulo p^P
+        residues = [0] * (nmax + 1)
+        for n in range(1, nmax + 1):
+            tail = sum([x * y for x, y in zip(s[1:n], alpha[n - 1 : 0 : -1])])
+            acc = (lead[n] - tail) % work
+            q, r = divmod(acc, pD)
+            if r:
+                raise ValueError(f"inverse transform not integral at n={n}")
+            s[n] = q
+            residues[n] = q % p
+        return residues
     s = [0] * (nmax + 1)
     residues = [0] * (nmax + 1)
     v = 0  # v_p((n-1)!)

@@ -29,7 +29,7 @@ from typing import Mapping
 
 from . import kernels
 from .bounds import RULES, THEOREMS, BoundKind
-from .exactcore import INFINITY, check_prime, floor_log, vp
+from .exactcore import check_prime, floor_log, vp
 
 
 def _exact(v) -> int | Fraction:

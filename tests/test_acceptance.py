@@ -40,7 +40,6 @@ from dworklab.groups import (
     classify_abelian_case,
     dihedral_subgroup_counts,
     hom_count_ints,
-    hom_count_ints_mod,
     parse_group_spec,
     partitions_of,
     subgroup_residues_mod_p,

@@ -4,7 +4,6 @@ import pytest
 
 from dworklab.applications import (
     CycleRule,
-    PeriodResult,
     normal_count_index_p,
     periodicity_detect,
     permutation_count,

@@ -1,11 +1,9 @@
-import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import involution_oracle
 from dworklab.bounds import (
     BoundKind,
     _split_row,

@@ -1,6 +1,4 @@
 import json
-from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -198,3 +196,22 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["verify-group"])  # missing --spec
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze-series", "--input", "c2.series", "--theorem", "cor2.4", "--l", "2", "--n-max", "0"],
+        ["verify-group", "--spec", "A[2;1,1]", "--n-max", "0"],
+        ["verify-dihedral", "--m", "4", "--n-max", "-3"],
+        ["verify-permutations", "--variant", "pi2", "--p", "3", "--l", "1", "--A", "1", "--n-max", "-3"],
+        ["periodicity", "--spec", "C[2]*C[4]", "--p", "2", "--n-max", "-3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_n_max_below_one_exits_2(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c2.series").write_text(dump_log_series(LogSeries((1, 1, 0, 0)), 2))
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "--n-max" in err

@@ -1,12 +1,12 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dworklab import groups
 from dworklab.cli import cache_get_or_compute
-from dworklab.exactcore import vp
 from dworklab.groups import (
-    GroupSpec,
     PartitionType,
     SubgroupCounts,
     abelian_subgroup_counts,
@@ -242,6 +242,33 @@ def test_subgroup_residues_match_exact():
         exact = subgroup_count_series(spec, n)
         assert res[1:] == [int(x) % p for x in exact.coeffs]
         assert res[0] == 0
+
+
+_FACTORS = st.one_of(
+    st.integers(1, 16).map(lambda m: f"C[{m}]"),
+    st.integers(1, 8).map(lambda m: f"D[{m}]"),
+    st.builds(
+        lambda q, parts: f"A[{q};{','.join(map(str, sorted(parts, reverse=True)))}]",
+        st.sampled_from([2, 3, 5]),
+        st.lists(st.integers(1, 2), min_size=1, max_size=3),
+    ),
+)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    factors=st.lists(_FACTORS, min_size=2, max_size=3),
+    p=st.sampled_from([2, 3, 5]),
+    n=st.integers(1, 300),
+)
+@example(factors=["C[2]", "C[16]"], p=2, n=300)  # P = 1
+@example(factors=["C[4]", "C[6]"], p=2, n=300)  # P > 1: h is lifted
+@example(factors=["D[4]", "A[2;2,1]", "C[8]"], p=2, n=300)
+@example(factors=["C[3]", "C[9]"], p=2, n=300)  # fixed-precision fallback
+def test_subgroup_residues_match_exact_counts(factors, p, n):
+    spec = parse_group_spec("*".join(factors))
+    exact = subgroup_count_series(spec, n)
+    assert subgroup_residues_mod_p(spec, n, p)[1:] == [x % p for x in exact.coeffs]
 
 
 def test_hom_count_ints_mod():

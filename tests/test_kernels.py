@@ -58,6 +58,60 @@ def test_hall_log_mod_residues_matches_exact(kern):
         modulus = p ** kern.log_residue_precision(80, p)
         reduced = [x % modulus for x in h]
         assert kern.hall_log_mod_residues(reduced, p, 80) == residues
+        lifted = kern.hall_log_mod_residues(reduced, p, 80, lambda d: [x % p**d for x in h])
+        assert lifted == residues
+
+
+def _reduced_hom_counts(text, p, n):
+    from dworklab.groups import hom_count_ints, parse_group_spec
+
+    h = hom_count_ints(parse_group_spec(text), n)
+    C = kernels.log_residue_precision(n, p)
+    return h, C, [x % p**C for x in h]
+
+
+@pytest.mark.parametrize(
+    "text, p, n, plan",
+    [
+        ("C[2]*C[16]", 2, 1000, (1, 0)),
+        ("A[3;1,1]*C[9]", 3, 1000, (1, 0)),
+        ("C[4]*C[6]", 2, 1200, (295, 294)),
+        ("C[3]*C[6]", 3, 1000, (55, 54)),
+        ("C[3]*C[9]", 2, 1000, None),  # no 2-part: P + D >= C
+    ],
+)
+def test_precision_plan_is_read_from_h(text, p, n, plan):
+    _, C, hred = _reduced_hom_counts(text, p, n)
+    assert kernels._precision_plan(hred, p, n, C) == plan
+
+
+def test_hall_log_mod_residues_rejects_inexact_scaling(kern):
+    # P = 1, D = 0: an odd h_N makes h_N / p^(w_(N-1)) inexact
+    h, C, hred = _reduced_hom_counts("C[2]*C[16]", 2, 200)
+    assert kernels._precision_plan(hred, 2, 200, C) == (1, 0)
+    bad = h[:]
+    bad[200] += 1
+    assert kernels._precision_plan(bad, 2, 200, C) == (1, 0)
+    with pytest.raises(ValueError, match="not integral at n=200"):
+        kern.hall_log_mod_residues(bad, 2, 200)
+
+    # D > 0: adding p^(w_(N-1) - 1) to h_N keeps the division by
+    # p^(w_(N-1) - D) exact but leaves s_N with valuation -1, so the final
+    # division by p^D is inexact; without a lift the fixed path rejects it
+    h, C, hred = _reduced_hom_counts("C[4]*C[6]", 2, 200)
+    P, D = kernels._precision_plan(hred, 2, 200, C)
+    assert P > 1 and D > 0
+    bad = h[:]
+    bad[200] += 2 ** (C - 2)  # C - 1 = v_2(199!)
+    assert kernels._precision_plan(bad, 2, 200, C) == (P, D)
+    with pytest.raises(ValueError, match="not integral at n=200"):
+        kern.hall_log_mod_residues(bad, 2, 200, lambda d: [x % 2**d for x in bad])
+    with pytest.raises(ValueError, match="not integral at n=200"):
+        kern.hall_log_mod_residues(bad, 2, 200)
+
+    # a lift that contradicts h modulo p**C is refused
+    with pytest.raises(ValueError, match="disagrees"):
+        kern.hall_log_mod_residues(h, 2, 200, lambda d: [x % 2**d + (k == 5) for k, x in enumerate(h)])
 
 
 def test_log_residue_precision(kern):

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import involution_oracle, poly_exp_oracle, repaired_integer_series
 from dworklab.bounds import THEOREMS, BoundKind
-from dworklab.exactcore import INFINITY, legendre_valuation, vp
+from dworklab.exactcore import legendre_valuation, vp
 from dworklab.series import (
     FAIL,
-    PASS,
     UNVERIFIABLE,
     DworkGap,
     ExpSeries,
