@@ -186,7 +186,7 @@ def _precision_plan(hred, p, nmax, C):
     ``hred`` holds h_0..h_nmax modulo p**C.  D = max delta_j and
     P = 1 + max Delta_n, as defined in the kernel's docstring.
     """
-    delta = [0] * max(nmax, 1)
+    delta = [0] * nmax
     w = 0  # v_p(j!)
     for j in range(1, nmax):
         m = j
@@ -199,7 +199,7 @@ def _precision_plan(hred, p, nmax, C):
             if 2 * d + 1 >= C:  # P >= D + 1, so P + D >= C
                 return None
             delta[j] = max(d, 0)
-    D = max(delta)
+    D = max(delta, default=0)
     support = [j for j in range(1, nmax) if delta[j]]
     limit = C - D - 1  # P + D < C  <=>  max Delta < limit
     loss = [0] * (nmax + 1)
