@@ -180,6 +180,20 @@ def log_residue_precision(nmax: int, p: int) -> int:
     return total + 1
 
 
+def _factorial_parts(p, stop):
+    """(w_j, m_j) for 0 <= j < stop, with w_j = v_p(j!) and m_j = j / p^(v_p(j)).
+
+    m_0 = 1, so the unit part u_j = j! / p^(w_j) is m_0 * m_1 * ... * m_j.
+    """
+    w = 0
+    for j in range(stop):
+        m = j or 1
+        while m % p == 0:
+            w += 1
+            m //= p
+        yield w, m
+
+
 def _precision_plan(hred, p, nmax, C):
     """(P, D) for `hall_log_mod_residues`, or None when P + D >= C.
 
@@ -187,12 +201,7 @@ def _precision_plan(hred, p, nmax, C):
     P = 1 + max Delta_n, as defined in the kernel's docstring.
     """
     delta = [0] * nmax
-    w = 0  # v_p(j!)
-    for j in range(1, nmax):
-        m = j
-        while m % p == 0:
-            w += 1
-            m //= p
+    for j, (w, _) in enumerate(_factorial_parts(p, nmax)):
         # h_j = 0 mod p**C has v_p(h_j) >= C > w, so delta_j = 0
         if hred[j]:
             d = w - vp_int(hred[j], p)
@@ -217,14 +226,13 @@ def _precision_plan(hred, p, nmax, C):
     return loss[nmax] + 1, D
 
 
-def hall_log_mod_residues(h, p, nmax, lift=None):
+def hall_log_mod_residues(h, p, nmax, lift):
     """Residues of s_n modulo p from h values known modulo p**C.
 
     ``h`` must contain integers congruent to the exact h_n modulo p**C
     with C = `log_residue_precision(nmax, p)`; exact values work too.
-    ``lift``, if given, maps a digit count d to h_0..h_nmax modulo p**d;
-    it is called at most once, when the data below need more than C
-    digits of h.
+    ``lift`` maps a digit count d to h_0..h_nmax modulo p**d; it is
+    called at most once, when the data below need more than C digits of h.
 
     With a_j = h_j / j!, the derivative of H = exp(S) gives
 
@@ -253,10 +261,10 @@ def hall_log_mod_residues(h, p, nmax, lift=None):
     Every scaling division by a power of p, and the final one by p^D, is
     checked exact; an inexact one means some s_n is not p-integral and
     raises ``ValueError``.  Since Delta_n >= delta_(n-1), P >= D + 1; when
-    P + D >= C (in particular when 2D + 1 >= C), or when P > 1 and no
-    ``lift`` is given, the recurrence runs at the fixed precision C
-    instead: the division by (n-1)! = p^v u loses exactly v digits, and
-    v_p((k-1)!) + v_p((n-k)!) <= v_p((n-1)!) leaves at least one.
+    P + D >= C (in particular when 2D + 1 >= C), the recurrence runs at
+    the fixed precision C instead: the division by (n-1)! = p^v u loses
+    exactly v digits, and v_p((k-1)!) + v_p((n-k)!) <= v_p((n-1)!) leaves
+    at least one.
     """
     C = log_residue_precision(nmax, p)
     modulus = p**C
@@ -264,7 +272,7 @@ def hall_log_mod_residues(h, p, nmax, lift=None):
         raise ValueError("h must cover 0..nmax and have h_0 = 1")
     hred = [x % modulus for x in h[: nmax + 1]]
     plan = _precision_plan(hred, p, nmax, C)
-    if plan is not None and (plan[0] == 1 or lift is not None):
+    if plan is not None:
         P, D = plan
         if P > 1:
             digits = C + P - 1
@@ -281,15 +289,9 @@ def hall_log_mod_residues(h, p, nmax, lift=None):
         # factor p^(D - w_j) / u_j; both are taken modulo p^(P+D)
         alpha = [0] * (nmax + 1)
         lead = [0] * (nmax + 1)
-        w = 0  # w_j
         u = 1  # u_j modulo p^(P+D)
-        for j in range(nmax):
-            if j > 0:
-                m = j
-                while m % p == 0:
-                    w += 1
-                    m //= p
-                u = u * m % work
+        for j, (w, m) in enumerate(_factorial_parts(p, nmax)):
+            u = u * m % work
             inv = pow(u, -1, work)
             for target, n in ((alpha, j), (lead, j + 1)):
                 x = hred[n]
@@ -313,15 +315,9 @@ def hall_log_mod_residues(h, p, nmax, lift=None):
         return residues
     s = [0] * (nmax + 1)
     residues = [0] * (nmax + 1)
-    v = 0  # v_p((n-1)!)
     u = 1  # unit part of (n-1)! modulo p**C
-    for n in range(1, nmax + 1):
-        if n > 1:
-            m = n - 1
-            while m % p == 0:
-                v += 1
-                m //= p
-            u = u * m % modulus
+    for n, (v, m) in enumerate(_factorial_parts(p, nmax), 1):
+        u = u * m % modulus
         acc = hred[n]
         poch = 1
         for k in range(1, n):

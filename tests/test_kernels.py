@@ -52,14 +52,16 @@ def test_hall_log_mod_residues_matches_exact(kern):
     for p in (2, 3, 5):
         svals = [0] + [rng.randint(-50, 50) for _ in range(80)]
         h = kern.hall_exp(svals, 80)
-        residues = kern.hall_log_mod_residues(h, p, 80)
+
+        def lift(d):
+            return [x % p**d for x in h]
+
+        residues = kern.hall_log_mod_residues(h, p, 80, lift)
         assert residues == [x % p for x in svals]
         # reduced input must give the same answer
         modulus = p ** kern.log_residue_precision(80, p)
         reduced = [x % modulus for x in h]
-        assert kern.hall_log_mod_residues(reduced, p, 80) == residues
-        lifted = kern.hall_log_mod_residues(reduced, p, 80, lambda d: [x % p**d for x in h])
-        assert lifted == residues
+        assert kern.hall_log_mod_residues(reduced, p, 80, lift) == residues
 
 
 def _reduced_hom_counts(text, p, n):
@@ -93,11 +95,11 @@ def test_hall_log_mod_residues_rejects_inexact_scaling(kern):
     bad[200] += 1
     assert kernels._precision_plan(bad, 2, 200, C) == (1, 0)
     with pytest.raises(ValueError, match="not integral at n=200"):
-        kern.hall_log_mod_residues(bad, 2, 200)
+        kern.hall_log_mod_residues(bad, 2, 200, lambda d: [x % 2**d for x in bad])
 
     # D > 0: adding p^(w_(N-1) - 1) to h_N keeps the division by
     # p^(w_(N-1) - D) exact but leaves s_N with valuation -1, so the final
-    # division by p^D is inexact; without a lift the fixed path rejects it
+    # division by p^D is inexact
     h, C, hred = _reduced_hom_counts("C[4]*C[6]", 2, 200)
     P, D = kernels._precision_plan(hred, 2, 200, C)
     assert P > 1 and D > 0
@@ -106,12 +108,19 @@ def test_hall_log_mod_residues_rejects_inexact_scaling(kern):
     assert kernels._precision_plan(bad, 2, 200, C) == (P, D)
     with pytest.raises(ValueError, match="not integral at n=200"):
         kern.hall_log_mod_residues(bad, 2, 200, lambda d: [x % 2**d for x in bad])
-    with pytest.raises(ValueError, match="not integral at n=200"):
-        kern.hall_log_mod_residues(bad, 2, 200)
 
     # a lift that contradicts h modulo p**C is refused
     with pytest.raises(ValueError, match="disagrees"):
         kern.hall_log_mod_residues(h, 2, 200, lambda d: [x % 2**d + (k == 5) for k, x in enumerate(h)])
+
+    # P + D >= C (no 2-part): the fixed path divides h_N - sum by
+    # 2^(w_(N-1)) = 2^(C-1), which an odd h_N makes inexact
+    h, C, hred = _reduced_hom_counts("C[3]*C[9]", 2, 200)
+    assert kernels._precision_plan(hred, 2, 200, C) is None
+    bad = h[:]
+    bad[200] += 1
+    with pytest.raises(ValueError, match="not integral at n=200"):
+        kern.hall_log_mod_residues(bad, 2, 200, lambda d: [x % 2**d for x in bad])
 
 
 def test_log_residue_precision(kern):
