@@ -472,12 +472,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# count options and the least value each accepts
+_COUNT_FLAGS = (("n_max", "--n-max", 1), ("odd_n_max", "--odd-n-max", 0), ("a_max", "--a-max", 1))
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "n_max", None) is not None and args.n_max < 1:
-            raise ValueError(f"--n-max must be at least 1, got {args.n_max}")
+        for dest, flag, least in _COUNT_FLAGS:
+            value = getattr(args, dest, None)
+            if value is not None and value < least:
+                raise ValueError(f"{flag} must be at least {least}, got {value}")
         return args.func(args)
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -116,12 +116,16 @@ class SubgroupCounts:
     def as_dict(self) -> dict[int, int]:
         return dict(self.counts)
 
-    def to_log_series(self, n_max: int) -> LogSeries:
+    def values(self, n_max: int) -> list[int]:
+        """s_0..s_{n_max}, zero-filled, with s_0 = 0."""
         values = [0] * (n_max + 1)
         for idx, c in self.counts:
             if idx <= n_max:
                 values[idx] = c
-        return LogSeries(tuple(values[1:]))
+        return values
+
+    def to_log_series(self, n_max: int) -> LogSeries:
+        return LogSeries(tuple(self.values(n_max)[1:]))
 
 
 def subgroup_type_count(mu: tuple[int, ...], nu: tuple[int, ...], p: int) -> int:
@@ -384,12 +388,7 @@ def finite_subgroup_counts(spec: GroupSpec) -> SubgroupCounts:
 
 @lru_cache(maxsize=256)
 def _factor_hom_ints(canonical: str, n_max: int) -> tuple[int, ...]:
-    spec = parse_group_spec(canonical)
-    counts = finite_subgroup_counts(spec)
-    svals = [0] * (n_max + 1)
-    for idx, cval in counts.counts:
-        if idx <= n_max:
-            svals[idx] = cval
+    svals = finite_subgroup_counts(parse_group_spec(canonical)).values(n_max)
     return tuple(kernels.hall_exp(svals, n_max))
 
 
@@ -408,11 +407,7 @@ def hom_count_ints_mod(spec: GroupSpec, n_max: int, modulus: int) -> list[int]:
     factors = spec.factors if spec.is_free_product() else (spec,)
     out = None
     for factor in factors:
-        counts = finite_subgroup_counts(factor)
-        svals = [0] * (n_max + 1)
-        for idx, cval in counts.counts:
-            if idx <= n_max:
-                svals[idx] = cval
+        svals = finite_subgroup_counts(factor).values(n_max)
         h = kernels.hall_exp_mod(svals, n_max, modulus)
         out = h if out is None else [a * b % modulus for a, b in zip(out, h)]
     return out

@@ -194,23 +194,18 @@ def _factorial_parts(p, stop):
         yield w, m
 
 
-def _precision_plan(hred, p, nmax, C):
-    """(P, D) for `hall_log_mod_residues`, or None when P + D >= C.
+def _precision_plan(hred, p, nmax):
+    """(P, D) for `hall_log_mod_residues`, with 1 <= P <= C and 0 <= D <= C - 1.
 
-    ``hred`` holds h_0..h_nmax modulo p**C.  D = max delta_j and
-    P = 1 + max Delta_n, as defined in the kernel's docstring.
+    ``hred`` holds h_0..h_nmax modulo p**C, C = `log_residue_precision(nmax, p)`.
+    D = max delta_j and P = 1 + max Delta_n, as defined in the kernel's docstring.
     """
     delta = [0] * nmax
     for j, (w, _) in enumerate(_factorial_parts(p, nmax)):
         # h_j = 0 mod p**C has v_p(h_j) >= C > w, so delta_j = 0
         if hred[j]:
-            d = w - vp_int(hred[j], p)
-            if 2 * d + 1 >= C:  # P >= D + 1, so P + D >= C
-                return None
-            delta[j] = max(d, 0)
-    D = max(delta, default=0)
+            delta[j] = max(w - vp_int(hred[j], p), 0)
     support = [j for j in range(1, nmax) if delta[j]]
-    limit = C - D - 1  # P + D < C  <=>  max Delta < limit
     loss = [0] * (nmax + 1)
     for n in range(2, nmax + 1):
         # Delta is nondecreasing (delta >= 0), so max_k Delta_k = Delta_{n-1}
@@ -220,10 +215,8 @@ def _precision_plan(hred, p, nmax, C):
                 break
             if loss[n - j] + delta[j] > worst:
                 worst = loss[n - j] + delta[j]
-        if worst >= limit:
-            return None
         loss[n] = worst
-    return loss[nmax] + 1, D
+    return loss[nmax] + 1, max(delta, default=0)
 
 
 def hall_log_mod_residues(h, p, nmax, lift):
@@ -260,78 +253,54 @@ def hall_log_mod_residues(h, p, nmax, lift):
 
     Every scaling division by a power of p, and the final one by p^D, is
     checked exact; an inexact one means some s_n is not p-integral and
-    raises ``ValueError``.  Since Delta_n >= delta_(n-1), P >= D + 1; when
-    P + D >= C (in particular when 2D + 1 >= C), the recurrence runs at
-    the fixed precision C instead: the division by (n-1)! = p^v u loses
-    exactly v digits, and v_p((k-1)!) + v_p((n-k)!) <= v_p((n-1)!) leaves
-    at least one.
+    raises ``ValueError``.  The plan is always feasible: for integer h,
+    delta_j <= w_j, and w_a + w_b <= w_(a+b) since a! b! divides (a+b)!,
+    so by induction Delta_n <= w_(n-1).  Hence P <= C and D <= C - 1:
+    the work precision P + D and the digits asked of ``lift`` are both at
+    most 2C - 1.
     """
     C = log_residue_precision(nmax, p)
     modulus = p**C
     if len(h) <= nmax or h[0] % modulus != 1 % modulus:
         raise ValueError("h must cover 0..nmax and have h_0 = 1")
     hred = [x % modulus for x in h[: nmax + 1]]
-    plan = _precision_plan(hred, p, nmax, C)
-    if plan is not None:
-        P, D = plan
-        if P > 1:
-            digits = C + P - 1
-            lifted = lift(digits)
-            if len(lifted) <= nmax:
-                raise ValueError("lifted h must cover 0..nmax")
-            lifted = [x % p**digits for x in lifted[: nmax + 1]]
-            if any(x % modulus != y for x, y in zip(lifted, hred)):
-                raise ValueError("lifted h disagrees with h modulo p**C")
-            hred = lifted
-        work = p ** (P + D)
-        pD = p**D
-        # alpha_j and the leading term p^D n a_n with n = j + 1 share the
-        # factor p^(D - w_j) / u_j; both are taken modulo p^(P+D)
-        alpha = [0] * (nmax + 1)
-        lead = [0] * (nmax + 1)
-        u = 1  # u_j modulo p^(P+D)
-        for j, (w, m) in enumerate(_factorial_parts(p, nmax)):
-            u = u * m % work
-            inv = pow(u, -1, work)
-            for target, n in ((alpha, j), (lead, j + 1)):
-                x = hred[n]
-                if D >= w:
-                    x *= p ** (D - w)
-                else:
-                    x, r = divmod(x, p ** (w - D))
-                    if r:
-                        raise ValueError(f"inverse transform not integral at n={j + 1}")
-                target[n] = x * inv % work
-        s = [0] * (nmax + 1)  # s_n modulo p^P
-        residues = [0] * (nmax + 1)
-        for n in range(1, nmax + 1):
-            tail = sum([x * y for x, y in zip(s[1:n], alpha[n - 1 : 0 : -1])])
-            acc = (lead[n] - tail) % work
-            q, r = divmod(acc, pD)
-            if r:
-                raise ValueError(f"inverse transform not integral at n={n}")
-            s[n] = q
-            residues[n] = q % p
-        return residues
-    s = [0] * (nmax + 1)
+    P, D = _precision_plan(hred, p, nmax)
+    if P > 1:
+        digits = C + P - 1
+        lifted = lift(digits)
+        if len(lifted) <= nmax:
+            raise ValueError("lifted h must cover 0..nmax")
+        lifted = [x % p**digits for x in lifted[: nmax + 1]]
+        if any(x % modulus != y for x, y in zip(lifted, hred)):
+            raise ValueError("lifted h disagrees with h modulo p**C")
+        hred = lifted
+    work = p ** (P + D)
+    pD = p**D
+    # alpha_j and the leading term p^D n a_n with n = j + 1 share the
+    # factor p^(D - w_j) / u_j; both are taken modulo p^(P+D)
+    alpha = [0] * (nmax + 1)
+    lead = [0] * (nmax + 1)
+    u = 1  # u_j modulo p^(P+D)
+    for j, (w, m) in enumerate(_factorial_parts(p, nmax)):
+        u = u * m % work
+        inv = pow(u, -1, work)
+        for target, n in ((alpha, j), (lead, j + 1)):
+            x = hred[n]
+            if D >= w:
+                x *= p ** (D - w)
+            else:
+                x, r = divmod(x, p ** (w - D))
+                if r:
+                    raise ValueError(f"inverse transform not integral at n={j + 1}")
+            target[n] = x * inv % work
+    s = [0] * (nmax + 1)  # s_n modulo p^P
     residues = [0] * (nmax + 1)
-    u = 1  # unit part of (n-1)! modulo p**C
-    for n, (v, m) in enumerate(_factorial_parts(p, nmax), 1):
-        u = u * m % modulus
-        acc = hred[n]
-        poch = 1
-        for k in range(1, n):
-            sk = s[k]
-            if sk:
-                acc -= poch * sk * hred[n - k]
-            poch = poch * (n - k) % modulus
-        pv = p**v
-        acc %= modulus
-        q, r = divmod(acc, pv)
+    for n in range(1, nmax + 1):
+        tail = sum([x * y for x, y in zip(s[1:n], alpha[n - 1 : 0 : -1])])
+        acc = (lead[n] - tail) % work
+        q, r = divmod(acc, pD)
         if r:
             raise ValueError(f"inverse transform not integral at n={n}")
-        rest = p ** (C - v)
-        sn = q * pow(u % rest, -1, rest) % rest
-        s[n] = sn
-        residues[n] = sn % p
+        s[n] = q
+        residues[n] = q % p
     return residues

@@ -195,11 +195,9 @@ def _lambda_at(s: LogSeries, p: int, l: int, i: int) -> Fraction:
         stripped //= p
     if stripped >= pl:
         return s[i]
-    e = 0
     reduced = i
     while reduced >= pl:
         reduced //= p
-        e += 1
     return s[i] - s[reduced]
 
 

@@ -206,12 +206,16 @@ def test_usage_error_exit_code():
         ["verify-dihedral", "--m", "4", "--n-max", "-3"],
         ["verify-permutations", "--variant", "pi2", "--p", "3", "--l", "1", "--A", "1", "--n-max", "-3"],
         ["periodicity", "--spec", "C[2]*C[4]", "--p", "2", "--n-max", "-3"],
+        pytest.param(["verify-dihedral", "--m", "4", "--n-max", "16", "--odd-n-max", "-3"], id="odd-n-max"),
+        pytest.param(["supercongruence", "--p", "3", "--a-max", "-1"], id="a-max"),
+        pytest.param(["supercongruence", "--p", "3", "--a-max", "0"], id="a-max-zero"),
     ],
     ids=lambda argv: argv[0],
 )
 def test_n_max_below_one_exits_2(capsys, tmp_path, monkeypatch, argv):
+    # a count option below its least value; the flag is argv[-2]
     monkeypatch.chdir(tmp_path)
     (tmp_path / "c2.series").write_text(dump_log_series(LogSeries((1, 1, 0, 0)), 2))
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and "--n-max" in err
+    assert err.startswith("error: ") and f"{argv[-2]} must be at least" in err

@@ -264,7 +264,7 @@ _FACTORS = st.one_of(
 @example(factors=["C[2]", "C[16]"], p=2, n=300)  # P = 1
 @example(factors=["C[4]", "C[6]"], p=2, n=300)  # P > 1: h is lifted
 @example(factors=["D[4]", "A[2;2,1]", "C[8]"], p=2, n=300)
-@example(factors=["C[3]", "C[9]"], p=2, n=300)  # fixed-precision fallback
+@example(factors=["C[3]", "C[9]"], p=2, n=300)  # no 2-part: P = C
 def test_subgroup_residues_match_exact_counts(factors, p, n):
     spec = parse_group_spec("*".join(factors))
     exact = subgroup_count_series(spec, n)

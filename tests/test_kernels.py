@@ -59,8 +59,12 @@ def test_hall_log_mod_residues_matches_exact(kern):
         residues = kern.hall_log_mod_residues(h, p, 80, lift)
         assert residues == [x % p for x in svals]
         # reduced input must give the same answer
-        modulus = p ** kern.log_residue_precision(80, p)
+        C = kern.log_residue_precision(80, p)
+        modulus = p**C
         reduced = [x % modulus for x in h]
+        # the single scaled path is always feasible
+        P, D = kernels._precision_plan(reduced, p, 80)
+        assert 1 <= P <= C and 0 <= D <= C - 1
         assert kern.hall_log_mod_residues(reduced, p, 80, lift) == residues
 
 
@@ -79,21 +83,21 @@ def _reduced_hom_counts(text, p, n):
         ("A[3;1,1]*C[9]", 3, 1000, (1, 0)),
         ("C[4]*C[6]", 2, 1200, (295, 294)),
         ("C[3]*C[6]", 3, 1000, (55, 54)),
-        ("C[3]*C[9]", 2, 1000, None),  # no 2-part: P + D >= C
+        ("C[3]*C[9]", 2, 1000, (992, 991)),  # no 2-part: P = C, D = C - 1
     ],
 )
 def test_precision_plan_is_read_from_h(text, p, n, plan):
-    _, C, hred = _reduced_hom_counts(text, p, n)
-    assert kernels._precision_plan(hred, p, n, C) == plan
+    hred = _reduced_hom_counts(text, p, n)[2]
+    assert kernels._precision_plan(hred, p, n) == plan
 
 
 def test_hall_log_mod_residues_rejects_inexact_scaling(kern):
     # P = 1, D = 0: an odd h_N makes h_N / p^(w_(N-1)) inexact
     h, C, hred = _reduced_hom_counts("C[2]*C[16]", 2, 200)
-    assert kernels._precision_plan(hred, 2, 200, C) == (1, 0)
+    assert kernels._precision_plan(hred, 2, 200) == (1, 0)
     bad = h[:]
     bad[200] += 1
-    assert kernels._precision_plan(bad, 2, 200, C) == (1, 0)
+    assert kernels._precision_plan(bad, 2, 200) == (1, 0)
     with pytest.raises(ValueError, match="not integral at n=200"):
         kern.hall_log_mod_residues(bad, 2, 200, lambda d: [x % 2**d for x in bad])
 
@@ -101,11 +105,11 @@ def test_hall_log_mod_residues_rejects_inexact_scaling(kern):
     # p^(w_(N-1) - D) exact but leaves s_N with valuation -1, so the final
     # division by p^D is inexact
     h, C, hred = _reduced_hom_counts("C[4]*C[6]", 2, 200)
-    P, D = kernels._precision_plan(hred, 2, 200, C)
+    P, D = kernels._precision_plan(hred, 2, 200)
     assert P > 1 and D > 0
     bad = h[:]
     bad[200] += 2 ** (C - 2)  # C - 1 = v_2(199!)
-    assert kernels._precision_plan(bad, 2, 200, C) == (P, D)
+    assert kernels._precision_plan(bad, 2, 200) == (P, D)
     with pytest.raises(ValueError, match="not integral at n=200"):
         kern.hall_log_mod_residues(bad, 2, 200, lambda d: [x % 2**d for x in bad])
 
@@ -113,10 +117,11 @@ def test_hall_log_mod_residues_rejects_inexact_scaling(kern):
     with pytest.raises(ValueError, match="disagrees"):
         kern.hall_log_mod_residues(h, 2, 200, lambda d: [x % 2**d + (k == 5) for k, x in enumerate(h)])
 
-    # P + D >= C (no 2-part): the fixed path divides h_N - sum by
-    # 2^(w_(N-1)) = 2^(C-1), which an odd h_N makes inexact
+    # no 2-part: P = C and D = C - 1, so the leading term of n = N is
+    # h_N * 2^(D - w_(N-1)) = h_N and the final division by 2^D = 2^(C-1)
+    # is inexact for an odd h_N
     h, C, hred = _reduced_hom_counts("C[3]*C[9]", 2, 200)
-    assert kernels._precision_plan(hred, 2, 200, C) is None
+    assert kernels._precision_plan(hred, 2, 200) == (C, C - 1)
     bad = h[:]
     bad[200] += 1
     with pytest.raises(ValueError, match="not integral at n=200"):
