@@ -9,11 +9,12 @@ exponent it proves.  Adding a rule means adding one record.
 
 `BoundKind` names one rule together with its parameters; `bound_value`
 evaluates e(n) exactly; `verify_bounds` compares v_p(h_n) against it row
-by row (violations are never dropped), and yields each row's valuation
-and Q_n mod p from one reduction of h_n modulo p^(e(n)+64); `q_sequence`
-and `verify_q_recurrence` check the mod-p recurrence of the quotients
-that certifies tightness; and `floor_lemma_checks` exhaustively tests the
-two floor-sum inequalities the bound proofs rest on.
+by row for n = 0..N (violations are never dropped), and yields each
+row's valuation and Q_n mod p from one reduction of h_n modulo
+p^(e(n)+64); `verify_q_recurrence` checks on those residues the mod-p
+recurrence of the quotients that certifies tightness; and
+`floor_lemma_checks` exhaustively tests the two floor-sum inequalities
+the bound proofs rest on.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .exactcore import INFINITY, Valuation, check_prime, residue_mod_p, vp
 from .kernels import vp_int
 
 if TYPE_CHECKING:
+    from .groups import SubgroupCounts
     from .series import ExpSeries, LogSeries
 
 
@@ -391,10 +393,8 @@ def _split_row(x: Fraction | int, p: int, e: int) -> tuple[Valuation, int | None
     return e + vp_int(q, p), q % p
 
 
-def verify_bounds(
-    h: ExpSeries, kind: BoundKind, n_lo: int = 0, n_hi: int | None = None
-) -> BoundReport:
-    """One row per n in [n_lo, n_hi]: valuation, bound, slack, tightness.
+def verify_bounds(h: ExpSeries, kind: BoundKind, n_hi: int | None = None) -> BoundReport:
+    """One row per n in [0, n_hi]: valuation, bound, slack, tightness.
 
     The report also keeps Q_n mod p of every row (`q_residues`), found in
     the same pass as the valuation.
@@ -407,7 +407,7 @@ def verify_bounds(
     tight_set = []
     residues = []
     min_slack: Valuation = INFINITY
-    for n in range(n_lo, n_hi + 1):
+    for n in range(n_hi + 1):
         bnd = bound_value(kind, n)
         val, residue = _split_row(h[n], kind.p, bnd)
         residues.append(residue)
@@ -421,33 +421,6 @@ def verify_bounds(
         if slack < min_slack:
             min_slack = slack
     return BoundReport(kind, rows, violations, tight_set, min_slack, tuple(residues))
-
-
-@dataclass(frozen=True)
-class QSeq:
-    """Residues mod p of Q_n = h_n / p^{e(n)} for n = 0..N."""
-
-    residues: tuple[int, ...]
-    kind: BoundKind
-
-    @property
-    def n_max(self) -> int:
-        return len(self.residues) - 1
-
-    def __getitem__(self, n: int) -> int:
-        return self.residues[n]
-
-
-def q_sequence(h: ExpSeries, kind: BoundKind, n_hi: int | None = None) -> QSeq:
-    """Build the Q-sequence; any bound violation aborts with an error."""
-    report = verify_bounds(h, kind, 0, n_hi)
-    if report.violations:
-        row = report.rows[report.violations[0]]
-        raise ValueError(
-            f"bound violated at n={row.n}: v_{kind.p}(h_n) = {row.valuation} "
-            f"< {row.bound}; Q_{row.n} undefined"
-        )
-    return QSeq(report.q_residues, kind)
 
 
 @dataclass
@@ -472,7 +445,7 @@ class QRecurrenceReport:
         }
 
 
-def q_recurrence_parameters(kind: BoundKind, s: LogSeries) -> tuple[int, int]:
+def q_recurrence_parameters(kind: BoundKind, s: LogSeries | SubgroupCounts) -> tuple[int, int]:
     """(step, multiplier residue) of the quotient recurrence in the kind's rule.
 
     Raises if the rule states none, or if the required difference
@@ -491,16 +464,29 @@ def q_recurrence_parameters(kind: BoundKind, s: LogSeries) -> tuple[int, int]:
     return step, sign * residue_mod_p(mult, p) % p
 
 
-def verify_q_recurrence(q: QSeq, kind: BoundKind, s: LogSeries) -> QRecurrenceReport:
-    """Check Q_n = rho * Q_{n-step} (mod p) for every step <= n <= N."""
-    step, rho = q_recurrence_parameters(kind, s)
+def verify_q_recurrence(report: BoundReport, s: LogSeries | SubgroupCounts) -> QRecurrenceReport:
+    """Check Q_n = rho * Q_{n-step} (mod p) on the residues of a bounds pass.
+
+    ``s`` supplies the two coefficients rho is read from, which may lie
+    beyond the report's rows; a violated bound leaves Q_n undefined and
+    aborts with an error.
+    """
+    kind = report.kind
     p = kind.p
+    if not report.ok:
+        row = report.rows[report.violations[0]]
+        raise ValueError(
+            f"bound violated at n={row.n}: v_{p}(h_n) = {row.valuation} "
+            f"< {row.bound}; Q_{row.n} undefined"
+        )
+    step, rho = q_recurrence_parameters(kind, s)
+    q = report.q_residues
     failures = [
         n
-        for n in range(step, q.n_max + 1)
+        for n in range(step, len(q))
         if q[n] != rho * q[n - step] % p
     ]
-    return QRecurrenceReport(kind, step, rho, failures, max(q.n_max + 1 - step, 0))
+    return QRecurrenceReport(kind, step, rho, failures, max(len(q) - step, 0))
 
 
 # ---------------------------------------------------------------------------

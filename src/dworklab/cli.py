@@ -27,12 +27,11 @@ from .bounds import (
     RULES,
     THEOREMS,
     BoundKind,
-    QSeq,
     floor_lemma_checks,
     verify_bounds,
     verify_q_recurrence,
 )
-from .exactcore import INFINITY, check_prime
+from .exactcore import check_prime
 from .groups import (
     GroupSpec,
     classify_abelian_case,
@@ -55,12 +54,6 @@ DETERMINISM_NOTE = (
     "deterministic: no timestamps or machine identifiers; identical flags "
     "produce byte-identical output"
 )
-
-def _encode(value):
-    if value is INFINITY:
-        return "infinity"
-    return value
-
 
 def _hypothesis_dict(report) -> dict:
     return {
@@ -169,7 +162,7 @@ def _cmd_analyze_series(args) -> int:
     kind = BoundKind(THEOREMS[args.theorem], p, **hyp.params)
     h = exp_transform(s)
     n_hi = min(args.n_max, h.n_max) if args.n_max is not None else h.n_max
-    report = verify_bounds(h, kind, 0, n_hi)
+    report = verify_bounds(h, kind, n_hi)
     failed = not (hyp.overall and report.ok)
     doc = _document(
         "analyze-series",
@@ -217,7 +210,7 @@ def _cmd_verify_group(args) -> int:
     qrec_summary = None
     claimed = RULES[kind.tag].tight_classes(kind)
     if report.ok:
-        qrec = verify_q_recurrence(QSeq(report.q_residues, kind), kind, s)
+        qrec = verify_q_recurrence(report, counts)
         qrec_summary = qrec.summary()
         step = qrec.step
         if qrec.multiplier == 0:

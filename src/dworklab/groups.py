@@ -113,6 +113,10 @@ class SubgroupCounts:
                 return c
         return 0
 
+    # the counts are exact at every index, so they can stand in for a log
+    # series wherever single coefficients are read
+    __getitem__ = s
+
     def as_dict(self) -> dict[int, int]:
         return dict(self.counts)
 

@@ -6,9 +6,11 @@ The central recurrence converts between the two coefficient sequences of
     h_n = sum_{k=1}^{n} (n-k+1)_{k-1} * s_k * h_{n-k},    h_0 = 1,
 
 where ``(a)_j`` is the rising factorial.  The recurrence contains no
-divisions, so it reduces exactly modulo any modulus.  The inverse
-recurrence divides by (n-1)!: its exact form, which may leave the
-integers, is `dworklab.series.log_transform`, and here it runs only
+divisions, so it reduces exactly modulo any modulus.  `hall_exp` and
+`hall_exp_mod` run it in one loop whose sum over k stops at the last
+nonzero s_k, which keeps sparse group and cycle series cheap.  The
+inverse recurrence divides by (n-1)!: its exact form, which may leave
+the integers, is `dworklab.series.log_transform`, and here it runs only
 modulo p, with the precision bookkeeping done in `hall_log_mod_residues`.
 """
 
@@ -52,32 +54,19 @@ def hall_exp(s, nmax):
     """Integer coefficients h_0..h_nmax from integer s_1..s_nmax.
 
     ``s`` is indexed by position (s[0] is ignored); entries beyond
-    ``len(s)-1`` count as zero.  Series with low-lying support (group and
-    cycle-length data) take a sparse path that walks only the nonzero
-    coefficients.
+    ``len(s)-1`` count as zero.  The sum over k stops at the last nonzero
+    s_k, so series with low-lying support (group and cycle-length data)
+    skip the empty tail of every row.
     """
     h = [0] * (nmax + 1)
     h[0] = 1
-    support = [k for k in range(1, len(s)) if s[k]]
-    if support and support[-1] * 4 <= nmax:
-        for n in range(1, nmax + 1):
-            acc = 0
-            poch = 1  # (n-k+1)_{k-1}, extended incrementally over the support
-            prev = 1
-            for k in support:
-                if k > n:
-                    break
-                for j in range(n - k + 1, n - prev + 1):
-                    poch *= j
-                prev = k
-                acc += poch * s[k] * h[n - k]
-            h[n] = acc
-        return h
-    slen = len(s)
+    last = min(len(s) - 1, nmax)
+    while last > 0 and not s[last]:
+        last -= 1
     for n in range(1, nmax + 1):
         acc = 0
-        poch = 1
-        for k in range(1, min(n, slen - 1) + 1):
+        poch = 1  # (n-k+1)_{k-1}
+        for k in range(1, min(n, last) + 1):
             sk = s[k]
             if sk:
                 acc += poch * sk * h[n - k]
@@ -96,27 +85,14 @@ def hall_exp_mod(s, nmax, modulus):
         raise ValueError("modulus must be positive")
     h = [0] * (nmax + 1)
     h[0] = 1 % modulus
-    slen = len(s)
-    sred = [x % modulus for x in s]
-    support = [k for k in range(1, slen) if sred[k]]
-    if support and support[-1] * 4 <= nmax:
-        for n in range(1, nmax + 1):
-            acc = 0
-            poch = 1
-            prev = 1
-            for k in support:
-                if k > n:
-                    break
-                for j in range(n - k + 1, n - prev + 1):
-                    poch = poch * j % modulus
-                prev = k
-                acc += poch * sred[k] * h[n - k]
-            h[n] = acc % modulus
-        return h
+    sred = [x % modulus for x in s[: nmax + 1]]
+    last = len(sred) - 1
+    while last > 0 and not sred[last]:
+        last -= 1
     for n in range(1, nmax + 1):
         acc = 0
         poch = 1
-        for k in range(1, min(n, slen - 1) + 1):
+        for k in range(1, min(n, last) + 1):
             sk = sred[k]
             if sk:
                 acc += poch * sk * h[n - k]

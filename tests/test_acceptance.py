@@ -28,7 +28,6 @@ from dworklab.bounds import (
     BoundKind,
     bound_value,
     floor_lemma_checks,
-    q_sequence,
     verify_bounds,
     verify_q_recurrence,
 )
@@ -156,8 +155,7 @@ def test_c04_general_bound_tightness_and_quotients():
             # quotient recurrence with multiplier (-1)^x
             s_ext = counts.to_log_series(max(N4, cls.step))
             if cls.step <= N4:
-                q = q_sequence(h, kind)
-                qrec = verify_q_recurrence(q, kind, s_ext)
+                qrec = verify_q_recurrence(report, s_ext)
                 assert qrec.ok, (parts, p, qrec.failures[:5])
                 x = {"I": parts[0], "II": cls.half, "III": cls.half}[cls.case]
                 assert qrec.multiplier == (-1) ** x % p, (parts, p)
@@ -182,8 +180,7 @@ def test_c04_p2_exception_quotient_recurrence():
         counts = abelian_subgroup_counts(t)
         h = ExpSeries(tuple(_group_series(parts, 2, N4)))
         kind = BoundKind("thm6.2", 2, partition=parts)
-        q = q_sequence(h, kind)
-        qrec = verify_q_recurrence(q, kind, counts.to_log_series(N4))
+        qrec = verify_q_recurrence(verify_bounds(h, kind), counts.to_log_series(N4))
         assert qrec.step == 2 ** (cls.half + 3)
         assert qrec.multiplier == 1  # the stated congruence has no multiplier
         assert qrec.ok, (parts, qrec.failures[:5])

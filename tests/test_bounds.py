@@ -13,7 +13,6 @@ from dworklab.bounds import (
     half_floor_inequality_holds,
     partition_case,
     q_recurrence_parameters,
-    q_sequence,
     verify_bounds,
     verify_q_recurrence,
 )
@@ -191,14 +190,14 @@ def test_verify_bounds_ochiai_equality():
 def test_verify_bounds_range_errors():
     h = ExpSeries((1, 1))
     with pytest.raises(ValueError, match="exceeds truncation"):
-        verify_bounds(h, BoundKind("hnc2", 2), 0, 5)
+        verify_bounds(h, BoundKind("hnc2", 2), n_hi=5)
 
 
-def test_q_sequence_c2():
+def test_q_residues_c2():
     s = c2_series(40)
     h = exp_transform(s)
     kind = BoundKind("cor2.4", 2, l=2)
-    q = q_sequence(h, kind)
+    q = verify_bounds(h, kind).q_residues
     assert q[0] == 1
     # h_4 = 10, e = 1, Q_4 = 5 which is odd
     assert int(h[4]) == 10 and bound_value(kind, 4) == 1 and q[4] == 1
@@ -206,14 +205,14 @@ def test_q_sequence_c2():
     assert int(h[8]) == 764 and bound_value(kind, 8) == 2 and q[8] == 1
 
 
-def test_q_sequence_violation_aborts():
+def test_q_recurrence_violation_aborts():
     s = c2_series(20)
-    h = exp_transform(s)
+    report = verify_bounds(exp_transform(s), BoundKind("cor2.4", 2, l=3))
     with pytest.raises(
         ValueError,
         match=r"^bound violated at n=4: v_2\(h_n\) = 1 < 3; Q_4 undefined$",
     ):
-        q_sequence(h, BoundKind("cor2.4", 2, l=3))
+        verify_q_recurrence(report, s)
 
 
 def _split_row_reference(x, p, e):
@@ -270,11 +269,10 @@ def test_split_row_matches_rational_definition(case):
         ({1: 1, 5: 6, 25: 1}, 250, BoundKind("thm6.1", 5, partition=(1, 1))),
     ],
 )
-def test_q_sequence_is_the_bounds_pass_residues(svals, n_max, kind):
+def test_q_residues_match_rational_quotients(svals, n_max, kind):
     h = exp_transform(LogSeries.from_map(svals, n_max))
     report = verify_bounds(h, kind)
     assert report.ok
-    assert q_sequence(h, kind).residues == report.q_residues
     assert report.q_residues == tuple(
         _split_row_reference(h[n], kind.p, bound_value(kind, n))[1]
         for n in range(n_max + 1)
@@ -292,9 +290,7 @@ def test_verify_bounds_keeps_no_residue_on_violated_rows():
 def test_q_recurrence_c2():
     s = c2_series(200)
     h = exp_transform(s)
-    kind = BoundKind("cor2.4", 2, l=2)
-    q = q_sequence(h, kind)
-    rep = verify_q_recurrence(q, kind, s)
+    rep = verify_q_recurrence(verify_bounds(h, BoundKind("cor2.4", 2, l=2)), s)
     assert rep.ok and rep.step == 4 and rep.multiplier == 1
 
 
@@ -305,10 +301,11 @@ def test_q_recurrence_klein_step_is_16_not_8():
     s = LogSeries.from_map(svals, 96)
     h = exp_transform(s)
     kind = BoundKind("thm6.2", 2, partition=(1, 1))
-    q = q_sequence(h, kind)
+    report = verify_bounds(h, kind)
+    q = report.q_residues
     step, rho = q_recurrence_parameters(kind, s)
     assert step == 16 and rho == 1
-    rep = verify_q_recurrence(q, kind, s)
+    rep = verify_q_recurrence(report, s)
     assert rep.ok
     assert any(q[n] != q[n - 8] for n in range(8, 97))
 

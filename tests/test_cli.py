@@ -45,6 +45,16 @@ def test_verify_group_case_i(capsys):
     assert doc["summary"]["q_recurrence"]["multiplier_mod_p"] == 1  # (-1)^{a_1} = 1
 
 
+@pytest.mark.parametrize(
+    "spec, n_max", [("A[3;1,1]", 8), ("A[3;1]", 2), ("A[2;1,1]", 1), ("A[2;1,1]", 7), ("A[2;1]", 3)]
+)
+def test_verify_group_n_max_below_recurrence_index(capsys, spec, n_max):
+    # rho reads s at an index above n_max; a group's counts are exact there
+    code, doc, err = run_json(capsys, ["verify-group", "--spec", spec, "--n-max", str(n_max)])
+    assert code == 0 and err == ""
+    assert doc["summary"]["q_recurrence"]["rows_checked"] == 0
+
+
 def test_verify_group_rejects_bad_spec(capsys):
     code, out, err = run(capsys, ["verify-group", "--spec", "C[4]"])
     assert code == 2 and "abelian" in err

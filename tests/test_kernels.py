@@ -4,7 +4,7 @@ known counts."""
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import involution_oracle, naive_vp, poly_exp_oracle
@@ -45,6 +45,36 @@ def test_hall_exp_mod_matches_exact(kern):
     for modulus in (2**20, 3**13, 997):
         hm = kern.hall_exp_mod(svals, 80, modulus)
         assert hm == [x % modulus for x in h]
+
+
+@st.composite
+def _exp_inputs(draw):
+    """(s, N) with s indexed by position; its last nonzero index lies
+    below or above N/4, or past N, or s is all zero."""
+    nmax = draw(st.integers(0, 32))
+    last = draw(st.one_of(st.integers(0, nmax // 4), st.integers(0, nmax + 6)))
+    s = [0] * (last + 1 + draw(st.integers(0, 4)))
+    for k in range(1, last + 1):
+        if draw(st.booleans()):
+            s[k] = draw(st.integers(-40, 40))
+    if last:
+        s[last] = draw(st.integers(-40, 40).filter(bool))
+    return s, nmax
+
+
+@settings(deadline=None, max_examples=200)
+@given(_exp_inputs(), st.sampled_from([1, 2, 7, 3**5, 2**64 + 13]))
+@example(([0, 1, 0, 0, 0, 0, 2], 24), 7)  # support below N/4
+@example(([0, 1, 0, 0, 0, 0, 0, 0, 0, 3], 24), 7)  # support past N/4
+@example(([0, 5, 0, 1] + [0] * 10 + [9, 0], 12), 2**64 + 13)  # s_14 != 0 past N = 12
+@example(([0, 0, 0], 6), 3)  # all zero
+@example(([0, 1, -7, 0, 14], 10), 7)  # entries that vanish mod 7
+def test_hall_exp_property_matches_polynomial_exponential(case, modulus):
+    s, nmax = case
+    padded = (s + [0] * (nmax + 1))[: nmax + 1]
+    expected = [e.numerator for e in poly_exp_oracle(padded)]
+    assert kernels.hall_exp(s, nmax) == expected
+    assert kernels.hall_exp_mod(s, nmax, modulus) == [x % modulus for x in expected]
 
 
 def test_hall_log_mod_residues_matches_exact(kern):
