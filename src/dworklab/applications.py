@@ -13,8 +13,9 @@ from itertools import permutations
 from typing import Sequence
 
 from . import kernels
-from .bounds import BoundKind, bound_value
+from .bounds import BoundKind, verify_bounds
 from .exactcore import check_prime
+from .series import ExpSeries
 
 PI_VARIANTS = ("pi1", "pi2", "pi3")
 
@@ -149,16 +150,8 @@ class PermDivisibilityReport:
 def verify_permutation_divisibility(rule: CycleRule, n_max: int) -> PermDivisibilityReport:
     """Assert v_p(count(n)) >= the rule's exponent for every n <= n_max."""
     kind = rule.bound_kind()
-    counts = permutation_count_series(n_max, rule.allowed_lengths())
-    p = rule.p
-    violations = []
-    for n, value in enumerate(counts):
-        bnd = bound_value(kind, n)
-        if value == 0:
-            continue  # valuation infinity
-        if bnd > 0 and value % p**bnd:
-            violations.append(n)
-    return PermDivisibilityReport(rule, kind, n_max, violations)
+    counts = ExpSeries(tuple(permutation_count_series(n_max, rule.allowed_lengths())))
+    return PermDivisibilityReport(rule, kind, n_max, verify_bounds(counts, kind).violations)
 
 
 # ---------------------------------------------------------------------------

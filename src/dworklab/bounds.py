@@ -4,8 +4,9 @@
 parameters the kind needs, the range of primes and parameters it admits,
 its exponent e(n), and, where one is stated, the recurrence of the
 normalized quotients Q_n = h_n / p^{e(n)} and the residue classes claimed
-tight.  `THEOREMS` maps each checkable theorem id to the rule whose
-exponent it proves.  Adding a rule means adding one record.
+tight.  Adding a rule means adding one record.  The checkable theorems,
+each naming the rule whose exponent it proves together with its
+hypotheses, are `dworklab.series.THEOREMS`.
 
 `BoundKind` names one rule together with its parameters; `bound_value`
 evaluates e(n) exactly; `verify_bounds` compares v_p(h_n) against it row
@@ -291,19 +292,6 @@ RULES: dict[str, Rule] = {
         admissible=lambda k: k.p == 2,
         requirement="p = 2",
     ),
-}
-
-# checkable theorem id -> the rule whose exponent it proves
-THEOREMS = {
-    "thm2.1": "thm2.1",
-    "cor2.4": "cor2.4",
-    "cor2.5": "thm2.1",
-    "thm2.7": "thm2.7",
-    "thm3.1": "thm3.1",
-    "thm3.3": "thm3.3",
-    "thm3.4": "thm3.4",
-    "thm3.7": "thm3.7",
-    "cor3.6": "cor3.6",
 }
 
 

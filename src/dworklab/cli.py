@@ -25,7 +25,6 @@ from .applications import (
 )
 from .bounds import (
     RULES,
-    THEOREMS,
     BoundKind,
     floor_lemma_checks,
     verify_bounds,
@@ -42,6 +41,7 @@ from .groups import (
     subgroup_residues_mod_p,
 )
 from .series import (
+    THEOREMS,
     ExpSeries,
     check_hypotheses,
     dump_exp_series,
@@ -154,17 +154,16 @@ def cache_get_or_compute(spec: GroupSpec, n_max: int, cache_dir: str | None) -> 
 # ---------------------------------------------------------------------------
 
 
-def _cmd_analyze_series(args) -> int:
+def _cmd_analyze_series(args) -> dict:
     s, file_p = load_log_series(Path(args.input).read_text(encoding="utf-8"))
     p = args.p if args.p is not None else file_p
     check_prime(p)
     hyp = check_hypotheses(s, p, args.theorem, l=args.l, m=args.m)
-    kind = BoundKind(THEOREMS[args.theorem], p, **hyp.params)
     h = exp_transform(s)
     n_hi = min(args.n_max, h.n_max) if args.n_max is not None else h.n_max
-    report = verify_bounds(h, kind, n_hi)
+    report = verify_bounds(h, hyp.kind, n_hi)
     failed = not (hyp.overall and report.ok)
-    doc = _document(
+    return _document(
         "analyze-series",
         {
             "input": args.input,
@@ -180,11 +179,9 @@ def _cmd_analyze_series(args) -> int:
         {"bounds": report.summary(), "hypothesis": _hypothesis_dict(hyp)},
         failed,
     )
-    _emit(doc, args.format, args.output)
-    return 1 if failed else 0
 
 
-def _cmd_verify_group(args) -> int:
+def _cmd_verify_group(args) -> dict:
     spec = parse_group_spec(args.spec)
     if spec.variant != "abelian":
         raise ValueError("verify-group expects a single abelian term A[p;...]")
@@ -229,7 +226,7 @@ def _cmd_verify_group(args) -> int:
         or (qrec_summary is not None and qrec_summary["failures"])
         or not profile.ok
     )
-    doc = _document(
+    return _document(
         "verify-group",
         {"spec": spec.canonical(), "p": p, "n_max": n_max, "format": args.format},
         n_max,
@@ -248,11 +245,9 @@ def _cmd_verify_group(args) -> int:
         },
         failed,
     )
-    _emit(doc, args.format, args.output)
-    return 1 if failed else 0
 
 
-def _cmd_verify_dihedral(args) -> int:
+def _cmd_verify_dihedral(args) -> dict:
     m = args.m
     spec = parse_group_spec(f"D[{m}]")
     h = cache_get_or_compute(spec, args.n_max, args.cache_dir)
@@ -269,7 +264,7 @@ def _cmd_verify_dihedral(args) -> int:
                 break
         exhibitions[str(p)] = first
     failed = not report.ok or any(v is None for v in exhibitions.values())
-    doc = _document(
+    return _document(
         "verify-dihedral",
         {
             "m": m,
@@ -287,15 +282,13 @@ def _cmd_verify_dihedral(args) -> int:
         },
         failed,
     )
-    _emit(doc, args.format, args.output)
-    return 1 if failed else 0
 
 
-def _cmd_verify_permutations(args) -> int:
+def _cmd_verify_permutations(args) -> dict:
     base = frozenset(int(x) for x in args.base_set.split(","))
     rule = CycleRule(args.variant, args.p, args.l, base)
     report = verify_permutation_divisibility(rule, args.n_max)
-    doc = _document(
+    return _document(
         "verify-permutations",
         {
             "variant": args.variant,
@@ -310,18 +303,16 @@ def _cmd_verify_permutations(args) -> int:
         report.summary(),
         not report.ok,
     )
-    _emit(doc, args.format, args.output)
-    return 0 if report.ok else 1
 
 
-def _cmd_supercongruence(args) -> int:
+def _cmd_supercongruence(args) -> dict:
     check_prime(args.p)
     instances = supercongruence_sweep(args.p, args.a_max)
     rows = [inst.summary() for inst in instances]
     failures = [
         {"a": i.a, "b": i.b, "c": i.c} for i in instances if not i.passed
     ]
-    doc = _document(
+    return _document(
         "supercongruence",
         {"p": args.p, "a_max": args.a_max, "format": args.format},
         None,
@@ -329,16 +320,14 @@ def _cmd_supercongruence(args) -> int:
         {"instances": len(instances), "failures": failures},
         bool(failures),
     )
-    _emit(doc, args.format, args.output)
-    return 1 if failures else 0
 
 
-def _cmd_periodicity(args) -> int:
+def _cmd_periodicity(args) -> dict:
     spec = parse_group_spec(args.spec)
     check_prime(args.p)
     residues = subgroup_residues_mod_p(spec, args.n_max, args.p)
     result = periodicity_detect(residues[1:], args.confirm_window)
-    doc = _document(
+    return _document(
         "periodicity",
         {
             "spec": spec.canonical(),
@@ -352,13 +341,11 @@ def _cmd_periodicity(args) -> int:
         result.summary(),
         not result.detected,
     )
-    _emit(doc, args.format, args.output)
-    return 0 if result.detected else 1
 
 
-def _cmd_lemmas(args) -> int:
+def _cmd_lemmas(args) -> dict:
     report = floor_lemma_checks(args.p, args.l, args.i_max, args.j_max, j_min=args.j_min)
-    doc = _document(
+    return _document(
         "lemmas",
         {
             "p": args.p,
@@ -380,8 +367,6 @@ def _cmd_lemmas(args) -> int:
         report.summary(),
         not report.ok,
     )
-    _emit(doc, args.format, args.output)
-    return 0 if report.ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +462,9 @@ def main(argv=None) -> int:
             value = getattr(args, dest, None)
             if value is not None and value < least:
                 raise ValueError(f"{flag} must be at least {least}, got {value}")
-        return args.func(args)
+        doc = args.func(args)
+        _emit(doc, args.format, args.output)
+        return doc["exit_status"]
     except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

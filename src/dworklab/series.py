@@ -7,9 +7,10 @@ Connects the two coefficient views of H(z) = exp(S(z)):
 
 and provides the transforms between them, the gap series S(z^p) - pS(z)
 whose low-order p-integrality drives all valuation bounds, the corrected
-tail coefficients (lambda sequence), and exact hypothesis checkers for
-the theorems in `dworklab.bounds.THEOREMS`, whose parameters are
-validated by the rule each theorem maps to.
+tail coefficients (lambda sequence), and `THEOREMS`, one record per
+checkable theorem: the rule whose exponent it proves, which validates
+its parameters, and its hypotheses, which `check_hypotheses` verifies
+exactly.
 
 Coefficients are exact: a plain int where the value is integral, as on
 every group and cycle series, and a `Fraction` only where it is not.
@@ -23,12 +24,12 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Mapping, Sequence
 
 from . import kernels
-from .bounds import RULES, THEOREMS, BoundKind
+from .bounds import RULES, BoundKind
 from .exactcore import check_prime, floor_log, vp
 
 
@@ -146,14 +147,6 @@ class DworkGap:
             raise IndexError(f"g_{j} is outside the truncation 1..{self.n_max}")
         return self.g[j - 1]
 
-    def first_shallow_index(self, lo: int = 1, hi: int | None = None) -> int | None:
-        """Least j in [lo, hi] with vp(g_j) < 1, or None."""
-        hi = self.n_max if hi is None else min(hi, self.n_max)
-        for j in range(lo, hi + 1):
-            if vp(self[j], self.p) < 1:
-                return j
-        return None
-
 
 def dwork_gap(s: LogSeries, p: int) -> DworkGap:
     """g_j = -p s_j / j, plus p s_{j/p} / j when p divides j."""
@@ -167,6 +160,16 @@ def dwork_gap(s: LogSeries, p: int) -> DworkGap:
     return DworkGap(tuple(g), p)
 
 
+def _gap_integral(s: LogSeries, p: int, j: int) -> bool:
+    """vp(g_j) >= 1 for the gap g = S(z^p) - p S(z).
+
+    g_j = p (s_{j/p} - s_j) / j with s_{j/p} = 0 when p does not divide j,
+    so this is v_p(s_{j/p} - s_j) >= v_p(j).
+    """
+    below = s[j // p] if j % p == 0 else 0
+    return vp(below - s[j], p) >= vp(j, p)
+
+
 def truncation_level(s: LogSeries, p: int) -> int:
     """Largest l >= 1 with vp(g_j) >= 1 for all j < p^l and p^l - 1 <= N.
 
@@ -176,9 +179,9 @@ def truncation_level(s: LogSeries, p: int) -> int:
     for n in range(1, s.n_max + 1):
         if vp(s[n], p) < 0:
             raise ValueError("not p-integral")
-    gap = dwork_gap(s, p)
-    fail = gap.first_shallow_index()
-    limit = s.n_max + 1 if fail is None else fail
+    limit = next(
+        (j for j in range(1, s.n_max + 1) if not _gap_integral(s, p, j)), s.n_max + 1
+    )
     # largest l with p^l <= limit (so that every j < p^l passed) and p^l - 1 <= N
     level = 0
     power = p
@@ -257,11 +260,18 @@ class ConditionVerdict:
 @dataclass(frozen=True)
 class HypothesisReport:
     theorem: str
-    p: int
-    params: dict = field(default_factory=dict)
+    kind: BoundKind  # the validated kind of the theorem's rule
     conditions: tuple[ConditionVerdict, ...] = ()
     overall: bool = True
     fully_verified: bool = True
+
+    @property
+    def p(self) -> int:
+        return self.kind.p
+
+    @property
+    def params(self) -> dict:
+        return {name: getattr(self.kind, name) for name in RULES[self.kind.tag].needs}
 
     def condition(self, name: str) -> ConditionVerdict:
         for c in self.conditions:
@@ -270,54 +280,51 @@ class HypothesisReport:
         raise KeyError(name)
 
 
-class _Checker:
-    """Accumulates condition verdicts over the verifiable index range."""
+@dataclass(frozen=True)
+class Condition:
+    """One hypothesis of a theorem: `holds(i)` at every index of `indices`,
+    the part of its index range inside the truncation.  `beyond` marks a
+    range that also runs past N, so the condition is confirmed only up to
+    N, and is unverifiable when no index of it lies inside."""
 
-    def __init__(self):
-        self.conditions: list[ConditionVerdict] = []
-        self.truncated = False
-
-    def scan(self, name, indices, predicate, beyond_truncation=False, note=""):
-        indices = list(indices)
-        if beyond_truncation:
-            self.truncated = True
-            note = (note + "; " if note else "") + "indices beyond N unverifiable"
-        if not indices:
-            status = UNVERIFIABLE if beyond_truncation else PASS
-            self.conditions.append(ConditionVerdict(name, status, None, note))
-            return
-        for idx in indices:
-            if not predicate(idx):
-                self.conditions.append(ConditionVerdict(name, FAIL, idx, note))
-                return
-        self.conditions.append(ConditionVerdict(name, PASS, None, note))
-
-    def report(self, theorem, p, params) -> HypothesisReport:
-        overall = all(c.status != FAIL for c in self.conditions)
-        fully = overall and not self.truncated and all(
-            c.status == PASS for c in self.conditions
-        )
-        return HypothesisReport(
-            theorem, p, params, tuple(self.conditions), overall, fully
-        )
+    name: str
+    indices: Sequence[int]
+    holds: Callable[[int], bool] = lambda i: True
+    beyond: bool = False
+    note: str = ""
 
 
-def _check_integrality(chk: _Checker, s: LogSeries, p: int):
-    chk.scan("coefficients in Z_p", range(1, s.n_max + 1), lambda n: vp(s[n], p) >= 0)
+@dataclass(frozen=True)
+class Theorem:
+    """A checkable theorem: the tag of the rule whose exponent it proves,
+    and its hypotheses on S(z) for a kind of that rule."""
+
+    rule: str
+    hypotheses: Callable[[LogSeries, BoundKind], list[Condition]]
 
 
-def _check_gap(chk: _Checker, gap: DworkGap, hi: int, name: str):
+def _integrality(s: LogSeries, p: int) -> Condition:
+    return Condition("coefficients in Z_p", range(1, s.n_max + 1), lambda n: vp(s[n], p) >= 0)
+
+
+def _gap(s: LogSeries, p: int, hi: int, name: str) -> Condition:
     """vp(g_j) >= 1 for 1 <= j <= hi (hi may exceed the truncation)."""
-    n = gap.n_max
-    chk.scan(
-        name,
-        range(1, min(hi, n) + 1),
-        lambda j: vp(gap[j], gap.p) >= 1,
-        beyond_truncation=hi > n,
-    )
+    n = s.n_max
+    return Condition(name, range(1, min(hi, n) + 1), lambda j: _gap_integral(s, p, j), beyond=hi > n)
 
 
-def _check_sdiff(chk: _Checker, s: LogSeries, p: int, l: int, m: int):
+def _congruence(s: LogSeries, name: str, i: int, holds) -> Condition:
+    """A congruence read at index i; unverifiable when i lies past N."""
+    inside = i <= s.n_max
+    return Condition(name, [i] if inside else [], holds, beyond=not inside)
+
+
+def _difference(s: LogSeries, p: int, name: str, a: int, b: int, shift: int) -> Condition:
+    """s_a = s_b (mod p^shift), read at index b."""
+    return _congruence(s, name, b, lambda i: vp(s[a] - s[i], p) >= shift)
+
+
+def _lambda_tail(s: LogSeries, p: int, l: int, m: int) -> Condition:
     """Tail condition: vp(lambda_i) bounded below for all i > p^l."""
     pl = p**l
 
@@ -330,15 +337,10 @@ def _check_sdiff(chk: _Checker, s: LogSeries, p: int, l: int, m: int):
         )
         return vp(_lambda_at(s, p, l, i), p) >= rhs
 
-    chk.scan(
-        "tail valuations (lambda)",
-        range(pl + 1, s.n_max + 1),
-        ok,
-        beyond_truncation=True,
-    )
+    return Condition("tail valuations (lambda)", range(pl + 1, s.n_max + 1), ok, beyond=True)
 
 
-def _check_sdiff2(chk: _Checker, s: LogSeries, l: int):
+def _lambda_tail_p2(s: LogSeries, l: int) -> Condition:
     """p = 2 refinement of the tail condition, skipping i = 2^{l+1}."""
     pl = 2**l
 
@@ -355,11 +357,108 @@ def _check_sdiff2(chk: _Checker, s: LogSeries, l: int):
         return vp(_lambda_at(s, 2, l, i), 2) >= rhs
 
     indices = [i for i in range(pl + 1, s.n_max + 1) if i != 2 * pl]
-    chk.scan("tail valuations (lambda, p=2)", indices, ok, beyond_truncation=True)
+    return Condition("tail valuations (lambda, p=2)", indices, ok, beyond=True)
 
 
-def _vp_diff(s: LogSeries, a: int, b: int, p: int):
-    return vp(s[a] - s[b], p)
+def _power_tail(s: LogSeries, p: int, l: int, m: int) -> Condition:
+    """Power-indexed tail condition, only for e with p^{e-l} < 2l+1."""
+    es = []
+    e = l + 1
+    while p ** (e - l) < 2 * l + 1:
+        es.append(e)
+        e += 1
+    in_range = [e for e in es if p**e <= s.n_max]
+
+    def ok(e):
+        t = p ** (e - l)
+        rhs = -(l - m) * t - (t - 1) // (p - 1) + e + 1
+        return vp(s[p**e] - s[p ** (l - 1)], p) >= rhs
+
+    truncated = len(in_range) < len(es)
+    return Condition("tail valuations (power indices)", in_range, ok, beyond=truncated)
+
+
+def _gap_below(s: LogSeries, p: int, l: int) -> Condition:
+    return _gap(s, p, p**l - 1, "gap integrality below z^(p^l)")
+
+
+def _gap_and_congruence(s: LogSeries, k: BoundKind) -> list[Condition]:
+    """The gap below z^(p^l) and s_{p^{l-1}} = s_{p^l} (mod p^m)."""
+    p, l = k.p, k.l
+    return [
+        _gap_below(s, p, l),
+        _difference(s, p, "difference congruence mod p^m", p ** (l - 1), p**l, k.m),
+    ]
+
+
+def _cor25_hypotheses(s: LogSeries, k: BoundKind) -> list[Condition]:
+    p, n = k.p, s.n_max
+    powers = set()
+    q = 1
+    while q <= n:
+        powers.add(q)
+        q *= p
+    return [
+        Condition(
+            "support on powers of p",
+            [i for i in range(1, n + 1) if i not in powers],
+            lambda i: s[i] == 0,
+        ),
+        Condition("coefficients in Z_p", sorted(powers), lambda i: vp(s[i], p) >= 0),
+        *_gap_and_congruence(s, k),
+        _power_tail(s, p, k.l, k.m),
+    ]
+
+
+def _thm27_hypotheses(s: LogSeries, k: BoundKind) -> list[Condition]:
+    l = k.l
+    return [
+        _gap(s, 2, 2**l - 1, "gap integrality below z^(2^l)"),
+        _difference(s, 2, "s_{2^{l-1}} = s_{2^l} mod 2^{l-1}", 2 ** (l - 1), 2**l, l - 1),
+        _difference(s, 2, "s_{2^l} = s_{2^{l+1}} mod 2^{l-2}", 2**l, 2 ** (l + 1), l - 2),
+        _congruence(
+            s,
+            "coupled difference congruence mod 2^l",
+            2 ** (l + 1),
+            lambda i: vp((s[2**l] - s[2 ** (l - 1)]) - 2 * (s[i] - s[2**l]), 2) >= l,
+        ),
+        _lambda_tail_p2(s, l),
+    ]
+
+
+def _integral_gap(s: LogSeries, p: int, hi: int) -> list[Condition]:
+    return [_integrality(s, p), _gap(s, p, hi, f"gap integrality through z^{hi}")]
+
+
+def _cor36_hypotheses(s: LogSeries, k: BoundKind) -> list[Condition]:
+    p = k.p
+    if p > s.n_max:
+        return [_integrality(s, p), Condition("dividing-line branch", [], beyond=True)]
+    branch = dividing_line_branch(s, p)
+    sign = "=" if branch == "divisibility" else "!="
+    out = [
+        _integrality(s, p),
+        Condition("dividing-line branch", [], note=f"s_1 {sign} s_p (mod p): {branch} branch"),
+    ]
+    if branch == "divisibility":
+        out.append(_gap(s, p, p, "low-order gap through z^p"))
+    return out
+
+
+# checkable theorem id -> the rule whose exponent it proves and its hypotheses
+THEOREMS: dict[str, Theorem] = {
+    "thm2.1": Theorem(
+        "thm2.1", lambda s, k: [*_gap_and_congruence(s, k), _lambda_tail(s, k.p, k.l, k.m)]
+    ),
+    "cor2.4": Theorem("cor2.4", lambda s, k: [_integrality(s, k.p), _gap_below(s, k.p, k.l)]),
+    "cor2.5": Theorem("thm2.1", _cor25_hypotheses),
+    "thm2.7": Theorem("thm2.7", _thm27_hypotheses),
+    "thm3.1": Theorem("thm3.1", lambda s, k: _integral_gap(s, k.p, k.p**k.l)),
+    "thm3.3": Theorem("thm3.3", lambda s, k: _integral_gap(s, 3, 3)),
+    "thm3.4": Theorem("thm3.4", lambda s, k: _integral_gap(s, 2, 2**k.l)),
+    "thm3.7": Theorem("thm3.7", lambda s, k: _integral_gap(s, k.p, 2 * k.p**k.l - 1)),
+    "cor3.6": Theorem("cor3.6", _cor36_hypotheses),
+}
 
 
 def check_hypotheses(
@@ -369,135 +468,31 @@ def check_hypotheses(
 
     Conditions whose index set extends past the truncation are only
     confirmed up to N; the report's `fully_verified` flag records that.
+    The parameters are validated by the theorem's rule; those it does not
+    need are dropped from the report's kind.
     """
     if theorem not in THEOREMS:
         raise ValueError(f"unknown theorem id {theorem!r}")
-    kind = BoundKind(THEOREMS[theorem], p, l=l, m=m)
-    params = {name: getattr(kind, name) for name in RULES[kind.tag].needs}
-    n = s.n_max
-    chk = _Checker()
-
-    if theorem == "thm2.1":
-        gap = dwork_gap(s, p)
-        _check_gap(chk, gap, p**l - 1, "gap integrality below z^(p^l)")
-        if p**l <= n:
-            chk.scan(
-                "difference congruence mod p^m",
-                [p**l],
-                lambda i: _vp_diff(s, p ** (l - 1), i, p) >= m,
-            )
+    entry = THEOREMS[theorem]
+    needs = RULES[entry.rule].needs
+    kind = BoundKind(entry.rule, p, **{k: v for k, v in (("l", l), ("m", m)) if k in needs})
+    conditions = entry.hypotheses(s, kind)
+    verdicts = []
+    for c in conditions:
+        failure = next((i for i in c.indices if not c.holds(i)), None)
+        if failure is not None:
+            status = FAIL
+        elif c.beyond and not c.indices:
+            status = UNVERIFIABLE
         else:
-            chk.scan("difference congruence mod p^m", [], None, beyond_truncation=True)
-        _check_sdiff(chk, s, p, l, m)
-
-    elif theorem == "cor2.4":
-        _check_integrality(chk, s, p)
-        _check_gap(chk, dwork_gap(s, p), p**l - 1, "gap integrality below z^(p^l)")
-
-    elif theorem == "cor2.5":
-        powers = set()
-        q = 1
-        while q <= n:
-            powers.add(q)
-            q *= p
-        chk.scan(
-            "support on powers of p",
-            (i for i in range(1, n + 1) if i not in powers),
-            lambda i: s[i] == 0,
-        )
-        chk.scan("coefficients in Z_p", sorted(powers), lambda i: vp(s[i], p) >= 0)
-        _check_gap(chk, dwork_gap(s, p), p**l - 1, "gap integrality below z^(p^l)")
-        if p**l <= n:
-            chk.scan(
-                "difference congruence mod p^m",
-                [p**l],
-                lambda i: _vp_diff(s, p ** (l - 1), i, p) >= m,
-            )
-        else:
-            chk.scan("difference congruence mod p^m", [], None, beyond_truncation=True)
-        # power-indexed tail condition, only for e with p^{e-l} < 2l+1
-        es = []
-        e = l + 1
-        while p ** (e - l) < 2 * l + 1:
-            es.append(e)
-            e += 1
-        in_range = [e for e in es if p**e <= n]
-
-        def ok(e):
-            t = p ** (e - l)
-            rhs = -(l - m) * t - (t - 1) // (p - 1) + e + 1
-            return _vp_diff(s, p**e, p ** (l - 1), p) >= rhs
-
-        chk.scan(
-            "tail valuations (power indices)",
-            in_range,
-            ok,
-            beyond_truncation=len(in_range) < len(es),
-        )
-
-    elif theorem == "thm2.7":
-        gap = dwork_gap(s, 2)
-        _check_gap(chk, gap, 2**l - 1, "gap integrality below z^(2^l)")
-        pairs = [
-            ("s_{2^{l-1}} = s_{2^l} mod 2^{l-1}", 2 ** (l - 1), 2**l, l - 1),
-            ("s_{2^l} = s_{2^{l+1}} mod 2^{l-2}", 2**l, 2 ** (l + 1), l - 2),
-        ]
-        for name, a, b, mm in pairs:
-            if b <= n:
-                chk.scan(name, [b], lambda i, a=a, mm=mm: _vp_diff(s, a, i, 2) >= mm)
-            else:
-                chk.scan(name, [], None, beyond_truncation=True)
-        if 2 ** (l + 1) <= n:
-            chk.scan(
-                "coupled difference congruence mod 2^l",
-                [2 ** (l + 1)],
-                lambda i: vp((s[2**l] - s[2 ** (l - 1)]) - 2 * (s[i] - s[2**l]), 2)
-                >= l,
-            )
-        else:
-            chk.scan(
-                "coupled difference congruence mod 2^l",
-                [],
-                None,
-                beyond_truncation=True,
-            )
-        _check_sdiff2(chk, s, l)
-
-    elif theorem in ("thm3.1", "thm3.7"):
-        _check_integrality(chk, s, p)
-        hi = p**l if theorem == "thm3.1" else 2 * p**l - 1
-        _check_gap(chk, dwork_gap(s, p), hi, f"gap integrality through z^{hi}")
-
-    elif theorem == "thm3.3":
-        _check_integrality(chk, s, p)
-        _check_gap(chk, dwork_gap(s, p), 3, "gap integrality through z^3")
-
-    elif theorem == "thm3.4":
-        _check_integrality(chk, s, p)
-        _check_gap(chk, dwork_gap(s, p), 2**l, f"gap integrality through z^{2 ** l}")
-
-    elif theorem == "cor3.6":
-        _check_integrality(chk, s, p)
-        if p <= n:
-            branch = dividing_line_branch(s, p)
-            chk.conditions.append(
-                ConditionVerdict(
-                    "dividing-line branch",
-                    PASS,
-                    None,
-                    f"s_1 {'=' if branch == 'divisibility' else '!='} s_p (mod p): "
-                    f"{branch} branch",
-                )
-            )
-            if branch == "divisibility":
-                _check_gap(chk, dwork_gap(s, p), p, "low-order gap through z^p")
-        else:
-            chk.conditions.append(
-                ConditionVerdict("dividing-line branch", UNVERIFIABLE)
-            )
-            chk.truncated = True
-
-    return chk.report(theorem, p, params)
+            status = PASS
+        note = c.note
+        if c.beyond:
+            note = (note + "; " if note else "") + "indices beyond N unverifiable"
+        verdicts.append(ConditionVerdict(c.name, status, failure, note))
+    overall = all(v.status != FAIL for v in verdicts)
+    fully = overall and not any(c.beyond for c in conditions)
+    return HypothesisReport(theorem, kind, tuple(verdicts), overall, fully)
 
 
 def dividing_line_branch(s: LogSeries, p: int) -> str:

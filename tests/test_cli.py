@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import pytest
 
-from dworklab.cli import main
-from dworklab.series import LogSeries, dump_log_series
+from dworklab.cli import build_parser, main
+from dworklab.series import THEOREMS, LogSeries, dump_log_series
 
 
 def run(capsys, argv):
@@ -200,6 +201,23 @@ def test_output_file(capsys, tmp_path):
     assert code == 0 and out == ""
     doc = json.loads(out_path.read_text())
     assert doc["command"] == "verify-group"
+
+
+def test_output_into_missing_directory_exits_2(capsys, tmp_path):
+    out_path = tmp_path / "missing" / "report.json"
+    code, out, err = run(
+        capsys,
+        ["verify-group", "--spec", "A[2;1,1]", "--n-max", "16", "--output", str(out_path)],
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+    assert not out_path.parent.exists()
+
+
+def test_analyze_series_theorem_choices_are_the_theorem_table():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    option = next(a for a in sub.choices["analyze-series"]._actions if a.dest == "theorem")
+    assert list(option.choices) == sorted(THEOREMS)
 
 
 def test_usage_error_exit_code():

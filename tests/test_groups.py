@@ -178,6 +178,34 @@ def test_parse_group_spec():
             parse_group_spec(bad)
 
 
+_term = st.one_of(
+    st.builds(
+        lambda p, parts: f"A[{p};{','.join(map(str, parts))}]",
+        st.sampled_from([2, 3, 5, 7, 101]),
+        st.lists(st.integers(1, 9), min_size=1, max_size=4),
+    ),
+    st.builds(lambda head, n: f"{head}[{n}]", st.sampled_from("CD"), st.integers(1, 10**6)),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(_term, min_size=1, max_size=3).map(" * ".join))
+def test_parse_group_spec_canonical_round_trip(text):
+    canonical = parse_group_spec(text).canonical()
+    assert parse_group_spec(canonical).canonical() == canonical
+
+
+# short strings over the spec alphabet; the length cap keeps the prime of
+# an abelian term small enough for trial division
+@settings(deadline=None, max_examples=300)
+@given(st.text(alphabet="ACDX[];,*0123456789- ", max_size=14))
+def test_parse_group_spec_raises_only_value_error(text):
+    try:
+        parse_group_spec(text)
+    except ValueError:
+        pass
+
+
 def test_finite_subgroup_counts_dispatch():
     assert finite_subgroup_counts(parse_group_spec("C[4]")).as_dict() == {1: 1, 2: 1, 4: 1}
     assert finite_subgroup_counts(parse_group_spec("A[2;1]")).as_dict() == {1: 1, 2: 1}
@@ -284,6 +312,22 @@ def test_counts_export_roundtrip():
     assert text.splitlines()[0] == "1 1"
     back = load_counts(text, c.group_order)
     assert back.as_dict() == c.as_dict()
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.dictionaries(st.integers(1, 10**4), st.integers(0, 10**40)), st.integers(1, 10**9))
+def test_counts_export_roundtrip_property(counts, order):
+    c = SubgroupCounts.from_map(counts, order)
+    assert load_counts(dump_counts(c), order) == c
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.text(alphabet="0123456789 -x\n", max_size=30))
+def test_load_counts_raises_only_value_error(text):
+    try:
+        load_counts(text, 8)
+    except ValueError:
+        pass
 
 
 def test_prop_42_dichotomy_on_generated_groups():
