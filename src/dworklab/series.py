@@ -313,7 +313,7 @@ def _gap(s: LogSeries, p: int, hi: int, name: str) -> Condition:
     return Condition(name, range(1, min(hi, n) + 1), lambda j: _gap_integral(s, p, j), beyond=hi > n)
 
 
-def _congruence(s: LogSeries, name: str, i: int, holds) -> Condition:
+def _congruence(s: LogSeries, name: str, i: int, holds: Callable[[int], bool]) -> Condition:
     """A congruence read at index i; unverifiable when i lies past N."""
     inside = i <= s.n_max
     return Condition(name, [i] if inside else [], holds, beyond=not inside)
