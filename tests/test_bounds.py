@@ -1,10 +1,14 @@
+import hashlib
+import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dworklab.bounds import (
+    RULES,
     BoundKind,
     _split_row,
     bound_value,
@@ -17,6 +21,7 @@ from dworklab.bounds import (
     verify_q_recurrence,
 )
 from dworklab.exactcore import INFINITY, legendre_valuation, residue_mod_p, vp
+from dworklab.groups import partitions_of
 from dworklab.series import ExpSeries, LogSeries, exp_transform
 
 
@@ -435,3 +440,64 @@ def test_report_serialization_shape():
     assert zrow["valuation"] == "infinity" and zrow["slack"] == "infinity"
     summary = report.summary()
     assert summary["violations"] == [] and summary["min_slack"] == 0
+
+
+# ---------------------------------------------------------------------------
+# e(n) over n <= 1000 for every admissible kind of a parameter grid
+# ---------------------------------------------------------------------------
+
+GRID_PRIMES = (2, 3, 5, 7)
+GRID_PARAMS = range(5)
+GRID_PARTITIONS = [parts for w in range(1, 7) for parts in partitions_of(w)]
+GRID_N = range(1001)
+
+
+def _grid_kinds(tag: str) -> list[BoundKind]:
+    """Every kind of the tag on the grid that its rule admits."""
+    needs = RULES[tag].needs
+    choices = {
+        "l": GRID_PARAMS,
+        "m": GRID_PARAMS,
+        "partition": GRID_PARTITIONS,
+        "dihedral_m": range(1, 9),
+    }
+    kinds = []
+    for p in GRID_PRIMES:
+        for values in product(*(choices[name] for name in needs)):
+            try:
+                kinds.append(BoundKind(tag, p, **dict(zip(needs, values))))
+            except ValueError:
+                continue
+    return kinds
+
+
+# tag -> sha256 of one line per grid kind: its description, then e(0..1000)
+GRID_DIGESTS = {
+    "cor2.4": "231f925deaadd52efc9395fdc2c1a30169a6f0b33d7c8a0fc7ef3f4e45353f98",
+    "cor3.6": "88e6af08402e9076e6def7cbedcb9da06c41e48a2890a2733f54e8b2808f0dcd",
+    "hnc2": "0ac750caa3426bac5cbe0ef6d0c1c89a88cf8dd518ddd12a0e6a16bf08484291",
+    "kty": "4c3ed5787b967f47531722b1817368eb6824fa3f998341acc0065a41bde30551",
+    "thm2.1": "a881501d89c60c062a6042092c974cdd7004eba6cf833222e1c140cd71682cf3",
+    "thm2.7": "91faa685e50a2b864b08c126f710e69bfe0dbd0b9dd7039143313353f668bcb6",
+    "thm3.1": "d9f52b87862741cab6076cfe58728d529cf47b28edd0afdc4381b56ffe25a7ab",
+    "thm3.3": "f886078ed27ab0451533e2f5b9c7ced3667751305ee1b0b421827949a4df3a24",
+    "thm3.4": "a16188b9d982991aff4ff10a4f0e99d43ad610fe114c5e9a4c6acc04a45248b8",
+    "thm3.7": "54930a22c9d53b81929d3a95f970101f11cb34b9060c2a26f6e7d94401a88958",
+    "thm5.2": "e17bc5cb00e9d75fb619c804bb2d7d3059cfdf06015bc3b73dd6d168b0f91f76",
+    "thm5.3": "1731e3c3879823d89786b15ec8dea04f68af173f917f4cc22cf6cc8bfc6f82b5",
+    "thm5.5": "fb4e412bd63009e1c9df50dbca47496760b167e4a5d84d4aeb2f56e0f7a42435",
+    "thm6.1": "e4756198bd44990b115d2672d97a0810157e16fe1b592d53e4874970486e3991",
+    "thm6.2": "07e69b540c6dd10b35105ac1be522e42f50b04424665c27a896ab2a48719a23f",
+}
+
+
+@pytest.mark.parametrize("tag", sorted(RULES))
+def test_bound_value_grid_pinned(tag):
+    lines = [
+        json.dumps(kind.describe(), sort_keys=True)
+        + " "
+        + ",".join(str(bound_value(kind, n)) for n in GRID_N)
+        for kind in _grid_kinds(tag)
+    ]
+    assert lines
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GRID_DIGESTS[tag]
