@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .exactcore import INFINITY, Valuation, check_prime, residue_mod_p, vp
+from .exactcore import INFINITY, Valuation, check_prime, floor_log, residue_mod_p, vp
 from .kernels import vp_int
 
 if TYPE_CHECKING:
@@ -86,7 +86,11 @@ class BoundKind:
 
 
 def _floor_sum(n: int, base: int, lo: int, hi: int | None = None) -> int:
-    """sum_{s=lo}^{hi} floor(n / base^s); hi=None runs until terms vanish."""
+    """sum_{s=lo}^{hi} floor(n / base^s); hi=None runs until terms vanish.
+
+    The half sums sum_s floor(n / (2 base^s)) are _floor_sum(n // 2, ...),
+    since floor(floor(n / 2) / q) = floor(n / (2 q)).
+    """
     total = 0
     q = base**lo
     s = lo
@@ -94,16 +98,6 @@ def _floor_sum(n: int, base: int, lo: int, hi: int | None = None) -> int:
         total += n // q
         q *= base
         s += 1
-    return total
-
-
-def _floor_sum_half(n: int, p: int, lo: int) -> int:
-    """sum_{s>=lo} floor(n / (2 p^s))."""
-    total = 0
-    q = 2 * p**lo
-    while n // q:
-        total += n // q
-        q *= p
     return total
 
 
@@ -129,7 +123,7 @@ def _thm33_exponent(n: int) -> int:
     # the correction term is ceil(floor(n/9)/2): up to floor(n/9) tail
     # indices at 3^2 each cost half a digit, rounded up since the
     # valuation is an integer (floor(n/18) is too small at n = 9)
-    return _floor_sum(n, 3, 1) - _floor_sum_half(n, 3, 1) - _ceil_div(n // 9, 2)
+    return _floor_sum(n, 3, 1) - _floor_sum(n // 2, 3, 1) - _ceil_div(n // 9, 2)
 
 
 def _thm34_exponent(kind: BoundKind, n: int) -> int:
@@ -147,7 +141,7 @@ def _cor36_exponent(kind: BoundKind, n: int) -> int:
         return n // 2 - n // 4
     if p == 3:
         return _thm33_exponent(n)
-    return _floor_sum(n, p, 1) - _floor_sum_half(n, p, 1)
+    return _floor_sum(n, p, 1) - _floor_sum(n // 2, p, 1)
 
 
 def _first_family(p: int, l: int, m: int) -> tuple[int, int, int, int, int]:
@@ -227,7 +221,7 @@ RULES: dict[str, Rule] = {
     "thm3.1": Rule(
         lambda k, n: _floor_sum(n, k.p, 1)
         - (k.l - 1) * (n // k.p**k.l)
-        - _floor_sum_half(n, k.p, k.l),
+        - _floor_sum(n // 2, k.p, k.l),
         needs=("l",),
         admissible=_odd_p_admissible,
         requirement=_ODD_P_REQUIREMENT,
@@ -247,7 +241,7 @@ RULES: dict[str, Rule] = {
     "thm3.7": Rule(
         lambda k, n: _floor_sum(n, k.p, 1)
         - (k.l - 1) * _ceil_div(n, 2 * k.p**k.l)
-        - _floor_sum_half(n, k.p, k.l),
+        - _floor_sum(n // 2, k.p, k.l),
         needs=("l",),
         admissible=_odd_p_admissible,
         requirement=_ODD_P_REQUIREMENT,
@@ -551,13 +545,7 @@ def floor_lemma_checks(
     report = FloorLemmaReport([], [])
     pl = p**l
     for i in range(pl, i_max + 1):
-        # floor(log_p i) without floats
-        e = 0
-        q = p
-        while q <= i:
-            e += 1
-            q *= p
-        target_unit = (p ** (e - l) - 1) // (p - 1)
+        target_unit = (p ** (floor_log(p, i) - l) - 1) // (p - 1)
         for j in range(0, j_max + 1):
             report.ij_checked += 1
             if floor_sum_gap(i, j, p, l) < j * target_unit:
