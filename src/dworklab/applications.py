@@ -80,12 +80,6 @@ def permutation_count_series(n_max: int, lengths: Sequence[int]) -> list[int]:
     return kernels.hall_exp(svals, n_max)
 
 
-def permutation_count(n: int, lengths: Sequence[int]) -> int:
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return permutation_count_series(n, lengths)[n]
-
-
 @lru_cache(maxsize=None)
 def _cycle_length_set_counts(n: int) -> tuple[tuple[frozenset[int], int], ...]:
     """For each set of cycle lengths, how many permutations of S_n show

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .applications import (
+    PI_VARIANTS,
     CycleRule,
     periodicity_detect,
     supercongruence_sweep,
@@ -27,13 +28,13 @@ from .bounds import (
     RULES,
     BoundKind,
     floor_lemma_checks,
+    partition_case,
     verify_bounds,
     verify_q_recurrence,
 )
 from .exactcore import check_prime
 from .groups import (
     GroupSpec,
-    classify_abelian_case,
     difference_valuation_profile,
     finite_subgroup_counts,
     hom_count_ints,
@@ -190,17 +191,18 @@ def _cmd_verify_group(args) -> dict:
     if args.p is not None and args.p != p:
         raise ValueError(f"--p {args.p} contradicts the spec's prime {p}")
     n_max = args.n_max
-    cls = classify_abelian_case(t)
+    case, l, m = partition_case(t.parts)
+    p2_exception = case == "II" and p == 2
     counts = finite_subgroup_counts(spec)
     s = counts.to_log_series(n_max)
     h = cache_get_or_compute(spec, n_max, args.cache_dir)
 
-    if cls.p2_exception:
+    if p2_exception:
         kind = BoundKind("thm6.2", 2, partition=t.parts)
-        hyp = check_hypotheses(s, 2, "thm2.7", l=cls.l)
+        hyp = check_hypotheses(s, 2, "thm2.7", l=l)
     else:
         kind = BoundKind("thm6.1", p, partition=t.parts)
-        hyp = check_hypotheses(s, p, "cor2.5", l=cls.l, m=cls.m)
+        hyp = check_hypotheses(s, p, "cor2.5", l=l, m=m)
 
     report = verify_bounds(h, kind)
     tight_failures: list[int] = []
@@ -232,10 +234,10 @@ def _cmd_verify_group(args) -> dict:
         n_max,
         [row.as_dict() for row in report.rows],
         {
-            "case": cls.case,
-            "l": cls.l,
-            "m": cls.m,
-            "routed_to_p2_exception": cls.p2_exception,
+            "case": case,
+            "l": l,
+            "m": m,
+            "routed_to_p2_exception": p2_exception,
             "bounds": report.summary(),
             "hypothesis": _hypothesis_dict(hyp),
             "q_recurrence": qrec_summary,
@@ -416,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_vd.set_defaults(func=_cmd_verify_dihedral)
 
     p_vp = sub.add_parser("verify-permutations", help="verify divisibility of restricted-cycle counts")
-    p_vp.add_argument("--variant", required=True, choices=("pi1", "pi2", "pi3"))
+    p_vp.add_argument("--variant", required=True, choices=PI_VARIANTS)
     p_vp.add_argument("--p", type=int, required=True)
     p_vp.add_argument("--l", type=int, required=True)
     p_vp.add_argument("--A", dest="base_set", required=True, help="comma-separated base lengths")

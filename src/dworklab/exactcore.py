@@ -108,16 +108,6 @@ def legendre_valuation(n: int, p: int) -> int:
     return total
 
 
-def pochhammer(alpha: int, n: int) -> int:
-    """Rising factorial alpha (alpha+1) ... (alpha+n-1); empty product is 1."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    result = 1
-    for i in range(n):
-        result *= alpha + i
-    return result
-
-
 def gauss_binom_at(m: int, k: int, q: int) -> int:
     """Gaussian binomial coefficient [m choose k]_q evaluated at integer q >= 2.
 

@@ -24,7 +24,7 @@ from typing import Iterator, Mapping
 
 from . import kernels
 from .bounds import partition_case
-from .exactcore import check_prime, vp
+from .exactcore import check_prime, gauss_binom_at, vp
 from .series import ExpSeries, LogSeries, log_transform
 
 ABELIAN_WEIGHT_CAP = 40
@@ -36,17 +36,6 @@ def conjugate_partition(parts: tuple[int, ...]) -> tuple[int, ...]:
     if not parts:
         return ()
     return tuple(sum(1 for a in parts if a >= i) for i in range(1, parts[0] + 1))
-
-
-def partitions_of(weight: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """All weakly decreasing partitions of the given weight."""
-    if weight == 0:
-        yield ()
-        return
-    cap = weight if max_part is None else min(max_part, weight)
-    for first in range(cap, 0, -1):
-        for rest in partitions_of(weight - first, first):
-            yield (first,) + rest
 
 
 def partitions_fitting(mu: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -90,10 +79,6 @@ class PartitionType:
     def group_order(self) -> int:
         return self.p**self.weight
 
-    def half_weight(self) -> int:
-        """A_1 = weight/2 for even weight, A_2 = (weight+1)/2 for odd."""
-        return (self.weight + 1) // 2
-
 
 @dataclass(frozen=True)
 class SubgroupCounts:
@@ -107,18 +92,14 @@ class SubgroupCounts:
         items = tuple(sorted((n, c) for n, c in counts.items() if c))
         return cls(items, group_order)
 
-    def s(self, n: int) -> int:
+    def __getitem__(self, n: int) -> int:
+        """s_n, zero off the support.  The counts are exact at every index,
+        so they stand in for a log series wherever single coefficients are
+        read."""
         for idx, c in self.counts:
             if idx == n:
                 return c
         return 0
-
-    # the counts are exact at every index, so they can stand in for a log
-    # series wherever single coefficients are read
-    __getitem__ = s
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.counts)
 
     def values(self, n_max: int) -> list[int]:
         """s_0..s_{n_max}, zero-filled, with s_0 = 0."""
@@ -134,8 +115,6 @@ class SubgroupCounts:
 
 def subgroup_type_count(mu: tuple[int, ...], nu: tuple[int, ...], p: int) -> int:
     """Number of subgroups of type nu inside an Abelian p-group of type mu."""
-    from .exactcore import gauss_binom_at
-
     mu_c = conjugate_partition(mu)
     nu_c = conjugate_partition(nu)
     if len(nu_c) > len(mu_c):
@@ -235,30 +214,6 @@ def dihedral_subgroup_counts(m: int) -> SubgroupCounts:
     return SubgroupCounts.from_map(counts, 2 * m)
 
 
-@dataclass(frozen=True)
-class CaseClassification:
-    """Which bound family applies to an Abelian type, with its parameters."""
-
-    case: str  # "I", "II", "III"
-    l: int
-    m: int
-    step: int  # p^l
-    half: int | None  # A_1 (case II) or A_2 (case III)
-    p2_exception: bool  # p = 2 case II, routed to the improved bound
-
-
-def classify_abelian_case(t: PartitionType) -> CaseClassification:
-    case, l, m = partition_case(t.parts)
-    half = None
-    if case == "II":
-        half = t.weight // 2
-    elif case == "III":
-        half = (t.weight + 1) // 2
-    return CaseClassification(
-        case, l, m, t.p**l, half, case == "II" and t.p == 2
-    )
-
-
 @dataclass
 class DiffProfileReport:
     """Outcome of the difference/symmetry structure checks on s_{p^i}."""
@@ -287,7 +242,7 @@ def difference_valuation_profile(c: SubgroupCounts, t: PartitionType) -> DiffPro
     p, W, a1 = t.p, t.weight, t.parts[0]
 
     def sval(i: int) -> int:
-        return c.s(p**i) if 0 <= i <= W else 0
+        return c[p**i] if 0 <= i <= W else 0
 
     def check(ok: bool, message: str):
         report.checks += 1
@@ -440,22 +395,3 @@ def subgroup_residues_mod_p(spec: GroupSpec, n_max: int, p: int) -> list[int]:
     return kernels.hall_log_mod_residues(
         h, p, n_max, lambda digits: hom_count_ints_mod(spec, n_max, p**digits)
     )
-
-
-# ---------------------------------------------------------------------------
-# count export: one "n value" line per index, ascending
-# ---------------------------------------------------------------------------
-
-
-def dump_counts(c: SubgroupCounts) -> str:
-    return "".join(f"{n} {value}\n" for n, value in c.counts)
-
-
-def load_counts(text: str, group_order: int) -> SubgroupCounts:
-    counts = {}
-    for ln in text.splitlines():
-        if not ln.strip():
-            continue
-        n_str, v_str = ln.split()
-        counts[int(n_str)] = int(v_str)
-    return SubgroupCounts.from_map(counts, group_order)

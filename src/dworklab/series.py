@@ -131,33 +131,17 @@ def log_transform(h: ExpSeries) -> LogSeries:
     return LogSeries(tuple(s[1:]))
 
 
-@dataclass(frozen=True)
-class DworkGap:
-    """Coefficients g_1..g_N of S(z^p) - p S(z)."""
-
-    g: tuple[Fraction, ...]
-    p: int
-
-    @property
-    def n_max(self) -> int:
-        return len(self.g)
-
-    def __getitem__(self, j: int) -> Fraction:
-        if not 1 <= j <= self.n_max:
-            raise IndexError(f"g_{j} is outside the truncation 1..{self.n_max}")
-        return self.g[j - 1]
-
-
-def dwork_gap(s: LogSeries, p: int) -> DworkGap:
-    """g_j = -p s_j / j, plus p s_{j/p} / j when p divides j."""
+def dwork_gap(s: LogSeries, p: int) -> dict[int, Fraction]:
+    """Coefficients g_1..g_N of S(z^p) - p S(z):
+    g_j = -p s_j / j, plus p s_{j/p} / j when p divides j."""
     check_prime(p)
-    g = []
+    g = {}
     for j in range(1, s.n_max + 1):
         coeff = Fraction(-p, j) * s[j]
         if j % p == 0:
             coeff += Fraction(p, j) * s[j // p]
-        g.append(coeff)
-    return DworkGap(tuple(g), p)
+        g[j] = coeff
+    return g
 
 
 def _gap_integral(s: LogSeries, p: int, j: int) -> bool:
@@ -168,27 +152,6 @@ def _gap_integral(s: LogSeries, p: int, j: int) -> bool:
     """
     below = s[j // p] if j % p == 0 else 0
     return vp(below - s[j], p) >= vp(j, p)
-
-
-def truncation_level(s: LogSeries, p: int) -> int:
-    """Largest l >= 1 with vp(g_j) >= 1 for all j < p^l and p^l - 1 <= N.
-
-    Returns 0 when even g_1 fails.  The series must be p-integral.
-    """
-    check_prime(p)
-    for n in range(1, s.n_max + 1):
-        if vp(s[n], p) < 0:
-            raise ValueError("not p-integral")
-    limit = next(
-        (j for j in range(1, s.n_max + 1) if not _gap_integral(s, p, j)), s.n_max + 1
-    )
-    # largest l with p^l <= limit (so that every j < p^l passed) and p^l - 1 <= N
-    level = 0
-    power = p
-    while power <= limit and power - 1 <= s.n_max:
-        level += 1
-        power *= p
-    return level
 
 
 def _lambda_at(s: LogSeries, p: int, l: int, i: int) -> Fraction:
@@ -217,27 +180,6 @@ def lambda_sequence(s: LogSeries, p: int, l: int) -> dict[int, Fraction]:
         raise ValueError("p^l exceeds the truncation")
     pl = p**l
     return {i: _lambda_at(s, p, l, i) for i in range(pl + 1, s.n_max + 1)}
-
-
-def reference_series(s: LogSeries, p: int, l: int) -> LogSeries:
-    """The comparison series: s with index p^l replaced by s_{p^{l-1}} and
-    every tail index i > p^l replaced by the subtracted term of lambda_i
-    (zero when lambda_i = s_i).
-
-    Adding back (s_{p^l} - s_{p^{l-1}}) z^{p^l}/p^l and sum lambda_i z^i/i
-    reproduces S(z) coefficient-by-coefficient.
-    """
-    check_prime(p)
-    if l < 1:
-        raise ValueError("l must be positive")
-    pl = p**l
-    if pl > s.n_max:
-        raise ValueError("p^l exceeds the truncation")
-    out = list(s.coeffs)
-    out[pl - 1] = s[pl // p]
-    for i in range(pl + 1, s.n_max + 1):
-        out[i - 1] = s[i] - _lambda_at(s, p, l, i)
-    return LogSeries(tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -534,10 +476,10 @@ def _load(text: str, start: int):
     coeffs = []
     expected = start
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise ValueError(f"malformed series line {ln!r}")
-        n, num, den = (int(x) for x in parts)
+        try:
+            n, num, den = (int(x) for x in ln.split())
+        except ValueError as exc:
+            raise ValueError(f"malformed series line {ln!r}") from exc
         if n != expected:
             raise ValueError(f"series index {n}, expected {expected}")
         if den <= 0:

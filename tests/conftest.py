@@ -9,6 +9,7 @@ repair acts on raw coefficient lists.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterator
 
 from dworklab.kernels import vp_int
 
@@ -119,3 +120,15 @@ def dihedral_subgroup_counts_oracle(m: int) -> dict[int, int]:
         index = len(group) // len(h)
         counts[index] = counts.get(index, 0) + 1
     return counts
+
+
+def partitions_of(weight: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
+    """All weakly decreasing partitions of the given weight: the Abelian
+    p-group types the tests sweep."""
+    if weight == 0:
+        yield ()
+        return
+    cap = weight if max_part is None else min(max_part, weight)
+    for first in range(cap, 0, -1):
+        for rest in partitions_of(weight - first, first):
+            yield (first,) + rest

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import involution_oracle, repaired_integer_series
+from conftest import involution_oracle, partitions_of, repaired_integer_series
 from dworklab import kernels
 from dworklab.applications import (
     CycleRule,
@@ -28,6 +28,7 @@ from dworklab.bounds import (
     BoundKind,
     bound_value,
     floor_lemma_checks,
+    partition_case,
     verify_bounds,
     verify_q_recurrence,
 )
@@ -36,11 +37,9 @@ from dworklab.groups import (
     PartitionType,
     abelian_subgroup_counts,
     abelian_subgroup_counts_bruteforce,
-    classify_abelian_case,
     dihedral_subgroup_counts,
     hom_count_ints,
     parse_group_spec,
-    partitions_of,
     subgroup_residues_mod_p,
 )
 from dworklab.series import ExpSeries, LogSeries, check_hypotheses, exp_transform, log_transform
@@ -133,10 +132,11 @@ def test_c04_general_bound_tightness_and_quotients():
     for p in (2, 3, 5):
         for parts in _all_partitions_upto(5):
             t = PartitionType(parts, p)
-            cls = classify_abelian_case(t)
+            case, l, m = partition_case(parts)
+            step = p**l
             counts = abelian_subgroup_counts(t)
             h = ExpSeries(tuple(_group_series(parts, p, N4)))
-            if cls.p2_exception:
+            if case == "II" and p == 2:
                 kind = BoundKind("thm6.2", 2, partition=parts)
                 report = verify_bounds(h, kind)
                 assert report.ok, (parts, p, report.violations[:5])
@@ -147,18 +147,18 @@ def test_c04_general_bound_tightness_and_quotients():
             assert report.ok, (parts, p, report.violations[:5])
             # tightness precondition: the step-index difference has
             # valuation exactly m
-            diff = counts.s(p ** (cls.l - 1)) - counts.s(p**cls.l)
-            assert vp(diff, p) == cls.m, (parts, p)
+            diff = counts[p ** (l - 1)] - counts[p**l]
+            assert vp(diff, p) == m, (parts, p)
             tight = set(report.tight_set)
-            for n in range(0, N4 + 1, cls.step):
+            for n in range(0, N4 + 1, step):
                 assert n in tight, (parts, p, n)
-            # quotient recurrence with multiplier (-1)^x
-            s_ext = counts.to_log_series(max(N4, cls.step))
-            if cls.step <= N4:
+            # quotient recurrence with multiplier (-1)^(l-1): l - 1 is a_1 in
+            # case I, A_1 in case II and A_2 in case III
+            s_ext = counts.to_log_series(max(N4, step))
+            if step <= N4:
                 qrec = verify_q_recurrence(report, s_ext)
                 assert qrec.ok, (parts, p, qrec.failures[:5])
-                x = {"I": parts[0], "II": cls.half, "III": cls.half}[cls.case]
-                assert qrec.multiplier == (-1) ** x % p, (parts, p)
+                assert qrec.multiplier == (-1) ** (l - 1) % p, (parts, p)
             checked += 1
     _line(True, f"criterion 4: general-rank bounds/tightness/quotients ({checked} groups)")
 
@@ -176,12 +176,12 @@ _P2_EXCEPTION_CASES = [
 def test_c04_p2_exception_quotient_recurrence():
     for parts in [(1, 1), (2, 1, 1)]:
         t = PartitionType(parts, 2)
-        cls = classify_abelian_case(t)
+        _, l, _ = partition_case(parts)
         counts = abelian_subgroup_counts(t)
         h = ExpSeries(tuple(_group_series(parts, 2, N4)))
         kind = BoundKind("thm6.2", 2, partition=parts)
         qrec = verify_q_recurrence(verify_bounds(h, kind), counts.to_log_series(N4))
-        assert qrec.step == 2 ** (cls.half + 3)
+        assert qrec.step == 2 ** (l + 2)
         assert qrec.multiplier == 1  # the stated congruence has no multiplier
         assert qrec.ok, (parts, qrec.failures[:5])
     _line(True, "criterion 4: p=2 exceptional quotient congruence for (1,1), (2,1,1)")
@@ -189,9 +189,8 @@ def test_c04_p2_exception_quotient_recurrence():
 
 @pytest.mark.parametrize("parts,residue", _P2_EXCEPTION_CASES)
 def test_c04_p2_exception_tightness(parts, residue):
-    t = PartitionType(parts, 2)
-    cls = classify_abelian_case(t)
-    step = 2 ** (cls.half + 3)
+    _, l, _ = partition_case(parts)
+    step = 2 ** (l + 2)
     h = ExpSeries(tuple(_group_series(parts, 2, N4)))
     kind = BoundKind("thm6.2", 2, partition=parts)
     report = verify_bounds(h, kind)
@@ -503,8 +502,8 @@ def test_c11_oracle_equivalence_to_order_256():
         for w in range(1, weight + 1):
             for parts in partitions_of(w):
                 t = PartitionType(parts, p)
-                a = abelian_subgroup_counts(t).as_dict()
-                b = abelian_subgroup_counts_bruteforce(t).as_dict()
+                a = abelian_subgroup_counts(t).counts
+                b = abelian_subgroup_counts_bruteforce(t).counts
                 assert a == b, (parts, p)
                 checked += 1
     _line(True, f"criterion 11: subgroup-count oracle equivalence, order <= 256 ({checked} groups)")
@@ -518,11 +517,11 @@ def test_c11_count_structure():
             c = abelian_subgroup_counts(t)
             w = t.weight
             for i in range(w + 1):
-                assert c.s(p**i) % p == 1  # index-p^i counts are 1 mod p
-                assert c.s(p**i) == c.s(p ** (w - i))  # symmetry
+                assert c[p**i] % p == 1  # index-p^i counts are 1 mod p
+                assert c[p**i] == c[p ** (w - i)]  # symmetry
             if p > 2 and t.rank >= 2:
                 for i in range(1, w):
-                    assert c.s(p**i) % p**2 == (1 + p) % p**2
+                    assert c[p**i] % p**2 == (1 + p) % p**2
             from dworklab.groups import difference_valuation_profile
 
             prof = difference_valuation_profile(c, t)

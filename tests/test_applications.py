@@ -6,7 +6,6 @@ from dworklab.applications import (
     CycleRule,
     normal_count_index_p,
     periodicity_detect,
-    permutation_count,
     permutation_count_bruteforce,
     permutation_count_series,
     supercongruence_check,
@@ -17,11 +16,11 @@ from dworklab.groups import parse_group_spec, subgroup_residues_mod_p
 
 
 def test_permutation_count_examples():
-    assert permutation_count(4, {1, 2}) == 10
-    assert permutation_count(4, {2}) == 3
-    assert permutation_count(5, {2}) == 0
-    assert permutation_count(3, {1, 2, 3}) == 6
-    assert permutation_count(0, set()) == 1
+    assert permutation_count_series(4, {1, 2})[4] == 10
+    assert permutation_count_series(4, {2})[4] == 3
+    assert permutation_count_series(5, {2})[5] == 0
+    assert permutation_count_series(3, {1, 2, 3})[3] == 6
+    assert permutation_count_series(0, set())[0] == 1
 
 
 def test_permutation_bruteforce_examples():
@@ -36,7 +35,7 @@ def test_permutation_oracle_equivalence_small():
     for n in range(7):
         for size in range(4):
             for lengths in itertools.combinations(range(1, 7), size):
-                assert permutation_count(n, lengths) == permutation_count_bruteforce(n, lengths)
+                assert permutation_count_series(n, lengths)[n] == permutation_count_bruteforce(n, lengths)
 
 
 def test_permutation_count_matches_cyclic_group_homs():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import partitions_of
 from dworklab.bounds import (
     RULES,
     BoundKind,
@@ -21,7 +22,6 @@ from dworklab.bounds import (
     verify_q_recurrence,
 )
 from dworklab.exactcore import INFINITY, legendre_valuation, residue_mod_p, vp
-from dworklab.groups import partitions_of
 from dworklab.series import ExpSeries, LogSeries, exp_transform
 
 

@@ -111,6 +111,14 @@ def test_analyze_series_failing_hypothesis(capsys, tmp_path):
     assert gap["verdict"] == "fail" and gap["first_failure"] == 2
 
 
+def test_analyze_series_non_integer_token_exits_2(capsys, tmp_path):
+    path = tmp_path / "token.series"
+    path.write_text("2 3\n1 1 1\n2 x 1\n")
+    code, out, err = run(capsys, ["analyze-series", "--input", str(path), "--theorem", "cor3.6"])
+    assert code == 2 and out == ""
+    assert err == "error: malformed series line '2 x 1'\n"
+
+
 def test_cache_roundtrip_and_corruption(capsys, tmp_path):
     cache = tmp_path / "cache"
     argv = [

@@ -12,7 +12,6 @@ from dworklab.exactcore import (
     gauss_binom_at,
     is_prime,
     legendre_valuation,
-    pochhammer,
     residue_mod_p,
     vp,
 )
@@ -84,14 +83,6 @@ def test_legendre_matches_factorial():
             assert legendre_valuation(n, p) == expected
 
 
-def test_pochhammer():
-    assert pochhammer(5, 0) == 1
-    assert pochhammer(3, 3) == 60
-    assert pochhammer(1, 6) == 720
-    assert pochhammer(-2, 3) == 0
-    assert pochhammer(0, 0) == 1
-
-
 def test_gauss_binom_examples():
     # product formula: (2^4-1)(2^4-2)/((2^2-1)(2^2-2))
     assert (2**4 - 1) * (2**4 - 2) // ((2**2 - 1) * (2**2 - 2)) == 35
@@ -107,7 +98,7 @@ def test_gauss_binom_klein_oracle():
     from dworklab.groups import PartitionType, abelian_subgroup_counts_bruteforce
 
     counts = abelian_subgroup_counts_bruteforce(PartitionType((1, 1), 2))
-    assert gauss_binom_at(2, 1, 2) == counts.s(2)
+    assert gauss_binom_at(2, 1, 2) == counts[2]
 
 
 def test_gauss_binom_symmetry_and_recurrence():

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -5,32 +6,28 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dworklab import groups
-from dworklab.cli import cache_get_or_compute
+from dworklab.cli import cache_get_or_compute, main
 from dworklab.groups import (
     PartitionType,
     SubgroupCounts,
     abelian_subgroup_counts,
     abelian_subgroup_counts_bruteforce,
-    classify_abelian_case,
     conjugate_partition,
     cyclic_subgroup_counts,
     difference_valuation_profile,
     dihedral_subgroup_counts,
-    dump_counts,
     finite_subgroup_counts,
     hom_count_ints,
     hom_count_ints_mod,
-    load_counts,
     parse_group_spec,
     partitions_fitting,
-    partitions_of,
     subgroup_count_series,
     subgroup_residues_mod_p,
     subgroup_type_count,
 )
 from dworklab.series import LogSeries, dump_exp_series, exp_transform, load_exp_series
 
-from conftest import dihedral_subgroup_counts_oracle
+from conftest import dihedral_subgroup_counts_oracle, partitions_of
 
 
 def test_conjugate_partition():
@@ -64,15 +61,14 @@ def test_partition_type_validation():
         PartitionType((1,), 4)
     t = PartitionType((3, 1), 2)
     assert t.weight == 4 and t.rank == 2 and t.group_order == 16
-    assert t.half_weight() == 2
 
 
 def test_abelian_counts_examples():
-    assert abelian_subgroup_counts(PartitionType((1, 1), 2)).as_dict() == {1: 1, 2: 3, 4: 1}
-    assert abelian_subgroup_counts(PartitionType((2, 1), 2)).as_dict() == {1: 1, 2: 3, 4: 3, 8: 1}
+    assert dict(abelian_subgroup_counts(PartitionType((1, 1), 2)).counts) == {1: 1, 2: 3, 4: 1}
+    assert dict(abelian_subgroup_counts(PartitionType((2, 1), 2)).counts) == {1: 1, 2: 3, 4: 3, 8: 1}
     for k, p in [(3, 2), (2, 5), (4, 3)]:
         counts = abelian_subgroup_counts(PartitionType((k,), p))
-        assert counts.as_dict() == {p**i: 1 for i in range(k + 1)}
+        assert dict(counts.counts) == {p**i: 1 for i in range(k + 1)}
 
 
 def test_abelian_counts_symmetry():
@@ -80,7 +76,7 @@ def test_abelian_counts_symmetry():
         t = PartitionType(parts, p)
         c = abelian_subgroup_counts(t)
         for i in range(t.weight + 1):
-            assert c.s(p**i) == c.s(p ** (t.weight - i))
+            assert c[p**i] == c[p ** (t.weight - i)]
 
 
 def test_subgroup_type_count_values():
@@ -92,14 +88,14 @@ def test_subgroup_type_count_values():
 
 
 def test_bruteforce_examples():
-    assert abelian_subgroup_counts_bruteforce(PartitionType((1, 1, 1), 2)).as_dict() == {
+    assert dict(abelian_subgroup_counts_bruteforce(PartitionType((1, 1, 1), 2)).counts) == {
         1: 1,
         2: 7,
         4: 7,
         8: 1,
     }
-    assert abelian_subgroup_counts_bruteforce(PartitionType((1,), 5)).as_dict() == {1: 1, 5: 1}
-    assert abelian_subgroup_counts_bruteforce(PartitionType((2,), 3)).as_dict() == {1: 1, 3: 1, 9: 1}
+    assert dict(abelian_subgroup_counts_bruteforce(PartitionType((1,), 5)).counts) == {1: 1, 5: 1}
+    assert dict(abelian_subgroup_counts_bruteforce(PartitionType((2,), 3)).counts) == {1: 1, 3: 1, 9: 1}
 
 
 def test_caps():
@@ -114,39 +110,40 @@ def test_oracle_equivalence_sample():
     cases = [((2, 2), 2), ((3, 1), 2), ((2, 1, 1), 2), ((1, 1), 3), ((2, 1), 3), ((1, 1), 5)]
     for parts, p in cases:
         t = PartitionType(parts, p)
-        assert abelian_subgroup_counts(t).as_dict() == abelian_subgroup_counts_bruteforce(t).as_dict()
+        assert abelian_subgroup_counts(t).counts == abelian_subgroup_counts_bruteforce(t).counts
 
 
 def test_named_groups():
     # S_3: itself, A_3, three transpositions, the trivial group
-    assert dihedral_subgroup_counts(3).as_dict() == {1: 1, 2: 1, 3: 3, 6: 1}
-    assert dihedral_subgroup_counts(6).as_dict() == {1: 1, 2: 3, 3: 3, 4: 1, 6: 7, 12: 1}
-    assert cyclic_subgroup_counts(6).as_dict() == {1: 1, 2: 1, 3: 1, 6: 1}
+    assert dict(dihedral_subgroup_counts(3).counts) == {1: 1, 2: 1, 3: 3, 6: 1}
+    assert dict(dihedral_subgroup_counts(6).counts) == {1: 1, 2: 3, 3: 3, 4: 1, 6: 7, 12: 1}
+    assert dict(cyclic_subgroup_counts(6).counts) == {1: 1, 2: 1, 3: 1, 6: 1}
     # the degenerate Abelian cases: D_2 is the Klein four-group with a
     # single index-4 subgroup, D_1 is C_2
-    assert dihedral_subgroup_counts(2).as_dict() == {1: 1, 2: 3, 4: 1}
-    assert dihedral_subgroup_counts(1).as_dict() == {1: 1, 2: 1}
+    assert dict(dihedral_subgroup_counts(2).counts) == {1: 1, 2: 3, 4: 1}
+    assert dict(dihedral_subgroup_counts(1).counts) == {1: 1, 2: 1}
 
 
 def test_dihedral_counts_match_enumeration():
     for m in range(3, 13):
-        assert dihedral_subgroup_counts(m).as_dict() == dihedral_subgroup_counts_oracle(m), m
+        assert dict(dihedral_subgroup_counts(m).counts) == dihedral_subgroup_counts_oracle(m), m
     # h_3 = |Hom(D_3, S_3)| = |Hom(S_3, S_3)| = 10
     h = exp_transform(dihedral_subgroup_counts(3).to_log_series(3))
     assert h.coeffs[3] == 10
 
 
-def test_classification():
-    cls = classify_abelian_case(PartitionType((2, 1), 5))
-    assert (cls.case, cls.l, cls.m, cls.step) == ("I", 3, 1, 125)
-    assert not cls.p2_exception
-    cls = classify_abelian_case(PartitionType((1, 1), 2))
-    assert (cls.case, cls.l, cls.m, cls.half) == ("II", 2, 1, 1)
-    assert cls.p2_exception
-    cls = classify_abelian_case(PartitionType((1, 1), 3))
-    assert cls.case == "II" and not cls.p2_exception
-    cls = classify_abelian_case(PartitionType((1, 1, 1), 2))
-    assert (cls.case, cls.l, cls.m, cls.half) == ("III", 3, 1, 2)
+def test_classification(capsys):
+    # verify-group reports the type's case, its (l, m), and whether it is
+    # routed to the p = 2 case II bound
+    for spec, expected in [
+        ("A[5;2,1]", ["I", 3, 1, False]),
+        ("A[2;1,1]", ["II", 2, 1, True]),
+        ("A[3;1,1]", ["II", 2, 1, False]),
+        ("A[2;1,1,1]", ["III", 3, 1, False]),
+    ]:
+        main(["verify-group", "--spec", spec, "--n-max", "16"])
+        summary = json.loads(capsys.readouterr().out)["summary"]
+        assert [summary[k] for k in ("case", "l", "m", "routed_to_p2_exception")] == expected, spec
 
 
 def test_difference_profile_examples():
@@ -158,7 +155,7 @@ def test_difference_profile_examples():
 
 def test_difference_profile_catches_corruption():
     t = PartitionType((2, 1), 2)
-    good = abelian_subgroup_counts(t).as_dict()
+    good = dict(abelian_subgroup_counts(t).counts)
     good[2] += 1  # break the valuation profile
     bad = SubgroupCounts.from_map(good, 8)
     prof = difference_valuation_profile(bad, t)
@@ -207,8 +204,8 @@ def test_parse_group_spec_raises_only_value_error(text):
 
 
 def test_finite_subgroup_counts_dispatch():
-    assert finite_subgroup_counts(parse_group_spec("C[4]")).as_dict() == {1: 1, 2: 1, 4: 1}
-    assert finite_subgroup_counts(parse_group_spec("A[2;1]")).as_dict() == {1: 1, 2: 1}
+    assert dict(finite_subgroup_counts(parse_group_spec("C[4]")).counts) == {1: 1, 2: 1, 4: 1}
+    assert dict(finite_subgroup_counts(parse_group_spec("A[2;1]")).counts) == {1: 1, 2: 1}
     with pytest.raises(ValueError):
         finite_subgroup_counts(parse_group_spec("C[2]*C[2]"))
 
@@ -306,30 +303,6 @@ def test_hom_count_ints_mod():
     assert reduced == [x % 2**50 for x in exact]
 
 
-def test_counts_export_roundtrip():
-    c = dihedral_subgroup_counts(6)
-    text = dump_counts(c)
-    assert text.splitlines()[0] == "1 1"
-    back = load_counts(text, c.group_order)
-    assert back.as_dict() == c.as_dict()
-
-
-@settings(deadline=None, max_examples=100)
-@given(st.dictionaries(st.integers(1, 10**4), st.integers(0, 10**40)), st.integers(1, 10**9))
-def test_counts_export_roundtrip_property(counts, order):
-    c = SubgroupCounts.from_map(counts, order)
-    assert load_counts(dump_counts(c), order) == c
-
-
-@settings(deadline=None, max_examples=200)
-@given(st.text(alphabet="0123456789 -x\n", max_size=30))
-def test_load_counts_raises_only_value_error(text):
-    try:
-        load_counts(text, 8)
-    except ValueError:
-        pass
-
-
 def test_prop_42_dichotomy_on_generated_groups():
     # s_p(G) mod p avoids 2..p-1 on every generated group
     specs = ["A[3;1,1]", "A[3;2]", "C[6]", "C[9]", "D[3]", "D[6]", "D[8]", "C[2]*C[2]", "C[3]*C[3]",
@@ -340,7 +313,7 @@ def test_prop_42_dichotomy_on_generated_groups():
             if spec.is_free_product():
                 sp = int(subgroup_count_series(spec, p)[p])
             else:
-                sp = finite_subgroup_counts(spec).s(p)
+                sp = finite_subgroup_counts(spec)[p]
             assert sp % p in (0, 1), (text, p, sp)
 
 
@@ -351,7 +324,7 @@ def test_normal_count_formula_matches_abelian_counts():
     for parts, p in [((1, 1), 2), ((2, 1), 3), ((1, 1, 1), 2), ((2, 2), 5), ((3,), 3)]:
         t = PartitionType(parts, p)
         counts = abelian_subgroup_counts(t)
-        assert counts.s(p) == normal_count_index_p(t.rank, p)
+        assert counts[p] == normal_count_index_p(t.rank, p)
     # free product: abelianization of C_2 * C_2 has 2-rank 2
     from dworklab.applications import normal_count_index_p as ncp
 
@@ -366,7 +339,7 @@ def test_frobenius_and_kulakoff_count_properties():
                 t = PartitionType(parts, p)
                 c = abelian_subgroup_counts(t)
                 for i in range(weight + 1):
-                    assert c.s(p**i) % p == 1
+                    assert c[p**i] % p == 1
                 if p > 2 and len(parts) >= 2:
                     for i in range(1, weight):
-                        assert c.s(p**i) % p**2 == (1 + p) % p**2
+                        assert c[p**i] % p**2 == (1 + p) % p**2

@@ -102,3 +102,111 @@ PACKAGE_MODULES = sorted(PACKAGE.glob("*.py"))
 @pytest.mark.parametrize("path", PACKAGE_MODULES, ids=[p.name for p in PACKAGE_MODULES])
 def test_no_unreferenced_private_names(path):
     assert unreferenced_private_names(path.read_text(encoding="utf-8")) == []
+
+
+# Public names that nothing in the package or the benchmark calls, kept
+# because the tests check other code against them: Dwork's lemma, the
+# corrected tail series, the permutation and index-p normal subgroup
+# counts, and the exact free-product counts behind the residues mod p.
+ORACLES = (
+    "dwork_gap",
+    "lambda_sequence",
+    "permutation_count_bruteforce",
+    "normal_count_index_p",
+    "subgroup_count_series",
+)
+BENCHMARK = TESTS.parent / "perfbench"
+
+
+def public_definitions(source: str) -> dict[str, ast.stmt]:
+    """Top-level functions, classes and assignments not named ``_x``."""
+    defined = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        defined.update((name, node) for name in names if not name.startswith("_"))
+    return defined
+
+
+def loaded_names(source: str, code_in_strings: bool = False) -> set[str]:
+    """Names and attributes the module loads, outside the definition that
+    binds them (a recursive call is no caller), plus the names in
+    ``__all__``.  With ``code_in_strings``, string literals that parse as
+    Python count too, as the benchmark runs some code from strings."""
+    loaded = set()
+    for top in ast.parse(source).body:
+        own = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                name = node.attr
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                loaded.update(ast.literal_eval(node.value))
+                continue
+            elif code_in_strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    loaded |= loaded_names(node.value, code_in_strings)
+                except SyntaxError:
+                    pass
+                continue
+            else:
+                continue
+            if name != own:
+                loaded.add(name)
+    return loaded
+
+
+def uncalled_public_names(modules: dict[str, str], benchmark: list[str]) -> list[str]:
+    """Public top-level names of ``modules`` (file name -> source) that no
+    module and no benchmark source loads, and that are not in ORACLES."""
+    loaded = set(ORACLES)
+    for source in modules.values():
+        loaded |= loaded_names(source)
+    for source in benchmark:
+        loaded |= loaded_names(source, code_in_strings=True)
+    return sorted(
+        f"{name} ({path}, line {node.lineno})"
+        for path, source in modules.items()
+        if path != "__init__.py"
+        for name, node in public_definitions(source).items()
+        if name not in loaded
+    )
+
+
+def test_detector_flags_uncalled_public_names():
+    modules = {
+        "__init__.py": "from .a import exported\n__all__ = ['exported']\n__version__ = '1'\n",
+        "a.py": (
+            "def exported(): pass\n"
+            "def recursive(n): return recursive(n - 1)\n"
+            "def called(): pass\n"
+            "def dwork_gap(): pass\n"
+            "class Gone: pass\n"
+            "X, Y = 1, 2\n"
+            "Z: int = X\n"
+            "_private = 0\n"
+            "def probed(): pass\n"
+        ),
+        "b.py": "from .a import called\n\ndef user(m):\n    return called(), m.Y\n",
+    }
+    benchmark = ['PROBE = "from a import probed; print(probed())"\n']
+    assert uncalled_public_names(modules, benchmark) == [
+        "Gone (a.py, line 5)",
+        "Z (a.py, line 7)",
+        "recursive (a.py, line 2)",
+        "user (b.py, line 3)",
+    ]
+
+
+def test_public_names_have_a_caller():
+    modules = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE_MODULES}
+    benchmark = [p.read_text(encoding="utf-8") for p in sorted(BENCHMARK.glob("*.py"))]
+    assert uncalled_public_names(modules, benchmark) == []

@@ -25,8 +25,6 @@ from dworklab.series import (
     load_exp_series,
     load_log_series,
     log_transform,
-    reference_series,
-    truncation_level,
 )
 
 C2 = LogSeries((1, 1, 0, 0, 0))
@@ -154,12 +152,13 @@ def test_log_transform_inverts_exp_transform_on_integer_h(tail):
 def test_dwork_gap_examples():
     ones = LogSeries((1,) * 6)
     g = dwork_gap(ones, 2)
+    assert sorted(g) == list(range(1, 7))
     assert g[2] == 0  # 2 s_1/2 - 2 s_2/2
     c2gap = dwork_gap(LogSeries((1, 1, 0, 0, 0, 0, 0, 0)), 2)
     assert c2gap[2] == 0
     assert c2gap[4] == Fraction(1, 2)
     zeros = dwork_gap(LogSeries((0,) * 5), 3)
-    assert all(x == 0 for x in zeros.g)
+    assert all(x == 0 for x in zeros.values())
 
 
 def test_dwork_gap_definition_clauses():
@@ -173,26 +172,6 @@ def test_dwork_gap_definition_clauses():
             if j % p == 0:
                 expected += Fraction(p, j) * s[j // p]
             assert g[j] == expected
-
-
-def test_truncation_level_examples():
-    assert truncation_level(LogSeries((1, 1) + (0,) * 6), 2) == 2
-    assert truncation_level(LogSeries((1,) * 80), 3) == 4
-    assert truncation_level(LogSeries((0, 1, 0, 0)), 2) == 1
-    # g_1 = -2 s_1 has valuation 0 when s_1 is odd over p=2?  v_2(-2)=1 passes;
-    # force failure at j=1 with a genuinely shallow coefficient: p=3, s_1=1
-    # gives g_1 = -3 with v_3 = 1, still fine; use s_1 = 1/1 with p=2 and
-    # half-integral s_2 to fail at j=2 only. j=1 failures need vp(s_1) < 0.
-    with pytest.raises(ValueError, match="not p-integral"):
-        truncation_level(LogSeries((Fraction(1, 2), 0)), 2)
-
-
-def test_truncation_level_zero():
-    # vp(g_1) < 1 requires a negative-valuation coefficient, which the
-    # integrality precheck rejects; the l = 0 return needs g_1 shallow,
-    # impossible for p-integral s (v_p(-p s_1) >= 1).  Document that:
-    s = LogSeries((1, 1, 1))
-    assert truncation_level(s, 2) >= 1
 
 
 def test_lambda_sequence_examples():
@@ -209,23 +188,6 @@ def test_lambda_sequence_examples():
         assert lam2[3**e] == 0  # s_{3^e} - s_3
     with pytest.raises(ValueError, match="exceeds the truncation"):
         lambda_sequence(LogSeries((1, 1)), 2, 3)
-
-
-def test_reference_series_identity():
-    rng = random.Random(24)
-    svals = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(50))
-    s = LogSeries(svals)
-    for p, l in [(2, 1), (2, 2), (3, 1), (5, 1), (2, 3)]:
-        ref = reference_series(s, p, l)
-        lam = lambda_sequence(s, p, l)
-        pl = p**l
-        for i in range(1, 51):
-            if i < pl:
-                assert ref[i] == s[i]
-            elif i == pl:
-                assert ref[i] + (s[pl] - s[pl // p]) == s[i]
-            else:
-                assert ref[i] + lam[i] == s[i]
 
 
 def test_check_hypotheses_c2():
@@ -323,7 +285,7 @@ def test_dwork_forward_direction():
     for p in (2, 3, 5):
         svals = repaired_integer_series(rng, p, 120, 120)
         s = LogSeries(tuple(svals[1:]))
-        assert all(vp(g, p) >= 1 for g in dwork_gap(s, p).g)
+        assert all(vp(g, p) >= 1 for g in dwork_gap(s, p).values())
         h = exp_transform(s)
         for n in range(121):
             assert vp(h[n], p) >= legendre_valuation(n, p)
@@ -379,5 +341,7 @@ def test_series_text_errors():
         load_log_series("1 3\n1 1 0\n")
     with pytest.raises(ValueError, match="header claims"):
         load_log_series("3 3\n1 1 1\n")
-    with pytest.raises(ValueError, match="malformed series line"):
+    with pytest.raises(ValueError, match="malformed series line '1 1'"):
         load_log_series("1 3\n1 1\n")
+    with pytest.raises(ValueError, match="malformed series line '2 x 1'"):
+        load_log_series("2 3\n1 1 1\n2 x 1\n")
