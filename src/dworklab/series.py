@@ -132,7 +132,7 @@ def log_transform(h: ExpSeries) -> LogSeries:
 
 
 def dwork_gap(s: LogSeries, p: int) -> dict[int, Fraction]:
-    """Coefficients g_1..g_N of S(z^p) - p S(z):
+    """Coefficients {j: g_j} of S(z^p) - p S(z) for 1 <= j <= N:
     g_j = -p s_j / j, plus p s_{j/p} / j when p divides j."""
     check_prime(p)
     g = {}
