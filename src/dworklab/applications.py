@@ -200,11 +200,7 @@ def _hom_of_z_plus_zp(p: int, n_max: int) -> list[int]:
     """h-sequence of S(z) = z + z^p / p, i.e. s_1 = s_p = 1; grows on demand."""
     cached = _HOM_Z_PLUS_ZP_CACHE.get(p)
     if cached is None or len(cached) <= n_max:
-        svals = [0] * (n_max + 1)
-        svals[1] = 1
-        if p <= n_max:
-            svals[p] = 1
-        cached = kernels.hall_exp(svals, n_max)
+        cached = permutation_count_series(n_max, (1, p))
         _HOM_Z_PLUS_ZP_CACHE[p] = cached
     return cached
 

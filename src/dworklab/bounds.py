@@ -529,7 +529,6 @@ def floor_lemma_checks(
     l: int,
     i_max: int,
     j_max: int,
-    x_samples: Sequence[Fraction] | None = None,
     j_min: int = 0,
 ) -> FloorLemmaReport:
     """Exhaustively check both floor-sum inequalities over a grid.
@@ -538,22 +537,29 @@ def floor_lemma_checks(
       sum_{s>=1}(floor(ij/p^{s+l}) - floor(j/p^s)) >= j (p^{floor(log_p i)-l}-1)/(p-1).
     Second: for j_min <= j <= j_max (independent of p, l) and x on the
     rational grid, j + floor(x) <= floor(3j/2 + x) - floor(j/2)/2.
+    An empty grid for either inequality raises ``ValueError``.
     """
     check_prime(p)
     if l < 0:
         raise ValueError("l must be non-negative")
-    report = FloorLemmaReport([], [])
     pl = p**l
+    if i_max < pl:
+        raise ValueError(f"i_max must be at least p**l = {pl}, got {i_max}")
+    if j_max < 0:
+        raise ValueError(f"j_max must be non-negative, got {j_max}")
+    if j_max < j_min:
+        raise ValueError(f"j_max must be at least j_min = {j_min}, got {j_max}")
+    report = FloorLemmaReport([], [])
     for i in range(pl, i_max + 1):
         target_unit = (p ** (floor_log(p, i) - l) - 1) // (p - 1)
         for j in range(0, j_max + 1):
             report.ij_checked += 1
             if floor_sum_gap(i, j, p, l) < j * target_unit:
                 report.ij_counterexamples.append((i, j))
-    xs = _default_x_grid() if x_samples is None else list(x_samples)
+    xs = _default_x_grid()
     for j in range(j_min, j_max + 1):
         for x in xs:
             report.half_checked += 1
-            if not half_floor_inequality_holds(j, Fraction(x)):
-                report.half_counterexamples.append((j, Fraction(x)))
+            if not half_floor_inequality_holds(j, x):
+                report.half_counterexamples.append((j, x))
     return report

@@ -249,13 +249,21 @@ def _cmd_verify_group(args) -> dict:
     )
 
 
+def _int_list(flag: str, text: str) -> list[int]:
+    """The integers of a comma-separated flag value."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} expects comma-separated integers, got {text!r}") from None
+
+
 def _cmd_verify_dihedral(args) -> dict:
     m = args.m
+    odd_primes = _int_list("--odd-primes", args.odd_primes) if args.odd_primes else []
     spec = parse_group_spec(f"D[{m}]")
     h = cache_get_or_compute(spec, args.n_max, args.cache_dir)
     kind = BoundKind("thm5.5", 2, dihedral_m=m)
     report = verify_bounds(h, kind)
-    odd_primes = [int(x) for x in args.odd_primes.split(",")] if args.odd_primes else []
     exhibitions = {}
     for p in odd_primes:
         check_prime(p)
@@ -287,7 +295,7 @@ def _cmd_verify_dihedral(args) -> dict:
 
 
 def _cmd_verify_permutations(args) -> dict:
-    base = frozenset(int(x) for x in args.base_set.split(","))
+    base = frozenset(_int_list("--A", args.base_set))
     rule = CycleRule(args.variant, args.p, args.l, base)
     report = verify_permutation_divisibility(rule, args.n_max)
     return _document(

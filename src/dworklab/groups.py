@@ -85,12 +85,10 @@ class SubgroupCounts:
     """Sparse map index -> number of subgroups of that index; absent = 0."""
 
     counts: tuple[tuple[int, int], ...]
-    group_order: int
 
     @classmethod
-    def from_map(cls, counts: Mapping[int, int], group_order: int) -> "SubgroupCounts":
-        items = tuple(sorted((n, c) for n, c in counts.items() if c))
-        return cls(items, group_order)
+    def from_map(cls, counts: Mapping[int, int]) -> "SubgroupCounts":
+        return cls(tuple(sorted((n, c) for n, c in counts.items() if c)))
 
     def __getitem__(self, n: int) -> int:
         """s_n, zero off the support.  The counts are exact at every index,
@@ -139,7 +137,7 @@ def abelian_subgroup_counts(t: PartitionType) -> SubgroupCounts:
     for nu in partitions_fitting(t.parts):
         by_size[sum(nu)] += subgroup_type_count(t.parts, nu, p)
     counts = {p ** (t.weight - size): c for size, c in enumerate(by_size)}
-    return SubgroupCounts.from_map(counts, t.group_order)
+    return SubgroupCounts.from_map(counts)
 
 
 def _addition_table(parts: tuple[int, ...], p: int) -> tuple[int, bytes]:
@@ -184,14 +182,14 @@ def abelian_subgroup_counts_bruteforce(t: PartitionType) -> SubgroupCounts:
     for size in sizes:
         index = order // size
         counts[index] = counts.get(index, 0) + 1
-    return SubgroupCounts.from_map(counts, order)
+    return SubgroupCounts.from_map(counts)
 
 
 def cyclic_subgroup_counts(m: int) -> SubgroupCounts:
     """One subgroup per divisor: s_d(C_m) = 1 iff d divides m."""
     if m < 1:
         raise ValueError("cyclic order must be positive")
-    return SubgroupCounts.from_map({d: 1 for d in range(1, m + 1) if m % d == 0}, m)
+    return SubgroupCounts.from_map({d: 1 for d in range(1, m + 1) if m % d == 0})
 
 
 def dihedral_subgroup_counts(m: int) -> SubgroupCounts:
@@ -211,7 +209,7 @@ def dihedral_subgroup_counts(m: int) -> SubgroupCounts:
         if d % 2 == 0 and m % (d // 2) == 0:
             count += 1
         counts[d] = count
-    return SubgroupCounts.from_map(counts, 2 * m)
+    return SubgroupCounts.from_map(counts)
 
 
 @dataclass
@@ -219,7 +217,6 @@ class DiffProfileReport:
     """Outcome of the difference/symmetry structure checks on s_{p^i}."""
 
     failures: list[str]
-    checks: int = 0
 
     @property
     def ok(self) -> bool:
@@ -245,7 +242,6 @@ def difference_valuation_profile(c: SubgroupCounts, t: PartitionType) -> DiffPro
         return c[p**i] if 0 <= i <= W else 0
 
     def check(ok: bool, message: str):
-        report.checks += 1
         if not ok:
             report.failures.append(message)
 
@@ -383,15 +379,13 @@ def subgroup_count_series(spec: GroupSpec, n_max: int) -> LogSeries:
 
 
 def subgroup_residues_mod_p(spec: GroupSpec, n_max: int, p: int) -> list[int]:
-    """s_n mod p for 0 <= n <= n_max, at the p-adic precision h calls for.
+    """s_n mod p for 0 <= n <= n_max, from h modulo p**(2C - 1).
 
     Matches `subgroup_count_series` exactly (cross-checked in the tests).
-    h is reduced modulo p**C with C = `kernels.log_residue_precision(n_max,
-    p)`, and recomputed at more digits only when the kernel asks for them.
+    C = `kernels.log_residue_precision(n_max, p)`, and 2C - 1 digits of h
+    are the most `kernels.hall_log_mod_residues` reads.
     """
     check_prime(p)
-    modulus = p ** kernels.log_residue_precision(n_max, p)
-    h = hom_count_ints_mod(spec, n_max, modulus)
-    return kernels.hall_log_mod_residues(
-        h, p, n_max, lambda digits: hom_count_ints_mod(spec, n_max, p**digits)
-    )
+    C = kernels.log_residue_precision(n_max, p)
+    h = hom_count_ints_mod(spec, n_max, p ** (2 * C - 1))
+    return kernels.hall_log_mod_residues(h, p, n_max)

@@ -195,13 +195,12 @@ def _precision_plan(hred, p, nmax):
     return loss[nmax] + 1, max(delta, default=0)
 
 
-def hall_log_mod_residues(h, p, nmax, lift):
-    """Residues of s_n modulo p from h values known modulo p**C.
+def hall_log_mod_residues(h, p, nmax):
+    """Residues of s_n modulo p from h values known modulo p**(2C - 1).
 
-    ``h`` must contain integers congruent to the exact h_n modulo p**C
-    with C = `log_residue_precision(nmax, p)`; exact values work too.
-    ``lift`` maps a digit count d to h_0..h_nmax modulo p**d; it is
-    called at most once, when the data below need more than C digits of h.
+    ``h`` must contain integers congruent to the exact h_n modulo
+    p**(2C - 1) with C = `log_residue_precision(nmax, p)`; exact values
+    work too.
 
     With a_j = h_j / j!, the derivative of H = exp(S) gives
 
@@ -225,31 +224,23 @@ def hall_log_mod_residues(h, p, nmax, lift):
       P = 1 + max Delta_n therefore leaves every s_n right modulo p.
     - alpha_j needs h_j modulo p^(w_j + P) and the leading term h_n
       modulo p^(w_(n-1) + P); the largest is w_(nmax-1) + P = C + P - 1,
-      so P = 1 runs on the given h and P > 1 asks ``lift`` for more.
+      so the kernel works from h modulo p**(C + P - 1).
 
     Every scaling division by a power of p, and the final one by p^D, is
     checked exact; an inexact one means some s_n is not p-integral and
     raises ``ValueError``.  The plan is always feasible: for integer h,
     delta_j <= w_j, and w_a + w_b <= w_(a+b) since a! b! divides (a+b)!,
     so by induction Delta_n <= w_(n-1).  Hence P <= C and D <= C - 1:
-    the work precision P + D and the digits asked of ``lift`` are both at
-    most 2C - 1.
+    the work precision P + D and the C + P - 1 digits read of h are both
+    at most 2C - 1.
     """
     C = log_residue_precision(nmax, p)
     modulus = p**C
     if len(h) <= nmax or h[0] % modulus != 1 % modulus:
         raise ValueError("h must cover 0..nmax and have h_0 = 1")
-    hred = [x % modulus for x in h[: nmax + 1]]
-    P, D = _precision_plan(hred, p, nmax)
-    if P > 1:
-        digits = C + P - 1
-        lifted = lift(digits)
-        if len(lifted) <= nmax:
-            raise ValueError("lifted h must cover 0..nmax")
-        lifted = [x % p**digits for x in lifted[: nmax + 1]]
-        if any(x % modulus != y for x, y in zip(lifted, hred)):
-            raise ValueError("lifted h disagrees with h modulo p**C")
-        hred = lifted
+    P, D = _precision_plan([x % modulus for x in h[: nmax + 1]], p, nmax)
+    hmod = p ** (C + P - 1)
+    hred = [x % hmod for x in h[: nmax + 1]]
     work = p ** (P + D)
     pD = p**D
     # alpha_j and the leading term p^D n a_n with n = j + 1 share the

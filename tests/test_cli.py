@@ -187,6 +187,42 @@ def test_lemmas_cli(capsys):
     assert any(row["lemma"] == "half-floor" for row in doc["rows"])
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        pytest.param(["--i-max", "-5"], "i_max must be at least p**l = 2", id="i-max"),
+        pytest.param(["--j-max", "-1"], "j_max must be non-negative", id="j-max"),
+        pytest.param(["--j-min", "5", "--j-max", "2"], "j_max must be at least j_min = 5", id="j-min"),
+    ],
+)
+def test_lemmas_empty_grid_exits_2(capsys, flags, message):
+    code, out, err = run(capsys, ["lemmas", "--p", "2", "--l", "1"] + flags)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        pytest.param(
+            ["verify-dihedral", "--m", "4", "--n-max", "16", "--odd-primes", "3,x"],
+            "--odd-primes",
+            id="odd-primes",
+        ),
+        pytest.param(
+            ["verify-permutations", "--variant", "pi1", "--p", "2", "--l", "2", "--A", "1,x"],
+            "--A",
+            id="A",
+        ),
+    ],
+)
+def test_comma_list_flag_named_on_error(capsys, argv, flag):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+    assert f"{flag} expects comma-separated integers, got '{argv[-1]}'" in err
+
+
 def test_tsv_output(capsys, tmp_path):
     path = tmp_path / "c2.series"
     path.write_text(dump_log_series(LogSeries((1, 1, 0, 0)), 2))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dworklab import groups
+from dworklab import groups, kernels
 from dworklab.cli import cache_get_or_compute, main
 from dworklab.groups import (
     PartitionType,
@@ -157,7 +157,7 @@ def test_difference_profile_catches_corruption():
     t = PartitionType((2, 1), 2)
     good = dict(abelian_subgroup_counts(t).counts)
     good[2] += 1  # break the valuation profile
-    bad = SubgroupCounts.from_map(good, 8)
+    bad = SubgroupCounts.from_map(good)
     prof = difference_valuation_profile(bad, t)
     assert not prof.ok
 
@@ -287,13 +287,28 @@ _FACTORS = st.one_of(
     n=st.integers(1, 300),
 )
 @example(factors=["C[2]", "C[16]"], p=2, n=300)  # P = 1
-@example(factors=["C[4]", "C[6]"], p=2, n=300)  # P > 1: h is lifted
+@example(factors=["C[4]", "C[6]"], p=2, n=300)  # P > 1: h is read modulo p**(C + P - 1)
 @example(factors=["D[4]", "A[2;2,1]", "C[8]"], p=2, n=300)
 @example(factors=["C[3]", "C[9]"], p=2, n=300)  # no 2-part: P = C
 def test_subgroup_residues_match_exact_counts(factors, p, n):
     spec = parse_group_spec("*".join(factors))
     exact = subgroup_count_series(spec, n)
     assert subgroup_residues_mod_p(spec, n, p)[1:] == [x % p for x in exact.coeffs]
+
+
+def test_subgroup_residues_compute_h_once(monkeypatch):
+    # P > 1 here, and h is still computed in one pass, at 2C - 1 digits
+    calls = []
+
+    def spy(spec, n_max, modulus):
+        calls.append(modulus)
+        return hom_count_ints_mod(spec, n_max, modulus)
+
+    monkeypatch.setattr(groups, "hom_count_ints_mod", spy)
+    spec = parse_group_spec("C[4]*C[6]")
+    subgroup_residues_mod_p(spec, 300, 2)
+    C = kernels.log_residue_precision(300, 2)
+    assert calls == [2 ** (2 * C - 1)]
 
 
 def test_hom_count_ints_mod():

@@ -82,20 +82,15 @@ def test_hall_log_mod_residues_matches_exact(kern):
     for p in (2, 3, 5):
         svals = [0] + [rng.randint(-50, 50) for _ in range(80)]
         h = kern.hall_exp(svals, 80)
-
-        def lift(d):
-            return [x % p**d for x in h]
-
-        residues = kern.hall_log_mod_residues(h, p, 80, lift)
+        residues = kern.hall_log_mod_residues(h, p, 80)
         assert residues == [x % p for x in svals]
-        # reduced input must give the same answer
         C = kern.log_residue_precision(80, p)
-        modulus = p**C
-        reduced = [x % modulus for x in h]
         # the single scaled path is always feasible
-        P, D = kernels._precision_plan(reduced, p, 80)
+        P, D = kernels._precision_plan([x % p**C for x in h], p, 80)
         assert 1 <= P <= C and 0 <= D <= C - 1
-        assert kern.hall_log_mod_residues(reduced, p, 80, lift) == residues
+        # h reduced modulo p**(2C - 1) must give the same answer
+        reduced = [x % p ** (2 * C - 1) for x in h]
+        assert kern.hall_log_mod_residues(reduced, p, 80) == residues
 
 
 def _reduced_hom_counts(text, p, n):
@@ -106,19 +101,28 @@ def _reduced_hom_counts(text, p, n):
     return h, C, [x % p**C for x in h]
 
 
-@pytest.mark.parametrize(
-    "text, p, n, plan",
-    [
-        ("C[2]*C[16]", 2, 1000, (1, 0)),
-        ("A[3;1,1]*C[9]", 3, 1000, (1, 0)),
-        ("C[4]*C[6]", 2, 1200, (295, 294)),
-        ("C[3]*C[6]", 3, 1000, (55, 54)),
-        ("C[3]*C[9]", 2, 1000, (992, 991)),  # no 2-part: P = C, D = C - 1
-    ],
-)
+_PLAN_CASES = [
+    ("C[2]*C[16]", 2, 1000, (1, 0)),
+    ("A[3;1,1]*C[9]", 3, 1000, (1, 0)),
+    ("C[4]*C[6]", 2, 1200, (295, 294)),
+    ("C[3]*C[6]", 3, 1000, (55, 54)),
+    ("C[3]*C[9]", 2, 1000, (992, 991)),  # no 2-part: P = C, D = C - 1
+]
+
+
+@pytest.mark.parametrize("text, p, n, plan", _PLAN_CASES)
 def test_precision_plan_is_read_from_h(text, p, n, plan):
     hred = _reduced_hom_counts(text, p, n)[2]
     assert kernels._precision_plan(hred, p, n) == plan
+
+
+@pytest.mark.parametrize("text, p, n", [case[:3] for case in _PLAN_CASES])
+def test_hall_log_mod_residues_reads_2c_minus_1_digits(kern, text, p, n):
+    # exact h and h modulo p**(2C - 1) give the same residues at P = 1,
+    # at P > 1 and at P = C
+    h, C, _ = _reduced_hom_counts(text, p, n)
+    reduced = [x % p ** (2 * C - 1) for x in h]
+    assert kern.hall_log_mod_residues(reduced, p, n) == kern.hall_log_mod_residues(h, p, n)
 
 
 def test_hall_log_mod_residues_rejects_inexact_scaling(kern):
@@ -129,7 +133,7 @@ def test_hall_log_mod_residues_rejects_inexact_scaling(kern):
     bad[200] += 1
     assert kernels._precision_plan(bad, 2, 200) == (1, 0)
     with pytest.raises(ValueError, match="not integral at n=200"):
-        kern.hall_log_mod_residues(bad, 2, 200, lambda d: [x % 2**d for x in bad])
+        kern.hall_log_mod_residues(bad, 2, 200)
 
     # D > 0: adding p^(w_(N-1) - 1) to h_N keeps the division by
     # p^(w_(N-1) - D) exact but leaves s_N with valuation -1, so the final
@@ -141,11 +145,7 @@ def test_hall_log_mod_residues_rejects_inexact_scaling(kern):
     bad[200] += 2 ** (C - 2)  # C - 1 = v_2(199!)
     assert kernels._precision_plan(bad, 2, 200) == (P, D)
     with pytest.raises(ValueError, match="not integral at n=200"):
-        kern.hall_log_mod_residues(bad, 2, 200, lambda d: [x % 2**d for x in bad])
-
-    # a lift that contradicts h modulo p**C is refused
-    with pytest.raises(ValueError, match="disagrees"):
-        kern.hall_log_mod_residues(h, 2, 200, lambda d: [x % 2**d + (k == 5) for k, x in enumerate(h)])
+        kern.hall_log_mod_residues(bad, 2, 200)
 
     # no 2-part: P = C and D = C - 1, so the leading term of n = N is
     # h_N * 2^(D - w_(N-1)) = h_N and the final division by 2^D = 2^(C-1)
@@ -155,7 +155,7 @@ def test_hall_log_mod_residues_rejects_inexact_scaling(kern):
     bad = h[:]
     bad[200] += 1
     with pytest.raises(ValueError, match="not integral at n=200"):
-        kern.hall_log_mod_residues(bad, 2, 200, lambda d: [x % 2**d for x in bad])
+        kern.hall_log_mod_residues(bad, 2, 200)
 
 
 def test_log_residue_precision(kern):
