@@ -10,9 +10,7 @@ found, and nonzero otherwise.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import re
 import sys
 from pathlib import Path
 
@@ -34,7 +32,6 @@ from .bounds import (
 )
 from .exactcore import check_prime
 from .groups import (
-    GroupSpec,
     difference_valuation_profile,
     finite_subgroup_counts,
     hom_count_ints,
@@ -45,9 +42,7 @@ from .series import (
     THEOREMS,
     ExpSeries,
     check_hypotheses,
-    dump_exp_series,
     exp_transform,
-    load_exp_series,
     load_log_series,
 )
 
@@ -115,42 +110,6 @@ def _tsv_cell(value) -> str:
 
 
 # ---------------------------------------------------------------------------
-# h-series cache
-# ---------------------------------------------------------------------------
-
-
-def _cache_path(cache_dir: Path, spec: GroupSpec) -> Path:
-    canonical = spec.canonical()
-    stem = re.sub(r"[^A-Za-z0-9]+", "_", canonical).strip("_")
-    digest = hashlib.sha256(canonical.encode()).hexdigest()[:12]
-    return cache_dir / f"{stem}-{digest}.series"
-
-
-def cache_get_or_compute(spec: GroupSpec, n_max: int, cache_dir: str | None) -> ExpSeries:
-    """Load the h-series from cache when a sufficient truncation is stored,
-    else compute and store it.  Corrupt entries are discarded with a
-    warning and recomputed."""
-    if cache_dir is None:
-        return ExpSeries(tuple(hom_count_ints(spec, n_max)))
-    cdir = Path(cache_dir)
-    cdir.mkdir(parents=True, exist_ok=True)
-    path = _cache_path(cdir, spec)
-    if path.exists():
-        try:
-            cached, _ = load_exp_series(path.read_text(encoding="utf-8"))
-            if cached.n_max >= n_max:
-                return ExpSeries(cached.coeffs[: n_max + 1])
-        except (ValueError, OSError) as exc:
-            print(
-                f"warning: discarding corrupt cache entry {path}: {exc}",
-                file=sys.stderr,
-            )
-    series = ExpSeries(tuple(hom_count_ints(spec, n_max)))
-    path.write_text(dump_exp_series(series, 0), encoding="utf-8")
-    return series
-
-
-# ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
@@ -195,7 +154,7 @@ def _cmd_verify_group(args) -> dict:
     p2_exception = case == "II" and p == 2
     counts = finite_subgroup_counts(spec)
     s = counts.to_log_series(n_max)
-    h = cache_get_or_compute(spec, n_max, args.cache_dir)
+    h = ExpSeries(tuple(hom_count_ints(spec, n_max)))
 
     if p2_exception:
         kind = BoundKind("thm6.2", 2, partition=t.parts)
@@ -261,7 +220,7 @@ def _cmd_verify_dihedral(args) -> dict:
     m = args.m
     odd_primes = _int_list("--odd-primes", args.odd_primes) if args.odd_primes else []
     spec = parse_group_spec(f"D[{m}]")
-    h = cache_get_or_compute(spec, args.n_max, args.cache_dir)
+    h = ExpSeries(tuple(hom_count_ints(spec, args.n_max)))
     kind = BoundKind("thm5.5", 2, dihedral_m=m)
     report = verify_bounds(h, kind)
     exhibitions = {}
@@ -412,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_vg.add_argument("--spec", required=True, help="abelian term, e.g. A[2;1,1]")
     p_vg.add_argument("--p", type=int, help="must match the spec's prime if given")
     p_vg.add_argument("--n-max", type=int, dest="n_max", default=512)
-    p_vg.add_argument("--cache-dir", dest="cache_dir")
     _add_common(p_vg)
     p_vg.set_defaults(func=_cmd_verify_group)
 
@@ -421,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_vd.add_argument("--n-max", type=int, dest="n_max", default=512)
     p_vd.add_argument("--odd-primes", dest="odd_primes", default="3,5")
     p_vd.add_argument("--odd-n-max", type=int, dest="odd_n_max", default=200)
-    p_vd.add_argument("--cache-dir", dest="cache_dir")
     _add_common(p_vd)
     p_vd.set_defaults(func=_cmd_verify_dihedral)
 

@@ -444,27 +444,19 @@ def dividing_line_branch(s: LogSeries, p: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# text format:  header "N p", then one line "n numerator denominator"
+# log-series text format:  header "N p", then one line "n numerator denominator"
 # ---------------------------------------------------------------------------
 
 
-def _dump(coeffs, start: int, n_max: int, p: int) -> str:
+def dump_log_series(s: LogSeries, p: int) -> str:
     out = io.StringIO()
-    out.write(f"{n_max} {p}\n")
-    for offset, c in enumerate(coeffs):
-        out.write(f"{start + offset} {c.numerator} {c.denominator}\n")
+    out.write(f"{s.n_max} {p}\n")
+    for n, c in enumerate(s.coeffs, 1):
+        out.write(f"{n} {c.numerator} {c.denominator}\n")
     return out.getvalue()
 
 
-def dump_log_series(s: LogSeries, p: int) -> str:
-    return _dump(s.coeffs, 1, s.n_max, p)
-
-
-def dump_exp_series(h: ExpSeries, p: int) -> str:
-    return _dump(h.coeffs, 0, h.n_max, p)
-
-
-def _load(text: str, start: int):
+def load_log_series(text: str) -> tuple[LogSeries, int]:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty series document")
@@ -474,7 +466,7 @@ def _load(text: str, start: int):
     except ValueError as exc:
         raise ValueError(f"malformed series header {lines[0]!r}") from exc
     coeffs = []
-    expected = start
+    expected = 1
     for ln in lines[1:]:
         try:
             n, num, den = (int(x) for x in ln.split())
@@ -488,14 +480,4 @@ def _load(text: str, start: int):
         expected += 1
     if expected != n_max + 1:
         raise ValueError(f"series ends at {expected - 1}, header claims {n_max}")
-    return coeffs, p
-
-
-def load_log_series(text: str) -> tuple[LogSeries, int]:
-    coeffs, p = _load(text, 1)
     return LogSeries(tuple(coeffs)), p
-
-
-def load_exp_series(text: str) -> tuple[ExpSeries, int]:
-    coeffs, p = _load(text, 0)
-    return ExpSeries(tuple(coeffs)), p

@@ -212,6 +212,49 @@ def test_c04_p2_exception_tightness(parts, residue):
     )
 
 
+# every Abelian p-group type up to this weight, one h per type at N_SWEEP
+_SWEEP_WEIGHTS = {2: 10, 3: 6, 5: 4}
+N_SWEEP = 1024
+
+
+def test_c04_tightness_scope_sweep():
+    """Measured scope of the claimed tightness classes (a record, not a theorem).
+
+    Each thm6.1 type (odd p, or p = 2 in case I or III) is tight on its
+    class 0 mod p^l.  Of the classes k*2^l mod 2^(l+2) of a p = 2 case-II
+    type, the rank-2 types are tight on exactly k in {0, 1, 2}, as thm6.2
+    claims, and every type of rank >= 3 on exactly k in {0, 1, 3}.
+    """
+    kinds = {"thm6.1": 0, "thm6.2": 0}
+    wrong = []
+    for p, weight in _SWEEP_WEIGHTS.items():
+        for parts in _all_partitions_upto(weight):
+            case, l, _ = partition_case(parts)
+            h = ExpSeries(tuple(_group_series(parts, p, N_SWEEP)))
+            tag = "thm6.2" if case == "II" and p == 2 else "thm6.1"
+            kinds[tag] += 1
+            report = verify_bounds(h, BoundKind(tag, p, partition=parts))
+            assert report.ok, (parts, p, report.violations[:5])
+            qrec = verify_q_recurrence(report, abelian_subgroup_counts(PartitionType(parts, p)))
+            assert qrec.ok, (parts, p, qrec.failures[:5])
+            tight = set(report.tight_set)
+            if tag == "thm6.1":
+                classes, expected = [0], [0]
+            else:
+                classes = range(4)
+                expected = [0, 1, 2] if len(parts) == 2 else [0, 1, 3]
+            found = [
+                k
+                for k in classes
+                if all(n in tight for n in range(k * p**l, N_SWEEP + 1, qrec.step))
+            ]
+            if found != expected:
+                wrong.append((p, parts, found))
+    assert kinds == {"thm6.1": 122, "thm6.2": 56}
+    assert not wrong, f"tight classes k*p^l differ from the measured pattern: {wrong}"
+    _line(True, f"criterion 4: tightness scope sweep ({sum(kinds.values())} types, N={N_SWEEP})")
+
+
 # ---------------------------------------------------------------------------
 # 5. the weaker-information bounds on randomized series
 # ---------------------------------------------------------------------------

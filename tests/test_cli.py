@@ -119,31 +119,18 @@ def test_analyze_series_non_integer_token_exits_2(capsys, tmp_path):
     assert err == "error: malformed series line '2 x 1'\n"
 
 
-def test_cache_roundtrip_and_corruption(capsys, tmp_path):
-    cache = tmp_path / "cache"
-    argv = [
-        "verify-group", "--spec", "A[2;1,1]", "--n-max", "32", "--cache-dir", str(cache),
-    ]
-    code1, out1, _ = run(capsys, argv)
-    assert code1 == 0
-    files = list(cache.glob("*.series"))
-    assert len(files) == 1
-    code2, out2, _ = run(capsys, argv)
-    assert out2 == out1
-
-    # corrupt the entry: recomputed with a warning, same report
-    files[0].write_text("garbage\n")
-    code3, out3, err3 = run(capsys, argv)
-    assert code3 == 0 and out3 == out1
-    assert "discarding corrupt cache entry" in err3
-    assert files[0].read_text() != "garbage\n"
-
-    # insufficient truncation: recomputed and overwritten
-    argv64 = argv[:4] + ["64"] + argv[5:]
-    code4, _, _ = run(capsys, argv64)
-    assert code4 == 0
-    header = files[0].read_text().splitlines()[0]
-    assert header.split()[0] == "64"
+@pytest.mark.parametrize(
+    "argv",
+    [["verify-group", "--spec", "A[2;1,1]"], ["verify-dihedral", "--m", "6"]],
+    ids=["verify-group", "verify-dihedral"],
+)
+def test_cache_dir_flag_is_gone(capsys, tmp_path, argv):
+    # h is recomputed on every run; there is no cache to point at
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--cache-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cache-dir" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_verify_dihedral(capsys):

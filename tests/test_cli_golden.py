@@ -72,7 +72,7 @@ CASES = [
     ("vg-2-11-tsv", ["verify-group", "--spec", "A[2;1,1]", "--n-max", "64", "--format", "tsv"], 0, "6ad717e97d03946b18eec41fce61b0ff63b4af5d71f0f3d9ca13c285e2481a15"),
     ("vg-2-211", ["verify-group", "--spec", "A[2;2,1,1]", "--n-max", "64"], 1, "9d5e611e0a312908b1c3b2ed45ba1cf28e1eb98114483ac29b9f140025d7a759"),
     ("vg-2-31", ["verify-group", "--spec", "A[2;3,1]", "--n-max", "64"], 0, "bdb2ecece982d152f4f1f35bb6beb9bf5116022bb68daee69ff9951d4a2d6024"),
-    ("vg-3-11-cache", ["verify-group", "--spec", "A[3;1,1]", "--n-max", "60", "--cache-dir", "cache"], 0, "a8df0fe520fa1cbc36e7a22b45e45bfe08414cb1d3f554dfa5d7fb011d51656a"),
+    ("vg-3-11", ["verify-group", "--spec", "A[3;1,1]", "--n-max", "60"], 0, "a8df0fe520fa1cbc36e7a22b45e45bfe08414cb1d3f554dfa5d7fb011d51656a"),
     ("vg-not-abelian", ["verify-group", "--spec", "C[4]"], 2, None),
     ("vd-12", ["verify-dihedral", "--m", "12", "--n-max", "64", "--odd-n-max", "50"], 0, "c41fc57defc092422abc1708c8c268c0fccce73ac283f41e8219a2d8e70ef8ab"),
     ("vp-pi2-3-1", ["verify-permutations", "--variant", "pi2", "--p", "3", "--l", "1", "--A", "1", "--n-max", "60"], 0, "eb87f41fd7971452b06eeb0ea3a473600e6932d73fe9f0e567ddb636931c5889"),

@@ -17,12 +17,10 @@ from dworklab.series import (
     LogSeries,
     check_hypotheses,
     dividing_line_branch,
-    dump_exp_series,
     dump_log_series,
     dwork_gap,
     exp_transform,
     lambda_sequence,
-    load_exp_series,
     load_log_series,
     log_transform,
 )
@@ -301,12 +299,6 @@ def test_series_text_roundtrip(svals, p):
     assert [type(c) for c in s2.coeffs] == [type(c) for c in s.coeffs]
     assert dump_log_series(s2, p2) == text  # bit-exact round trip
 
-    h = exp_transform(s)
-    text_h = dump_exp_series(h, p)
-    h2, p2 = load_exp_series(text_h)
-    assert p2 == p and h2.coeffs == h.coeffs
-    assert dump_exp_series(h2, p2) == text_h
-
 
 # near-miss documents: lines of zero to four tokens, mostly small integers,
 # half of them under a well-formed header
@@ -323,11 +315,10 @@ _document = st.one_of(
 @settings(deadline=None, max_examples=300)
 @given(_document)
 def test_series_loaders_raise_only_value_error(text):
-    for load in (load_log_series, load_exp_series):
-        try:
-            load(text)
-        except ValueError:
-            pass
+    try:
+        load_log_series(text)
+    except ValueError:
+        pass
 
 
 def test_series_text_errors():
