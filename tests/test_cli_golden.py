@@ -73,8 +73,13 @@ CASES = [
     ("vg-2-211", ["verify-group", "--spec", "A[2;2,1,1]", "--n-max", "64"], 1, "9d5e611e0a312908b1c3b2ed45ba1cf28e1eb98114483ac29b9f140025d7a759"),
     ("vg-2-31", ["verify-group", "--spec", "A[2;3,1]", "--n-max", "64"], 0, "bdb2ecece982d152f4f1f35bb6beb9bf5116022bb68daee69ff9951d4a2d6024"),
     ("vg-3-11", ["verify-group", "--spec", "A[3;1,1]", "--n-max", "60"], 0, "a8df0fe520fa1cbc36e7a22b45e45bfe08414cb1d3f554dfa5d7fb011d51656a"),
+    # p = 2 case II of rank 4: the claimed class 2^(A_1+2) is not tight
+    ("vg-2-1111-n1024", ["verify-group", "--spec", "A[2;1,1,1,1]", "--n-max", "1024"], 1, "1239b9c2edebc8272cbc3cc0bc916fa23cfc6d3a3a3c809c20526b7b79729978"),
     ("vg-not-abelian", ["verify-group", "--spec", "C[4]"], 2, None),
     ("vd-12", ["verify-dihedral", "--m", "12", "--n-max", "64", "--odd-n-max", "50"], 0, "c41fc57defc092422abc1708c8c268c0fccce73ac283f41e8219a2d8e70ef8ab"),
+    # the n/2 - n/4 branch (m not divisible by 4), for even and odd m
+    ("vd-6-n512", ["verify-dihedral", "--m", "6", "--n-max", "512"], 0, "b5bf1accf4a0879d43816d94c2a7573e4dd45c727f9b5092dc407fafb76657d8"),
+    ("vd-9-n512", ["verify-dihedral", "--m", "9", "--n-max", "512"], 0, "41e2239e9684b7b5c220a7ea11f19215d7392b91d2a8418ce995f0d3c40e13ac"),
     ("vp-pi2-3-1", ["verify-permutations", "--variant", "pi2", "--p", "3", "--l", "1", "--A", "1", "--n-max", "60"], 0, "eb87f41fd7971452b06eeb0ea3a473600e6932d73fe9f0e567ddb636931c5889"),
     ("vp-pi3-5-1", ["verify-permutations", "--variant", "pi3", "--p", "5", "--l", "1", "--A", "1,2", "--n-max", "60"], 0, "f902577eb5ddd42c6400abdf460eb16e72069322b6dd92d0d414f03c8120184a"),
     ("vp-pi3-3-1", ["verify-permutations", "--variant", "pi3", "--p", "3", "--l", "1", "--A", "1"], 2, None),
