@@ -235,6 +235,7 @@ def supercongruence_check(p: int, a: int, b: int, c: int) -> SupercongInstance:
 
 def supercongruence_sweep(p: int, a_max: int) -> list[SupercongInstance]:
     """All instances with 1 <= a <= a_max and 0 <= b, c < p."""
+    check_prime(p)
     # warm the shared h-series cache at the largest n needed
     _hom_of_z_plus_zp(p, p * p * a_max + p * (p - 1) + (p - 1))
     return [

@@ -33,18 +33,12 @@ from .bounds import (
 from .exactcore import check_prime
 from .groups import (
     difference_valuation_profile,
+    dihedral_subgroup_counts,
     finite_subgroup_counts,
-    hom_count_ints,
     parse_group_spec,
     subgroup_residues_mod_p,
 )
-from .series import (
-    THEOREMS,
-    ExpSeries,
-    check_hypotheses,
-    exp_transform,
-    load_log_series,
-)
+from .series import THEOREMS, check_hypotheses, exp_transform, load_log_series
 
 DETERMINISM_NOTE = (
     "deterministic: no timestamps or machine identifiers; identical flags "
@@ -147,14 +141,12 @@ def _cmd_verify_group(args) -> dict:
         raise ValueError("verify-group expects a single abelian term A[p;...]")
     t = spec.partition
     p = t.p
-    if args.p is not None and args.p != p:
-        raise ValueError(f"--p {args.p} contradicts the spec's prime {p}")
     n_max = args.n_max
     case, l, m = partition_case(t.parts)
     p2_exception = case == "II" and p == 2
     counts = finite_subgroup_counts(spec)
     s = counts.to_log_series(n_max)
-    h = ExpSeries(tuple(hom_count_ints(spec, n_max)))
+    h = exp_transform(s)
 
     if p2_exception:
         kind = BoundKind("thm6.2", 2, partition=t.parts)
@@ -178,14 +170,14 @@ def _cmd_verify_group(args) -> dict:
             for n in range(cls_residue, n_max + 1, step):
                 if n not in tight:
                     tight_failures.append(n)
-    profile = difference_valuation_profile(counts, t)
+    profile_failures = difference_valuation_profile(counts, t)
 
     failed = (
         not hyp.overall
         or not report.ok
         or bool(tight_failures)
         or (qrec_summary is not None and qrec_summary["failures"])
-        or not profile.ok
+        or bool(profile_failures)
     )
     return _document(
         "verify-group",
@@ -202,7 +194,7 @@ def _cmd_verify_group(args) -> dict:
             "q_recurrence": qrec_summary,
             "tightness_claimed_classes_mod_step": claimed,
             "tightness_failures": sorted(tight_failures),
-            "difference_profile_failures": profile.failures,
+            "difference_profile_failures": profile_failures,
         },
         failed,
     )
@@ -218,14 +210,16 @@ def _int_list(flag: str, text: str) -> list[int]:
 
 def _cmd_verify_dihedral(args) -> dict:
     m = args.m
-    odd_primes = _int_list("--odd-primes", args.odd_primes) if args.odd_primes else []
-    spec = parse_group_spec(f"D[{m}]")
-    h = ExpSeries(tuple(hom_count_ints(spec, args.n_max)))
+    odd_primes = (
+        [check_prime(q) for q in _int_list("--odd-primes", args.odd_primes)]
+        if args.odd_primes
+        else []
+    )
+    h = exp_transform(dihedral_subgroup_counts(m).to_log_series(args.n_max))
     kind = BoundKind("thm5.5", 2, dihedral_m=m)
     report = verify_bounds(h, kind)
     exhibitions = {}
     for p in odd_primes:
-        check_prime(p)
         first = None
         for n in range(args.odd_n_max + 1):
             if h[n] % p != 0:
@@ -275,7 +269,6 @@ def _cmd_verify_permutations(args) -> dict:
 
 
 def _cmd_supercongruence(args) -> dict:
-    check_prime(args.p)
     instances = supercongruence_sweep(args.p, args.a_max)
     rows = [inst.summary() for inst in instances]
     failures = [
@@ -293,7 +286,6 @@ def _cmd_supercongruence(args) -> dict:
 
 def _cmd_periodicity(args) -> dict:
     spec = parse_group_spec(args.spec)
-    check_prime(args.p)
     residues = subgroup_residues_mod_p(spec, args.n_max, args.p)
     result = periodicity_detect(residues[1:], args.confirm_window)
     return _document(
@@ -369,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_vg = sub.add_parser("verify-group", help="verify bounds/tightness for an abelian p-group")
     p_vg.add_argument("--spec", required=True, help="abelian term, e.g. A[2;1,1]")
-    p_vg.add_argument("--p", type=int, help="must match the spec's prime if given")
     p_vg.add_argument("--n-max", type=int, dest="n_max", default=512)
     _add_common(p_vg)
     p_vg.set_defaults(func=_cmd_verify_group)

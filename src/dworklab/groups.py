@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Mapping
 
 from . import kernels
@@ -212,19 +211,9 @@ def dihedral_subgroup_counts(m: int) -> SubgroupCounts:
     return SubgroupCounts.from_map(counts)
 
 
-@dataclass
-class DiffProfileReport:
-    """Outcome of the difference/symmetry structure checks on s_{p^i}."""
-
-    failures: list[str]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def difference_valuation_profile(c: SubgroupCounts, t: PartitionType) -> DiffProfileReport:
-    """Verify the valuation profile of consecutive differences s_{p^i} - s_{p^{i-1}}.
+def difference_valuation_profile(c: SubgroupCounts, t: PartitionType) -> list[str]:
+    """The failed checks of the valuation profile of consecutive differences
+    s_{p^i} - s_{p^{i-1}}; empty when the profile holds.
 
     With W the weight and differences taken over 0 <= i <= W+1 (counts
     outside the support are zero):
@@ -235,7 +224,7 @@ def difference_valuation_profile(c: SubgroupCounts, t: PartitionType) -> DiffPro
     * at the case's own index the leading coefficient is -1 mod p,
     * and the symmetry s_{p^i} = s_{p^{W-i}} holds.
     """
-    report = DiffProfileReport([])
+    failures: list[str] = []
     p, W, a1 = t.p, t.weight, t.parts[0]
 
     def sval(i: int) -> int:
@@ -243,7 +232,7 @@ def difference_valuation_profile(c: SubgroupCounts, t: PartitionType) -> DiffPro
 
     def check(ok: bool, message: str):
         if not ok:
-            report.failures.append(message)
+            failures.append(message)
 
     lo_hi = min(W - a1, W // 2)
     for i in range(0, lo_hi + 1):
@@ -267,7 +256,7 @@ def difference_valuation_profile(c: SubgroupCounts, t: PartitionType) -> DiffPro
     )
     for i in range(0, W + 1):
         check(sval(i) == sval(W - i), f"symmetry at i={i}")
-    return report
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -341,19 +330,13 @@ def finite_subgroup_counts(spec: GroupSpec) -> SubgroupCounts:
     raise ValueError("free products have no finite subgroup-count table")
 
 
-@lru_cache(maxsize=256)
-def _factor_hom_ints(canonical: str, n_max: int) -> tuple[int, ...]:
-    svals = finite_subgroup_counts(parse_group_spec(canonical)).values(n_max)
-    return tuple(kernels.hall_exp(svals, n_max))
-
-
 def hom_count_ints(spec: GroupSpec, n_max: int) -> list[int]:
     """h_0..h_{n_max} of the group as plain integers."""
     factors = spec.factors if spec.is_free_product() else (spec,)
-    out = list(_factor_hom_ints(factors[0].canonical(), n_max))
-    for factor in factors[1:]:
-        other = _factor_hom_ints(factor.canonical(), n_max)
-        out = [a * b for a, b in zip(out, other)]
+    out = None
+    for factor in factors:
+        h = kernels.hall_exp(finite_subgroup_counts(factor).values(n_max), n_max)
+        out = h if out is None else [a * b for a, b in zip(out, h)]
     return out
 
 

@@ -567,7 +567,6 @@ def test_c11_count_structure():
                     assert c[p**i] % p**2 == (1 + p) % p**2
             from dworklab.groups import difference_valuation_profile
 
-            prof = difference_valuation_profile(c, t)
-            assert prof.ok, (parts, p, prof.failures)
+            assert difference_valuation_profile(c, t) == [], (parts, p)
             groups += 1
     _line(True, f"criterion 11: count congruences/symmetry/difference structure ({groups} groups)")

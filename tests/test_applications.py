@@ -98,6 +98,19 @@ def test_supercongruence_sweep_small():
     assert all(inst.passed for inst in instances)
 
 
+def test_supercongruence_sweep_checks_p_before_any_h(monkeypatch):
+    # the sweep's h reaches n = p^2 a_max + p^2 - 1, so a composite p must
+    # be refused before it is computed
+    import dworklab.applications as applications
+
+    def spy(*args):
+        raise AssertionError("h computed for a composite p")
+
+    monkeypatch.setattr(applications, "permutation_count_series", spy)
+    with pytest.raises(ValueError, match="p must be prime"):
+        supercongruence_sweep(4, 1)
+
+
 def test_periodicity_examples():
     res = periodicity_detect([1] * 40, 3)
     assert (res.preperiod, res.period, res.status) == (0, 1, "detected")

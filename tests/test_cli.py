@@ -61,11 +61,6 @@ def test_verify_group_rejects_bad_spec(capsys):
     assert code == 2 and "abelian" in err
 
 
-def test_verify_group_prime_mismatch(capsys):
-    code, _, err = run(capsys, ["verify-group", "--spec", "A[3;1]", "--p", "2"])
-    assert code == 2 and "contradicts" in err
-
-
 def test_determinism_byte_identical(capsys):
     argv = ["verify-group", "--spec", "A[2;1,1]", "--n-max", "32"]
     code1, out1, _ = run(capsys, argv)
@@ -120,16 +115,21 @@ def test_analyze_series_non_integer_token_exits_2(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["verify-group", "--spec", "A[2;1,1]"], ["verify-dihedral", "--m", "6"]],
-    ids=["verify-group", "verify-dihedral"],
+    "argv, flag",
+    [
+        (["verify-group", "--spec", "A[2;1,1]"], "--cache-dir"),
+        (["verify-dihedral", "--m", "6"], "--cache-dir"),
+        (["verify-group", "--spec", "A[3;1]"], "--p"),
+    ],
+    ids=["verify-group", "verify-dihedral", "verify-group-p"],
 )
-def test_cache_dir_flag_is_gone(capsys, tmp_path, argv):
-    # h is recomputed on every run; there is no cache to point at
+def test_cache_dir_flag_is_gone(capsys, tmp_path, argv, flag):
+    # h is recomputed on every run, so there is no cache to point at, and
+    # verify-group reads p from the spec
     with pytest.raises(SystemExit) as exc:
-        main(argv + ["--cache-dir", str(tmp_path)])
+        main(argv + [flag, str(tmp_path)])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --cache-dir" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 
@@ -140,6 +140,41 @@ def test_verify_dihedral(capsys):
     assert doc["summary"]["odd_prime_indivisible_at"]["3"] is not None
     code, doc, _ = run_json(capsys, ["verify-dihedral", "--m", "8", "--n-max", "64"])
     assert code == 0 and doc["summary"]["branch"] == "n/2"
+
+
+def test_verify_dihedral_checks_odd_primes_before_h(capsys, monkeypatch):
+    import dworklab.kernels as kernels
+
+    def spy(s, n_max):
+        raise AssertionError("h computed before --odd-primes was checked")
+
+    monkeypatch.setattr(kernels, "hall_exp", spy)
+    code, out, err = run(capsys, ["verify-dihedral", "--m", "6", "--odd-primes", "4"])
+    assert code == 2 and out == ""
+    assert err == "error: p must be prime\n"
+
+
+def test_verify_group_counts_once_and_transforms_once(capsys, monkeypatch):
+    # s, h, the bounds and the difference profile all come from one count
+    import dworklab.groups as groups
+    import dworklab.kernels as kernels
+
+    calls = {"abelian_subgroup_counts": 0, "hall_exp": 0}
+
+    def spied(module, name):
+        fn = getattr(module, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, spy)
+
+    spied(groups, "abelian_subgroup_counts")
+    spied(kernels, "hall_exp")
+    code, _, _ = run(capsys, ["verify-group", "--spec", "A[3;2,1]", "--n-max", "64"])
+    assert code == 0
+    assert calls == {"abelian_subgroup_counts": 1, "hall_exp": 1}
 
 
 def test_verify_permutations(capsys):
