@@ -12,6 +12,9 @@ hypotheses, are `dworklab.series.THEOREMS`.
 evaluates e(n) exactly; `verify_bounds` compares v_p(h_n) against it row
 by row for n = 0..N (violations are never dropped), and yields each
 row's valuation and Q_n mod p from one reduction of h_n modulo
+p^(e(n)+64); `verify_bounds_mod`, which `verify-group` runs, gives the
+same report from h computed only modulo p^(E+64), E = max e(n), and
+falls back to the exact h when some e(n) < 0 or some residue is 0 modulo
 p^(e(n)+64); `verify_q_recurrence` checks on those residues the mod-p
 recurrence of the quotients that certifies tightness; and
 `floor_lemma_checks` exhaustively tests the two floor-sum inequalities
@@ -25,6 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Sequence
 
+from . import kernels
 from .exactcore import INFINITY, Valuation, check_prime, floor_log, residue_mod_p, vp
 from .kernels import vp_int
 
@@ -341,11 +345,15 @@ class BoundReport:
 
 
 # digits of p kept beyond p^e(n) when a row is reduced; the largest slack
-# seen on group series up to n = 4096 is 7
+# of the tightness sweep over every small Abelian type up to n = 1024 is 18
+# (p = 2, type (3,3,2,1,1)); test_c04_tightness_scope_sweep checks that it
+# stays below this guard, so verify-group never falls back on those types
 _GUARD = 64
 
 
-def _split_row(x: Fraction | int, p: int, e: int) -> tuple[Valuation, int | None]:
+def _split_row(
+    x: Fraction | int, p: int, e: int, exact: bool = True
+) -> tuple[Valuation, int | None] | None:
     """(v_p(x), Q mod p) for Q = x / p^e; the residue is None when v_p(x) < e.
 
     For an int x and e >= 0 one reduction r = x mod p^(e+64) gives both:
@@ -354,9 +362,16 @@ def _split_row(x: Fraction | int, p: int, e: int) -> tuple[Valuation, int | None
     p = 2 both come from the bits of x.  A Fraction x, which a series holds
     only for a non-integral coefficient, and e < 0 go through the exact
     rational quotient.
+
+    With ``exact=False``, x is h_n known only modulo some p^M, M >= e + 64:
+    `verify_bounds_mod`, which `verify-group` runs, computes h modulo
+    p^(E+64) with E = max e(n).  r, and so every row with r != 0, is still
+    exact, but a row with r == 0 (x == 0 included; for p = 2,
+    v_2(x) >= e + 64) can be settled only by the exact h_n, and the result
+    is None: the caller falls back to the exact series.
     """
     if x == 0:
-        return INFINITY, 0
+        return (INFINITY, 0) if exact else None
     if e < 0 or not isinstance(x, int):
         val = vp(x, p)
         if val < e:
@@ -365,33 +380,36 @@ def _split_row(x: Fraction | int, p: int, e: int) -> tuple[Valuation, int | None
         return val, residue_mod_p(q, p)
     if p == 2:
         val = (x & -x).bit_length() - 1
+        if not exact and val >= e + _GUARD:
+            return None
         return val, (x >> e) & 1 if val >= e else None
     r = x % p ** (e + _GUARD)
     if r == 0:
-        return vp_int(x, p), 0
+        return (vp_int(x, p), 0) if exact else None
     q, t = divmod(r, p**e)
     if t:
         return vp_int(t, p), None
     return e + vp_int(q, p), q % p
 
 
-def verify_bounds(h: ExpSeries, kind: BoundKind, n_hi: int | None = None) -> BoundReport:
-    """One row per n in [0, n_hi]: valuation, bound, slack, tightness.
+def _verify_rows(
+    h: Sequence[int | Fraction], kind: BoundKind, bounds: list[int], exact: bool = True
+) -> BoundReport | None:
+    """The report on rows n = 0..len(bounds)-1 of h against e(n) = bounds[n].
 
-    The report also keeps Q_n mod p of every row (`q_residues`), found in
-    the same pass as the valuation.
+    None when ``exact`` is False and some row needs the exact h_n (see
+    `_split_row`).
     """
-    n_hi = h.n_max if n_hi is None else n_hi
-    if n_hi > h.n_max:
-        raise ValueError("range exceeds truncation")
     rows = []
     violations = []
     tight_set = []
     residues = []
     min_slack: Valuation = INFINITY
-    for n in range(n_hi + 1):
-        bnd = bound_value(kind, n)
-        val, residue = _split_row(h[n], kind.p, bnd)
+    for n, bnd in enumerate(bounds):
+        split = _split_row(h[n], kind.p, bnd, exact)
+        if split is None:
+            return None
+        val, residue = split
         residues.append(residue)
         slack = val - bnd if val is not INFINITY else INFINITY
         tight = slack == 0
@@ -403,6 +421,37 @@ def verify_bounds(h: ExpSeries, kind: BoundKind, n_hi: int | None = None) -> Bou
         if slack < min_slack:
             min_slack = slack
     return BoundReport(kind, rows, violations, tight_set, min_slack, tuple(residues))
+
+
+def verify_bounds(h: ExpSeries, kind: BoundKind, n_hi: int | None = None) -> BoundReport:
+    """One row per n in [0, n_hi]: valuation, bound, slack, tightness.
+
+    The report also keeps Q_n mod p of every row (`q_residues`), found in
+    the same pass as the valuation.
+    """
+    n_hi = h.n_max if n_hi is None else n_hi
+    if n_hi > h.n_max:
+        raise ValueError("range exceeds truncation")
+    return _verify_rows(h.coeffs, kind, [bound_value(kind, n) for n in range(n_hi + 1)])
+
+
+def verify_bounds_mod(s: Sequence[int], kind: BoundKind, n_max: int) -> BoundReport:
+    """`verify_bounds(exp_transform(s), kind)` from h modulo p^(E+64).
+
+    ``s`` holds the integers s_0..s_n_max (s_0 is ignored).  A row needs
+    only the digits of h_n below p^(e(n)+64), so with E = max e(n) the
+    recurrence runs modulo p^(E+64) (`kernels.hall_exp_mod`), on numbers
+    far smaller than the exact h_n.  When some e(n) < 0, or some residue
+    is 0 modulo p^(e(n)+64), only the exact h_n settles that row: h is
+    then computed exactly, once, and every row is read from it.
+    """
+    bounds = [bound_value(kind, n) for n in range(n_max + 1)]
+    if min(bounds) >= 0:
+        modulus = kind.p ** (max(bounds) + _GUARD)
+        report = _verify_rows(kernels.hall_exp_mod(s, n_max, modulus), kind, bounds, exact=False)
+        if report is not None:
+            return report
+    return _verify_rows(kernels.hall_exp(s, n_max), kind, bounds)
 
 
 @dataclass

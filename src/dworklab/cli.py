@@ -28,6 +28,7 @@ from .bounds import (
     floor_lemma_checks,
     partition_case,
     verify_bounds,
+    verify_bounds_mod,
     verify_q_recurrence,
 )
 from .exactcore import check_prime
@@ -146,7 +147,6 @@ def _cmd_verify_group(args) -> dict:
     p2_exception = case == "II" and p == 2
     counts = finite_subgroup_counts(spec)
     s = counts.to_log_series(n_max)
-    h = exp_transform(s)
 
     if p2_exception:
         kind = BoundKind("thm6.2", 2, partition=t.parts)
@@ -155,7 +155,7 @@ def _cmd_verify_group(args) -> dict:
         kind = BoundKind("thm6.1", p, partition=t.parts)
         hyp = check_hypotheses(s, p, "cor2.5", l=l, m=m)
 
-    report = verify_bounds(h, kind)
+    report = verify_bounds_mod(counts.values(n_max), kind, n_max)
     tight_failures: list[int] = []
     qrec_summary = None
     claimed = RULES[kind.tag].tight_classes(kind)

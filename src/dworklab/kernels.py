@@ -8,7 +8,11 @@ The central recurrence converts between the two coefficient sequences of
 where ``(a)_j`` is the rising factorial.  The recurrence contains no
 divisions, so it reduces exactly modulo any modulus.  `hall_exp` and
 `hall_exp_mod` run it in one loop whose sum over k stops at the last
-nonzero s_k, which keeps sparse group and cycle series cheap.  The
+nonzero s_k, which keeps sparse group and cycle series cheap.
+`verify-group` runs `hall_exp_mod` modulo p^(E+64), with E the largest
+bound exponent e(n), and reads every row from those residues; only when
+some e(n) < 0, or some residue is 0 modulo p^(e(n)+64), does it fall back
+to the exact `hall_exp` (`dworklab.bounds.verify_bounds_mod`).  The
 inverse recurrence divides by (n-1)!: its exact form, which may leave
 the integers, is `dworklab.series.log_transform`, and here it runs only
 modulo p, with the precision bookkeeping done in `hall_log_mod_residues`.

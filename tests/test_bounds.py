@@ -19,9 +19,11 @@ from dworklab.bounds import (
     partition_case,
     q_recurrence_parameters,
     verify_bounds,
+    verify_bounds_mod,
     verify_q_recurrence,
 )
 from dworklab.exactcore import INFINITY, legendre_valuation, residue_mod_p, vp
+from dworklab.groups import PartitionType, abelian_subgroup_counts
 from dworklab.series import ExpSeries, LogSeries, exp_transform
 
 
@@ -263,6 +265,11 @@ def _split_row_cases(draw):
 def test_split_row_matches_rational_definition(case):
     x, p, e = case
     assert _split_row(x, p, e) == _split_row_reference(x, p, e)
+    if isinstance(x, int) and e >= 0:
+        # read as a residue modulo p^(e+64) or finer, a row that is 0 there
+        # is left to the exact value and every other row reads the same
+        expected = None if x % p ** (e + 64) == 0 else _split_row_reference(x, p, e)
+        assert _split_row(x, p, e, exact=False) == expected
 
 
 @pytest.mark.parametrize(
@@ -290,6 +297,37 @@ def test_verify_bounds_keeps_no_residue_on_violated_rows():
     assert report.violations
     for n in range(21):
         assert (report.q_residues[n] is None) == (n in report.violations)
+
+
+@st.composite
+def _group_bound_cases(draw):
+    """(s_0..s_N, kind, N) of an Abelian p-group of weight <= 4.
+
+    The kind is the group's own (thm6.2 for p = 2 case II, else thm6.1),
+    or the weaker thm5.2, whose slack reaches 64 at p = 2 from weight 2 on,
+    so that the exact fallback of `verify_bounds_mod` runs too.
+    """
+    p = draw(st.sampled_from([2, 3, 5]))
+    parts = draw(st.sampled_from([t for w in range(1, 5) for t in partitions_of(w)]))
+    n_max = draw(st.integers(1, 200))
+    own = "thm6.2" if partition_case(parts)[0] == "II" and p == 2 else "thm6.1"
+    if draw(st.booleans()):
+        kind = BoundKind(own, p, partition=parts)
+    else:
+        kind = BoundKind("thm5.2", p)
+    s = abelian_subgroup_counts(PartitionType(parts, p)).values(n_max)
+    return s, kind, n_max
+
+
+@settings(deadline=None, max_examples=150)
+@given(_group_bound_cases())
+@example(([0, 1, 3, 0, 1] + [0] * 196, BoundKind("thm5.2", 2), 200))  # falls back
+def test_verify_bounds_mod_matches_exact(case):
+    s, kind, n_max = case
+    # rows, violations, tight set, min slack and Q_n mod p all agree
+    assert verify_bounds_mod(s, kind, n_max) == verify_bounds(
+        exp_transform(LogSeries(tuple(s[1:]))), kind
+    )
 
 
 def test_q_recurrence_c2():

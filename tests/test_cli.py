@@ -155,11 +155,12 @@ def test_verify_dihedral_checks_odd_primes_before_h(capsys, monkeypatch):
 
 
 def test_verify_group_counts_once_and_transforms_once(capsys, monkeypatch):
-    # s, h, the bounds and the difference profile all come from one count
+    # s, h, the bounds and the difference profile all come from one count,
+    # and the rows from h modulo p^(E+64): the exact h is never built
     import dworklab.groups as groups
     import dworklab.kernels as kernels
 
-    calls = {"abelian_subgroup_counts": 0, "hall_exp": 0}
+    calls = {"abelian_subgroup_counts": 0, "hall_exp": 0, "hall_exp_mod": 0}
 
     def spied(module, name):
         fn = getattr(module, name)
@@ -172,9 +173,37 @@ def test_verify_group_counts_once_and_transforms_once(capsys, monkeypatch):
 
     spied(groups, "abelian_subgroup_counts")
     spied(kernels, "hall_exp")
+    spied(kernels, "hall_exp_mod")
     code, _, _ = run(capsys, ["verify-group", "--spec", "A[3;2,1]", "--n-max", "64"])
     assert code == 0
-    assert calls == {"abelian_subgroup_counts": 1, "hall_exp": 1}
+    assert calls == {"abelian_subgroup_counts": 1, "hall_exp": 0, "hall_exp_mod": 1}
+
+
+@pytest.mark.parametrize("spec", ["A[3;2,1]", "A[2;2,1,1]"])
+def test_verify_group_falls_back_to_exact_h(capsys, monkeypatch, spec):
+    # with no guard digits every row with v_p(h_n) >= e(n) reads 0 modulo
+    # p^e(n), so only the exact h settles it; the reports must not change
+    import dworklab.bounds as bounds
+    import dworklab.kernels as kernels
+
+    argvs = [
+        ["verify-group", "--spec", spec, "--n-max", "80", "--format", fmt]
+        for fmt in ("json", "tsv")
+    ]
+    expected = [run(capsys, argv) for argv in argvs]
+    exact_runs = []
+    hall_exp = kernels.hall_exp
+
+    def spy(*args):
+        exact_runs.append(args[1])
+        return hall_exp(*args)
+
+    monkeypatch.setattr(kernels, "hall_exp", spy)
+    monkeypatch.setattr(bounds, "_GUARD", 0)
+    for argv, before in zip(argvs, expected):
+        exact_runs.clear()
+        assert run(capsys, argv) == before
+        assert exact_runs == [80]
 
 
 def test_verify_permutations(capsys):
