@@ -91,6 +91,10 @@ CASES = [
     ("pd-a311c9-p3-n1000", ["periodicity", "--spec", "A[3;1,1]*C[9]", "--p", "3", "--n-max", "1000"], 0, "e29d0001cc237b89de8668f54b0b303dda1a07c6576061374ed52e130a568423"),
     ("pd-c4c6-n1200", ["periodicity", "--spec", "C[4]*C[6]", "--p", "2", "--n-max", "1200"], 0, "3724f0e195498e2a5b67a876f44afb1cbf47c1053da71423d5293490c3955688"),
     ("pd-c3c9-p2-n1000", ["periodicity", "--spec", "C[3]*C[9]", "--p", "2", "--n-max", "1000"], 1, "2edf40dbb231a1069d188a34cfcc38102d8cea52825e6d29874eed09a72f3f28"),
+    # the widest plan, P = C = 1193 (no 2-part), and a three-factor p = 3
+    # product with 1 < P < C; neither N is a multiple of 64
+    ("pd-a311c3-p2-n1200", ["periodicity", "--spec", "A[3;1,1]*C[3]", "--p", "2", "--n-max", "1200"], 0, "b28d55580d3bd523cd893857fe3c601f6fadd6bcbf423d88a7106099fb006240"),
+    ("pd-c8c3a211-p3-n1000", ["periodicity", "--spec", "C[8]*C[3]*A[2;1,1]", "--p", "3", "--n-max", "1000"], 1, "661cea94fa7a7394d9197279f67d472a35b6617c74c780465c5bd3ff46899d73"),
     ("lm-2-1", ["lemmas", "--p", "2", "--l", "1", "--i-max", "40", "--j-max", "10"], 0, "63d47e4ee52bcecbf181da07f4b23cd2ad77448acd7b9717f6b1889544a2e5c7"),
     ("lm-3-1-negative-j-tsv", ["lemmas", "--p", "3", "--l", "1", "--i-max", "30", "--j-max", "5", "--j-min", "-1", "--format", "tsv"], 1, "8bb19bab05f6f205d59b459681b3f647cdf47e86d24e8958585fcbb4526cd8d4"),
 ]
