@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import permutations
 from typing import Sequence
 
 from . import kernels
@@ -78,43 +76,6 @@ def permutation_count_series(n_max: int, lengths: Sequence[int]) -> list[int]:
         if length <= n_max:
             svals[length] = 1
     return kernels.hall_exp(svals, n_max)
-
-
-@lru_cache(maxsize=None)
-def _cycle_length_set_counts(n: int) -> tuple[tuple[frozenset[int], int], ...]:
-    """For each set of cycle lengths, how many permutations of S_n show
-    exactly that set.  Full enumeration of all n! permutations."""
-    tally: dict[frozenset[int], int] = {}
-    for perm in permutations(range(n)):
-        seen = [False] * n
-        lengths = set()
-        for start in range(n):
-            if seen[start]:
-                continue
-            size = 0
-            node = start
-            while not seen[node]:
-                seen[node] = True
-                node = perm[node]
-                size += 1
-            lengths.add(size)
-        key = frozenset(lengths)
-        tally[key] = tally.get(key, 0) + 1
-    return tuple(tally.items())
-
-
-def permutation_count_bruteforce(n: int, lengths: Sequence[int]) -> int:
-    """Oracle: enumerate S_n (n <= 9) and filter by cycle-length support."""
-    if n > 9:
-        raise ValueError("brute force is capped at n = 9")
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    allowed = set(lengths)
-    return sum(
-        count
-        for key, count in _cycle_length_set_counts(n)
-        if key <= allowed
-    )
 
 
 @dataclass
@@ -193,19 +154,9 @@ def _binomial_half_sum(p: int, outer: int, c: int) -> int:
     return total
 
 
-_HOM_Z_PLUS_ZP_CACHE: dict[int, list[int]] = {}
-
-
-def _hom_of_z_plus_zp(p: int, n_max: int) -> list[int]:
-    """h-sequence of S(z) = z + z^p / p, i.e. s_1 = s_p = 1; grows on demand."""
-    cached = _HOM_Z_PLUS_ZP_CACHE.get(p)
-    if cached is None or len(cached) <= n_max:
-        cached = permutation_count_series(n_max, (1, p))
-        _HOM_Z_PLUS_ZP_CACHE[p] = cached
-    return cached
-
-
-def supercongruence_check(p: int, a: int, b: int, c: int) -> SupercongInstance:
+def supercongruence_check(
+    p: int, a: int, b: int, c: int, h: Sequence[int] | None = None
+) -> SupercongInstance:
     """Exact check of the three-parameter congruence
 
         sum_{s=0}^{pa+b} (p^2 a + p b + c)! / (p^{pa+b-s} (pa+b-s)! (ps+c)!)
@@ -213,7 +164,8 @@ def supercongruence_check(p: int, a: int, b: int, c: int) -> SupercongInstance:
           (mod p^{(p-1)a+b+1}),
 
     cross-checking that the left side equals h_{p^2 a + p b + c} for the
-    series with s_1 = s_p = 1.
+    series with s_1 = s_p = 1.  ``h`` holds that series' h_0, h_1, ... at
+    least up to that index; it is computed when omitted.
     """
     check_prime(p)
     if a < 1:
@@ -225,7 +177,8 @@ def supercongruence_check(p: int, a: int, b: int, c: int) -> SupercongInstance:
     modulus = p ** ((p - 1) * a + b + 1)
 
     n = p * p * a + p * b + c
-    h = _hom_of_z_plus_zp(p, n)
+    if h is None:
+        h = permutation_count_series(n, (1, p))
     if h[n] != lhs:
         raise ArithmeticError(
             f"direct sum and exp-transform disagree at n={n} (p={p})"
@@ -236,10 +189,10 @@ def supercongruence_check(p: int, a: int, b: int, c: int) -> SupercongInstance:
 def supercongruence_sweep(p: int, a_max: int) -> list[SupercongInstance]:
     """All instances with 1 <= a <= a_max and 0 <= b, c < p."""
     check_prime(p)
-    # warm the shared h-series cache at the largest n needed
-    _hom_of_z_plus_zp(p, p * p * a_max + p * (p - 1) + (p - 1))
+    # one h series, up to the largest n of the sweep, serves every instance
+    h = permutation_count_series(p * p * a_max + p * (p - 1) + (p - 1), (1, p))
     return [
-        supercongruence_check(p, a, b, c)
+        supercongruence_check(p, a, b, c, h)
         for a in range(1, a_max + 1)
         for b in range(p)
         for c in range(p)

@@ -15,7 +15,11 @@ some e(n) < 0, or some residue is 0 modulo p^(e(n)+64), does it fall back
 to the exact `hall_exp` (`dworklab.bounds.verify_bounds_mod`).  The
 inverse recurrence divides by (n-1)!: its exact form, which may leave
 the integers, is `dworklab.series.log_transform`, and here it runs only
-modulo p, with the precision bookkeeping done in `hall_log_mod_residues`.
+modulo p, in `hall_log_mod_residues`.  That kernel reads its precision
+from h: row n keeps s_n only to the p-adic digits that later rows read of
+it, and the powers of p that the divisions by j! leave are factored out
+of the coefficients block by block, so each product carries only the
+digits its row needs.
 """
 
 from __future__ import annotations
@@ -174,29 +178,32 @@ def _factorial_parts(p, stop):
         yield w, m
 
 
+# consecutive j that share one scaling exponent in `hall_log_mod_residues`
+_BLOCK = 64
+
+
 def _precision_plan(hred, p, nmax):
-    """(P, D) for `hall_log_mod_residues`, with 1 <= P <= C and 0 <= D <= C - 1.
+    """The loss profile (delta, Delta) that `hall_log_mod_residues` runs on.
 
     ``hred`` holds h_0..h_nmax modulo p**C, C = `log_residue_precision(nmax, p)`.
-    D = max delta_j and P = 1 + max Delta_n, as defined in the kernel's docstring.
+    delta[j] for 0 <= j < nmax and Delta[n] for 0 <= n <= nmax are as
+    defined in the kernel's docstring (Delta[0] = Delta[1] = 0); the plan
+    (P, D) of that docstring is (1 + Delta[nmax], max(delta)).
     """
     delta = [0] * nmax
     for j, (w, _) in enumerate(_factorial_parts(p, nmax)):
         # h_j = 0 mod p**C has v_p(h_j) >= C > w, so delta_j = 0
         if hred[j]:
             delta[j] = max(w - vp_int(hred[j], p), 0)
-    support = [j for j in range(1, nmax) if delta[j]]
+    support = [(j, d) for j, d in enumerate(delta) if d]
     loss = [0] * (nmax + 1)
+    below = 0  # support[:below] holds the j < n
     for n in range(2, nmax + 1):
-        # Delta is nondecreasing (delta >= 0), so max_k Delta_k = Delta_{n-1}
-        worst = loss[n - 1]
-        for j in support:
-            if j >= n:
-                break
-            if loss[n - j] + delta[j] > worst:
-                worst = loss[n - j] + delta[j]
-        loss[n] = worst
-    return loss[nmax] + 1, max(delta, default=0)
+        if below < len(support) and support[below][0] < n:
+            below += 1
+        # delta_1 = 0 (w_1 = 0), so Delta_(n-1) itself is one of the terms
+        loss[n] = max(loss[n - 1], max([loss[n - j] + d for j, d in support[:below]], default=0))
+    return delta, loss
 
 
 def hall_log_mod_residues(h, p, nmax):
@@ -208,7 +215,7 @@ def hall_log_mod_residues(h, p, nmax):
 
     With a_j = h_j / j!, the derivative of H = exp(S) gives
 
-        s_n = n a_n - sum_{k<n} s_k a_{n-k},    n a_n = h_n / (n-1)!.
+        s_n = n a_n - sum_{0<j<n} a_j s_(n-j),    n a_n = h_n / (n-1)!.
 
     Write w_j = v_p(j!) and j! = p^(w_j) u_j.  The precision is read from
     the data; no theorem about h is assumed:
@@ -216,60 +223,110 @@ def hall_log_mod_residues(h, p, nmax):
     - delta_j = max(0, w_j - v_p(h_j)) for j < nmax, read from h mod p**C
       (h_j = 0 mod p**C gives delta_j = 0, since w_j < C), so
       v_p(a_j) >= -delta_j.  D = max delta_j.
-    - alpha_j = p^D a_j = h_j p^(D - w_j) / u_j is p-integral, and the
-      leading term p^D n a_n = h_n p^(D - w_(n-1)) / u_(n-1) is p-integral
-      whenever s_n and s_1..s_(n-1) are, because the sum is.
-    - Run p^D s_n = p^D n a_n - sum_{k<n} s_k alpha_(n-k) modulo
-      p^(P+D), keeping s_n modulo p^P.  If s_k is known modulo p^(P -
-      Delta_k), the term s_k alpha_(n-k) is known modulo
-      p^(P - Delta_k - delta_(n-k) + D), so s_n is known modulo p^(P -
-      Delta_n) with Delta_1 = 0 and
-      Delta_n = max(0, max_{k<n} Delta_k + delta_(n-k)).
-      P = 1 + max Delta_n therefore leaves every s_n right modulo p.
-    - alpha_j needs h_j modulo p^(w_j + P) and the leading term h_n
-      modulo p^(w_(n-1) + P); the largest is w_(nmax-1) + P = C + P - 1,
-      so the kernel works from h modulo p**(C + P - 1).
+    - Delta_1 = 0 and Delta_n = max(0, max_{k<n} Delta_k + delta_(n-k)):
+      an error of valuation >= f in s_k becomes one of valuation
+      >= f - delta_(n-k) in s_n.  P = 1 + Delta_nmax.
+    - Row n keeps s_n modulo p^(e_n) with e_n = 1 + Delta_(nmax-n+1).
+      Then e_1 = P, e_nmax = 1, e is nonincreasing, and the loss
+      recurrence, shifted, gives e_k >= e_n + delta_(n-k) for k < n: the
+      digits s_k keeps are the digits every later row reads of it.
+    - delta~_j is the largest delta_i with i at most the end of j's block
+      of `_BLOCK` consecutive j, so delta_j <= delta~_j <= D and delta~ is
+      a nondecreasing step function.  beta_j = p^(delta~_j) a_j
+      = h_j p^(delta~_j - w_j) / u_j is p-integral, with v_p(beta_j) >=
+      delta~_j - delta_j, and is kept modulo p^(e_(j+1) + delta~_j).
+    - Row n multiplies the recurrence by p^(d), d = delta~_(n-1):
 
-    Every scaling division by a power of p, and the final one by p^D, is
-    checked exact; an inexact one means some s_n is not p-integral and
-    raises ``ValueError``.  The plan is always feasible: for integer h,
-    delta_j <= w_j, and w_a + w_b <= w_(a+b) since a! b! divides (a+b)!,
-    so by induction Delta_n <= w_(n-1).  Hence P <= C and D <= C - 1:
-    the work precision P + D and the C + P - 1 digits read of h are both
-    at most 2C - 1.
+          p^d s_n = L_n - sum_{0<j<n} p^(d - delta~_j) beta_j s_(n-j),
+
+      with L_n = p^d n a_n = h_n p^(d - w_(n-1)) / u_(n-1), taken modulo
+      p^(e_n + d).  The term of j is right modulo p^(e_n + d): s_(n-j) is
+      off by a multiple of p^(e_(n-j)), and e_(n-j) + v_p(beta_j) >=
+      e_n + delta_j + delta~_j - delta_j, so beta_j s_(n-j) is right
+      modulo p^(e_n + delta~_j), which the factor p^(d - delta~_j) lifts
+      to p^(e_n + d).  The sum runs by Horner over the runs of equal
+      delta~: one sum of products per run, then one multiplication by a
+      small p^(gap).  A D = 0 input has one run, and one sum per row.
+    - L_n is p-integral whenever s_1..s_n are, because the sum is
+      (v_p(a_j) >= -delta~_(n-1) for j < n), and L_n needs h_n modulo
+      p^(w_(n-1) + e_n); beta_j needs h_j modulo p^(w_j + e_(j+1)).  The
+      largest is w_(nmax-1) + e_1 = C + P - 1, so the kernel reads h
+      modulo p**(C + P - 1).
+    - beta_j and L_(j+1) share the factor 1/u_j modulo p^(e_(j+1) +
+      delta~_j).  u_(nmax-1) is inverted once; inv(u_(j-1)) =
+      inv(u_j) m_j with m_j = j / p^(v_p(j)) walks down from it.
+
+    Every scaling division by a power of p, and the final one of row n by
+    p^d, is checked exact; an inexact one means some s_n is not
+    p-integral and raises ``ValueError`` at the first such n.  The plan
+    is always feasible: for integer h, delta_j <= w_j, and w_a + w_b <=
+    w_(a+b) since a! b! divides (a+b)!, so by induction Delta_n <=
+    w_(n-1).  Hence P <= C and D <= C - 1: the widest row modulus
+    p^(P + D) and the C + P - 1 digits read of h are both at most 2C - 1.
     """
     C = log_residue_precision(nmax, p)
     modulus = p**C
     if len(h) <= nmax or h[0] % modulus != 1 % modulus:
         raise ValueError("h must cover 0..nmax and have h_0 = 1")
-    P, D = _precision_plan([x % modulus for x in h[: nmax + 1]], p, nmax)
-    hmod = p ** (C + P - 1)
-    hred = [x % hmod for x in h[: nmax + 1]]
-    work = p ** (P + D)
-    pD = p**D
-    # alpha_j and the leading term p^D n a_n with n = j + 1 share the
-    # factor p^(D - w_j) / u_j; both are taken modulo p^(P+D)
-    alpha = [0] * (nmax + 1)
-    lead = [0] * (nmax + 1)
-    u = 1  # u_j modulo p^(P+D)
-    for j, (w, m) in enumerate(_factorial_parts(p, nmax)):
-        u = u * m % work
-        inv = pow(u, -1, work)
-        for target, n in ((alpha, j), (lead, j + 1)):
-            x = hred[n]
-            if D >= w:
-                x *= p ** (D - w)
-            else:
-                x, r = divmod(x, p ** (w - D))
-                if r:
-                    raise ValueError(f"inverse transform not integral at n={j + 1}")
-            target[n] = x * inv % work
-    s = [0] * (nmax + 1)  # s_n modulo p^P
+    delta, loss = _precision_plan([x % modulus for x in h[: nmax + 1]], p, nmax)
+    e = [0] + [1 + loss[nmax - n + 1] for n in range(1, nmax + 1)]
+    # dt[j] = delta~_j; runs of equal delta~ as [first j, last j + 1, delta~]
+    dt = []
+    runs = []
+    top = 0
+    for lo in range(0, nmax, _BLOCK):
+        block = delta[lo : lo + _BLOCK]
+        top = max(top, *block)
+        dt += [top] * len(block)
+        if runs and runs[-1][2] == top:
+            runs[-1][1] = lo + len(block)
+        else:
+            runs.append([lo, lo + len(block), top])
+    if runs:
+        runs[0][0] = 1  # the sum over j starts at j = 1
+    pw = [p**i for i in range(top + 1)]
+    w, m = [], []
+    for wj, mj in _factorial_parts(p, nmax):
+        w.append(wj)
+        m.append(mj)
+    mods = [p ** (e[j + 1] + dt[j]) for j in range(nmax)]
+    work = p ** (e[1] + top) if nmax else 1  # p^(P+D), the widest of mods
+    u = 1
+    for mj in m:
+        u = u * mj % work
+    inv = [0] * nmax  # inv[j] = 1/u_j modulo mods[j]
+    iu = pow(u, -1, work)
+    for j in range(nmax - 1, -1, -1):
+        inv[j] = iu % mods[j]
+        iu = iu * m[j] % work
+
+    def scaled(x, j):
+        # x p^(delta~_j - w_j) / u_j modulo p^(e_(j+1) + delta~_j)
+        shift = dt[j] - w[j]
+        x %= p ** (e[j + 1] + w[j])
+        if shift >= 0:
+            x *= p**shift
+        else:
+            x, r = divmod(x, p**-shift)
+            if r:
+                raise ValueError(f"inverse transform not integral at n={j + 1}")
+        return x * inv[j] % mods[j]
+
+    beta = [scaled(h[j], j) for j in range(nmax)]
+    s = [0] * (nmax + 1)  # s_n modulo p^(e_n)
     residues = [0] * (nmax + 1)
     for n in range(1, nmax + 1):
-        tail = sum([x * y for x, y in zip(s[1:n], alpha[n - 1 : 0 : -1])])
-        acc = (lead[n] - tail) % work
-        q, r = divmod(acc, pD)
+        acc = 0
+        prev = 0
+        for lo, hi, d in runs:
+            if lo >= n:
+                break
+            hi = min(hi, n)
+            tail = sum([x * y for x, y in zip(beta[lo:hi], s[n - lo : n - hi : -1])])
+            acc = acc * pw[d - prev] + tail
+            prev = d
+        acc = (scaled(h[n], n - 1) - acc) % mods[n - 1]
+        q, r = divmod(acc, pw[dt[n - 1]])
         if r:
             raise ValueError(f"inverse transform not integral at n={n}")
         s[n] = q

@@ -2,14 +2,16 @@
 
 The oracles deliberately avoid the library's own recurrences: the
 polynomial exponential multiplies out sum S^k / k! term by term, the
-involution recurrence is the classical two-term one, and the series
-repair acts on raw coefficient lists.
+involution recurrence is the classical two-term one, the permutation
+counts enumerate S_n, and the series repair acts on raw coefficient lists.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator
+from functools import lru_cache
+from itertools import permutations
+from typing import Iterator, Sequence
 
 from dworklab.kernels import vp_int
 
@@ -61,6 +63,44 @@ def involution_oracle(n_max: int) -> list[int]:
     for n in range(2, n_max + 1):
         vals.append(vals[n - 1] + (n - 1) * vals[n - 2])
     return vals[: n_max + 1]
+
+
+@lru_cache(maxsize=None)
+def _cycle_length_set_counts(n: int) -> tuple[tuple[frozenset[int], int], ...]:
+    """For each set of cycle lengths, how many permutations of S_n show
+    exactly that set.  Full enumeration of all n! permutations."""
+    tally: dict[frozenset[int], int] = {}
+    for perm in permutations(range(n)):
+        seen = [False] * n
+        lengths = set()
+        for start in range(n):
+            if seen[start]:
+                continue
+            size = 0
+            node = start
+            while not seen[node]:
+                seen[node] = True
+                node = perm[node]
+                size += 1
+            lengths.add(size)
+        key = frozenset(lengths)
+        tally[key] = tally.get(key, 0) + 1
+    return tuple(tally.items())
+
+
+def permutation_count_bruteforce(n: int, lengths: Sequence[int]) -> int:
+    """Permutations of S_n (n <= 9) whose cycle lengths all lie in the set,
+    by enumeration."""
+    if n > 9:
+        raise ValueError("brute force is capped at n = 9")
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    allowed = set(lengths)
+    return sum(
+        count
+        for key, count in _cycle_length_set_counts(n)
+        if key <= allowed
+    )
 
 
 def repaired_integer_series(rng, p: int, n_max: int, depth: int, magnitude: int = 40) -> list[int]:

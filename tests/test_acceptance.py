@@ -15,12 +15,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import involution_oracle, partitions_of, repaired_integer_series
+from conftest import (
+    involution_oracle,
+    partitions_of,
+    permutation_count_bruteforce,
+    repaired_integer_series,
+)
 from dworklab import kernels
 from dworklab.applications import (
     CycleRule,
     periodicity_detect,
-    permutation_count_bruteforce,
     permutation_count_series,
     supercongruence_sweep,
 )

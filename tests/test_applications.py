@@ -2,11 +2,11 @@ import itertools
 
 import pytest
 
+from conftest import permutation_count_bruteforce
 from dworklab.applications import (
     CycleRule,
     normal_count_index_p,
     periodicity_detect,
-    permutation_count_bruteforce,
     permutation_count_series,
     supercongruence_check,
     supercongruence_sweep,

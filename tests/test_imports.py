@@ -106,12 +106,11 @@ def test_no_unreferenced_private_names(path):
 
 # Public names that nothing in the package or the benchmark calls, kept
 # because the tests check other code against them: Dwork's lemma, the
-# corrected tail series, the permutation and index-p normal subgroup
-# counts, and the exact free-product counts behind the residues mod p.
+# corrected tail series, the index-p normal subgroup counts, and the exact
+# free-product counts behind the residues mod p.
 ORACLES = (
     "dwork_gap",
     "lambda_sequence",
-    "permutation_count_bruteforce",
     "normal_count_index_p",
     "subgroup_count_series",
 )
@@ -215,14 +214,9 @@ def test_public_names_have_a_caller():
 # In-process memos of the package, each with the reason it stays.  A memo
 # can hand back a value that no longer matches its inputs and leave no
 # trace in the report, so a new one is named here, where review sees it.
-ALLOWED_MEMOS = {
-    # the S_n test oracle: the cycle-type counts at n are built from those
-    # at every smaller n
-    "_cycle_length_set_counts",
-    # every instance of a supercongruence sweep reads its h from one series;
-    # recomputing it per instance took 2.5-2.8x as long at p = 7 and 11
-    "_HOM_Z_PLUS_ZP_CACHE",
-}
+# There is none: the supercongruence sweep hands its one h series to each
+# instance, and the S_n permutation oracle lives in tests/conftest.py.
+ALLOWED_MEMOS: set[str] = set()
 MEMO_DECORATORS = ("lru_cache", "cache")
 
 

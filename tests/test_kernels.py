@@ -86,11 +86,17 @@ def test_hall_log_mod_residues_matches_exact(kern):
         assert residues == [x % p for x in svals]
         C = kern.log_residue_precision(80, p)
         # the single scaled path is always feasible
-        P, D = kernels._precision_plan([x % p**C for x in h], p, 80)
+        P, D = _plan([x % p**C for x in h], p, 80)
         assert 1 <= P <= C and 0 <= D <= C - 1
         # h reduced modulo p**(2C - 1) must give the same answer
         reduced = [x % p ** (2 * C - 1) for x in h]
         assert kern.hall_log_mod_residues(reduced, p, 80) == residues
+
+
+def _plan(hred, p, n):
+    """(P, D) of `kernels._precision_plan`'s profile: 1 + Delta_N and max delta."""
+    delta, loss = kernels._precision_plan(hred, p, n)
+    return 1 + loss[n], max(delta, default=0)
 
 
 def _reduced_hom_counts(text, p, n):
@@ -113,7 +119,21 @@ _PLAN_CASES = [
 @pytest.mark.parametrize("text, p, n, plan", _PLAN_CASES)
 def test_precision_plan_is_read_from_h(text, p, n, plan):
     hred = _reduced_hom_counts(text, p, n)[2]
-    assert kernels._precision_plan(hred, p, n) == plan
+    assert _plan(hred, p, n) == plan
+
+
+@pytest.mark.parametrize("text, p, n", [case[:3] for case in _PLAN_CASES])
+def test_row_precision_covers_the_loss(text, p, n):
+    # e_n = 1 + Delta_(N-n+1): e_1 = P, e_N = 1, and e_k >= e_n + delta_(n-k)
+    # for k < n, checked pair by pair (delta_j = 0 leaves e nonincreasing)
+    hred = _reduced_hom_counts(text, p, n)[2]
+    delta, loss = kernels._precision_plan(hred, p, n)
+    e = [None] + [1 + loss[n - k + 1] for k in range(1, n + 1)]
+    assert (e[1], e[n]) == (_plan(hred, p, n)[0], 1)
+    assert all(e[k] >= e[k + 1] for k in range(1, n))
+    for j, d in enumerate(delta):
+        if d:
+            assert all(e[m - j] >= e[m] + d for m in range(j + 1, n + 1)), (j, d)
 
 
 @pytest.mark.parametrize("text, p, n", [case[:3] for case in _PLAN_CASES])
@@ -128,10 +148,10 @@ def test_hall_log_mod_residues_reads_2c_minus_1_digits(kern, text, p, n):
 def test_hall_log_mod_residues_rejects_inexact_scaling(kern):
     # P = 1, D = 0: an odd h_N makes h_N / p^(w_(N-1)) inexact
     h, C, hred = _reduced_hom_counts("C[2]*C[16]", 2, 200)
-    assert kernels._precision_plan(hred, 2, 200) == (1, 0)
+    assert _plan(hred, 2, 200) == (1, 0)
     bad = h[:]
     bad[200] += 1
-    assert kernels._precision_plan(bad, 2, 200) == (1, 0)
+    assert _plan(bad, 2, 200) == (1, 0)
     with pytest.raises(ValueError, match="not integral at n=200"):
         kern.hall_log_mod_residues(bad, 2, 200)
 
@@ -139,11 +159,11 @@ def test_hall_log_mod_residues_rejects_inexact_scaling(kern):
     # p^(w_(N-1) - D) exact but leaves s_N with valuation -1, so the final
     # division by p^D is inexact
     h, C, hred = _reduced_hom_counts("C[4]*C[6]", 2, 200)
-    P, D = kernels._precision_plan(hred, 2, 200)
+    P, D = _plan(hred, 2, 200)
     assert P > 1 and D > 0
     bad = h[:]
     bad[200] += 2 ** (C - 2)  # C - 1 = v_2(199!)
-    assert kernels._precision_plan(bad, 2, 200) == (P, D)
+    assert _plan(bad, 2, 200) == (P, D)
     with pytest.raises(ValueError, match="not integral at n=200"):
         kern.hall_log_mod_residues(bad, 2, 200)
 
@@ -151,11 +171,57 @@ def test_hall_log_mod_residues_rejects_inexact_scaling(kern):
     # h_N * 2^(D - w_(N-1)) = h_N and the final division by 2^D = 2^(C-1)
     # is inexact for an odd h_N
     h, C, hred = _reduced_hom_counts("C[3]*C[9]", 2, 200)
-    assert kernels._precision_plan(hred, 2, 200) == (C, C - 1)
+    assert _plan(hred, 2, 200) == (C, C - 1)
     bad = h[:]
     bad[200] += 1
     with pytest.raises(ValueError, match="not integral at n=200"):
         kern.hall_log_mod_residues(bad, 2, 200)
+
+
+# block lengths for the scaling exponents: one run per j, short runs that
+# split at every step of delta, and the default
+_BLOCKS = st.sampled_from(sorted({1, 2, 3, kernels._BLOCK}))
+_GROUP_FACTORS = ["C[2]", "C[3]", "C[4]", "C[6]", "C[9]", "C[16]", "D[3]", "A[2;1,1]", "A[3;1,1]"]
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    factors=st.lists(st.sampled_from(_GROUP_FACTORS), min_size=2, max_size=3),
+    p=st.sampled_from([2, 3]),
+    n=st.integers(1, 160),
+    block=_BLOCKS,
+)
+@example(factors=["C[4]", "C[6]"], p=2, n=160, block=1)  # 1 < P < C
+@example(factors=["C[3]", "C[9]"], p=2, n=130, block=3)  # no 2-part: P = C
+@example(factors=["C[2]", "C[16]"], p=2, n=160, block=2)  # P = 1, D = 0
+def test_hall_log_mod_residues_matches_exact_subgroup_counts(factors, p, n, block):
+    from dworklab.groups import hom_count_ints_mod, parse_group_spec, subgroup_count_series
+
+    spec = parse_group_spec("*".join(factors))
+    exact = subgroup_count_series(spec, n)
+    C = kernels.log_residue_precision(n, p)
+    h = hom_count_ints_mod(spec, n, p ** (2 * C - 1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_BLOCK", block)
+        assert kernels.hall_log_mod_residues(h, p, n) == [0] + [x % p for x in exact.coeffs]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    s=st.lists(st.integers(-60, 60), min_size=1, max_size=150),
+    p=st.sampled_from([2, 3, 5, 7]),
+    block=_BLOCKS,
+)
+def test_hall_log_mod_residues_inverts_hall_exp(s, p, block):
+    # random integer s: h = hall_exp(s) exactly, then reduced to the 2C - 1
+    # digits the kernel reads; its delta is mostly w, so D and P are large
+    s = [0] + s
+    n = len(s) - 1
+    C = kernels.log_residue_precision(n, p)
+    h = [x % p ** (2 * C - 1) for x in kernels.hall_exp(s, n)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_BLOCK", block)
+        assert kernels.hall_log_mod_residues(h, p, n) == [x % p for x in s]
 
 
 def test_log_residue_precision(kern):
