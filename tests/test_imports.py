@@ -214,8 +214,7 @@ def test_public_names_have_a_caller():
 # In-process memos of the package, each with the reason it stays.  A memo
 # can hand back a value that no longer matches its inputs and leave no
 # trace in the report, so a new one is named here, where review sees it.
-# There is none: the supercongruence sweep hands its one h series to each
-# instance, and the S_n permutation oracle lives in tests/conftest.py.
+# The package has none at present.
 ALLOWED_MEMOS: set[str] = set()
 MEMO_DECORATORS = ("lru_cache", "cache")
 
