@@ -75,6 +75,9 @@ CASES = [
     ("vg-3-11", ["verify-group", "--spec", "A[3;1,1]", "--n-max", "60"], 0, "a8df0fe520fa1cbc36e7a22b45e45bfe08414cb1d3f554dfa5d7fb011d51656a"),
     # p = 2 case II of rank 4: the claimed class 2^(A_1+2) is not tight
     ("vg-2-1111-n1024", ["verify-group", "--spec", "A[2;1,1,1,1]", "--n-max", "1024"], 1, "1239b9c2edebc8272cbc3cc0bc916fa23cfc6d3a3a3c809c20526b7b79729978"),
+    # wide support (s_n != 0 up to n = p^weight), so every row steps every k
+    ("vg-2-12-n1024", ["verify-group", "--spec", "A[2;12]", "--n-max", "1024"], 0, "a165b307a0428bef7db385a55489e7581f2f8951c40d7b89ef9ca788bafeead7"),
+    ("vg-3-7-n512", ["verify-group", "--spec", "A[3;7]", "--n-max", "512"], 0, "03980c4ce18a1e2fb5f6d4f32cb82a0e4d6087933587c421d3f0907bedb0abfb"),
     ("vg-not-abelian", ["verify-group", "--spec", "C[4]"], 2, None),
     ("vd-12", ["verify-dihedral", "--m", "12", "--n-max", "64", "--odd-n-max", "50"], 0, "c41fc57defc092422abc1708c8c268c0fccce73ac283f41e8219a2d8e70ef8ab"),
     # the n/2 - n/4 branch (m not divisible by 4), for even and odd m
