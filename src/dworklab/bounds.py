@@ -15,7 +15,8 @@ row's valuation and Q_n mod p from one reduction of h_n modulo
 p^(e(n)+64); `verify_bounds_mod`, which `verify-group` runs, gives the
 same report from h computed only modulo p^(E+64), E = max e(n), and
 falls back to the exact h when some e(n) < 0 or some residue is 0 modulo
-p^(e(n)+64); `verify_q_recurrence` checks on those residues the mod-p
+p^(e(n)+64) (both from `kernels.hall_exp`, with and without the
+modulus); `verify_q_recurrence` checks on those residues the mod-p
 recurrence of the quotients that certifies tightness; and
 `floor_lemma_checks` exhaustively tests the two floor-sum inequalities
 the bound proofs rest on.
@@ -440,15 +441,16 @@ def verify_bounds_mod(s: Sequence[int], kind: BoundKind, n_max: int) -> BoundRep
 
     ``s`` holds the integers s_0..s_n_max (s_0 is ignored).  A row needs
     only the digits of h_n below p^(e(n)+64), so with E = max e(n) the
-    recurrence runs modulo p^(E+64) (`kernels.hall_exp_mod`), on numbers
-    far smaller than the exact h_n.  When some e(n) < 0, or some residue
-    is 0 modulo p^(e(n)+64), only the exact h_n settles that row: h is
-    then computed exactly, once, and every row is read from it.
+    recurrence runs modulo p^(E+64) (`kernels.hall_exp` with that
+    modulus), on numbers far smaller than the exact h_n.  When some
+    e(n) < 0, or some residue is 0 modulo p^(e(n)+64), only the exact h_n
+    settles that row: the same kernel then runs once more without a
+    modulus, and every row is read from the exact h.
     """
     bounds = [bound_value(kind, n) for n in range(n_max + 1)]
     if min(bounds) >= 0:
         modulus = kind.p ** (max(bounds) + _GUARD)
-        report = _verify_rows(kernels.hall_exp_mod(s, n_max, modulus), kind, bounds, exact=False)
+        report = _verify_rows(kernels.hall_exp(s, n_max, modulus), kind, bounds, exact=False)
         if report is not None:
             return report
     return _verify_rows(kernels.hall_exp(s, n_max), kind, bounds)

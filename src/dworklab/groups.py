@@ -12,7 +12,7 @@ summed over subgroup types of each size and converted to index counts.
 A brute-force enumerator (closing subgroups under the group operation,
 hard size cap 256) serves as ground truth.  Free products are represented
 through their homomorphism-count sequences, which multiply pointwise;
-their subgroup counts are recovered by the inverse transform.
+their subgroup counts are recovered modulo p by the inverse transform.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Iterator, Mapping
 from . import kernels
 from .bounds import partition_case
 from .exactcore import check_prime, gauss_binom_at, vp
-from .series import ExpSeries, LogSeries, log_transform
+from .series import LogSeries
 
 ABELIAN_WEIGHT_CAP = 40
 BRUTEFORCE_ORDER_CAP = 256
@@ -330,41 +330,27 @@ def finite_subgroup_counts(spec: GroupSpec) -> SubgroupCounts:
     raise ValueError("free products have no finite subgroup-count table")
 
 
-def hom_count_ints(spec: GroupSpec, n_max: int) -> list[int]:
-    """h_0..h_{n_max} of the group as plain integers."""
-    factors = spec.factors if spec.is_free_product() else (spec,)
-    out = None
-    for factor in factors:
-        h = kernels.hall_exp(finite_subgroup_counts(factor).values(n_max), n_max)
-        out = h if out is None else [a * b for a, b in zip(out, h)]
-    return out
-
-
 def hom_count_ints_mod(spec: GroupSpec, n_max: int, modulus: int) -> list[int]:
-    """h_0..h_{n_max} reduced modulo ``modulus`` (division-free, so exact)."""
+    """h_0..h_{n_max} reduced modulo ``modulus``.
+
+    Each factor's h runs through `kernels.hall_exp` modulo ``modulus``
+    (division free, so exact), and a free product's counts are their
+    pointwise product.
+    """
     factors = spec.factors if spec.is_free_product() else (spec,)
     out = None
     for factor in factors:
         svals = finite_subgroup_counts(factor).values(n_max)
-        h = kernels.hall_exp_mod(svals, n_max, modulus)
+        h = kernels.hall_exp(svals, n_max, modulus)
         out = h if out is None else [a * b % modulus for a, b in zip(out, h)]
     return out
-
-
-def subgroup_count_series(spec: GroupSpec, n_max: int) -> LogSeries:
-    """s_1..s_{n_max}; for free products recovered by the inverse transform."""
-    if not spec.is_free_product():
-        return finite_subgroup_counts(spec).to_log_series(n_max)
-    s = log_transform(ExpSeries(tuple(hom_count_ints(spec, n_max))))
-    if not s.is_integral():
-        raise ValueError("inverse transform of the hom counts is not integral")
-    return s
 
 
 def subgroup_residues_mod_p(spec: GroupSpec, n_max: int, p: int) -> list[int]:
     """s_n mod p for 0 <= n <= n_max, from h modulo p**(2C - 1).
 
-    Matches `subgroup_count_series` exactly (cross-checked in the tests).
+    The tests check it against the exact inverse transform of the exact
+    hom counts.
     C = `kernels.log_residue_precision(n_max, p)`, and 2C - 1 digits of h
     are the most `kernels.hall_log_mod_residues` reads.
     """

@@ -6,13 +6,14 @@ The central recurrence converts between the two coefficient sequences of
     h_n = sum_{k=1}^{n} (n-k+1)_{k-1} * s_k * h_{n-k},    h_0 = 1,
 
 where ``(a)_j`` is the rising factorial.  The recurrence contains no
-divisions, so it reduces exactly modulo any modulus.  `hall_exp` and
-`hall_exp_mod` run it in one loop whose sum over k stops at the last
-nonzero s_k, which keeps sparse group and cycle series cheap.
-`verify-group` runs `hall_exp_mod` modulo p^(E+64), with E the largest
-bound exponent e(n), and reads every row from those residues; only when
-some e(n) < 0, or some residue is 0 modulo p^(e(n)+64), does it fall back
-to the exact `hall_exp` (`dworklab.bounds.verify_bounds_mod`).  The
+divisions, so it reduces exactly modulo any modulus.  `hall_exp` runs it
+in one loop, exactly or modulo a given modulus; the sum over k stops at
+the last nonzero s_k, which keeps sparse group and cycle series cheap.
+`verify-group` runs it modulo p^(E+64), with E the largest bound exponent
+e(n), and reads every row from those residues; only when some e(n) < 0,
+or some residue is 0 modulo p^(e(n)+64), does it run it again without a
+modulus (`dworklab.bounds.verify_bounds_mod`).  `periodicity` runs it
+modulo p^(2C-1) (`dworklab.groups.hom_count_ints_mod`).  The
 inverse recurrence divides by (n-1)!: its exact form, which may leave
 the integers, is `dworklab.series.log_transform`, and here it runs only
 modulo p, in `hall_log_mod_residues`.  That kernel reads its precision
@@ -29,7 +30,6 @@ BACKEND = "pure-python"  # the kernel implementation that perfbench/run.py recor
 __all__ = [
     "vp_int",
     "hall_exp",
-    "hall_exp_mod",
     "hall_log_mod_residues",
     "log_residue_precision",
     "subgroup_lattice_sizes",
@@ -58,16 +58,23 @@ def vp_int(x: int, p: int) -> int:
     return v
 
 
-def hall_exp(s, nmax):
+def hall_exp(s, nmax, modulus=None):
     """Integer coefficients h_0..h_nmax from integer s_1..s_nmax.
 
     ``s`` is indexed by position (s[0] is ignored); entries beyond
     ``len(s)-1`` count as zero.  The sum over k stops at the last nonzero
     s_k, so series with low-lying support (group and cycle-length data)
-    skip the empty tail of every row.
+    skip the empty tail of every row.  With a positive ``modulus`` every
+    value is reduced modulo it, and s_k counts as zero where it vanishes
+    modulo it; the recurrence is division free, so each entry is then
+    congruent to the exact h_n modulo ``modulus``.
     """
+    if modulus is not None:
+        if modulus <= 0:
+            raise ValueError("modulus must be positive")
+        s = [x % modulus for x in s[: nmax + 1]]
     h = [0] * (nmax + 1)
-    h[0] = 1
+    h[0] = 1 if modulus is None else 1 % modulus
     last = min(len(s) - 1, nmax)
     while last > 0 and not s[last]:
         last -= 1
@@ -79,33 +86,9 @@ def hall_exp(s, nmax):
             if sk:
                 acc += poch * sk * h[n - k]
             poch *= n - k
-        h[n] = acc
-    return h
-
-
-def hall_exp_mod(s, nmax, modulus):
-    """`hall_exp` with every value reduced modulo ``modulus``.
-
-    Exact because the recurrence is division free: the result entries are
-    congruent to the exact h_n modulo ``modulus``.
-    """
-    if modulus <= 0:
-        raise ValueError("modulus must be positive")
-    h = [0] * (nmax + 1)
-    h[0] = 1 % modulus
-    sred = [x % modulus for x in s[: nmax + 1]]
-    last = len(sred) - 1
-    while last > 0 and not sred[last]:
-        last -= 1
-    for n in range(1, nmax + 1):
-        acc = 0
-        poch = 1
-        for k in range(1, min(n, last) + 1):
-            sk = sred[k]
-            if sk:
-                acc += poch * sk * h[n - k]
-            poch = poch * (n - k) % modulus
-        h[n] = acc % modulus
+            if modulus is not None:
+                poch %= modulus
+        h[n] = acc if modulus is None else acc % modulus
     return h
 
 

@@ -4,16 +4,22 @@ The oracles deliberately avoid the library's own recurrences: the
 polynomial exponential multiplies out sum S^k / k! term by term, the
 involution recurrence is the classical two-term one, the permutation
 counts enumerate S_n, and the series repair acts on raw coefficient lists.
+The exact hom counts and subgroup series of a group spec are the
+exception: they run the library's exact transforms, and are the exact
+twins the modular paths of `dworklab.groups` are checked against.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from typing import Iterator, Sequence
 
-from dworklab.kernels import vp_int
+from dworklab.groups import GroupSpec, finite_subgroup_counts
+from dworklab.kernels import hall_exp, vp_int
+from dworklab.series import ExpSeries, LogSeries, log_transform
 
 
 def poly_mul_trunc(a: list[Fraction], b: list[Fraction], n_max: int) -> list[Fraction]:
@@ -172,3 +178,22 @@ def partitions_of(weight: int, max_part: int | None = None) -> Iterator[tuple[in
     for first in range(cap, 0, -1):
         for rest in partitions_of(weight - first, first):
             yield (first,) + rest
+
+
+def hom_count_ints(spec: GroupSpec, n_max: int) -> list[int]:
+    """h_0..h_{n_max} of the group as exact integers; the counts of a free
+    product are the pointwise product of its factors' counts."""
+    factors = spec.factors if spec.is_free_product() else (spec,)
+    hs = [hall_exp(finite_subgroup_counts(f).values(n_max), n_max) for f in factors]
+    return [math.prod(col) for col in zip(*hs)]
+
+
+def subgroup_count_series(spec: GroupSpec, n_max: int) -> LogSeries:
+    """s_1..s_{n_max} exactly; for free products recovered by the exact
+    inverse transform of `hom_count_ints`."""
+    if not spec.is_free_product():
+        return finite_subgroup_counts(spec).to_log_series(n_max)
+    s = log_transform(ExpSeries(tuple(hom_count_ints(spec, n_max))))
+    if not s.is_integral():
+        raise ValueError("inverse transform of the hom counts is not integral")
+    return s

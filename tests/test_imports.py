@@ -106,13 +106,12 @@ def test_no_unreferenced_private_names(path):
 
 # Public names that nothing in the package or the benchmark calls, kept
 # because the tests check other code against them: Dwork's lemma, the
-# corrected tail series, the index-p normal subgroup counts, and the exact
-# free-product counts behind the residues mod p.
+# corrected tail series and the index-p normal subgroup counts.  Oracles
+# that only tests call live in tests/conftest.py instead.
 ORACLES = (
     "dwork_gap",
     "lambda_sequence",
     "normal_count_index_p",
-    "subgroup_count_series",
 )
 BENCHMARK = TESTS.parent / "perfbench"
 

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import involution_oracle, naive_vp, poly_exp_oracle
+from conftest import (
+    hom_count_ints,
+    involution_oracle,
+    naive_vp,
+    poly_exp_oracle,
+    subgroup_count_series,
+)
 from dworklab import kernels
 
 
@@ -38,13 +44,10 @@ def test_hall_exp_short_series(kern):
     assert kern.hall_exp([], 3) == [1, 0, 0, 0]
 
 
-def test_hall_exp_mod_matches_exact(kern):
-    rng = random.Random(13)
-    svals = [0] + [rng.randint(-30, 30) for _ in range(80)]
-    h = kern.hall_exp(svals, 80)
-    for modulus in (2**20, 3**13, 997):
-        hm = kern.hall_exp_mod(svals, 80, modulus)
-        assert hm == [x % modulus for x in h]
+def test_hall_exp_rejects_nonpositive_modulus(kern):
+    for modulus in (0, -3):
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            kern.hall_exp([0, 1, 1], 4, modulus)
 
 
 @st.composite
@@ -63,18 +66,21 @@ def _exp_inputs(draw):
 
 
 @settings(deadline=None, max_examples=200)
-@given(_exp_inputs(), st.sampled_from([1, 2, 7, 3**5, 2**64 + 13]))
+@given(_exp_inputs(), st.sampled_from([None, 1, 2, 7, 3**5, 2**64 + 13]))
+@example(([0, 1, 0, 0, 0, 0, 2], 24), None)  # exact
 @example(([0, 1, 0, 0, 0, 0, 2], 24), 7)  # support below N/4
 @example(([0, 1, 0, 0, 0, 0, 0, 0, 0, 3], 24), 7)  # support past N/4
 @example(([0, 5, 0, 1] + [0] * 10 + [9, 0], 12), 2**64 + 13)  # s_14 != 0 past N = 12
+@example(([0, 5, 0, 1] + [0] * 10 + [9, 0], 12), None)
 @example(([0, 0, 0], 6), 3)  # all zero
 @example(([0, 1, -7, 0, 14], 10), 7)  # entries that vanish mod 7
 def test_hall_exp_property_matches_polynomial_exponential(case, modulus):
     s, nmax = case
     padded = (s + [0] * (nmax + 1))[: nmax + 1]
     expected = [e.numerator for e in poly_exp_oracle(padded)]
-    assert kernels.hall_exp(s, nmax) == expected
-    assert kernels.hall_exp_mod(s, nmax, modulus) == [x % modulus for x in expected]
+    if modulus is not None:
+        expected = [x % modulus for x in expected]
+    assert kernels.hall_exp(s, nmax, modulus) == expected
 
 
 def test_hall_log_mod_residues_matches_exact(kern):
@@ -100,7 +106,7 @@ def _plan(hred, p, n):
 
 
 def _reduced_hom_counts(text, p, n):
-    from dworklab.groups import hom_count_ints, parse_group_spec
+    from dworklab.groups import parse_group_spec
 
     h = hom_count_ints(parse_group_spec(text), n)
     C = kernels.log_residue_precision(n, p)
@@ -195,7 +201,7 @@ _GROUP_FACTORS = ["C[2]", "C[3]", "C[4]", "C[6]", "C[9]", "C[16]", "D[3]", "A[2;
 @example(factors=["C[3]", "C[9]"], p=2, n=130, block=3)  # no 2-part: P = C
 @example(factors=["C[2]", "C[16]"], p=2, n=160, block=2)  # P = 1, D = 0
 def test_hall_log_mod_residues_matches_exact_subgroup_counts(factors, p, n, block):
-    from dworklab.groups import hom_count_ints_mod, parse_group_spec, subgroup_count_series
+    from dworklab.groups import hom_count_ints_mod, parse_group_spec
 
     spec = parse_group_spec("*".join(factors))
     exact = subgroup_count_series(spec, n)
