@@ -13,9 +13,9 @@ the last nonzero s_k, which keeps sparse group and cycle series cheap.
 e(n), and reads every row from those residues; only when some e(n) < 0,
 or some residue is 0 modulo p^(e(n)+64), does it run it again without a
 modulus (`dworklab.bounds.verify_bounds_mod`).  `periodicity` runs it
-modulo p^(2C-1) (`dworklab.groups.hom_count_ints_mod`).  The
-inverse recurrence divides by (n-1)!: its exact form, which may leave
-the integers, is `dworklab.series.log_transform`, and here it runs only
+modulo p^(2C-1) (`dworklab.groups.hom_count_ints_mod`).  The inverse
+recurrence divides by (n-1)!: its exact form, which may leave the
+integers, is `dworklab.series.log_transform`, and here it runs only
 modulo p, in `hall_log_mod_residues`.  That kernel reads its precision
 from h: row n keeps s_n only to the p-adic digits that later rows read of
 it, and the powers of p that the divisions by j! leave are factored out
