@@ -44,6 +44,15 @@ def test_hall_exp_short_series(kern):
     assert kern.hall_exp([], 3) == [1, 0, 0, 0]
 
 
+# the modular path of hall_exp against its own exact path, at 80 terms
+def test_hall_exp_mod_matches_exact(kern):
+    rng = random.Random(13)
+    svals = [0] + [rng.randint(-30, 30) for _ in range(80)]
+    h = kern.hall_exp(svals, 80)
+    for modulus in (2**20, 3**13, 997):
+        assert kern.hall_exp(svals, 80, modulus) == [x % modulus for x in h]
+
+
 def test_hall_exp_rejects_nonpositive_modulus(kern):
     for modulus in (0, -3):
         with pytest.raises(ValueError, match="modulus must be positive"):
