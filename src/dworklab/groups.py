@@ -9,10 +9,12 @@ p-group of type mu with the conjugate-partition formula
                  * [mu'_i - nu'_{i+1} choose nu'_i - nu'_{i+1}]_p,
 
 summed over subgroup types of each size and converted to index counts.
-A brute-force enumerator (closing subgroups under the group operation,
-hard size cap 256) serves as ground truth.  Free products are represented
-through their homomorphism-count sequences, which multiply pointwise;
-their subgroup counts are recovered modulo p by the inverse transform.
+A brute-force enumerator serves as ground truth: it builds the group's
+addition table from one byte translate table per cyclic generator, and
+closes subgroups one coset at a time (hard size cap 256, so that every
+element fits in a byte).  Free products are represented through their
+homomorphism-count sequences, which multiply pointwise; their subgroup
+counts are recovered modulo p by the inverse transform.
 """
 
 from __future__ import annotations
@@ -141,37 +143,45 @@ def abelian_subgroup_counts(t: PartitionType) -> SubgroupCounts:
 
 def _addition_table(parts: tuple[int, ...], p: int) -> tuple[int, bytes]:
     """Elements of prod C_{p^{a_i}} encoded 0..order-1, plus the flattened
-    sum table (entry i*order + j is the index of i + j)."""
+    sum table (entry i*order + j is the index of i + j).
+
+    The element x = (x_1, ..., x_r) is encoded in mixed radix, x_1 the
+    lowest digit: sum x_k * stride_k with stride_k = prod_{i<k} p^{a_i}.
+    Row i of the table lists i + j for every j.  Adding the generator e_k
+    (1 in digit k, mod p^{a_k}) is one 256-byte translate table, so row i
+    is row (i - stride_k) translated by it, where k is i's highest nonzero
+    digit: the rows are built block by block, in C.  Orders above 256 do
+    not fit in a byte and raise ValueError.
+    """
     moduli = [p**a for a in parts]
     order = 1
     for m in moduli:
         order *= m
-    decode = []
-    for idx in range(order):
-        x = []
-        rem = idx
-        for m in moduli:
-            x.append(rem % m)
-            rem //= m
-        decode.append(tuple(x))
-    encode = {x: i for i, x in enumerate(decode)}
-    flat = bytearray(order * order)
-    for i in range(order):
-        base = i * order
-        for j in range(order):
-            flat[base + j] = encode[
-                tuple((a + b) % m for a, b, m in zip(decode[i], decode[j], moduli))
-            ]
-    return order, bytes(flat)
+    pad = bytes(256 - order)
+    rows = [bytes(range(order))]
+    stride = 1
+    for m in moduli:
+        # i + e_k: digit k steps up by one, and wraps from m - 1 to 0
+        top = (m - 1) * stride
+        add_gen = bytes(i - top if i // stride % m == m - 1 else i + stride for i in range(order))
+        add_gen += pad
+        block = rows
+        for _ in range(m - 1):
+            block = [row.translate(add_gen) for row in block]
+            rows += block
+        stride *= m
+    return order, b"".join(rows)
 
 
 def abelian_subgroup_counts_bruteforce(t: PartitionType) -> SubgroupCounts:
     """Ground-truth enumeration of every subgroup as an explicit element set.
 
     Walks the subgroup lattice level by level: each subgroup of order
-    p^{k+1} is the closure of a subgroup H of order p^k together with one
-    extra element g satisfying p*g in H; duplicate element sets are merged.
-    The closure loop itself is `kernels.subgroup_lattice_sizes`.
+    p^{k+1} is H u (H+g) u ... u (H+(p-1)g) for a subgroup H of order p^k
+    and an element g outside H with p*g in H; duplicate element sets are
+    merged.  It shares no code with the type-counting formula: the group
+    is its addition table (`_addition_table`), and the closure loop is
+    `kernels.subgroup_lattice_sizes`.
     """
     if t.group_order > BRUTEFORCE_ORDER_CAP:
         raise ValueError(f"group order cap {BRUTEFORCE_ORDER_CAP} exceeded")

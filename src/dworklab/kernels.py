@@ -97,44 +97,55 @@ def subgroup_lattice_sizes(order: int, p: int, add_flat: bytes) -> list[int]:
 
     ``add_flat[i * order + j]`` must be the element index of i + j, with 0
     the identity; ``order`` is capped at 256 so indices fit in one byte.
-    Walks the lattice level by level: every subgroup of order p^{k+1} is
-    the closure of a subgroup H of order p^k with one extra element g
-    satisfying p*g in H.  Returns the multiset of subgroup orders, sorted.
+    Returns the multiset of subgroup orders, sorted.
+
+    Walks the lattice level by level.  Every subgroup K of order p^{k+1}
+    contains a subgroup H of order p^k.  K/H has order p, so for any g in
+    K outside H, g + H generates K/H, p*g lies in H and
+
+        K = <H, g> = H u (H+g) u ... u (H+(p-1)g),
+
+    p disjoint cosets.  Conversely, for any g outside H with p*g in H,
+    g + H has order p (p is prime), so these p cosets form a subgroup of
+    order p^{k+1}.  So the level above H is exactly the set of these
+    unions, and the enumeration is exact.  Each subgroup is kept as the
+    bytes of its elements, and each row of the table, padded to 256
+    bytes, is the translate table of "add g", so
+    ``coset.translate(row[g])`` steps H+jg to H+(j+1)g in C.  Every other
+    g in K but not in H gives the same K, so K's elements are deleted from
+    the g still to try, again by ``bytes.translate``.
     """
     if order > 256:
         raise ValueError("subgroup enumeration is capped at order 256")
     if len(add_flat) != order * order:
         raise ValueError("addition table has the wrong size")
-    ptimes = []
-    for g in range(order):
+    pad = bytes(256 - order)
+    rows = [add_flat[i : i + order] + pad for i in range(0, order * order, order)]
+    # roots[x]: the elements g with p*g = x
+    roots = [bytearray() for _ in range(order)]
+    for g, row in enumerate(rows):
         acc = 0
         for _ in range(p):
-            acc = add_flat[acc * order + g]
-        ptimes.append(acc)
+            acc = row[acc]
+        roots[acc].append(g)
 
-    trivial = frozenset({0})
-    found = {trivial}
-    level = [trivial]
+    sizes = [1]
+    level = {b"\0"}
     while level:
         next_level = set()
-        for H in level:
-            seen = set(H)
-            for g in range(order):
-                if g in seen or ptimes[g] not in H:
-                    continue
-                K = set(H)
-                coset = g
-                row = g * order
-                while coset not in H:
-                    base = coset * order
-                    K.update(add_flat[base + h] for h in H)
-                    coset = add_flat[row + coset]
-                frozen = frozenset(K)
-                seen |= frozen
-                next_level.add(frozen)
-        found |= next_level
-        level = list(next_level)
-    return sorted(len(H) for H in found)
+        for hb in level:
+            todo = b"".join([roots[h] for h in hb]).translate(None, hb)
+            while todo:
+                row = rows[todo[0]]
+                coset = kb = hb
+                for _ in range(p - 1):
+                    coset = coset.translate(row)
+                    kb += coset
+                todo = todo.translate(None, kb)
+                next_level.add(bytes(sorted(kb)))
+        sizes += [len(kb) for kb in next_level]
+        level = next_level
+    return sizes
 
 
 def log_residue_precision(nmax: int, p: int) -> int:

@@ -3,7 +3,8 @@
 The oracles deliberately avoid the library's own recurrences: the
 polynomial exponential multiplies out sum S^k / k! term by term, the
 involution recurrence is the classical two-term one, the permutation
-counts enumerate S_n, and the series repair acts on raw coefficient lists.
+counts enumerate S_n, the naive addition table adds digit tuples, and the
+series repair acts on raw coefficient lists.
 The exact hom counts and subgroup series of a group spec are the
 exception: they run the library's exact transforms, and are the exact
 twins the modular paths of `dworklab.groups` are checked against.
@@ -128,6 +129,33 @@ def naive_vp(x: int, p: int) -> int:
         v += 1
         x //= p
     return v
+
+
+def addition_table_naive(parts: tuple[int, ...], p: int) -> tuple[int, bytes]:
+    """``(order, table)`` of prod C_{p^{a_i}} in the encoding of
+    `dworklab.groups._addition_table`, built entry by entry: decode both
+    summands to digit tuples, add digitwise mod p^{a_i}, encode the sum."""
+    moduli = [p**a for a in parts]
+    order = 1
+    for m in moduli:
+        order *= m
+    decode = []
+    for idx in range(order):
+        x = []
+        rem = idx
+        for m in moduli:
+            x.append(rem % m)
+            rem //= m
+        decode.append(tuple(x))
+    encode = {x: i for i, x in enumerate(decode)}
+    flat = bytearray(order * order)
+    for i in range(order):
+        base = i * order
+        for j in range(order):
+            flat[base + j] = encode[
+                tuple((a + b) % m for a, b, m in zip(decode[i], decode[j], moduli))
+            ]
+    return order, bytes(flat)
 
 
 def dihedral_subgroup_counts_oracle(m: int) -> dict[int, int]:

@@ -27,6 +27,7 @@ from dworklab.series import ExpSeries, LogSeries, exp_transform
 
 import conftest
 from conftest import (
+    addition_table_naive,
     dihedral_subgroup_counts_oracle,
     hom_count_ints,
     partitions_of,
@@ -107,6 +108,24 @@ def test_caps():
         abelian_subgroup_counts_bruteforce(PartitionType((1,) * 9, 2))
     with pytest.raises(ValueError, match="cap"):
         abelian_subgroup_counts(PartitionType((41,), 2))
+
+
+# every type of order <= 256 at these primes: orders 2 (254 bytes of
+# translate-table padding) up to 256 (none), with 121 and 169 between
+TABLE_TYPES = [
+    (p, parts)
+    for p in (2, 3, 5, 7, 11, 13)
+    for w in range(1, 9)
+    if p**w <= 256
+    for parts in partitions_of(w)
+]
+
+
+@pytest.mark.parametrize(
+    "p,parts", TABLE_TYPES, ids=[f"p{p}-" + ",".join(map(str, parts)) for p, parts in TABLE_TYPES]
+)
+def test_addition_table_matches_naive(p, parts):
+    assert groups._addition_table(parts, p) == addition_table_naive(parts, p)
 
 
 def test_oracle_equivalence_sample():

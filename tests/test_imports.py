@@ -208,6 +208,11 @@ def test_public_names_have_a_caller():
     modules = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE_MODULES}
     benchmark = [p.read_text(encoding="utf-8") for p in sorted(BENCHMARK.glob("*.py"))]
     assert uncalled_public_names(modules, benchmark) == []
+    # an entry whose definition is gone is dropped from the list too
+    defined = set()
+    for source in modules.values():
+        defined |= set(public_definitions(source))
+    assert sorted(set(ORACLES) - defined) == []
 
 
 # In-process memos of the package, each with the reason it stays.  A memo

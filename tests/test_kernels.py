@@ -2,6 +2,7 @@
 known counts."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -286,6 +287,43 @@ def test_subgroup_lattice_sizes_klein(kern):
     for bad in (flat[:-1], flat + b"\0"):
         with pytest.raises(ValueError, match="wrong size"):
             kern.subgroup_lattice_sizes(order, 2, bad)
+
+
+class _Untouchable:
+    """A table that fails the test if the kernel reads it at all."""
+
+    def __len__(self):
+        raise AssertionError("table read before the order cap was checked")
+
+    __getitem__ = __len__
+
+
+def test_subgroup_lattice_sizes_order_cap(kern):
+    for table in (bytes(257 * 257), _Untouchable()):
+        with pytest.raises(ValueError, match="capped at order 256"):
+            kern.subgroup_lattice_sizes(257, 257, table)
+
+
+# padded odd orders 49, 121 and 169 (and 7, 11, 13 inside them), which the
+# order-256 grid of the acceptance tests never reaches, and order 256 with
+# no padding
+LATTICE_CASES = [(p, parts) for p in (7, 11, 13) for parts in ((1, 1), (2,))] + [(2, (5, 3))]
+
+
+@pytest.mark.parametrize(
+    "p,parts", LATTICE_CASES, ids=[f"p{p}-" + ",".join(map(str, parts)) for p, parts in LATTICE_CASES]
+)
+def test_subgroup_lattice_sizes_match_formula(kern, p, parts):
+    from dworklab.groups import PartitionType, _addition_table, abelian_subgroup_counts
+
+    order, flat = _addition_table(parts, p)
+    sizes = kern.subgroup_lattice_sizes(order, p, flat)
+    assert sizes == sorted(sizes)
+    counts = Counter(order // size for size in sizes)
+    assert counts == dict(abelian_subgroup_counts(PartitionType(parts, p)).counts)
+    for bad in (flat[:-1], flat + b"\0"):
+        with pytest.raises(ValueError, match="wrong size"):
+            kern.subgroup_lattice_sizes(order, p, bad)
 
 
 def test_subgroup_lattice_sizes_c9(kern):
