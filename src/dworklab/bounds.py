@@ -310,7 +310,7 @@ class VerifyRow:
     tight: bool
 
     def as_dict(self) -> dict:
-        enc = lambda v: "infinity" if v is INFINITY else v
+        enc = lambda v: "infinity" if v == INFINITY else v
         return {
             "n": self.n,
             "valuation": enc(self.valuation),
@@ -340,7 +340,7 @@ class BoundReport:
             "kind": self.kind.describe(),
             "rows_checked": len(self.rows),
             "violations": self.violations,
-            "min_slack": "infinity" if self.min_slack is INFINITY else self.min_slack,
+            "min_slack": "infinity" if self.min_slack == INFINITY else self.min_slack,
             "tight": self.tight_set,
         }
 
@@ -360,9 +360,10 @@ def _split_row(
     For an int x and e >= 0 one reduction r = x mod p^(e+64) gives both:
     when r != 0, v_p(x) = v_p(r) < e + 64 and Q = r / p^e (mod p).  When
     r == 0 the valuation is taken from x itself and Q = 0 (mod p).  For
-    p = 2 both come from the bits of x.  A Fraction x, which a series holds
-    only for a non-integral coefficient, and e < 0 go through the exact
-    rational quotient.
+    p = 2 both come from the bits of x.  For an int x and e < 0,
+    Q = x p^(-e) is 0 (mod p).  Only a Fraction x, which a series holds
+    only for a non-integral coefficient, goes through the exact rational
+    quotient.
 
     With ``exact=False``, x is h_n known only modulo some p^M, M >= e + 64:
     `verify_bounds_mod`, which `verify-group` runs, computes h modulo
@@ -373,12 +374,13 @@ def _split_row(
     """
     if x == 0:
         return (INFINITY, 0) if exact else None
-    if e < 0 or not isinstance(x, int):
+    if not isinstance(x, int):
         val = vp(x, p)
         if val < e:
             return val, None
-        q = x / Fraction(p**e) if e >= 0 else x * Fraction(p ** (-e))
-        return val, residue_mod_p(q, p)
+        return val, residue_mod_p(x / p**e if e >= 0 else x * p**-e, p)
+    if e < 0:
+        return vp_int(x, p), 0
     if p == 2:
         val = (x & -x).bit_length() - 1
         if not exact and val >= e + _GUARD:
@@ -412,7 +414,7 @@ def _verify_rows(
             return None
         val, residue = split
         residues.append(residue)
-        slack = val - bnd if val is not INFINITY else INFINITY
+        slack = val - bnd
         tight = slack == 0
         rows.append(VerifyRow(n, val, bnd, slack, tight))
         if val < bnd:

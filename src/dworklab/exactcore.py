@@ -1,61 +1,25 @@
 """Exact rational arithmetic and small number-theoretic kernels.
 
 Everything here is exact: rationals are `fractions.Fraction` (always in
-lowest terms with positive denominator), valuations are integers or the
-distinguished :data:`INFINITY`, and all helper functions use arbitrary
-precision integer arithmetic.
+lowest terms with positive denominator), valuations are integers or
+:data:`INFINITY` (``math.inf``) for zero, and all helper functions use
+arbitrary precision integer arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .kernels import vp_int
+from .kernels import log_residue_precision, vp_int
 
 
-class _Infinity:
-    """The valuation of zero.  Compares greater than every integer."""
-
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INFINITY"
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is INFINITY
-
-    def __gt__(self, other):
-        return other is not INFINITY
-
-    def __ge__(self, other):
-        return True
-
-    # slack arithmetic: INFINITY minus any finite bound stays INFINITY
-    def __add__(self, other):
-        return INFINITY
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return INFINITY
-
-    def __neg__(self):
-        raise ArithmeticError("negative infinity is not a valuation")
-
-
-INFINITY = _Infinity()
+#: The valuation of zero.  Python compares ints with floats exactly, so it
+#: lies above every integer, and INFINITY minus a finite bound stays INFINITY.
+INFINITY = math.inf
 
 #: A p-adic valuation: an integer, or INFINITY for the valuation of zero.
-Valuation = int | _Infinity
+Valuation = int | float
 
 
 def is_prime(n: int) -> bool:
@@ -96,16 +60,11 @@ def vp(x: Fraction | int, p: int) -> Valuation:
 
 
 def legendre_valuation(n: int, p: int) -> int:
-    """v_p(n!) as the floor sum over powers of p."""
+    """v_p(n!) as the floor sum over powers of p (`kernels.log_residue_precision`)."""
     check_prime(p)
     if n < 0:
         raise ValueError("n must be non-negative")
-    total = 0
-    q = n // p
-    while q:
-        total += q
-        q //= p
-    return total
+    return log_residue_precision(n + 1, p) - 1
 
 
 def gauss_binom_at(m: int, k: int, q: int) -> int:

@@ -7,8 +7,9 @@ The central recurrence converts between the two coefficient sequences of
 
 where ``(a)_j`` is the rising factorial.  The recurrence contains no
 divisions, so it reduces exactly modulo any modulus.  `hall_exp` runs it
-in one loop, exactly or modulo a given modulus; the sum over k stops at
-the last nonzero s_k, which keeps sparse group and cycle series cheap.
+in one loop, exactly or modulo a given modulus, which it applies to the
+s_k and once to each finished row; the sum over k stops at the last
+nonzero s_k, which keeps sparse group and cycle series cheap.
 `verify-group` runs it modulo p^(E+64), with E the largest bound exponent
 e(n), and reads every row from those residues; only when some e(n) < 0,
 or some residue is 0 modulo p^(e(n)+64), does it run it again without a
@@ -64,10 +65,12 @@ def hall_exp(s, nmax, modulus=None):
     ``s`` is indexed by position (s[0] is ignored); entries beyond
     ``len(s)-1`` count as zero.  The sum over k stops at the last nonzero
     s_k, so series with low-lying support (group and cycle-length data)
-    skip the empty tail of every row.  With a positive ``modulus`` every
-    value is reduced modulo it, and s_k counts as zero where it vanishes
-    modulo it; the recurrence is division free, so each entry is then
-    congruent to the exact h_n modulo ``modulus``.
+    skip the empty tail of every row.  With a positive ``modulus`` the
+    s_k and each finished h_n are reduced modulo it, and s_k counts as
+    zero where it vanishes modulo it; the Pochhammer factor stays the
+    exact product of at most ``last - 1`` small factors.  The recurrence
+    is division free, so each entry is congruent to the exact h_n modulo
+    ``modulus``.
     """
     if modulus is not None:
         if modulus <= 0:
@@ -86,8 +89,6 @@ def hall_exp(s, nmax, modulus=None):
             if sk:
                 acc += poch * sk * h[n - k]
             poch *= n - k
-            if modulus is not None:
-                poch %= modulus
         h[n] = acc if modulus is None else acc % modulus
     return h
 

@@ -266,20 +266,22 @@ def _difference(s: LogSeries, p: int, name: str, a: int, b: int, shift: int) -> 
     return _congruence(s, name, b, lambda i: vp(s[a] - s[i], p) >= shift)
 
 
-def _lambda_tail(s: LogSeries, p: int, l: int, m: int) -> Condition:
-    """Tail condition: vp(lambda_i) bounded below for all i > p^l."""
-    pl = p**l
+def _lambda_bound(s: LogSeries, p: int, l: int, m: int) -> Callable[[int], bool]:
+    """The thm2.1 tail predicate at i > p^l: vp(lambda_i) >= -(l-m) floor(i/p^l)
+    + vp(i) - (p^(floor_log(i)-l) - 1)/(p-1) + 1."""
 
     def ok(i):
-        rhs = (
-            -(l - m) * (i // pl)
-            + (vp(i, p))
-            - (p ** (floor_log(p, i) - l) - 1) // (p - 1)
-            + 1
-        )
+        t = p ** (floor_log(p, i) - l)
+        rhs = -(l - m) * (i // p**l) + vp(i, p) - (t - 1) // (p - 1) + 1
         return vp(_lambda_at(s, p, l, i), p) >= rhs
 
-    return Condition("tail valuations (lambda)", range(pl + 1, s.n_max + 1), ok, beyond=True)
+    return ok
+
+
+def _lambda_tail(s: LogSeries, p: int, l: int, m: int) -> Condition:
+    """Tail condition: vp(lambda_i) bounded below for all i > p^l."""
+    indices = range(p**l + 1, s.n_max + 1)
+    return Condition("tail valuations (lambda)", indices, _lambda_bound(s, p, l, m), beyond=True)
 
 
 def _lambda_tail_p2(s: LogSeries, l: int) -> Condition:
@@ -303,21 +305,15 @@ def _lambda_tail_p2(s: LogSeries, l: int) -> Condition:
 
 
 def _power_tail(s: LogSeries, p: int, l: int, m: int) -> Condition:
-    """Power-indexed tail condition, only for e with p^{e-l} < 2l+1."""
-    es = []
-    e = l + 1
-    while p ** (e - l) < 2 * l + 1:
-        es.append(e)
-        e += 1
+    """The lambda tail predicate at i = p^e, indexed by e, only for the e > l
+    with p^{e-l} < 2l+1; there lambda_i = s_{p^e} - s_{p^{l-1}}."""
+    es = range(l + 1, l + floor_log(p, 2 * l) + 1)  # p^{e-l} <= 2l
     in_range = [e for e in es if p**e <= s.n_max]
-
-    def ok(e):
-        t = p ** (e - l)
-        rhs = -(l - m) * t - (t - 1) // (p - 1) + e + 1
-        return vp(s[p**e] - s[p ** (l - 1)], p) >= rhs
-
+    ok = _lambda_bound(s, p, l, m)
     truncated = len(in_range) < len(es)
-    return Condition("tail valuations (power indices)", in_range, ok, beyond=truncated)
+    return Condition(
+        "tail valuations (power indices)", in_range, lambda e: ok(p**e), beyond=truncated
+    )
 
 
 def _gap_below(s: LogSeries, p: int, l: int) -> Condition:

@@ -7,7 +7,10 @@ counts enumerate S_n, the naive addition table adds digit tuples, and the
 series repair acts on raw coefficient lists.
 The exact hom counts and subgroup series of a group spec are the
 exception: they run the library's exact transforms, and are the exact
-twins the modular paths of `dworklab.groups` are checked against.
+twins the modular paths of `dworklab.groups` are checked against.  The
+brute-force hom counts enumerate the tuples of permutations that satisfy
+the group's relations, so they check those transforms and the subgroup
+counts without the exponential principle.
 """
 
 from __future__ import annotations
@@ -214,6 +217,58 @@ def hom_count_ints(spec: GroupSpec, n_max: int) -> list[int]:
     factors = spec.factors if spec.is_free_product() else (spec,)
     hs = [hall_exp(finite_subgroup_counts(f).values(n_max), n_max) for f in factors]
     return [math.prod(col) for col in zip(*hs)]
+
+
+@lru_cache(maxsize=None)
+def _symmetric_group(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(permutations(range(n)))
+
+
+def _compose(a: tuple, b: tuple) -> tuple:
+    """a after b."""
+    return tuple(a[i] for i in b)
+
+
+def _power_is_identity(x: tuple, k: int) -> bool:
+    y = x
+    for _ in range(k - 1):
+        y = _compose(x, y)
+    return y == tuple(range(len(x)))
+
+
+def _finite_hom_count_bruteforce(spec: GroupSpec, n: int) -> int:
+    perms = _symmetric_group(n)
+    if spec.variant == "dihedral":
+        # pairs (r, s) with r^m = s^2 = 1 and s r s = r^-1
+        m = spec.order_param
+        inverse = {x: tuple(sorted(range(n), key=x.__getitem__)) for x in perms}
+        rs = [x for x in perms if _power_is_identity(x, m)]
+        ss = [x for x in perms if _power_is_identity(x, 2)]
+        return sum(_compose(_compose(s, r), s) == inverse[r] for r in rs for s in ss)
+    # r-tuples of pairwise commuting x_i with x_i^(p^(a_i)) = 1
+    p = spec.partition.p
+    choices = [[x for x in perms if _power_is_identity(x, p**a)] for a in spec.partition.parts]
+
+    def tuples(i: int, chosen: list) -> int:
+        if i == len(choices):
+            return 1
+        return sum(
+            tuples(i + 1, chosen + [x])
+            for x in choices[i]
+            if all(_compose(x, y) == _compose(y, x) for y in chosen)
+        )
+
+    return tuples(0, [])
+
+
+def hom_count_bruteforce(spec: GroupSpec, n_max: int) -> list[int]:
+    """|Hom(G, S_n)| for 0 <= n <= n_max by enumerating the images of the
+    generators in S_n (n_max <= 6 runs in well under a second); a free
+    product's counts are the pointwise product of its factors' counts."""
+    factors = spec.factors if spec.is_free_product() else (spec,)
+    return [
+        math.prod(_finite_hom_count_bruteforce(f, n) for f in factors) for n in range(n_max + 1)
+    ]
 
 
 def subgroup_count_series(spec: GroupSpec, n_max: int) -> LogSeries:

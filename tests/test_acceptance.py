@@ -247,7 +247,7 @@ def test_c04_tightness_scope_sweep():
             assert report.ok, (parts, p, report.violations[:5])
             qrec = verify_q_recurrence(report, abelian_subgroup_counts(PartitionType(parts, p)))
             assert qrec.ok, (parts, p, qrec.failures[:5])
-            slack = max(row.slack for row in report.rows if row.slack is not INFINITY)
+            slack = max(row.slack for row in report.rows if row.slack != INFINITY)
             if slack > widest[0]:
                 widest = (slack, p, parts)
             tight = set(report.tight_set)

@@ -183,7 +183,7 @@ def test_verify_bounds_zero_series():
     report = verify_bounds(h, BoundKind("hnc2", 2))
     assert report.ok
     for row in report.rows[1:]:
-        assert row.valuation is INFINITY and row.slack is INFINITY and not row.tight
+        assert row.valuation is INFINITY and row.slack == INFINITY and not row.tight
     assert report.rows[0].tight  # h_0 = 1, bound 0
 
 

@@ -46,8 +46,8 @@ def test_infinity_semantics():
     assert INFINITY >= INFINITY
     assert INFINITY <= INFINITY
     assert 3 < INFINITY
-    assert INFINITY - 17 is INFINITY
-    assert INFINITY + 4 is INFINITY
+    assert INFINITY - 17 == INFINITY
+    assert INFINITY + 4 == INFINITY
     assert not INFINITY == 0
 
 

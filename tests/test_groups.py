@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dworklab import groups, kernels
+from dworklab.bounds import BoundKind, partition_case, verify_bounds
 from dworklab.cli import main
 from dworklab.groups import (
     PartitionType,
@@ -29,6 +30,7 @@ import conftest
 from conftest import (
     addition_table_naive,
     dihedral_subgroup_counts_oracle,
+    hom_count_bruteforce,
     hom_count_ints,
     partitions_of,
     subgroup_count_series,
@@ -242,6 +244,28 @@ def test_hom_count_ints_matches_series_path():
     assert hom_count_ints(parse_group_spec("C[1]*C[2]"), 40) == hom_count_ints(
         parse_group_spec("C[2]"), 40
     )
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["A[2;1,1]", "A[2;2,1]", "A[3;1,1]", "A[2;1,1,1]", "D[3]", "D[4]", "D[6]", "A[2;1,1]*D[3]"],
+)
+def test_hom_counts_match_permutation_enumeration(text):
+    # |Hom(G, S_n)| by enumerating the generators' images in S_n, against
+    # kernels.hall_exp of G's subgroup counts; the finite group's own bound
+    # kind holds on the enumerated h
+    spec = parse_group_spec(text)
+    h = hom_count_bruteforce(spec, 6)
+    assert h == hom_count_ints(spec, 6)
+    if spec.variant == "dihedral":
+        kind = BoundKind("thm5.5", 2, dihedral_m=spec.order_param)
+    elif spec.variant == "abelian":
+        t = spec.partition
+        tag = "thm6.2" if partition_case(t.parts)[0] == "II" and t.p == 2 else "thm6.1"
+        kind = BoundKind(tag, t.p, partition=t.parts)
+    else:
+        return
+    assert verify_bounds(ExpSeries(tuple(h)), kind).ok
 
 
 def test_free_product_subgroup_counts():
