@@ -13,7 +13,6 @@ from typing import Sequence
 from . import kernels
 from .bounds import BoundKind, verify_bounds
 from .exactcore import check_prime
-from .series import ExpSeries
 
 PI_VARIANTS = ("pi1", "pi2", "pi3")
 
@@ -105,7 +104,7 @@ class PermDivisibilityReport:
 def verify_permutation_divisibility(rule: CycleRule, n_max: int) -> PermDivisibilityReport:
     """Assert v_p(count(n)) >= the rule's exponent for every n <= n_max."""
     kind = rule.bound_kind()
-    counts = ExpSeries(tuple(permutation_count_series(n_max, rule.allowed_lengths())))
+    counts = permutation_count_series(n_max, rule.allowed_lengths())
     return PermDivisibilityReport(rule, kind, n_max, verify_bounds(counts, kind).violations)
 
 

@@ -10,8 +10,9 @@ hypotheses, are `dworklab.series.THEOREMS`.
 
 `BoundKind` names one rule together with its parameters; `bound_value`
 evaluates e(n) exactly; `verify_bounds` compares v_p(h_n) against it row
-by row for n = 0..N (violations are never dropped), and yields each
-row's valuation and Q_n mod p from one reduction of h_n modulo
+by row for n = 0..N on any sequence h_0..h_N, such as the list that
+`series.exp_transform` returns (violations are never dropped), and yields
+each row's valuation and Q_n mod p from one reduction of h_n modulo
 p^(e(n)+64); `verify_bounds_mod`, which `verify-group` runs, gives the
 same report from h computed only modulo p^(E+64), E = max e(n), and
 falls back to the exact h when some e(n) < 0 or some residue is 0 modulo
@@ -35,7 +36,6 @@ from .kernels import vp_int
 
 if TYPE_CHECKING:
     from .groups import SubgroupCounts
-    from .series import ExpSeries, LogSeries
 
 
 def partition_case(parts: Sequence[int]) -> tuple[str, int, int]:
@@ -426,16 +426,18 @@ def _verify_rows(
     return BoundReport(kind, rows, violations, tight_set, min_slack, tuple(residues))
 
 
-def verify_bounds(h: ExpSeries, kind: BoundKind, n_hi: int | None = None) -> BoundReport:
-    """One row per n in [0, n_hi]: valuation, bound, slack, tightness.
+def verify_bounds(
+    h: Sequence[int | Fraction], kind: BoundKind, n_hi: int | None = None
+) -> BoundReport:
+    """One row per n in [0, n_hi] of h_0..h_N: valuation, bound, slack, tightness.
 
     The report also keeps Q_n mod p of every row (`q_residues`), found in
     the same pass as the valuation.
     """
-    n_hi = h.n_max if n_hi is None else n_hi
-    if n_hi > h.n_max:
+    n_hi = len(h) - 1 if n_hi is None else n_hi
+    if n_hi >= len(h):
         raise ValueError("range exceeds truncation")
-    return _verify_rows(h.coeffs, kind, [bound_value(kind, n) for n in range(n_hi + 1)])
+    return _verify_rows(h, kind, [bound_value(kind, n) for n in range(n_hi + 1)])
 
 
 def verify_bounds_mod(s: Sequence[int], kind: BoundKind, n_max: int) -> BoundReport:
@@ -480,7 +482,9 @@ class QRecurrenceReport:
         }
 
 
-def q_recurrence_parameters(kind: BoundKind, s: LogSeries | SubgroupCounts) -> tuple[int, int]:
+def q_recurrence_parameters(
+    kind: BoundKind, s: Sequence[int] | SubgroupCounts
+) -> tuple[int, int]:
     """(step, multiplier residue) of the quotient recurrence in the kind's rule.
 
     Raises if the rule states none, or if the required difference
@@ -491,15 +495,15 @@ def q_recurrence_parameters(kind: BoundKind, s: LogSeries | SubgroupCounts) -> t
         raise ValueError(f"no quotient recurrence is defined for kind {kind.tag!r}")
     lo, hi, shift, step, sign = recurrence(kind)
     p = kind.p
-    mult = (s[hi] - s[lo]) / Fraction(p**shift)
-    if vp(mult, p) < 0:
-        raise ValueError(
-            "difference congruence hypothesis violated: multiplier not p-integral"
-        )
-    return step, sign * residue_mod_p(mult, p) % p
+    q, r = divmod(s[hi] - s[lo], p**shift)
+    if r:
+        raise ValueError("difference congruence hypothesis violated: multiplier not p-integral")
+    return step, sign * q % p
 
 
-def verify_q_recurrence(report: BoundReport, s: LogSeries | SubgroupCounts) -> QRecurrenceReport:
+def verify_q_recurrence(
+    report: BoundReport, s: Sequence[int] | SubgroupCounts
+) -> QRecurrenceReport:
     """Check Q_n = rho * Q_{n-step} (mod p) on the residues of a bounds pass.
 
     ``s`` supplies the two coefficients rho is read from, which may lie

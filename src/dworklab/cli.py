@@ -115,7 +115,7 @@ def _cmd_analyze_series(args) -> dict:
     check_prime(p)
     hyp = check_hypotheses(s, p, args.theorem, l=args.l, m=args.m)
     h = exp_transform(s)
-    n_hi = min(args.n_max, h.n_max) if args.n_max is not None else h.n_max
+    n_hi = min(args.n_max, len(h) - 1) if args.n_max is not None else len(h) - 1
     report = verify_bounds(h, hyp.kind, n_hi)
     failed = not (hyp.overall and report.ok)
     return _document(
@@ -129,7 +129,7 @@ def _cmd_analyze_series(args) -> dict:
             "n_max": n_hi,
             "format": args.format,
         },
-        s.n_max,
+        len(s) - 1,
         [row.as_dict() for row in report.rows],
         {"bounds": report.summary(), "hypothesis": _hypothesis_dict(hyp)},
         failed,
@@ -146,7 +146,7 @@ def _cmd_verify_group(args) -> dict:
     case, l, m = partition_case(t.parts)
     p2_exception = case == "II" and p == 2
     counts = finite_subgroup_counts(spec)
-    s = counts.to_log_series(n_max)
+    s = counts.values(n_max)
 
     if p2_exception:
         kind = BoundKind("thm6.2", 2, partition=t.parts)
@@ -155,7 +155,7 @@ def _cmd_verify_group(args) -> dict:
         kind = BoundKind("thm6.1", p, partition=t.parts)
         hyp = check_hypotheses(s, p, "cor2.5", l=l, m=m)
 
-    report = verify_bounds_mod(counts.values(n_max), kind, n_max)
+    report = verify_bounds_mod(s, kind, n_max)
     tight_failures: list[int] = []
     qrec_summary = None
     claimed = RULES[kind.tag].tight_classes(kind)
@@ -215,7 +215,7 @@ def _cmd_verify_dihedral(args) -> dict:
         if args.odd_primes
         else []
     )
-    h = exp_transform(dihedral_subgroup_counts(m).to_log_series(args.n_max))
+    h = exp_transform(dihedral_subgroup_counts(m).values(args.n_max))
     kind = BoundKind("thm5.5", 2, dihedral_m=m)
     report = verify_bounds(h, kind)
     exhibitions = {}

@@ -9,12 +9,15 @@ p-group of type mu with the conjugate-partition formula
                  * [mu'_i - nu'_{i+1} choose nu'_i - nu'_{i+1}]_p,
 
 summed over subgroup types of each size and converted to index counts.
-A brute-force enumerator serves as ground truth: it builds the group's
-addition table from one byte translate table per cyclic generator, and
-closes subgroups one coset at a time (hard size cap 256, so that every
-element fits in a byte).  Free products are represented through their
-homomorphism-count sequences, which multiply pointwise; their subgroup
-counts are recovered modulo p by the inverse transform.
+`SubgroupCounts.values(N)` is the log series [s_0, ..., s_N], s_n the
+number of subgroups of index n, in the list format that `kernels.hall_exp`
+and `dworklab.series` take.  A brute-force enumerator serves as ground
+truth: it builds the group's addition table from one byte translate table
+per cyclic generator, and closes subgroups one coset at a time (hard size
+cap 256, so that every element fits in a byte).  Free products are
+represented through their homomorphism-count sequences, which multiply
+pointwise; their subgroup counts are recovered modulo p by the inverse
+transform.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from typing import Iterator, Mapping
 from . import kernels
 from .bounds import partition_case
 from .exactcore import check_prime, gauss_binom_at, vp
-from .series import LogSeries
 
 ABELIAN_WEIGHT_CAP = 40
 BRUTEFORCE_ORDER_CAP = 256
@@ -92,24 +94,20 @@ class SubgroupCounts:
         return cls(tuple(sorted((n, c) for n, c in counts.items() if c)))
 
     def __getitem__(self, n: int) -> int:
-        """s_n, zero off the support.  The counts are exact at every index,
-        so they stand in for a log series wherever single coefficients are
-        read."""
+        """s_n, zero off the support, for callers that read a few single
+        coefficients; `values` gives the whole log series."""
         for idx, c in self.counts:
             if idx == n:
                 return c
         return 0
 
     def values(self, n_max: int) -> list[int]:
-        """s_0..s_{n_max}, zero-filled, with s_0 = 0."""
+        """The log series [s_0, ..., s_{n_max}], zero-filled, with s_0 = 0."""
         values = [0] * (n_max + 1)
         for idx, c in self.counts:
             if idx <= n_max:
                 values[idx] = c
         return values
-
-    def to_log_series(self, n_max: int) -> LogSeries:
-        return LogSeries(tuple(self.values(n_max)[1:]))
 
 
 def subgroup_type_count(mu: tuple[int, ...], nu: tuple[int, ...], p: int) -> int:

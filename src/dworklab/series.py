@@ -1,9 +1,11 @@
 """Truncated formal-power-series layer.
 
-Connects the two coefficient views of H(z) = exp(S(z)):
+Connects the two coefficient lists of H(z) = exp(S(z)), the ones
+`kernels.hall_exp` takes and returns:
 
-* `LogSeries`:  s_1..s_N with S(z) = sum s_n z^n / n
-* `ExpSeries`:  h_0..h_N with H(z) = sum h_n z^n / n!
+* s = [s_0, s_1, ..., s_N] with S(z) = sum s_n z^n / n, where s_0 = 0
+  and is never read, so N = len(s) - 1;
+* h = [h_0, h_1, ..., h_N] with H(z) = sum h_n z^n / n!,
 
 and provides the transforms between them, the gap series S(z^p) - pS(z)
 whose low-order p-integrality drives all valuation bounds, the corrected
@@ -14,10 +16,11 @@ exactly.
 
 Coefficients are exact: a plain int where the value is integral, as on
 every group and cycle series, and a `Fraction` only where it is not.
+`load_log_series` and `exp_transform` return them in that form.
 
-Truncation is strict: indexing beyond N raises, and hypothesis conditions
-quantified over an infinite index range are only confirmed up to N (the
-report says so rather than claiming a full pass).
+Truncation is strict: hypothesis conditions quantified over an infinite
+index range are only confirmed up to N (the report says so rather than
+claiming a full pass).
 """
 
 from __future__ import annotations
@@ -26,11 +29,13 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from . import kernels
 from .bounds import RULES, BoundKind
 from .exactcore import check_prime, floor_log, vp
+
+_Coeffs = Sequence[int | Fraction]  # s_0..s_N or h_0..h_N
 
 
 def _exact(v) -> int | Fraction:
@@ -41,102 +46,52 @@ def _exact(v) -> int | Fraction:
     return v.numerator if v.denominator == 1 else v
 
 
-@dataclass(frozen=True)
-class LogSeries:
-    """Coefficients s_1..s_N of S(z) = sum_{n>=1} s_n z^n / n."""
-
-    coeffs: tuple[int | Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(map(_exact, self.coeffs)))
-
-    @property
-    def n_max(self) -> int:
-        return len(self.coeffs)
-
-    def __getitem__(self, n: int) -> int | Fraction:
-        if not 1 <= n <= self.n_max:
-            raise IndexError(f"s_{n} is outside the truncation 1..{self.n_max}")
-        return self.coeffs[n - 1]
-
-    def is_integral(self) -> bool:
-        return all(type(c) is int for c in self.coeffs)
-
-    @classmethod
-    def from_map(cls, values: Mapping[int, int | Fraction], n_max: int) -> "LogSeries":
-        return cls(tuple(values.get(n, 0) for n in range(1, n_max + 1)))
-
-
-@dataclass(frozen=True)
-class ExpSeries:
-    """Coefficients h_0..h_N of H(z) = sum_{n>=0} h_n z^n / n!."""
-
-    coeffs: tuple[int | Fraction, ...]
-
-    def __post_init__(self):
-        if not self.coeffs:
-            raise ValueError("an exp-series needs at least h_0")
-        object.__setattr__(self, "coeffs", tuple(map(_exact, self.coeffs)))
-
-    @property
-    def n_max(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, n: int) -> int | Fraction:
-        if not 0 <= n <= self.n_max:
-            raise IndexError(f"h_{n} is outside the truncation 0..{self.n_max}")
-        return self.coeffs[n]
-
-    def is_integral(self) -> bool:
-        return all(type(c) is int for c in self.coeffs)
-
-
-def exp_transform(s: LogSeries) -> ExpSeries:
+def exp_transform(s: _Coeffs) -> list[int | Fraction]:
     """h_n = sum_{k=1}^{n} (n-k+1)_{k-1} s_k h_{n-k}, with h_0 = 1.
 
     With d the least common denominator of the s_k, H_n = d^n h_n obeys
     the same division-free recurrence with the integers d^k s_k in place of
     s_k, so `kernels.hall_exp` computes it; d = 1 on an integral series.
     """
-    d = math.lcm(*(c.denominator for c in s.coeffs))
-    scaled = [0] + [c.numerator * (d**k // c.denominator) for k, c in enumerate(s.coeffs, 1)]
-    big_h = kernels.hall_exp(scaled, s.n_max)
+    d = math.lcm(*(c.denominator for c in s))
+    scaled = [c.numerator * (d**k // c.denominator) for k, c in enumerate(s)]
+    big_h = kernels.hall_exp(scaled, len(s) - 1)
     if d == 1:
-        return ExpSeries(tuple(big_h))
-    return ExpSeries(tuple(Fraction(x, d**n) for n, x in enumerate(big_h)))
+        return big_h
+    return [_exact(Fraction(x, d**n)) for n, x in enumerate(big_h)]
 
 
-def log_transform(h: ExpSeries) -> LogSeries:
+def log_transform(h: _Coeffs) -> list[int | Fraction]:
     """Inverse of `exp_transform`; requires h_0 = 1.
 
     s_n = (h_n - sum_{k<n} (n-k+1)_{k-1} s_k h_{n-k}) / (n-1)!.  The
     division stays in ints while it is exact and builds a Fraction only
     where it is not: an integer h need not come from an integer s.
     """
-    hc = h.coeffs
-    if hc[0] != 1:
+    if not h:
+        raise ValueError("an exp-series needs at least h_0")
+    if h[0] != 1:
         raise ValueError("not an exponential of a series with zero constant term")
-    n_max = h.n_max
-    s: list[int | Fraction] = [0] * (n_max + 1)
-    for n in range(1, n_max + 1):
-        acc = hc[n]
+    s: list[int | Fraction] = [0] * len(h)
+    for n in range(1, len(h)):
+        acc = h[n]
         poch = 1
         for k in range(1, n):
             sk = s[k]
             if sk:
-                acc -= poch * sk * hc[n - k]
+                acc -= poch * sk * h[n - k]
             poch *= n - k
         q, r = divmod(acc, poch)  # poch == (n-1)!
         s[n] = Fraction(acc, poch) if r else q
-    return LogSeries(tuple(s[1:]))
+    return s
 
 
-def dwork_gap(s: LogSeries, p: int) -> dict[int, Fraction]:
+def dwork_gap(s: _Coeffs, p: int) -> dict[int, Fraction]:
     """Coefficients {j: g_j} of S(z^p) - p S(z) for 1 <= j <= N:
     g_j = -p s_j / j, plus p s_{j/p} / j when p divides j."""
     check_prime(p)
     g = {}
-    for j in range(1, s.n_max + 1):
+    for j in range(1, len(s)):
         coeff = Fraction(-p, j) * s[j]
         if j % p == 0:
             coeff += Fraction(p, j) * s[j // p]
@@ -144,7 +99,7 @@ def dwork_gap(s: LogSeries, p: int) -> dict[int, Fraction]:
     return g
 
 
-def _gap_integral(s: LogSeries, p: int, j: int) -> bool:
+def _gap_integral(s: _Coeffs, p: int, j: int) -> bool:
     """vp(g_j) >= 1 for the gap g = S(z^p) - p S(z).
 
     g_j = p (s_{j/p} - s_j) / j with s_{j/p} = 0 when p does not divide j,
@@ -154,7 +109,7 @@ def _gap_integral(s: LogSeries, p: int, j: int) -> bool:
     return vp(below - s[j], p) >= vp(j, p)
 
 
-def _lambda_at(s: LogSeries, p: int, l: int, i: int) -> Fraction:
+def _lambda_at(s: _Coeffs, p: int, l: int, i: int) -> Fraction:
     pl = p**l
     stripped = i
     while stripped % p == 0:
@@ -167,7 +122,7 @@ def _lambda_at(s: LogSeries, p: int, l: int, i: int) -> Fraction:
     return s[i] - s[reduced]
 
 
-def lambda_sequence(s: LogSeries, p: int, l: int) -> dict[int, Fraction]:
+def lambda_sequence(s: _Coeffs, p: int, l: int) -> dict[int, Fraction]:
     """Corrected tail coefficients lambda_i for p^l < i <= N.
 
     lambda_i = s_i when i / p^{v_p(i)} >= p^l; otherwise s_i - s_{i/p^e}
@@ -176,10 +131,10 @@ def lambda_sequence(s: LogSeries, p: int, l: int) -> dict[int, Fraction]:
     check_prime(p)
     if l < 1:
         raise ValueError("l must be positive")
-    if p**l > s.n_max:
+    if p**l >= len(s):
         raise ValueError("p^l exceeds the truncation")
     pl = p**l
-    return {i: _lambda_at(s, p, l, i) for i in range(pl + 1, s.n_max + 1)}
+    return {i: _lambda_at(s, p, l, i) for i in range(pl + 1, len(s))}
 
 
 # ---------------------------------------------------------------------------
@@ -242,31 +197,31 @@ class Theorem:
     and its hypotheses on S(z) for a kind of that rule."""
 
     rule: str
-    hypotheses: Callable[[LogSeries, BoundKind], list[Condition]]
+    hypotheses: Callable[[_Coeffs, BoundKind], list[Condition]]
 
 
-def _integrality(s: LogSeries, p: int) -> Condition:
-    return Condition("coefficients in Z_p", range(1, s.n_max + 1), lambda n: vp(s[n], p) >= 0)
+def _integrality(s: _Coeffs, p: int) -> Condition:
+    return Condition("coefficients in Z_p", range(1, len(s)), lambda n: vp(s[n], p) >= 0)
 
 
-def _gap(s: LogSeries, p: int, hi: int, name: str) -> Condition:
+def _gap(s: _Coeffs, p: int, hi: int, name: str) -> Condition:
     """vp(g_j) >= 1 for 1 <= j <= hi (hi may exceed the truncation)."""
-    n = s.n_max
+    n = len(s) - 1
     return Condition(name, range(1, min(hi, n) + 1), lambda j: _gap_integral(s, p, j), beyond=hi > n)
 
 
-def _congruence(s: LogSeries, name: str, i: int, holds: Callable[[int], bool]) -> Condition:
+def _congruence(s: _Coeffs, name: str, i: int, holds: Callable[[int], bool]) -> Condition:
     """A congruence read at index i; unverifiable when i lies past N."""
-    inside = i <= s.n_max
+    inside = i < len(s)
     return Condition(name, [i] if inside else [], holds, beyond=not inside)
 
 
-def _difference(s: LogSeries, p: int, name: str, a: int, b: int, shift: int) -> Condition:
+def _difference(s: _Coeffs, p: int, name: str, a: int, b: int, shift: int) -> Condition:
     """s_a = s_b (mod p^shift), read at index b."""
     return _congruence(s, name, b, lambda i: vp(s[a] - s[i], p) >= shift)
 
 
-def _lambda_bound(s: LogSeries, p: int, l: int, m: int) -> Callable[[int], bool]:
+def _lambda_bound(s: _Coeffs, p: int, l: int, m: int) -> Callable[[int], bool]:
     """The thm2.1 tail predicate at i > p^l: vp(lambda_i) >= -(l-m) floor(i/p^l)
     + vp(i) - (p^(floor_log(i)-l) - 1)/(p-1) + 1."""
 
@@ -278,13 +233,13 @@ def _lambda_bound(s: LogSeries, p: int, l: int, m: int) -> Callable[[int], bool]
     return ok
 
 
-def _lambda_tail(s: LogSeries, p: int, l: int, m: int) -> Condition:
+def _lambda_tail(s: _Coeffs, p: int, l: int, m: int) -> Condition:
     """Tail condition: vp(lambda_i) bounded below for all i > p^l."""
-    indices = range(p**l + 1, s.n_max + 1)
+    indices = range(p**l + 1, len(s))
     return Condition("tail valuations (lambda)", indices, _lambda_bound(s, p, l, m), beyond=True)
 
 
-def _lambda_tail_p2(s: LogSeries, l: int) -> Condition:
+def _lambda_tail_p2(s: _Coeffs, l: int) -> Condition:
     """p = 2 refinement of the tail condition, skipping i = 2^{l+1}."""
     pl = 2**l
 
@@ -300,15 +255,15 @@ def _lambda_tail_p2(s: LogSeries, l: int) -> Condition:
         )
         return vp(_lambda_at(s, 2, l, i), 2) >= rhs
 
-    indices = [i for i in range(pl + 1, s.n_max + 1) if i != 2 * pl]
+    indices = [i for i in range(pl + 1, len(s)) if i != 2 * pl]
     return Condition("tail valuations (lambda, p=2)", indices, ok, beyond=True)
 
 
-def _power_tail(s: LogSeries, p: int, l: int, m: int) -> Condition:
+def _power_tail(s: _Coeffs, p: int, l: int, m: int) -> Condition:
     """The lambda tail predicate at i = p^e, indexed by e, only for the e > l
     with p^{e-l} < 2l+1; there lambda_i = s_{p^e} - s_{p^{l-1}}."""
     es = range(l + 1, l + floor_log(p, 2 * l) + 1)  # p^{e-l} <= 2l
-    in_range = [e for e in es if p**e <= s.n_max]
+    in_range = [e for e in es if p**e < len(s)]
     ok = _lambda_bound(s, p, l, m)
     truncated = len(in_range) < len(es)
     return Condition(
@@ -316,11 +271,11 @@ def _power_tail(s: LogSeries, p: int, l: int, m: int) -> Condition:
     )
 
 
-def _gap_below(s: LogSeries, p: int, l: int) -> Condition:
+def _gap_below(s: _Coeffs, p: int, l: int) -> Condition:
     return _gap(s, p, p**l - 1, "gap integrality below z^(p^l)")
 
 
-def _gap_and_congruence(s: LogSeries, k: BoundKind) -> list[Condition]:
+def _gap_and_congruence(s: _Coeffs, k: BoundKind) -> list[Condition]:
     """The gap below z^(p^l) and s_{p^{l-1}} = s_{p^l} (mod p^m)."""
     p, l = k.p, k.l
     return [
@@ -329,8 +284,8 @@ def _gap_and_congruence(s: LogSeries, k: BoundKind) -> list[Condition]:
     ]
 
 
-def _cor25_hypotheses(s: LogSeries, k: BoundKind) -> list[Condition]:
-    p, n = k.p, s.n_max
+def _cor25_hypotheses(s: _Coeffs, k: BoundKind) -> list[Condition]:
+    p, n = k.p, len(s) - 1
     powers = set()
     q = 1
     while q <= n:
@@ -348,7 +303,7 @@ def _cor25_hypotheses(s: LogSeries, k: BoundKind) -> list[Condition]:
     ]
 
 
-def _thm27_hypotheses(s: LogSeries, k: BoundKind) -> list[Condition]:
+def _thm27_hypotheses(s: _Coeffs, k: BoundKind) -> list[Condition]:
     l = k.l
     return [
         _gap(s, 2, 2**l - 1, "gap integrality below z^(2^l)"),
@@ -364,13 +319,13 @@ def _thm27_hypotheses(s: LogSeries, k: BoundKind) -> list[Condition]:
     ]
 
 
-def _integral_gap(s: LogSeries, p: int, hi: int) -> list[Condition]:
+def _integral_gap(s: _Coeffs, p: int, hi: int) -> list[Condition]:
     return [_integrality(s, p), _gap(s, p, hi, f"gap integrality through z^{hi}")]
 
 
-def _cor36_hypotheses(s: LogSeries, k: BoundKind) -> list[Condition]:
+def _cor36_hypotheses(s: _Coeffs, k: BoundKind) -> list[Condition]:
     p = k.p
-    if p > s.n_max:
+    if p >= len(s):
         return [_integrality(s, p), Condition("dividing-line branch", [], beyond=True)]
     branch = dividing_line_branch(s, p)
     sign = "=" if branch == "divisibility" else "!="
@@ -400,7 +355,7 @@ THEOREMS: dict[str, Theorem] = {
 
 
 def check_hypotheses(
-    s: LogSeries, p: int, theorem: str, l: int | None = None, m: int | None = None
+    s: _Coeffs, p: int, theorem: str, l: int | None = None, m: int | None = None
 ) -> HypothesisReport:
     """Exact verification of a theorem's conditions on the range 1..N.
 
@@ -433,7 +388,7 @@ def check_hypotheses(
     return HypothesisReport(theorem, kind, tuple(verdicts), overall, fully)
 
 
-def dividing_line_branch(s: LogSeries, p: int) -> str:
+def dividing_line_branch(s: _Coeffs, p: int) -> str:
     """'divisibility' when s_1 = s_p (mod p), else 'indivisibility'."""
     check_prime(p)
     return "divisibility" if vp(s[1] - s[p], p) >= 1 else "indivisibility"
@@ -444,15 +399,16 @@ def dividing_line_branch(s: LogSeries, p: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def dump_log_series(s: LogSeries, p: int) -> str:
+def dump_log_series(s: _Coeffs, p: int) -> str:
     out = io.StringIO()
-    out.write(f"{s.n_max} {p}\n")
-    for n, c in enumerate(s.coeffs, 1):
+    out.write(f"{len(s) - 1} {p}\n")
+    for n, c in enumerate(s[1:], 1):
         out.write(f"{n} {c.numerator} {c.denominator}\n")
     return out.getvalue()
 
 
-def load_log_series(text: str) -> tuple[LogSeries, int]:
+def load_log_series(text: str) -> tuple[list[int | Fraction], int]:
+    """([0, s_1, ..., s_N], p) from a series document."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty series document")
@@ -461,19 +417,17 @@ def load_log_series(text: str) -> tuple[LogSeries, int]:
         n_max, p = int(n_max_s), int(p_s)
     except ValueError as exc:
         raise ValueError(f"malformed series header {lines[0]!r}") from exc
-    coeffs = []
-    expected = 1
+    s: list[int | Fraction] = [0]
     for ln in lines[1:]:
         try:
             n, num, den = (int(x) for x in ln.split())
         except ValueError as exc:
             raise ValueError(f"malformed series line {ln!r}") from exc
-        if n != expected:
-            raise ValueError(f"series index {n}, expected {expected}")
+        if n != len(s):
+            raise ValueError(f"series index {n}, expected {len(s)}")
         if den <= 0:
             raise ValueError(f"non-positive denominator in line {ln!r}")
-        coeffs.append(num if den == 1 else Fraction(num, den))
-        expected += 1
-    if expected != n_max + 1:
-        raise ValueError(f"series ends at {expected - 1}, header claims {n_max}")
-    return LogSeries(tuple(coeffs)), p
+        s.append(_exact(Fraction(num, den)))
+    if len(s) != n_max + 1:
+        raise ValueError(f"series ends at {len(s) - 1}, header claims {n_max}")
+    return s, p

@@ -23,7 +23,12 @@ from typing import Iterator, Sequence
 
 from dworklab.groups import GroupSpec, finite_subgroup_counts
 from dworklab.kernels import hall_exp, vp_int
-from dworklab.series import ExpSeries, LogSeries, log_transform
+from dworklab.series import log_transform
+
+
+def series_from_map(values: dict, n_max: int) -> list:
+    """The log series s_0..s_{n_max}, zero off the keys of ``values``."""
+    return [values.get(n, 0) for n in range(n_max + 1)]
 
 
 def poly_mul_trunc(a: list[Fraction], b: list[Fraction], n_max: int) -> list[Fraction]:
@@ -271,12 +276,12 @@ def hom_count_bruteforce(spec: GroupSpec, n_max: int) -> list[int]:
     ]
 
 
-def subgroup_count_series(spec: GroupSpec, n_max: int) -> LogSeries:
-    """s_1..s_{n_max} exactly; for free products recovered by the exact
+def subgroup_count_series(spec: GroupSpec, n_max: int) -> list[int]:
+    """s_0..s_{n_max} exactly; for free products recovered by the exact
     inverse transform of `hom_count_ints`."""
     if not spec.is_free_product():
-        return finite_subgroup_counts(spec).to_log_series(n_max)
-    s = log_transform(ExpSeries(tuple(hom_count_ints(spec, n_max))))
-    if not s.is_integral():
+        return finite_subgroup_counts(spec).values(n_max)
+    s = log_transform(hom_count_ints(spec, n_max))
+    if not all(type(c) is int for c in s):
         raise ValueError("inverse transform of the hom counts is not integral")
     return s

@@ -47,7 +47,7 @@ from dworklab.groups import (
     parse_group_spec,
     subgroup_residues_mod_p,
 )
-from dworklab.series import ExpSeries, LogSeries, check_hypotheses, exp_transform, log_transform
+from dworklab.series import check_hypotheses, exp_transform, log_transform
 
 
 def _line(ok: bool, label: str, detail: str = ""):
@@ -140,7 +140,7 @@ def test_c04_general_bound_tightness_and_quotients():
             case, l, m = partition_case(parts)
             step = p**l
             counts = abelian_subgroup_counts(t)
-            h = ExpSeries(tuple(_group_series(parts, p, N4)))
+            h = _group_series(parts, p, N4)
             if case == "II" and p == 2:
                 kind = BoundKind("thm6.2", 2, partition=parts)
                 report = verify_bounds(h, kind)
@@ -159,7 +159,7 @@ def test_c04_general_bound_tightness_and_quotients():
                 assert n in tight, (parts, p, n)
             # quotient recurrence with multiplier (-1)^(l-1): l - 1 is a_1 in
             # case I, A_1 in case II and A_2 in case III
-            s_ext = counts.to_log_series(max(N4, step))
+            s_ext = counts.values(max(N4, step))
             if step <= N4:
                 qrec = verify_q_recurrence(report, s_ext)
                 assert qrec.ok, (parts, p, qrec.failures[:5])
@@ -183,9 +183,9 @@ def test_c04_p2_exception_quotient_recurrence():
         t = PartitionType(parts, 2)
         _, l, _ = partition_case(parts)
         counts = abelian_subgroup_counts(t)
-        h = ExpSeries(tuple(_group_series(parts, 2, N4)))
+        h = _group_series(parts, 2, N4)
         kind = BoundKind("thm6.2", 2, partition=parts)
-        qrec = verify_q_recurrence(verify_bounds(h, kind), counts.to_log_series(N4))
+        qrec = verify_q_recurrence(verify_bounds(h, kind), counts.values(N4))
         assert qrec.step == 2 ** (l + 2)
         assert qrec.multiplier == 1  # the stated congruence has no multiplier
         assert qrec.ok, (parts, qrec.failures[:5])
@@ -196,7 +196,7 @@ def test_c04_p2_exception_quotient_recurrence():
 def test_c04_p2_exception_tightness(parts, residue):
     _, l, _ = partition_case(parts)
     step = 2 ** (l + 2)
-    h = ExpSeries(tuple(_group_series(parts, 2, N4)))
+    h = _group_series(parts, 2, N4)
     kind = BoundKind("thm6.2", 2, partition=parts)
     report = verify_bounds(h, kind)
     assert report.ok
@@ -240,7 +240,7 @@ def test_c04_tightness_scope_sweep():
     for p, weight in _SWEEP_WEIGHTS.items():
         for parts in _all_partitions_upto(weight):
             case, l, _ = partition_case(parts)
-            h = ExpSeries(tuple(_group_series(parts, p, N_SWEEP)))
+            h = _group_series(parts, p, N_SWEEP)
             tag = "thm6.2" if case == "II" and p == 2 else "thm6.1"
             kinds[tag] += 1
             report = verify_bounds(h, BoundKind(tag, p, partition=parts))
@@ -301,9 +301,8 @@ def test_c05_randomized_series_bounds():
         powers = [p**b if b > 0 else 1 for b in bounds]
         for _ in range(20):
             svals = repaired_integer_series(rng, p, n_max, _gap_depth(theorem, p, l))
-            s = LogSeries(tuple(svals[1:]))
             kwargs = {"l": l} if theorem != "thm3.3" else {}
-            rep = check_hypotheses(s, p, theorem, **kwargs)
+            rep = check_hypotheses(svals, p, theorem, **kwargs)
             assert rep.overall, (theorem, p, l, rep.conditions)
             h = kernels.hall_exp(svals, n_max, modulus)
             for n in range(n_max + 1):
@@ -317,7 +316,7 @@ def test_c05_sharpness_witness():
     # s_1 = s_2 = s_4 = 1 realizes equality v_2(h_{8m}) = 4m under the
     # p = 2, l = 2 bound
     svals = [0, 1, 1, 0, 1]
-    s = LogSeries((1, 1, 0, 1) + (0,) * 396)
+    s = svals + [0] * 396
     rep = check_hypotheses(s, 2, "thm3.4", l=2)
     assert rep.overall
     h = kernels.hall_exp(svals, 400)
@@ -354,8 +353,7 @@ def test_c06_dividing_line():
         modulus = p ** (max(bounds) + 1)
         for _ in range(20):
             svals = repaired_integer_series(rng, p, n_max, p)
-            s = LogSeries(tuple(svals[1:]))
-            rep = check_hypotheses(s, p, "cor3.6")
+            rep = check_hypotheses(svals, p, "cor3.6")
             assert rep.overall
             assert rep.condition("dividing-line branch").note.startswith("s_1 =")
             h = kernels.hall_exp(svals, n_max, modulus)
@@ -480,9 +478,7 @@ def test_c10_permutation_divisibility():
                         svals[length] = 1
                     theorem = theorem_of[variant] or kind.tag
                     kwargs = {"l": l} if theorem != "thm3.3" else {}
-                    hyp = check_hypotheses(
-                        LogSeries(tuple(svals[1:])), p, theorem, **kwargs
-                    )
+                    hyp = check_hypotheses(svals, p, theorem, **kwargs)
                     if not hyp.overall:
                         inadmissible += 1
                         continue
@@ -544,9 +540,8 @@ def test_c11_exp_log_round_trip():
     rng = random.Random(0xD11)
     for _ in range(8):
         n_max = rng.randint(10, 60)
-        svals = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n_max))
-        s = LogSeries(svals)
-        assert log_transform(exp_transform(s)).coeffs == svals
+        s = [0] + [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n_max)]
+        assert log_transform(exp_transform(s)) == s
     _line(True, "criterion 11: exp/log round trip, random rational series, N <= 60")
 
 

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from dworklab.cli import build_parser, main
-from dworklab.series import THEOREMS, LogSeries, dump_log_series
+from dworklab.series import THEOREMS, dump_log_series
 
 
 def run(capsys, argv):
@@ -71,7 +71,7 @@ def test_determinism_byte_identical(capsys):
 
 def test_analyze_series_zero_series(capsys, tmp_path):
     path = tmp_path / "zero.series"
-    path.write_text(dump_log_series(LogSeries((0,) * 12), 2))
+    path.write_text(dump_log_series([0] * 13, 2))
     code, doc, _ = run_json(
         capsys,
         ["analyze-series", "--input", str(path), "--theorem", "cor2.4", "--l", "1"],
@@ -83,7 +83,7 @@ def test_analyze_series_zero_series(capsys, tmp_path):
 
 def test_analyze_series_c2(capsys, tmp_path):
     path = tmp_path / "c2.series"
-    path.write_text(dump_log_series(LogSeries((1, 1) + (0,) * 38), 2))
+    path.write_text(dump_log_series([0, 1, 1] + [0] * 38, 2))
     code, doc, _ = run_json(
         capsys,
         ["analyze-series", "--input", str(path), "--theorem", "cor2.4", "--l", "2"],
@@ -95,7 +95,7 @@ def test_analyze_series_c2(capsys, tmp_path):
 
 def test_analyze_series_failing_hypothesis(capsys, tmp_path):
     path = tmp_path / "bad.series"
-    path.write_text(dump_log_series(LogSeries((0, 1, 0, 0, 0, 0, 0, 0)), 2))
+    path.write_text(dump_log_series([0, 0, 1, 0, 0, 0, 0, 0, 0], 2))
     code, doc, _ = run_json(
         capsys,
         ["analyze-series", "--input", str(path), "--theorem", "cor2.4", "--l", "2"],
@@ -280,7 +280,7 @@ def test_comma_list_flag_named_on_error(capsys, argv, flag):
 
 def test_tsv_output(capsys, tmp_path):
     path = tmp_path / "c2.series"
-    path.write_text(dump_log_series(LogSeries((1, 1, 0, 0)), 2))
+    path.write_text(dump_log_series([0, 1, 1, 0, 0], 2))
     code, out, _ = run(
         capsys,
         ["analyze-series", "--input", str(path), "--theorem", "cor2.4", "--l", "2", "--format", "tsv"],
@@ -342,7 +342,7 @@ def test_usage_error_exit_code():
 def test_n_max_below_one_exits_2(capsys, tmp_path, monkeypatch, argv):
     # a count option below its least value; the flag is argv[-2]
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "c2.series").write_text(dump_log_series(LogSeries((1, 1, 0, 0)), 2))
+    (tmp_path / "c2.series").write_text(dump_log_series([0, 1, 1, 0, 0], 2))
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and f"{argv[-2]} must be at least" in err

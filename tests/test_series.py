@@ -6,15 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import involution_oracle, poly_exp_oracle, repaired_integer_series
+from conftest import involution_oracle, poly_exp_oracle, repaired_integer_series, series_from_map
 from dworklab.bounds import RULES, BoundKind
 from dworklab.exactcore import legendre_valuation, vp
 from dworklab.series import (
     FAIL,
     THEOREMS,
     UNVERIFIABLE,
-    ExpSeries,
-    LogSeries,
     check_hypotheses,
     dividing_line_branch,
     dump_log_series,
@@ -25,29 +23,16 @@ from dworklab.series import (
     log_transform,
 )
 
-C2 = LogSeries((1, 1, 0, 0, 0))
-
-
-def test_strict_truncation_indexing():
-    s = LogSeries((1, 2, 3))
-    assert s[3] == 3
-    with pytest.raises(IndexError):
-        s[4]
-    with pytest.raises(IndexError):
-        s[0]
-    h = ExpSeries((1, 5))
-    assert h[0] == 1
-    with pytest.raises(IndexError):
-        h[2]
+C2 = [0, 1, 1, 0, 0, 0]
 
 
 def test_exp_transform_examples():
-    assert [int(x) for x in exp_transform(C2).coeffs] == involution_oracle(5)
-    zeros = exp_transform(LogSeries((0,) * 6))
-    assert [int(x) for x in zeros.coeffs] == [1, 0, 0, 0, 0, 0, 0]
-    ones = exp_transform(LogSeries((1,) * 8))
+    assert [int(x) for x in exp_transform(C2)] == involution_oracle(5)
+    zeros = exp_transform([0] * 7)
+    assert [int(x) for x in zeros] == [1, 0, 0, 0, 0, 0, 0]
+    ones = exp_transform([0] + [1] * 8)
     fact = 1
-    for n, h in enumerate(ones.coeffs):
+    for n, h in enumerate(ones):
         assert h == fact
         fact *= n + 1
 
@@ -56,8 +41,8 @@ def test_exp_transform_rational_matches_polynomial_expansion():
     rng = random.Random(21)
     for _ in range(4):
         svals = [0] + [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(25)]
-        h = exp_transform(LogSeries(tuple(svals[1:])))
-        assert list(h.coeffs) == poly_exp_oracle(svals)
+        h = exp_transform(svals)
+        assert h == poly_exp_oracle(svals)
 
 
 def test_log_transform_examples():
@@ -65,55 +50,59 @@ def test_log_transform_examples():
     for n in range(9):
         facts.append(fact)
         fact *= n + 1
-    assert log_transform(ExpSeries(tuple(facts))).coeffs == (Fraction(1),) * 8
-    assert log_transform(ExpSeries((1, 1, 2, 4, 10, 26))).coeffs == C2.coeffs
-    assert log_transform(ExpSeries((1, 0, 0, 0))).coeffs == (Fraction(0),) * 3
+    assert log_transform(facts) == [0] + [Fraction(1)] * 8
+    assert log_transform([1, 1, 2, 4, 10, 26]) == C2
+    assert log_transform([1, 0, 0, 0]) == [Fraction(0)] * 4
     with pytest.raises(ValueError, match="exponential of a series"):
-        log_transform(ExpSeries((2, 1)))
+        log_transform([2, 1])
+    with pytest.raises(ValueError, match="at least h_0"):
+        log_transform([])
 
 
 def test_round_trip_random_rationals():
     rng = random.Random(22)
     for trial in range(6):
         n_max = rng.randint(5, 60)
-        svals = tuple(
-            Fraction(rng.randint(-8, 8), rng.randint(1, 6)) for _ in range(n_max)
-        )
-        s = LogSeries(svals)
+        s = [0] + [Fraction(rng.randint(-8, 8), rng.randint(1, 6)) for _ in range(n_max)]
         h = exp_transform(s)
-        assert log_transform(h).coeffs == svals
-        assert exp_transform(log_transform(h)).coeffs == h.coeffs
+        assert log_transform(h) == s
+        assert exp_transform(log_transform(h)) == h
 
 
 def test_log_transform_integer_round_trip():
     rng = random.Random(12)
-    svals = tuple(rng.randint(-20, 20) for _ in range(60))
-    s = log_transform(exp_transform(LogSeries(svals)))
-    assert s.coeffs == svals
-    assert s.is_integral()
+    svals = [0] + [rng.randint(-20, 20) for _ in range(60)]
+    s = log_transform(exp_transform(svals))
+    assert s == svals
+    assert all(type(c) is int for c in s)
 
 
 def test_log_transform_leaves_the_integers_exactly():
     # h = (1, 0, 0, 0, 1) comes from no integer s: s_4 = h_4 / 3!
-    s = log_transform(ExpSeries((1, 0, 0, 0, 1)))
-    assert s.coeffs == (0, 0, 0, Fraction(1, 6))
-    assert [type(c) for c in s.coeffs] == [int, int, int, Fraction]
-    assert not s.is_integral()
+    s = log_transform([1, 0, 0, 0, 1])
+    assert s == [0, 0, 0, 0, Fraction(1, 6)]
+    assert [type(c) for c in s] == [int, int, int, int, Fraction]
+    assert not all(type(c) is int for c in s)
 
 
 def _stored_exactly(series) -> bool:
     """Integral coefficients are ints, the others Fractions."""
     return all(
-        type(c) is int or (type(c) is Fraction and c.denominator > 1) for c in series.coeffs
+        type(c) is int or (type(c) is Fraction and c.denominator > 1) for c in series
     )
 
 
-def test_coefficients_are_normalised_on_construction():
-    s = LogSeries((Fraction(4, 2), Fraction(1, 3), 5, Fraction(-6, 3), True))
-    assert [type(c) for c in s.coeffs] == [int, Fraction, int, int, int]
-    assert s.coeffs == (2, Fraction(1, 3), 5, -2, 1)
-    h = ExpSeries((Fraction(1), Fraction(3, 6)))
-    assert [type(c) for c in h.coeffs] == [int, Fraction]
+def test_load_log_series_normalises_coefficients():
+    s, p = load_log_series("2 3\n1 4 2\n2 2 6\n")
+    assert p == 3 and s == [0, 2, Fraction(1, 3)]
+    assert [type(c) for c in s] == [int, int, Fraction]
+
+
+def test_exp_transform_returns_integral_coefficients_as_ints():
+    # h_2 = s_1 h_1 + s_2 h_0 = 1/4 + 3/4 is integral although s is not
+    h = exp_transform([0, Fraction(1, 2), Fraction(3, 4)])
+    assert h == [1, Fraction(1, 2), 1]
+    assert [type(c) for c in h] == [int, Fraction, int]
 
 
 # denominators include powers of 2, 3 and 5, so the series are often not
@@ -127,12 +116,12 @@ _mixed_coefficient = st.one_of(
 @settings(deadline=None, max_examples=80)
 @given(st.lists(_mixed_coefficient, max_size=12))
 def test_exp_transform_mixed_series_matches_oracle_and_round_trips(svals):
-    s = LogSeries(tuple(svals))
+    s = [0, *svals]
     h = exp_transform(s)
-    assert list(h.coeffs) == poly_exp_oracle([0, *svals])
-    assert _stored_exactly(s) and _stored_exactly(h)
+    assert h == poly_exp_oracle(s)
+    assert _stored_exactly(h)
     back = log_transform(h)
-    assert back.coeffs == s.coeffs
+    assert back == s
     assert _stored_exactly(back)
 
 
@@ -141,28 +130,27 @@ def test_exp_transform_mixed_series_matches_oracle_and_round_trips(svals):
 def test_log_transform_inverts_exp_transform_on_integer_h(tail):
     # such an h rarely comes from an integer s, so the inverse recurrence
     # leaves the integers part way and must continue exactly
-    h = ExpSeries((1, *tail))
+    h = [1, *tail]
     s = log_transform(h)
     assert _stored_exactly(s)
-    assert exp_transform(s).coeffs == h.coeffs
+    assert exp_transform(s) == h
 
 
 def test_dwork_gap_examples():
-    ones = LogSeries((1,) * 6)
+    ones = [0] + [1] * 6
     g = dwork_gap(ones, 2)
     assert sorted(g) == list(range(1, 7))
     assert g[2] == 0  # 2 s_1/2 - 2 s_2/2
-    c2gap = dwork_gap(LogSeries((1, 1, 0, 0, 0, 0, 0, 0)), 2)
+    c2gap = dwork_gap([0, 1, 1, 0, 0, 0, 0, 0, 0], 2)
     assert c2gap[2] == 0
     assert c2gap[4] == Fraction(1, 2)
-    zeros = dwork_gap(LogSeries((0,) * 5), 3)
+    zeros = dwork_gap([0] * 6, 3)
     assert all(x == 0 for x in zeros.values())
 
 
 def test_dwork_gap_definition_clauses():
     rng = random.Random(23)
-    svals = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(30))
-    s = LogSeries(svals)
+    s = [0] + [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(30)]
     for p in (2, 5):
         g = dwork_gap(s, p)
         for j in range(1, 31):
@@ -173,23 +161,23 @@ def test_dwork_gap_definition_clauses():
 
 
 def test_lambda_sequence_examples():
-    s = LogSeries((1, 1) + (0,) * 8)
+    s = [0, 1, 1] + [0] * 8
     lam = lambda_sequence(s, 2, 2)
     assert lam[8] == -1  # s_8 - s_2 with e = 2
     assert lam[5] == 0  # first clause: 5 is odd and >= 4, lambda = s_5
     assert sorted(lam) == list(range(5, 11))
     # s supported on powers of p with equal values: second clause vanishes
     powers = {3**e: 1 for e in range(5) if 3**e <= 90}
-    s2 = LogSeries.from_map(powers, 90)
+    s2 = series_from_map(powers, 90)
     lam2 = lambda_sequence(s2, 3, 1)
     for e in range(2, 5):
         assert lam2[3**e] == 0  # s_{3^e} - s_3
     with pytest.raises(ValueError, match="exceeds the truncation"):
-        lambda_sequence(LogSeries((1, 1)), 2, 3)
+        lambda_sequence([0, 1, 1], 2, 3)
 
 
 def test_check_hypotheses_c2():
-    s = LogSeries((1, 1) + (0,) * 18)
+    s = [0, 1, 1] + [0] * 18
     rep = check_hypotheses(s, 2, "cor2.4", l=2)
     assert rep.overall and rep.fully_verified
     rep21 = check_hypotheses(s, 2, "thm2.1", l=2, m=0)
@@ -200,7 +188,7 @@ def test_check_hypotheses_c2():
 
 
 def test_check_hypotheses_zero_series_passes_everything():
-    z = LogSeries((0,) * 30)
+    z = [0] * 31
     cases = [
         ("thm2.1", 5, dict(l=2, m=1)),
         ("cor2.4", 5, dict(l=1)),
@@ -218,7 +206,7 @@ def test_check_hypotheses_zero_series_passes_everything():
 
 
 def test_check_hypotheses_failure_and_first_index():
-    s = LogSeries((0, 1, 0, 0, 0, 0, 0, 0))
+    s = [0, 0, 1, 0, 0, 0, 0, 0, 0]
     rep = check_hypotheses(s, 2, "cor2.4", l=2)
     assert not rep.overall
     gap_cond = rep.condition("gap integrality below z^(p^l)")
@@ -227,13 +215,13 @@ def test_check_hypotheses_failure_and_first_index():
 
 def test_check_hypotheses_klein_p2_route():
     svals = {1: 1, 2: 3, 4: 1}
-    s = LogSeries.from_map(svals, 40)
+    s = series_from_map(svals, 40)
     rep = check_hypotheses(s, 2, "thm2.7", l=2)
     assert rep.overall, [(c.name, c.status, c.first_failure) for c in rep.conditions]
 
 
 def test_check_hypotheses_unverifiable_flag():
-    s = LogSeries((1, 1, 0))
+    s = [0, 1, 1, 0]
     rep = check_hypotheses(s, 2, "thm2.1", l=2, m=0)
     cond = rep.condition("difference congruence mod p^m")
     assert cond.status == UNVERIFIABLE
@@ -241,7 +229,7 @@ def test_check_hypotheses_unverifiable_flag():
 
 
 def test_check_hypotheses_parameter_errors():
-    s = LogSeries((1, 1, 0))
+    s = [0, 1, 1, 0]
     with pytest.raises(ValueError, match="unknown theorem"):
         check_hypotheses(s, 2, "thm9.9")
     with pytest.raises(ValueError):
@@ -258,7 +246,7 @@ def test_check_hypotheses_admits_exactly_the_rule_kinds(theorem):
     # condition names are distinct, so `HypothesisReport.condition` is
     # unambiguous
     assert THEOREMS[theorem].rule in RULES
-    s = LogSeries.from_map({1: 1, 2: 3, 3: 4, 4: 1}, 30)
+    s = series_from_map({1: 1, 2: 3, 3: 4, 4: 1}, 30)
     for p in (2, 3, 5):
         for l in (None, 0, 1, 2, 3):
             for m in (None, 0, 1, 2, 3):
@@ -273,16 +261,15 @@ def test_check_hypotheses_admits_exactly_the_rule_kinds(theorem):
 
 
 def test_dividing_line_branch():
-    assert dividing_line_branch(LogSeries((1, 1, 1)), 3) == "divisibility"
-    assert dividing_line_branch(LogSeries((1, 1, 2)), 3) == "indivisibility"
+    assert dividing_line_branch([0, 1, 1, 1], 3) == "divisibility"
+    assert dividing_line_branch([0, 1, 1, 2], 3) == "indivisibility"
 
 
 def test_dwork_forward_direction():
     # fully p-integral gap implies v_p(h_n) >= v_p(n!)
     rng = random.Random(25)
     for p in (2, 3, 5):
-        svals = repaired_integer_series(rng, p, 120, 120)
-        s = LogSeries(tuple(svals[1:]))
+        s = repaired_integer_series(rng, p, 120, 120)
         assert all(vp(g, p) >= 1 for g in dwork_gap(s, p).values())
         h = exp_transform(s)
         for n in range(121):
@@ -292,11 +279,11 @@ def test_dwork_forward_direction():
 @settings(deadline=None, max_examples=80)
 @given(st.lists(_mixed_coefficient, max_size=12), st.integers(-10, 10**6))
 def test_series_text_roundtrip(svals, p):
-    s = LogSeries(tuple(svals))
+    s = [0, *svals]
     text = dump_log_series(s, p)
     s2, p2 = load_log_series(text)
-    assert p2 == p and s2.coeffs == s.coeffs
-    assert [type(c) for c in s2.coeffs] == [type(c) for c in s.coeffs]
+    assert p2 == p and s2 == s
+    assert _stored_exactly(s2)
     assert dump_log_series(s2, p2) == text  # bit-exact round trip
 
 
