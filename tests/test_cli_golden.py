@@ -78,6 +78,9 @@ CASES = [
     # wide support (s_n != 0 up to n = p^weight), so every row steps every k
     ("vg-2-12-n1024", ["verify-group", "--spec", "A[2;12]", "--n-max", "1024"], 0, "a165b307a0428bef7db385a55489e7581f2f8951c40d7b89ef9ca788bafeead7"),
     ("vg-3-7-n512", ["verify-group", "--spec", "A[3;7]", "--n-max", "512"], 0, "03980c4ce18a1e2fb5f6d4f32cb82a0e4d6087933587c421d3f0907bedb0abfb"),
+    # the n the group-bounds benchmark runs, passing and failing
+    ("vg-5-11-n4096", ["verify-group", "--spec", "A[5;1,1]", "--n-max", "4096"], 0, "3a725cc004ae017f8677a43530c2b621f070c15bef4a1da277e0a86866e017e4"),
+    ("vg-2-211-n4096", ["verify-group", "--spec", "A[2;2,1,1]", "--n-max", "4096"], 1, "0bb39968daa49e8769b219ecc56792fa57158e8542d343fae051d124d80cf65c"),
     ("vg-not-abelian", ["verify-group", "--spec", "C[4]"], 2, None),
     ("vd-12", ["verify-dihedral", "--m", "12", "--n-max", "64", "--odd-n-max", "50"], 0, "c41fc57defc092422abc1708c8c268c0fccce73ac283f41e8219a2d8e70ef8ab"),
     # the n/2 - n/4 branch (m not divisible by 4), for even and odd m
