@@ -1,14 +1,13 @@
 """Applications of the valuation bounds: permutation counts with
 restricted cycle lengths, the three-parameter binomial-sum
-supercongruence, ultimate-periodicity detection for subgroup counts
-modulo p, and the index-p normal subgroup count formula.
+supercongruence, and ultimate-periodicity detection for subgroup counts
+modulo p.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import kernels
 from .bounds import BoundKind, verify_bounds
@@ -17,24 +16,28 @@ from .exactcore import check_prime
 PI_VARIANTS = ("pi1", "pi2", "pi3")
 
 
-@dataclass(frozen=True)
-class CycleRule:
-    """Allowed cycle lengths {a p^s : a in A} capped at p^l (strictly for
-    pi1, weakly for pi2, strictly below 2 p^l for pi3)."""
-
+class _CycleRule(NamedTuple):
     variant: str
     p: int
     l: int
     base_set: frozenset[int]
 
-    def __post_init__(self):
-        check_prime(self.p)
-        if self.variant not in PI_VARIANTS:
-            raise ValueError(f"unknown cycle rule variant {self.variant!r}")
-        if self.l < 1:
+
+class CycleRule(_CycleRule):
+    """Allowed cycle lengths {a p^s : a in A} capped at p^l (strictly for
+    pi1, weakly for pi2, strictly below 2 p^l for pi3)."""
+
+    __slots__ = ()
+
+    def __new__(cls, variant, p, l, base_set):
+        check_prime(p)
+        if variant not in PI_VARIANTS:
+            raise ValueError(f"unknown cycle rule variant {variant!r}")
+        if l < 1:
             raise ValueError("l must be positive")
-        if any(a < 1 for a in self.base_set):
+        if any(a < 1 for a in base_set):
             raise ValueError("base set entries must be positive")
+        return super().__new__(cls, variant, p, l, base_set)
 
     def length_cap(self) -> int:
         """Smallest integer strictly above every allowed length."""
@@ -77,8 +80,7 @@ def permutation_count_series(n_max: int, lengths: Sequence[int]) -> list[int]:
     return kernels.hall_exp(svals, n_max)
 
 
-@dataclass
-class PermDivisibilityReport:
+class PermDivisibilityReport(NamedTuple):
     rule: CycleRule
     kind: BoundKind
     n_max: int
@@ -113,8 +115,7 @@ def verify_permutation_divisibility(rule: CycleRule, n_max: int) -> PermDivisibi
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SupercongInstance:
+class SupercongInstance(NamedTuple):
     p: int
     a: int
     b: int
@@ -203,8 +204,7 @@ def supercongruence_sweep(p: int, a_max: int) -> list[SupercongInstance]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PeriodResult:
+class PeriodResult(NamedTuple):
     preperiod: int
     period: int
     confirmed_window: int
@@ -246,11 +246,3 @@ def periodicity_detect(residues: Sequence[int], confirm_window: int) -> PeriodRe
             return PeriodResult(preperiod, period, confirmed, "detected", n)
     return PeriodResult(0, 0, 0, "unresolved", n)
 
-
-def normal_count_index_p(rp_plus_rinf: int, p: int) -> int:
-    """(p^k - 1)/(p - 1): the number of index-p normal subgroups when the
-    abelianized rank data sum to k; 0 when k = 0, else 1 mod p."""
-    check_prime(p)
-    if rp_plus_rinf < 0:
-        raise ValueError("rank sum must be non-negative")
-    return (p**rp_plus_rinf - 1) // (p - 1)

@@ -26,9 +26,8 @@ the bound proofs rest on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from . import kernels
 from .exactcore import INFINITY, Valuation, check_prime, floor_log, residue_mod_p, vp
@@ -59,27 +58,32 @@ def partition_case(parts: Sequence[int]) -> tuple[str, int, int]:
     return "III", half + 1, half - 1
 
 
-@dataclass(frozen=True)
-class BoundKind:
-    """A named exponent formula with its parameters and the prime p."""
-
+class _BoundKind(NamedTuple):
     tag: str
     p: int
-    l: int | None = None
-    m: int | None = None
-    partition: tuple[int, ...] | None = None
-    dihedral_m: int | None = None
+    l: int | None
+    m: int | None
+    partition: tuple[int, ...] | None
+    dihedral_m: int | None
 
-    def __post_init__(self):
-        check_prime(self.p)
-        rule = RULES.get(self.tag)
+
+class BoundKind(_BoundKind):
+    """A named exponent formula with its parameters and the prime p."""
+
+    __slots__ = ()
+
+    def __new__(cls, tag, p, l=None, m=None, partition=None, dihedral_m=None):
+        self = super().__new__(cls, tag, p, l, m, partition, dihedral_m)
+        check_prime(p)
+        rule = RULES.get(tag)
         if rule is None:
-            raise ValueError(f"unknown bound kind {self.tag!r}")
+            raise ValueError(f"unknown bound kind {tag!r}")
         for name in rule.needs:
             if getattr(self, name) is None:
-                raise ValueError(f"{self.tag} needs parameter {name}")
+                raise ValueError(f"{tag} needs parameter {name}")
         if not rule.admissible(self):
-            raise ValueError(f"{self.tag} needs {rule.requirement}")
+            raise ValueError(f"{tag} needs {rule.requirement}")
+        return self
 
     def describe(self) -> dict:
         out = {"tag": self.tag, "p": self.p}
@@ -180,8 +184,7 @@ def _odd_p_admissible(kind: BoundKind) -> bool:
 _ODD_P_REQUIREMENT = "p >= 3, l >= 1, (p, l) != (3, 1)"
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     """One bound kind of the catalog.
 
     `exponent(kind, n)` is e(n).  `admissible(kind)` runs once every field
@@ -301,8 +304,7 @@ def bound_value(kind: BoundKind, n: int) -> int:
     return RULES[kind.tag].exponent(kind, n)
 
 
-@dataclass(frozen=True)
-class VerifyRow:
+class VerifyRow(NamedTuple):
     n: int
     valuation: Valuation
     bound: int
@@ -320,12 +322,11 @@ class VerifyRow:
         }
 
 
-@dataclass
-class BoundReport:
+class BoundReport(NamedTuple):
     kind: BoundKind
     rows: list[VerifyRow]
-    violations: list[int] = field(default_factory=list)
-    tight_set: list[int] = field(default_factory=list)
+    violations: list[int]
+    tight_set: list[int]
     min_slack: Valuation = INFINITY
     # Q_n mod p for each row, None where the bound is violated; not part
     # of the report document
@@ -460,8 +461,7 @@ def verify_bounds_mod(s: Sequence[int], kind: BoundKind, n_max: int) -> BoundRep
     return _verify_rows(kernels.hall_exp(s, n_max), kind, bounds)
 
 
-@dataclass
-class QRecurrenceReport:
+class QRecurrenceReport(NamedTuple):
     kind: BoundKind
     step: int
     multiplier: int  # residue mod p
@@ -554,8 +554,7 @@ def _default_x_grid() -> list[Fraction]:
     return sorted(grid)
 
 
-@dataclass
-class FloorLemmaReport:
+class FloorLemmaReport(NamedTuple):
     ij_counterexamples: list[tuple[int, int]]
     half_counterexamples: list[tuple[int, Fraction]]
     ij_checked: int = 0
@@ -606,17 +605,22 @@ def floor_lemma_checks(
         raise ValueError(f"j_max must be non-negative, got {j_max}")
     if j_max < j_min:
         raise ValueError(f"j_max must be at least j_min = {j_min}, got {j_max}")
-    report = FloorLemmaReport([], [])
+    ij_counterexamples = []
     for i in range(pl, i_max + 1):
         target_unit = (p ** (floor_log(p, i) - l) - 1) // (p - 1)
-        for j in range(0, j_max + 1):
-            report.ij_checked += 1
-            if floor_sum_gap(i, j, p, l) < j * target_unit:
-                report.ij_counterexamples.append((i, j))
+        ij_counterexamples += [
+            (i, j) for j in range(j_max + 1) if floor_sum_gap(i, j, p, l) < j * target_unit
+        ]
     xs = _default_x_grid()
-    for j in range(j_min, j_max + 1):
-        for x in xs:
-            report.half_checked += 1
-            if not half_floor_inequality_holds(j, x):
-                report.half_counterexamples.append((j, x))
-    return report
+    half_counterexamples = [
+        (j, x)
+        for j in range(j_min, j_max + 1)
+        for x in xs
+        if not half_floor_inequality_holds(j, x)
+    ]
+    return FloorLemmaReport(
+        ij_counterexamples,
+        half_counterexamples,
+        (i_max + 1 - pl) * (j_max + 1),
+        (j_max + 1 - j_min) * len(xs),
+    )

@@ -23,8 +23,7 @@ transform.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from . import kernels
 from .bounds import partition_case
@@ -55,20 +54,24 @@ def partitions_fitting(mu: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     yield from rec(0, mu[0] if mu else 0)
 
 
-@dataclass(frozen=True)
-class PartitionType:
-    """Type (a_1 >= a_2 >= ... >= a_r >= 1) of an Abelian p-group."""
-
+class _PartitionType(NamedTuple):
     parts: tuple[int, ...]
     p: int
 
-    def __post_init__(self):
-        check_prime(self.p)
-        object.__setattr__(self, "parts", tuple(int(a) for a in self.parts))
-        if not self.parts or any(a < 1 for a in self.parts):
+
+class PartitionType(_PartitionType):
+    """Type (a_1 >= a_2 >= ... >= a_r >= 1) of an Abelian p-group."""
+
+    __slots__ = ()
+
+    def __new__(cls, parts, p):
+        check_prime(p)
+        parts = tuple(int(a) for a in parts)
+        if not parts or any(a < 1 for a in parts):
             raise ValueError("partition parts must be positive")
-        if list(self.parts) != sorted(self.parts, reverse=True):
+        if list(parts) != sorted(parts, reverse=True):
             raise ValueError("partition parts must be weakly decreasing")
+        return super().__new__(cls, parts, p)
 
     @property
     def weight(self) -> int:
@@ -83,11 +86,33 @@ class PartitionType:
         return self.p**self.weight
 
 
-@dataclass(frozen=True)
 class SubgroupCounts:
-    """Sparse map index -> number of subgroups of that index; absent = 0."""
+    """Sparse map index -> number of subgroups of that index; absent = 0.
 
-    counts: tuple[tuple[int, int], ...]
+    An immutable record, but not a tuple: it has no length, and indexing
+    gives s_n rather than a field.
+    """
+
+    __slots__ = ("counts",)
+
+    def __init__(self, counts: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "counts", counts)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set {name!r}: SubgroupCounts is immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"SubgroupCounts(counts={self.counts!r})"
+
+    def __eq__(self, other):
+        if type(other) is not SubgroupCounts:
+            return NotImplemented
+        return self.counts == other.counts
+
+    def __hash__(self) -> int:
+        return hash(self.counts)
 
     @classmethod
     def from_map(cls, counts: Mapping[int, int]) -> "SubgroupCounts":
@@ -274,8 +299,7 @@ def difference_valuation_profile(c: SubgroupCounts, t: PartitionType) -> list[st
 _TERM_RE = re.compile(r"^([ACD])\[([^\]]*)\]$")
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(NamedTuple):
     variant: str  # "abelian" | "cyclic" | "dihedral" | "free-product"
     partition: PartitionType | None = None
     order_param: int | None = None

@@ -7,12 +7,12 @@ Connects the two coefficient lists of H(z) = exp(S(z)), the ones
   and is never read, so N = len(s) - 1;
 * h = [h_0, h_1, ..., h_N] with H(z) = sum h_n z^n / n!,
 
-and provides the transforms between them, the gap series S(z^p) - pS(z)
-whose low-order p-integrality drives all valuation bounds, the corrected
-tail coefficients (lambda sequence), and `THEOREMS`, one record per
+and provides the transforms between them and `THEOREMS`, one record per
 checkable theorem: the rule whose exponent it proves, which validates
 its parameters, and its hypotheses, which `check_hypotheses` verifies
-exactly.
+exactly.  The hypotheses read the gap series S(z^p) - pS(z), whose
+low-order p-integrality drives all valuation bounds, and the corrected
+tail coefficients lambda_i one index at a time.
 
 Coefficients are exact: a plain int where the value is integral, as on
 every group and cycle series, and a `Fraction` only where it is not.
@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import kernels
 from .bounds import RULES, BoundKind
@@ -86,19 +85,6 @@ def log_transform(h: _Coeffs) -> list[int | Fraction]:
     return s
 
 
-def dwork_gap(s: _Coeffs, p: int) -> dict[int, Fraction]:
-    """Coefficients {j: g_j} of S(z^p) - p S(z) for 1 <= j <= N:
-    g_j = -p s_j / j, plus p s_{j/p} / j when p divides j."""
-    check_prime(p)
-    g = {}
-    for j in range(1, len(s)):
-        coeff = Fraction(-p, j) * s[j]
-        if j % p == 0:
-            coeff += Fraction(p, j) * s[j // p]
-        g[j] = coeff
-    return g
-
-
 def _gap_integral(s: _Coeffs, p: int, j: int) -> bool:
     """vp(g_j) >= 1 for the gap g = S(z^p) - p S(z).
 
@@ -110,6 +96,8 @@ def _gap_integral(s: _Coeffs, p: int, j: int) -> bool:
 
 
 def _lambda_at(s: _Coeffs, p: int, l: int, i: int) -> Fraction:
+    """lambda_i = s_i when i / p^{v_p(i)} >= p^l; otherwise s_i - s_{i/p^e}
+    with e minimal such that i / p^e < p^l."""
     pl = p**l
     stripped = i
     while stripped % p == 0:
@@ -122,21 +110,6 @@ def _lambda_at(s: _Coeffs, p: int, l: int, i: int) -> Fraction:
     return s[i] - s[reduced]
 
 
-def lambda_sequence(s: _Coeffs, p: int, l: int) -> dict[int, Fraction]:
-    """Corrected tail coefficients lambda_i for p^l < i <= N.
-
-    lambda_i = s_i when i / p^{v_p(i)} >= p^l; otherwise s_i - s_{i/p^e}
-    with e minimal such that i / p^e < p^l.
-    """
-    check_prime(p)
-    if l < 1:
-        raise ValueError("l must be positive")
-    if p**l >= len(s):
-        raise ValueError("p^l exceeds the truncation")
-    pl = p**l
-    return {i: _lambda_at(s, p, l, i) for i in range(pl + 1, len(s))}
-
-
 # ---------------------------------------------------------------------------
 # hypothesis checking
 # ---------------------------------------------------------------------------
@@ -146,16 +119,14 @@ FAIL = "fail"
 UNVERIFIABLE = "unverifiable at this truncation"
 
 
-@dataclass(frozen=True)
-class ConditionVerdict:
+class ConditionVerdict(NamedTuple):
     name: str
     status: str
     first_failure: int | None = None
     note: str = ""
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     theorem: str
     kind: BoundKind  # the validated kind of the theorem's rule
     conditions: tuple[ConditionVerdict, ...] = ()
@@ -177,8 +148,7 @@ class HypothesisReport:
         raise KeyError(name)
 
 
-@dataclass(frozen=True)
-class Condition:
+class Condition(NamedTuple):
     """One hypothesis of a theorem: `holds(i)` at every index of `indices`,
     the part of its index range inside the truncation.  `beyond` marks a
     range that also runs past N, so the condition is confirmed only up to
@@ -191,8 +161,7 @@ class Condition:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class Theorem:
+class Theorem(NamedTuple):
     """A checkable theorem: the tag of the rule whose exponent it proves,
     and its hypotheses on S(z) for a kind of that rule."""
 

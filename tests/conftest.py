@@ -5,6 +5,9 @@ polynomial exponential multiplies out sum S^k / k! term by term, the
 involution recurrence is the classical two-term one, the permutation
 counts enumerate S_n, the naive addition table adds digit tuples, and the
 series repair acts on raw coefficient lists.
+Dwork's gap series, the corrected tail coefficients and the index-p
+normal subgroup count are restated from their definitions, sharing no
+code with the hypothesis checker's private forms.
 The exact hom counts and subgroup series of a group spec are the
 exception: they run the library's exact transforms, and are the exact
 twins the modular paths of `dworklab.groups` are checked against.  The
@@ -137,6 +140,42 @@ def naive_vp(x: int, p: int) -> int:
         v += 1
         x //= p
     return v
+
+
+def dwork_gap(s: Sequence, p: int) -> dict[int, Fraction]:
+    """Coefficients {j: g_j} of S(z^p) - p S(z) for 1 <= j <= N:
+    g_j = -p s_j / j, plus p s_{j/p} / j when p divides j."""
+    g = {}
+    for j in range(1, len(s)):
+        coeff = Fraction(-p, j) * s[j]
+        if j % p == 0:
+            coeff += Fraction(p, j) * s[j // p]
+        g[j] = coeff
+    return g
+
+
+def lambda_sequence(s: Sequence, p: int, l: int) -> dict[int, Fraction]:
+    """Corrected tail coefficients lambda_i for p^l < i <= N, restated from
+    the definition: lambda_i = s_i when i / p^{v_p(i)} >= p^l; otherwise
+    s_i - s_{i/p^e} with e minimal such that i / p^e < p^l."""
+    pl = p**l
+    if pl >= len(s):
+        raise ValueError("p^l exceeds the truncation")
+    lam = {}
+    for i in range(pl + 1, len(s)):
+        v = naive_vp(i, p)
+        if Fraction(i, p**v) >= pl:
+            lam[i] = s[i]
+        else:
+            e = min(e for e in range(v + 1) if Fraction(i, p**e) < pl)
+            lam[i] = s[i] - s[i // p**e]
+    return lam
+
+
+def normal_count_index_p(rank: int, p: int) -> int:
+    """(p^k - 1)/(p - 1): the number of index-p normal subgroups when the
+    abelianized rank data sum to k = ``rank``; 0 when k = 0, else 1 mod p."""
+    return (p**rank - 1) // (p - 1)
 
 
 def addition_table_naive(parts: tuple[int, ...], p: int) -> tuple[int, bytes]:

@@ -2,10 +2,9 @@ import itertools
 
 import pytest
 
-from conftest import hom_count_ints, permutation_count_bruteforce
+from conftest import hom_count_ints, normal_count_index_p, permutation_count_bruteforce
 from dworklab.applications import (
     CycleRule,
-    normal_count_index_p,
     periodicity_detect,
     permutation_count_series,
     supercongruence_check,

@@ -32,6 +32,7 @@ from conftest import (
     dihedral_subgroup_counts_oracle,
     hom_count_bruteforce,
     hom_count_ints,
+    normal_count_index_p,
     partitions_of,
     subgroup_count_series,
 )
@@ -374,17 +375,13 @@ def test_prop_42_dichotomy_on_generated_groups():
 
 def test_normal_count_formula_matches_abelian_counts():
     # for abelian groups every subgroup is normal, so s_p = (p^r - 1)/(p - 1)
-    from dworklab.applications import normal_count_index_p
-
     for parts, p in [((1, 1), 2), ((2, 1), 3), ((1, 1, 1), 2), ((2, 2), 5), ((3,), 3)]:
         t = PartitionType(parts, p)
         counts = abelian_subgroup_counts(t)
         assert counts[p] == normal_count_index_p(t.rank, p)
     # free product: abelianization of C_2 * C_2 has 2-rank 2
-    from dworklab.applications import normal_count_index_p as ncp
-
     s = subgroup_count_series(parse_group_spec("C[2]*C[2]"), 4)
-    assert int(s[2]) == ncp(2, 2) == 3
+    assert int(s[2]) == normal_count_index_p(2, 2) == 3
 
 
 def test_frobenius_and_kulakoff_count_properties():

@@ -1,6 +1,7 @@
 """Every name a module of the package or of the tests imports is used in
 that module, and every module-private top-level name of the package is
-referenced in its own module.
+referenced in its own module.  No module of the package imports
+`dataclasses` or `inspect`, and importing the CLI loads neither.
 
 No lint tool is part of the toolchain, so this is the check.  Names
 listed in ``__all__`` and the package's ``__init__`` (whose imports are
@@ -8,6 +9,9 @@ re-exports) are exempt, as are ``__future__`` imports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -104,15 +108,60 @@ def test_no_unreferenced_private_names(path):
     assert unreferenced_private_names(path.read_text(encoding="utf-8")) == []
 
 
-# Public names that nothing in the package or the benchmark calls, kept
-# because the tests check other code against them: Dwork's lemma, the
-# corrected tail series and the index-p normal subgroup counts.  Oracles
-# that only tests call live in tests/conftest.py instead.
-ORACLES = (
-    "dwork_gap",
-    "lambda_sequence",
-    "normal_count_index_p",
-)
+# Every command runs in a fresh interpreter, which pays for each module
+# the package loads: `dataclasses` alone costs more than the rest of the
+# import of `dworklab.cli`, as it pulls in `inspect`, `ast`, `dis` and
+# `tokenize`.  Records are `typing.NamedTuple`s instead.
+HEAVY_MODULES = ("dataclasses", "inspect")
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the modules the source imports; relative
+    imports are left out."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_detector_lists_imported_modules():
+    source = (
+        "import os.path\n"
+        "from dataclasses import dataclass\n"
+        "from . import kernels\n"
+        "from .bounds import x\n"
+        "def f():\n"
+        "    import inspect as i\n"
+    )
+    assert imported_modules(source) == {"os", "dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("path", PACKAGE_MODULES, ids=[p.name for p in PACKAGE_MODULES])
+def test_no_heavy_imports(path):
+    found = imported_modules(path.read_text(encoding="utf-8"))
+    assert sorted(found.intersection(HEAVY_MODULES)) == []
+
+
+def test_cli_import_loads_no_heavy_module():
+    # -S keeps the .pth files of site-packages, which may import anything,
+    # out of the check
+    code = "import dworklab.cli, sys; print(*sorted(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = run.stdout.split()
+    assert "dworklab.cli" in loaded
+    assert [m for m in HEAVY_MODULES if m in loaded] == []
+
+
+# Public names that nothing in the package or the benchmark calls, each
+# with the reason it stays.  Oracles that only tests call live in
+# tests/conftest.py instead.  The package has none at present.
+ORACLES: tuple[str, ...] = ()
 BENCHMARK = TESTS.parent / "perfbench"
 
 
@@ -162,10 +211,12 @@ def loaded_names(source: str, code_in_strings: bool = False) -> set[str]:
     return loaded
 
 
-def uncalled_public_names(modules: dict[str, str], benchmark: list[str]) -> list[str]:
+def uncalled_public_names(
+    modules: dict[str, str], benchmark: list[str], oracles: tuple[str, ...] = ORACLES
+) -> list[str]:
     """Public top-level names of ``modules`` (file name -> source) that no
-    module and no benchmark source loads, and that are not in ORACLES."""
-    loaded = set(ORACLES)
+    module and no benchmark source loads, and that are not in ``oracles``."""
+    loaded = set(oracles)
     for source in modules.values():
         loaded |= loaded_names(source)
     for source in benchmark:
@@ -196,7 +247,7 @@ def test_detector_flags_uncalled_public_names():
         "b.py": "from .a import called\n\ndef user(m):\n    return called(), m.Y\n",
     }
     benchmark = ['PROBE = "from a import probed; print(probed())"\n']
-    assert uncalled_public_names(modules, benchmark) == [
+    assert uncalled_public_names(modules, benchmark, oracles=("dwork_gap",)) == [
         "Gone (a.py, line 5)",
         "Z (a.py, line 7)",
         "recursive (a.py, line 2)",

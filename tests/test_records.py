@@ -14,8 +14,9 @@ from dworklab.applications import (
     CycleRule,
     periodicity_detect,
     supercongruence_check,
+    verify_permutation_divisibility,
 )
-from dworklab.bounds import RULES, BoundKind, verify_bounds
+from dworklab.bounds import RULES, BoundKind, floor_lemma_checks, verify_bounds, verify_q_recurrence
 from dworklab.groups import PartitionType, abelian_subgroup_counts, parse_group_spec
 from dworklab.series import THEOREMS, Condition, check_hypotheses, exp_transform
 
@@ -27,10 +28,14 @@ def _records():
     kind = BoundKind("cor2.4", 2, l=1)
     report = verify_bounds(exp_transform(C2), kind)
     hyp = check_hypotheses(C2, 2, "cor2.4", l=1)
+    rule = CycleRule("pi1", 2, 1, frozenset({1}))
     return [
         (kind, "tag"),
         (RULES["thm2.1"], "needs"),
         (report.rows[0], "n"),
+        (report, "violations"),
+        (verify_q_recurrence(report, C2), "failures"),
+        (floor_lemma_checks(2, 1, 4, 2), "ij_checked"),
         (PartitionType((2, 1), 3), "parts"),
         (abelian_subgroup_counts(PartitionType((1, 1), 2)), "counts"),
         (parse_group_spec("C[2]*C[4]"), "variant"),
@@ -38,7 +43,8 @@ def _records():
         (hyp.conditions[0], "status"),
         (Condition("x", []), "name"),
         (THEOREMS["thm2.1"], "rule"),
-        (CycleRule("pi1", 2, 1, frozenset({1})), "variant"),
+        (rule, "variant"),
+        (verify_permutation_divisibility(rule, 5), "violations"),
         (supercongruence_check(3, 1, 0, 0), "passed"),
         (periodicity_detect([0, 1] * 8, 2), "period"),
     ]

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import involution_oracle, poly_exp_oracle, repaired_integer_series, series_from_map
+from conftest import (
+    dwork_gap,
+    involution_oracle,
+    lambda_sequence,
+    poly_exp_oracle,
+    repaired_integer_series,
+    series_from_map,
+)
 from dworklab.bounds import RULES, BoundKind
 from dworklab.exactcore import legendre_valuation, vp
 from dworklab.series import (
@@ -15,10 +22,10 @@ from dworklab.series import (
     UNVERIFIABLE,
     check_hypotheses,
     dividing_line_branch,
+    _gap_integral,
+    _lambda_at,
     dump_log_series,
-    dwork_gap,
     exp_transform,
-    lambda_sequence,
     load_log_series,
     log_transform,
 )
@@ -174,6 +181,31 @@ def test_lambda_sequence_examples():
         assert lam2[3**e] == 0  # s_{3^e} - s_3
     with pytest.raises(ValueError, match="exceeds the truncation"):
         lambda_sequence([0, 1, 1], 2, 3)
+
+
+def test_gap_integral_matches_dwork_gap():
+    # the checker's predicate against the valuation of the oracle's g_j,
+    # on rational and on gap-repaired integer series
+    rng = random.Random(31)
+    seen = set()
+    for p in (2, 3, 5):
+        rational = [0] + [Fraction(rng.randint(-30, 30), rng.randint(1, 6)) for _ in range(60)]
+        for s in (rational, repaired_integer_series(rng, p, 60, 30)):
+            g = dwork_gap(s, p)
+            for j in range(1, len(s)):
+                holds = vp(g[j], p) >= 1
+                assert _gap_integral(s, p, j) == holds, (p, j)
+                seen.add(holds)
+    assert seen == {True, False}
+
+
+def test_lambda_at_matches_lambda_sequence():
+    rng = random.Random(37)
+    for p, l in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]:
+        s = [0] + [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(200)]
+        lam = lambda_sequence(s, p, l)
+        assert sorted(lam) == list(range(p**l + 1, 201))
+        assert all(_lambda_at(s, p, l, i) == lam[i] for i in lam), (p, l)
 
 
 def test_check_hypotheses_c2():
