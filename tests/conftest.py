@@ -163,11 +163,11 @@ def lambda_sequence(s: Sequence, p: int, l: int) -> dict[int, Fraction]:
         raise ValueError("p^l exceeds the truncation")
     lam = {}
     for i in range(pl + 1, len(s)):
-        v = naive_vp(i, p)
-        if Fraction(i, p**v) >= pl:
+        v = naive_vp(i, p)  # p^e divides i for every e <= v
+        if i // p**v >= pl:
             lam[i] = s[i]
         else:
-            e = min(e for e in range(v + 1) if Fraction(i, p**e) < pl)
+            e = min(e for e in range(v + 1) if i // p**e < pl)
             lam[i] = s[i] - s[i // p**e]
     return lam
 

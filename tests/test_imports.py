@@ -109,9 +109,10 @@ def test_no_unreferenced_private_names(path):
 
 
 # Every command runs in a fresh interpreter, which pays for each module
-# the package loads: `dataclasses` alone costs more than the rest of the
-# import of `dworklab.cli`, as it pulls in `inspect`, `ast`, `dis` and
-# `tokenize`.  Records are `typing.NamedTuple`s instead.
+# the package loads.  `dataclasses` pulls in `inspect`, `ast`, `dis` and
+# `tokenize`, and each decorated class compiles code when it is created;
+# together that was more than a third of the import of `dworklab.cli`.
+# Records are `typing.NamedTuple`s instead.
 HEAVY_MODULES = ("dataclasses", "inspect")
 
 
