@@ -17,12 +17,26 @@ import pytest
 
 from dworklab.cli import main
 
+def _dense_support(p: int, n_max: int) -> dict:
+    """s_1..s_N from a fixed quadratic pattern in [-50, 50], repaired so that
+    s_j = s_(j/p) mod p^(v_p(j)): Dwork's gap series is then p-integral."""
+    s = {}
+    for j in range(1, n_max + 1):
+        r = (7 * j * j + 3 * j) % 101 - 50
+        v, q = 0, j
+        while q % p == 0:
+            v, q = v + 1, q // p
+        s[j] = s[j // p] + p**v * r if v else r
+    return s
+
+
 # name -> (p, N, {n: s_n}) for the series files the runs read; the
 # supports are subgroup counts of small Abelian groups, plus series with
 # non-integral coefficients: rat5 is 5-integral with denominators 3 and 7
 # and meets the gap condition below z^25 (s_5k = s_k mod 5 for k < 5), and
 # odd3 is the Klein four-group's series plus a 2-adically small term at
-# every other index, over 3 at odd ones, which meets thm2.7 at l = 2
+# every other index, over 3 at odd ones, which meets thm2.7 at l = 2;
+# dense3 has 800 terms, so every row of the exact transform sums over all k
 SERIES = {
     "k4.series": (2, 64, {1: 1, 2: 3, 4: 1}),
     "inv.series": (2, 64, {1: 1, 2: 1}),
@@ -40,6 +54,7 @@ SERIES = {
         {n: (2 ** (n // 2) * (n % 5 + 1), 3 if n % 2 else 1) for n in range(1, 97)}
         | {1: 1, 2: 3, 4: 1},
     ),
+    "dense3.series": (3, 800, _dense_support(3, 800)),
 }
 
 # (id, argv, exit status, sha256 of stdout; None where the status is 2)
@@ -60,6 +75,7 @@ CASES = [
     ("an-rat5-thm2.1", ["analyze-series", "--input", "rat5.series", "--theorem", "thm2.1", "--l", "2", "--m", "0"], 0, "2e2b68a5b60799252cc5c1b7725198c91768a1c1469e2918df28e8af86fc73c0"),
     ("an-rat5-thm2.1-tsv", ["analyze-series", "--input", "rat5.series", "--theorem", "thm2.1", "--l", "2", "--m", "0", "--format", "tsv"], 0, "2eda62dc9ee5d3020ccd3dd7426225aeda53264c6dcf27595d8fdb4733b910c9"),
     ("an-odd3-thm2.7", ["analyze-series", "--input", "odd3.series", "--theorem", "thm2.7", "--l", "2"], 0, "a86da9987798cb032ae6cacb89620dace9d7c45c98cdd71b339bcaf5b50ca1e2"),
+    ("an-dense3-thm3.1", ["analyze-series", "--input", "dense3.series", "--theorem", "thm3.1", "--l", "2"], 0, "6af8fa61e78a4fd967d6fecf69ac061e434b9af74a59f65e3ffd622f615c5063"),
     ("an-thm3.7-p3-l1", ["analyze-series", "--input", "c3c3.series", "--theorem", "thm3.7", "--l", "1"], 2, None),
     ("an-thm2.1-no-m", ["analyze-series", "--input", "c3c3.series", "--theorem", "thm2.1", "--l", "2"], 2, None),
     ("an-thm2.7-p3", ["analyze-series", "--input", "c3c3.series", "--theorem", "thm2.7", "--l", "2"], 2, None),
@@ -86,8 +102,12 @@ CASES = [
     # the n/2 - n/4 branch (m not divisible by 4), for even and odd m
     ("vd-6-n512", ["verify-dihedral", "--m", "6", "--n-max", "512"], 0, "b5bf1accf4a0879d43816d94c2a7573e4dd45c727f9b5092dc407fafb76657d8"),
     ("vd-9-n512", ["verify-dihedral", "--m", "9", "--n-max", "512"], 0, "41e2239e9684b7b5c220a7ea11f19215d7392b91d2a8418ce995f0d3c40e13ac"),
+    # wide support: s_n != 0 up to n = 2m = 2048
+    ("vd-1024-n2048", ["verify-dihedral", "--m", "1024", "--n-max", "2048"], 0, "2b704168f3f1d24c365c7c4635099a55016809a25ae370eeb3ab84a912457cf8"),
     ("vp-pi2-3-1", ["verify-permutations", "--variant", "pi2", "--p", "3", "--l", "1", "--A", "1", "--n-max", "60"], 0, "eb87f41fd7971452b06eeb0ea3a473600e6932d73fe9f0e567ddb636931c5889"),
     ("vp-pi3-5-1", ["verify-permutations", "--variant", "pi3", "--p", "5", "--l", "1", "--A", "1,2", "--n-max", "60"], 0, "f902577eb5ddd42c6400abdf460eb16e72069322b6dd92d0d414f03c8120184a"),
+    # gapped cycle lengths a 2^i (a in A, i <= 11) up to n = 1024
+    ("vp-pi1-2-11-n1024", ["verify-permutations", "--variant", "pi1", "--p", "2", "--l", "11", "--A", "1,3,5,7", "--n-max", "1024"], 0, "95ff2dfe04db3555fb1b6eef340e96515c124ea276592e5b6b10ffdd5b642843"),
     ("vp-pi3-3-1", ["verify-permutations", "--variant", "pi3", "--p", "3", "--l", "1", "--A", "1"], 2, None),
     ("sc-3", ["supercongruence", "--p", "3", "--a-max", "2"], 0, "68ddc73bbcf6c6d20d4e72140582831d36108f6aed595a719adc516e04be23ca"),
     ("pd-c2c4", ["periodicity", "--spec", "C[2]*C[4]", "--p", "2", "--n-max", "60"], 0, "6664f2da555415ec439ec22cc1b40d32013f53a48b9049ea57985250ce471a4b"),
