@@ -76,9 +76,40 @@ def _document(command: str, parameters: dict, truncation, rows, summary, failed)
     }
 
 
+# the text between two rows as the C encoder writes them with the item
+# separator of `_ROW_SEPARATORS`, and the same text in the indent=2 layout
+_ROW_SEPARATORS = (",\n      ", ": ")
+_ROW_BOUNDARY = ("},\n      {", "\n    },\n    {\n      ")
+
+
+def _json_text(doc: dict) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2)``, with the rows encoded in C.
+
+    CPython runs its C encoder only when ``indent`` is None, so the rows,
+    the bulk of a report, are encoded in one call with an item separator
+    that already holds the indentation of a row's items, and only the row
+    boundaries are rewritten.  This relies on every row being a non-empty
+    dict of scalars (str, int, bool or None): then the boundary text can
+    only occur between two rows, since an encoded string never holds a
+    raw newline.  The other top-level values are small and are encoded
+    with ``indent=2`` and shifted one level.
+    """
+    items = []
+    for key in sorted(doc):
+        if key == "rows" and doc[key]:
+            body = json.dumps(doc[key], sort_keys=True, separators=_ROW_SEPARATORS)
+            value = "[\n    {\n      " + body[2:-2].replace(*_ROW_BOUNDARY) + "\n    }\n  ]"
+        else:
+            value = json.dumps(doc[key], sort_keys=True, indent=2).replace("\n", "\n  ")
+        items.append(f"  {json.dumps(key)}: {value}")
+    return "{\n" + ",\n".join(items) + "\n}\n"
+
+
+# Every subcommand's rows are non-empty dicts of scalars (str, int, bool or
+# None): `_json_text` relies on it, and tests/test_cli.py checks it.
 def _emit(doc: dict, fmt: str, output: str | None) -> None:
     if fmt == "json":
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        text = _json_text(doc)
     else:
         rows = doc["rows"]
         lines = []

@@ -8,8 +8,11 @@ The central recurrence converts between the two coefficient sequences of
 where ``(a)_j`` is the rising factorial.  The recurrence contains no
 divisions, so it reduces exactly modulo any modulus.  `hall_exp` runs it
 in one loop, exactly or modulo a given modulus, which it applies to the
-s_k and once to each finished row; the sum over k stops at the last
-nonzero s_k, which keeps sparse group and cycle series cheap.
+s_k and once to each finished row.  Row n is a Horner sum over the
+nonzero s_k alone, highest k first; the (n-k+1)_(k-1) of a run of
+vanishing s_k between two nonzero ones fold into one `math.perm` gap
+factor, so no Pochhammer factor is ever multiplied by an h, and sparse
+group and cycle series pay only for their support.
 `verify-group` runs it modulo p^(E+64), with E the largest bound exponent
 e(n), and reads every row from those residues; only when some e(n) < 0,
 or some residue is 0 modulo p^(e(n)+64), does it run it again without a
@@ -25,6 +28,8 @@ digits its row needs.
 """
 
 from __future__ import annotations
+
+import math
 
 BACKEND = "pure-python"  # the kernel implementation that perfbench/run.py records
 
@@ -63,14 +68,20 @@ def hall_exp(s, nmax, modulus=None):
     """Integer coefficients h_0..h_nmax from integer s_1..s_nmax.
 
     ``s`` is indexed by position (s[0] is ignored); entries beyond
-    ``len(s)-1`` count as zero.  The sum over k stops at the last nonzero
-    s_k, so series with low-lying support (group and cycle-length data)
-    skip the empty tail of every row.  With a positive ``modulus`` the
-    s_k and each finished h_n are reduced modulo it, and s_k counts as
-    zero where it vanishes modulo it; the Pochhammer factor stays the
-    exact product of at most ``last - 1`` small factors.  The recurrence
-    is division free, so each entry is congruent to the exact h_n modulo
-    ``modulus``.
+    ``len(s)-1`` count as zero.  Row n runs the recurrence by Horner over
+    the nonzero s_k with k <= n, from the highest k down:
+
+        h_n = s_1 h_(n-1) + (n-1) (s_2 h_(n-2) + (n-2) (s_3 h_(n-3) + ...)).
+
+    Between two nonzero s_a and s_b, a < b, the vanishing s_k contribute
+    nothing, and the factors they pass on fold into one gap factor
+    (n-a)(n-a-1)...(n-b+1) = ``math.perm(n-a, b-a)``, a product of small
+    ints formed in C.  So every step multiplies the running sum by that
+    factor and adds s_a h_(n-a): no Pochhammer factor is multiplied by an
+    h.  With a positive ``modulus`` the s_k and each finished h_n are
+    reduced modulo it, and s_k counts as zero where it vanishes modulo it.
+    The recurrence is division free, so each entry is congruent to the
+    exact h_n modulo ``modulus``.
     """
     if modulus is not None:
         if modulus <= 0:
@@ -78,17 +89,19 @@ def hall_exp(s, nmax, modulus=None):
         s = [x % modulus for x in s[: nmax + 1]]
     h = [0] * (nmax + 1)
     h[0] = 1 if modulus is None else 1 % modulus
-    last = min(len(s) - 1, nmax)
-    while last > 0 and not s[last]:
-        last -= 1
+    support = [(k, sk) for k, sk in enumerate(s[: nmax + 1]) if k and sk]
+    top = 0  # support[:top] holds the k <= n
     for n in range(1, nmax + 1):
+        if top < len(support) and support[top][0] == n:
+            top += 1
         acc = 0
-        poch = 1  # (n-k+1)_{k-1}
-        for k in range(1, min(n, last) + 1):
-            sk = s[k]
-            if sk:
-                acc += poch * sk * h[n - k]
-            poch *= n - k
+        # b: the k of the previous step; the first step's factor is perm(., 0) = 1
+        b = support[top - 1][0] if top else 1
+        for a, sa in reversed(support[:top]):
+            acc = acc * math.perm(n - a, b - a) + sa * h[n - a]
+            b = a
+        if b > 1:
+            acc *= math.perm(n - 1, b - 1)
         h[n] = acc if modulus is None else acc % modulus
     return h
 

@@ -5,6 +5,8 @@ polynomial exponential multiplies out sum S^k / k! term by term, the
 involution recurrence is the classical two-term one, the permutation
 counts enumerate S_n, the naive addition table adds digit tuples, and the
 series repair acts on raw coefficient lists.
+The Pochhammer loop, the kernel `dworklab.kernels.hall_exp`'s reference,
+steps (n-k+1)_(k-1) through every k of every row.
 Dwork's gap series, the corrected tail coefficients and the index-p
 normal subgroup count are restated from their definitions, sharing no
 code with the hypothesis checker's private forms.
@@ -73,6 +75,33 @@ def poly_exp_oracle(svals: list) -> list[Fraction]:
         out.append(total[n] * fact)
         fact *= n + 1
     return out
+
+
+def hall_exp_pochhammer(s, nmax, modulus=None):
+    """h_0..h_nmax by h_n = sum_k (n-k+1)_(k-1) s_k h_(n-k), stepping the
+    Pochhammer factor through every k up to the last nonzero s_k; with a
+    positive ``modulus``, the s_k and each finished h_n are reduced modulo
+    it.  The recurrence as written, sharing no step with the kernel's
+    Horner sum over the nonzero s_k."""
+    if modulus is not None:
+        if modulus <= 0:
+            raise ValueError("modulus must be positive")
+        s = [x % modulus for x in s[: nmax + 1]]
+    h = [0] * (nmax + 1)
+    h[0] = 1 if modulus is None else 1 % modulus
+    last = min(len(s) - 1, nmax)
+    while last > 0 and not s[last]:
+        last -= 1
+    for n in range(1, nmax + 1):
+        acc = 0
+        poch = 1  # (n-k+1)_{k-1}
+        for k in range(1, min(n, last) + 1):
+            sk = s[k]
+            if sk:
+                acc += poch * sk * h[n - k]
+            poch *= n - k
+        h[n] = acc if modulus is None else acc % modulus
+    return h
 
 
 def involution_oracle(n_max: int) -> list[int]:

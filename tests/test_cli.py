@@ -2,7 +2,10 @@ import argparse
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from dworklab import cli
 from dworklab.cli import build_parser, main
 from dworklab.series import THEOREMS, dump_log_series
 
@@ -346,3 +349,75 @@ def test_n_max_below_one_exits_2(capsys, tmp_path, monkeypatch, argv):
     code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and f"{argv[-2]} must be at least" in err
+
+
+# text that JSON escapes, a row boundary's own characters, and non-ASCII
+_TRICKY = st.sampled_from(['"', "\\", "\n", "},", "},\n      {", "\t", "\u00e9", "\u2603", "\U0001f600"])
+_TEXT = st.lists(st.one_of(st.text(max_size=4), _TRICKY), max_size=4).map("".join)
+_SCALARS = st.one_of(
+    _TEXT, st.booleans(), st.none(), st.integers(), st.integers(-(10**80), 10**80)
+)
+_NESTED = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    command=_TEXT,
+    parameters=st.dictionaries(_TEXT, _SCALARS, max_size=4),
+    truncation=st.none() | st.integers(0, 10**6),
+    rows=st.lists(st.dictionaries(_TEXT, _SCALARS, min_size=1, max_size=5), max_size=6),
+    summary=_NESTED,
+    failed=st.booleans(),
+)
+@example(command="c", parameters={}, truncation=None, rows=[], summary={}, failed=False)
+@example(
+    command="c",
+    parameters={},
+    truncation=0,
+    rows=[{"a": '},\n      {"b": 1'}, {"},": "\\"}],
+    summary={"x": [{"y": None}]},
+    failed=True,
+)
+def test_json_text_is_indented_json(command, parameters, truncation, rows, summary, failed):
+    doc = cli._document(command, parameters, truncation, rows, summary, failed)
+    assert cli._json_text(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+_SCALAR_TYPES = (str, int, bool, type(None))
+
+
+def test_every_subcommand_reports_flat_rows(monkeypatch, tmp_path):
+    # `cli._json_text` requires every row to be a non-empty dict of scalars
+    docs = []
+    monkeypatch.setattr(cli, "_emit", lambda doc, fmt, output: docs.append(doc))
+    # no permutation rule at hand is violated, so report two made-up violations
+    real = cli.verify_permutation_divisibility
+    monkeypatch.setattr(
+        cli,
+        "verify_permutation_divisibility",
+        lambda rule, n_max: real(rule, n_max)._replace(violations=[3, 5]),
+    )
+    path = tmp_path / "c2.series"
+    path.write_text(dump_log_series([0, 1, 1] + [0] * 14, 2))
+    argvs = {
+        "analyze-series": ["--input", str(path), "--theorem", "cor2.4", "--l", "2"],
+        "verify-group": ["--spec", "A[2;1,1]", "--n-max", "16"],
+        "verify-dihedral": ["--m", "6", "--n-max", "16"],
+        "verify-permutations": ["--variant", "pi1", "--p", "2", "--l", "1", "--A", "1", "--n-max", "8"],
+        "supercongruence": ["--p", "3", "--a-max", "1"],
+        "periodicity": ["--spec", "C[2]*C[4]", "--p", "2", "--n-max", "16"],
+        "lemmas": ["--p", "2", "--l", "1", "--i-max", "4", "--j-max", "4", "--j-min", "-4"],
+    }
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(argvs) == set(sub.choices)
+    for name, flags in argvs.items():
+        main([name, *flags])
+        rows = docs.pop()["rows"]
+        assert rows, name
+        for row in rows:
+            assert type(row) is dict and row, name
+            assert all(type(v) in _SCALAR_TYPES for v in row.values()), (name, row)

@@ -91,7 +91,7 @@ CASES = [
     ("vg-3-11", ["verify-group", "--spec", "A[3;1,1]", "--n-max", "60"], 0, "a8df0fe520fa1cbc36e7a22b45e45bfe08414cb1d3f554dfa5d7fb011d51656a"),
     # p = 2 case II of rank 4: the claimed class 2^(A_1+2) is not tight
     ("vg-2-1111-n1024", ["verify-group", "--spec", "A[2;1,1,1,1]", "--n-max", "1024"], 1, "1239b9c2edebc8272cbc3cc0bc916fa23cfc6d3a3a3c809c20526b7b79729978"),
-    # wide support (s_n != 0 up to n = p^weight), so every row steps every k
+    # wide support (s_n != 0 up to n = p^weight), so rows have wide gap factors
     ("vg-2-12-n1024", ["verify-group", "--spec", "A[2;12]", "--n-max", "1024"], 0, "a165b307a0428bef7db385a55489e7581f2f8951c40d7b89ef9ca788bafeead7"),
     ("vg-3-7-n512", ["verify-group", "--spec", "A[3;7]", "--n-max", "512"], 0, "03980c4ce18a1e2fb5f6d4f32cb82a0e4d6087933587c421d3f0907bedb0abfb"),
     # the n the group-bounds benchmark runs, passing and failing

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    hall_exp_pochhammer,
     hom_count_ints,
     involution_oracle,
     naive_vp,
@@ -92,6 +93,47 @@ def test_hall_exp_property_matches_polynomial_exponential(case, modulus):
     if modulus is not None:
         expected = [x % modulus for x in expected]
     assert kernels.hall_exp(s, nmax, modulus) == expected
+
+
+@st.composite
+def _support_cases(draw):
+    """(s, N, modulus) with s dense, gapped (a fixed stride) or wide (a few
+    indices spread up to past N), or empty; where a modulus is drawn, some
+    nonzero s_k may be multiples of it."""
+    nmax = draw(st.integers(0, 300))
+    modulus = draw(st.sampled_from([None, 1, 2, 7, 3**5, 2**64 + 13, 5**90]))
+    shape = draw(st.sampled_from(["dense", "gapped", "wide", "empty"]))
+    if shape == "empty":
+        return [], nmax, modulus
+    length = draw(st.integers(2, nmax + 40))  # may run past N
+    if shape == "dense":
+        support = range(1, length)
+    elif shape == "gapped":
+        support = range(draw(st.integers(1, 4)), length, draw(st.integers(2, 24)))
+    else:
+        support = draw(st.sets(st.integers(1, length - 1), min_size=1, max_size=8))
+    rng = draw(st.randoms(use_true_random=False))
+    s = [0] * length
+    for k in support:
+        s[k] = rng.randint(-(10**6), 10**6)
+        if modulus is not None and rng.random() < 0.25:
+            s[k] *= modulus  # vanishes modulo the modulus
+    return s, nmax, modulus
+
+
+# the Horner kernel against the row-by-row Pochhammer loop, at N up to 300
+@settings(deadline=None, max_examples=200)
+@given(_support_cases())
+@example(([], 5, None))
+@example(([], 5, 7))
+@example(([0] + [3] * 60, 40, 3**5))  # dense, support past N
+@example(([0, 1] + [0] * 62 + [5], 120, None))  # one gap of 63
+@example(([0, 0, 7, 0, 14, 0, 21, 1], 30, 7))  # all but s_7 vanish mod 7
+@example(([0] + [(7 * k * k) % 201 - 100 for k in range(1, 321)], 300, None))  # dense, wide
+@example(([0] + [(7 * k * k) % 201 - 100 for k in range(1, 321)], 300, 5**90))
+def test_hall_exp_matches_pochhammer_loop(case):
+    s, nmax, modulus = case
+    assert kernels.hall_exp(s, nmax, modulus) == hall_exp_pochhammer(s, nmax, modulus)
 
 
 def test_hall_log_mod_residues_matches_exact(kern):
