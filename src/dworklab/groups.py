@@ -90,7 +90,10 @@ class SubgroupCounts:
     """Sparse map index -> number of subgroups of that index; absent = 0.
 
     An immutable record, but not a tuple: it has no length, and indexing
-    gives s_n rather than a field.
+    gives s_n rather than a field.  It is not iterable either: indexing
+    never raises ``IndexError``, so the legacy sequence protocol would
+    make ``in``, ``list()`` and ``for`` run forever; they raise
+    ``TypeError`` instead.
     """
 
     __slots__ = ("counts",)
@@ -102,6 +105,7 @@ class SubgroupCounts:
         raise AttributeError(f"cannot set {name!r}: SubgroupCounts is immutable")
 
     __delattr__ = __setattr__
+    __iter__ = None
 
     def __repr__(self) -> str:
         return f"SubgroupCounts(counts={self.counts!r})"

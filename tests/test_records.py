@@ -3,7 +3,8 @@
 Records are immutable: assigning a field or a new attribute raises
 ``AttributeError``.  The validating records raise their ``ValueError``
 messages on the inputs they reject, equal keys hash equal, and each
-record's repr names its class and fields.
+record's repr names its class and fields.  `SubgroupCounts`, which
+indexes by n, refuses iteration.
 """
 
 import re
@@ -130,3 +131,16 @@ def test_record_reprs():
     assert repr(periodicity_detect([0, 1] * 8, 2)) == (
         "PeriodResult(preperiod=0, period=2, confirmed_window=7, status='detected', horizon=16)"
     )
+
+
+def test_subgroup_counts_refuse_iteration():
+    # indexing gives 0 off the support and never raises IndexError, so the
+    # legacy sequence protocol would loop forever
+    counts = abelian_subgroup_counts(PartitionType((1, 1), 2))
+    with pytest.raises(TypeError):
+        7 in counts
+    with pytest.raises(TypeError):
+        list(counts)
+    with pytest.raises(TypeError):
+        for _ in counts:
+            pass
