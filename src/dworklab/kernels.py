@@ -89,15 +89,14 @@ def hall_exp(s, nmax, modulus=None):
         s = [x % modulus for x in s[: nmax + 1]]
     h = [0] * (nmax + 1)
     h[0] = 1 if modulus is None else 1 % modulus
-    support = [(k, sk) for k, sk in enumerate(s[: nmax + 1]) if k and sk]
-    top = 0  # support[:top] holds the k <= n
+    terms = []  # (a, s_a) for the nonzero s_a with a <= n, highest a first
     for n in range(1, nmax + 1):
-        if top < len(support) and support[top][0] == n:
-            top += 1
+        if n < len(s) and s[n]:
+            terms.insert(0, (n, s[n]))
         acc = 0
-        # b: the k of the previous step; the first step's factor is perm(., 0) = 1
-        b = support[top - 1][0] if top else 1
-        for a, sa in reversed(support[:top]):
+        # b: the a of the previous step; the first step's factor is perm(., 0) = 1
+        b = terms[0][0] if terms else 1
+        for a, sa in terms:
             acc = acc * math.perm(n - a, b - a) + sa * h[n - a]
             b = a
         if b > 1:
