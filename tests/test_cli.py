@@ -387,9 +387,6 @@ def test_json_text_is_indented_json(command, parameters, truncation, rows, summa
     assert cli._json_text(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-_SCALAR_TYPES = (str, int, bool, type(None))
-
-
 def test_every_subcommand_reports_flat_rows(monkeypatch, tmp_path):
     # `cli._json_text` requires every row to be a non-empty dict of scalars
     docs = []
@@ -420,4 +417,4 @@ def test_every_subcommand_reports_flat_rows(monkeypatch, tmp_path):
         assert rows, name
         for row in rows:
             assert type(row) is dict and row, name
-            assert all(type(v) in _SCALAR_TYPES for v in row.values()), (name, row)
+            assert all(type(v) in (str, int, bool, type(None)) for v in row.values()), (name, row)
