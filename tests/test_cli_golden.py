@@ -76,6 +76,10 @@ CASES = [
     ("an-rat5-thm2.1-tsv", ["analyze-series", "--input", "rat5.series", "--theorem", "thm2.1", "--l", "2", "--m", "0", "--format", "tsv"], 0, "2eda62dc9ee5d3020ccd3dd7426225aeda53264c6dcf27595d8fdb4733b910c9"),
     ("an-odd3-thm2.7", ["analyze-series", "--input", "odd3.series", "--theorem", "thm2.7", "--l", "2"], 0, "a86da9987798cb032ae6cacb89620dace9d7c45c98cdd71b339bcaf5b50ca1e2"),
     ("an-dense3-thm3.1", ["analyze-series", "--input", "dense3.series", "--theorem", "thm3.1", "--l", "2"], 0, "6af8fa61e78a4fd967d6fecf69ac061e434b9af74a59f65e3ffd622f615c5063"),
+    # n_max below the file's N: the transform stops at the last reported
+    # row, and odd3's s_1, s_2 are integers though the whole file is not
+    ("an-odd3-thm2.7-n2", ["analyze-series", "--input", "odd3.series", "--theorem", "thm2.7", "--l", "2", "--n-max", "2"], 0, "6d80736e62eb587e06d85ed6b18ad7c9ed3bf0f28f8ee1855f10e71ab451cec0"),
+    ("an-rat5-cor2.4-n20", ["analyze-series", "--input", "rat5.series", "--theorem", "cor2.4", "--l", "2", "--n-max", "20"], 0, "e1813240d549d146d548bf4ebb301e0683fc907183b96c5e8a565ded3b22fa55"),
     ("an-thm3.7-p3-l1", ["analyze-series", "--input", "c3c3.series", "--theorem", "thm3.7", "--l", "1"], 2, None),
     ("an-thm2.1-no-m", ["analyze-series", "--input", "c3c3.series", "--theorem", "thm2.1", "--l", "2"], 2, None),
     ("an-thm2.7-p3", ["analyze-series", "--input", "c3c3.series", "--theorem", "thm2.7", "--l", "2"], 2, None),
@@ -108,6 +112,10 @@ CASES = [
     ("vp-pi3-5-1", ["verify-permutations", "--variant", "pi3", "--p", "5", "--l", "1", "--A", "1,2", "--n-max", "60"], 0, "f902577eb5ddd42c6400abdf460eb16e72069322b6dd92d0d414f03c8120184a"),
     # gapped cycle lengths a 2^i (a in A, i <= 11) up to n = 1024
     ("vp-pi1-2-11-n1024", ["verify-permutations", "--variant", "pi1", "--p", "2", "--l", "11", "--A", "1,3,5,7", "--n-max", "1024"], 0, "95ff2dfe04db3555fb1b6eef340e96515c124ea276592e5b6b10ffdd5b642843"),
+    # only even lengths: h_n = 0 at every odd n, and every even n violates
+    ("vp-pi1-2-2-A2", ["verify-permutations", "--variant", "pi1", "--p", "2", "--l", "2", "--A", "2", "--n-max", "60"], 1, "4dcbdb724bf2b2abb2f88c4d42b4e187fa29d4b5fc83b0e4ac1cff9a27a7d193"),
+    # thm3.7 bounds down to e(n) = -1 at small n
+    ("vp-pi3-3-2-n300", ["verify-permutations", "--variant", "pi3", "--p", "3", "--l", "2", "--A", "1,2", "--n-max", "300"], 0, "288e72de5f546a9e3250601b84e8bb4484a619225ad9213467bc6e79f785d0d7"),
     ("vp-pi3-3-1", ["verify-permutations", "--variant", "pi3", "--p", "3", "--l", "1", "--A", "1"], 2, None),
     ("sc-3", ["supercongruence", "--p", "3", "--a-max", "2"], 0, "68ddc73bbcf6c6d20d4e72140582831d36108f6aed595a719adc516e04be23ca"),
     ("pd-c2c4", ["periodicity", "--spec", "C[2]*C[4]", "--p", "2", "--n-max", "60"], 0, "6664f2da555415ec439ec22cc1b40d32013f53a48b9049ea57985250ce471a4b"),
