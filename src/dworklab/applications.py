@@ -10,7 +10,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from . import kernels
-from .bounds import BoundKind, verify_bounds
+from .bounds import BoundKind, bound_value
 from .exactcore import check_prime
 
 PI_VARIANTS = ("pi1", "pi2", "pi3")
@@ -68,16 +68,21 @@ class CycleRule(_CycleRule):
         return BoundKind("thm3.7", p, l=l)  # validates p >= 3, (p,l) != (3,1)
 
 
-def permutation_count_series(n_max: int, lengths: Sequence[int]) -> list[int]:
-    """Counts of permutations of {1..n} with all cycle lengths in the set,
-    for n = 0..n_max."""
+def _cycle_series(n_max: int, lengths: Sequence[int]) -> list[int]:
+    """s_0..s_n_max of the counts: s_k = 1 for each allowed length k, else 0."""
     svals = [0] * (n_max + 1)
     for length in set(lengths):
         if length < 1:
             raise ValueError("cycle lengths must be positive")
         if length <= n_max:
             svals[length] = 1
-    return kernels.hall_exp(svals, n_max)
+    return svals
+
+
+def permutation_count_series(n_max: int, lengths: Sequence[int]) -> list[int]:
+    """Exact counts of permutations of {1..n} with all cycle lengths in the
+    set, for n = 0..n_max; `supercongruence` cross-checks its sums on them."""
+    return kernels.hall_exp(_cycle_series(n_max, lengths), n_max)
 
 
 class PermDivisibilityReport(NamedTuple):
@@ -104,10 +109,22 @@ class PermDivisibilityReport(NamedTuple):
 
 
 def verify_permutation_divisibility(rule: CycleRule, n_max: int) -> PermDivisibilityReport:
-    """Assert v_p(count(n)) >= the rule's exponent for every n <= n_max."""
+    """The n <= n_max at which p^e(n), e the rule's exponent, fails to
+    divide count(n).
+
+    Row n is a violation exactly when e(n) > 0 and count(n) is not 0
+    modulo p^e(n): a zero count, or any e(n) <= 0, never is.  So the
+    counts are read only modulo p^E, E = max(e(n), 0), from
+    `kernels.hall_exp` with that modulus; no exact count is built.
+    """
     kind = rule.bound_kind()
-    counts = permutation_count_series(n_max, rule.allowed_lengths())
-    return PermDivisibilityReport(rule, kind, n_max, verify_bounds(counts, kind).violations)
+    p = kind.p
+    bounds = [bound_value(kind, n) for n in range(n_max + 1)]
+    residues = kernels.hall_exp(
+        _cycle_series(n_max, rule.allowed_lengths()), n_max, p ** max(0, *bounds)
+    )
+    violations = [n for n, e in enumerate(bounds) if e > 0 and residues[n] % p**e]
+    return PermDivisibilityReport(rule, kind, n_max, violations)
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,13 @@ by row for n = 0..N on any sequence h_0..h_N, such as the list that
 `series.exp_transform` returns (violations are never dropped), and yields
 each row's valuation and Q_n mod p from one reduction of h_n modulo
 p^(e(n)+64); `verify_bounds_mod`, which `verify-group` runs, gives the
-same report from h computed only modulo p^(E+64), E = max e(n), and
-falls back to the exact h when some e(n) < 0 or some residue is 0 modulo
-p^(e(n)+64) (both from `kernels.hall_exp`, with and without the
-modulus); `verify_q_recurrence` checks on those residues the mod-p
-recurrence of the quotients that certifies tightness; and
-`floor_lemma_checks` exhaustively tests the two floor-sum inequalities
-the bound proofs rest on.
+same report from h computed only modulo p^(max(E, 0)+64), E = max e(n),
+reading a row with e(n) < 0 from its nonzero residue too, and falls back
+to the exact h only when some residue is 0 modulo p^(e(n)+64) (both from
+`kernels.hall_exp`, with and without the modulus); `verify_q_recurrence`
+checks on those residues the mod-p recurrence of the quotients that
+certifies tightness; and `floor_lemma_checks` exhaustively tests the two
+floor-sum inequalities the bound proofs rest on.
 """
 
 from __future__ import annotations
@@ -366,10 +366,11 @@ def _split_row(
     only for a non-integral coefficient, goes through the exact rational
     quotient.
 
-    With ``exact=False``, x is h_n known only modulo some p^M, M >= e + 64:
-    `verify_bounds_mod`, which `verify-group` runs, computes h modulo
-    p^(E+64) with E = max e(n).  r, and so every row with r != 0, is still
-    exact, but a row with r == 0 (x == 0 included; for p = 2,
+    With ``exact=False``, x is h_n known only modulo some p^M, M >= 64 and
+    M >= e + 64: `verify_bounds_mod`, which `verify-group` runs, computes h
+    modulo p^(max(E, 0)+64) with E = max e(n).  r, and so every row with
+    r != 0, is still exact, and so is v_p(x) of a nonzero x when e < 0,
+    since it lies below M.  A row with r == 0 (x == 0 included; for p = 2,
     v_2(x) >= e + 64) can be settled only by the exact h_n, and the result
     is None: the caller falls back to the exact series.
     """
@@ -427,37 +428,33 @@ def _verify_rows(
     return BoundReport(kind, rows, violations, tight_set, min_slack, tuple(residues))
 
 
-def verify_bounds(
-    h: Sequence[int | Fraction], kind: BoundKind, n_hi: int | None = None
-) -> BoundReport:
-    """One row per n in [0, n_hi] of h_0..h_N: valuation, bound, slack, tightness.
+def verify_bounds(h: Sequence[int | Fraction], kind: BoundKind) -> BoundReport:
+    """One row per n of h_0..h_N: valuation, bound, slack, tightness.
 
     The report also keeps Q_n mod p of every row (`q_residues`), found in
     the same pass as the valuation.
     """
-    n_hi = len(h) - 1 if n_hi is None else n_hi
-    if n_hi >= len(h):
-        raise ValueError("range exceeds truncation")
-    return _verify_rows(h, kind, [bound_value(kind, n) for n in range(n_hi + 1)])
+    return _verify_rows(h, kind, [bound_value(kind, n) for n in range(len(h))])
 
 
 def verify_bounds_mod(s: Sequence[int], kind: BoundKind, n_max: int) -> BoundReport:
-    """`verify_bounds(exp_transform(s), kind)` from h modulo p^(E+64).
+    """`verify_bounds(exp_transform(s), kind)` from h modulo p^M.
 
     ``s`` holds the integers s_0..s_n_max (s_0 is ignored).  A row needs
     only the digits of h_n below p^(e(n)+64), so with E = max e(n) the
-    recurrence runs modulo p^(E+64) (`kernels.hall_exp` with that
-    modulus), on numbers far smaller than the exact h_n.  When some
-    e(n) < 0, or some residue is 0 modulo p^(e(n)+64), only the exact h_n
-    settles that row: the same kernel then runs once more without a
-    modulus, and every row is read from the exact h.
+    recurrence runs modulo p^M, M = max(E, 0) + 64 (`kernels.hall_exp`
+    with that modulus), on numbers far smaller than the exact h_n.  A row
+    with e(n) < 0 reads v_p(h_n) from its nonzero residue, which is exact
+    below p^M, and Q_n = 0 (mod p).  When some residue is 0 modulo
+    p^(e(n)+64), or 0 itself where e(n) < 0, only the exact h_n settles
+    that row: the same kernel then runs once more without a modulus, and
+    every row is read from the exact h.
     """
     bounds = [bound_value(kind, n) for n in range(n_max + 1)]
-    if min(bounds) >= 0:
-        modulus = kind.p ** (max(bounds) + _GUARD)
-        report = _verify_rows(kernels.hall_exp(s, n_max, modulus), kind, bounds, exact=False)
-        if report is not None:
-            return report
+    modulus = kind.p ** (max(0, *bounds) + _GUARD)
+    report = _verify_rows(kernels.hall_exp(s, n_max, modulus), kind, bounds, exact=False)
+    if report is not None:
+        return report
     return _verify_rows(kernels.hall_exp(s, n_max), kind, bounds)
 
 

@@ -145,9 +145,9 @@ def _cmd_analyze_series(args) -> dict:
     p = args.p if args.p is not None else file_p
     check_prime(p)
     hyp = check_hypotheses(s, p, args.theorem, l=args.l, m=args.m)
-    h = exp_transform(s)
-    n_hi = min(args.n_max, len(h) - 1) if args.n_max is not None else len(h) - 1
-    report = verify_bounds(h, hyp.kind, n_hi)
+    n_hi = len(s) - 1 if args.n_max is None else min(args.n_max, len(s) - 1)
+    # row n reads only s_1..s_n, so the transform stops at the last row reported
+    report = verify_bounds(exp_transform(s[: n_hi + 1]), hyp.kind)
     failed = not (hyp.overall and report.ok)
     return _document(
         "analyze-series",

@@ -14,9 +14,11 @@ vanishing s_k between two nonzero ones fold into one `math.perm` gap
 factor, so no Pochhammer factor is ever multiplied by an h, and sparse
 group and cycle series pay only for their support.
 `verify-group` runs it modulo p^(E+64), with E the largest bound exponent
-e(n), and reads every row from those residues; only when some e(n) < 0,
-or some residue is 0 modulo p^(e(n)+64), does it run it again without a
-modulus (`dworklab.bounds.verify_bounds_mod`).  `periodicity` runs it
+e(n), and reads every row from those residues, negative e(n) included;
+only when some residue is 0 modulo p^(e(n)+64) does it run it again
+without a modulus (`dworklab.bounds.verify_bounds_mod`).
+`verify-permutations` runs it modulo p^E and reads only whether p^e(n)
+divides each count (`dworklab.applications`).  `periodicity` runs it
 modulo p^(2C-1) (`dworklab.groups.hom_count_ints_mod`).  The inverse
 recurrence divides by (n-1)!: its exact form, which may leave the
 integers, is `dworklab.series.log_transform`, and here it runs only

@@ -1,9 +1,18 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import hom_count_ints, normal_count_index_p, permutation_count_bruteforce
+from conftest import (
+    hom_count_ints,
+    normal_count_index_p,
+    permutation_count_bruteforce,
+    series_from_map,
+)
+from dworklab import kernels
 from dworklab.applications import (
+    PI_VARIANTS,
     CycleRule,
     periodicity_detect,
     permutation_count_series,
@@ -11,6 +20,7 @@ from dworklab.applications import (
     supercongruence_sweep,
     verify_permutation_divisibility,
 )
+from dworklab.bounds import verify_bounds, verify_bounds_mod
 from dworklab.groups import parse_group_spec, subgroup_residues_mod_p
 
 
@@ -76,6 +86,53 @@ def test_verify_permutation_divisibility():
     assert rep.ok
     rep = verify_permutation_divisibility(CycleRule("pi1", 2, 2, frozenset()), 50)
     assert rep.ok  # empty rule: counts vanish for n >= 1, vacuous pass
+
+
+@st.composite
+def _cycle_rules(draw):
+    """A CycleRule with an admissible bound kind, and N <= 300."""
+    variant = draw(st.sampled_from(PI_VARIANTS))
+    p = draw(st.sampled_from([3, 5, 7] if variant == "pi3" else [2, 3, 5, 7]))
+    l = draw(st.integers(2 if (variant, p) == ("pi3", 3) else 1, 3))
+    base = draw(
+        st.one_of(
+            # the empty set, and lengths that are all even
+            st.sampled_from([frozenset(), frozenset({2}), frozenset({2, 6})]),
+            st.frozensets(st.integers(1, 12), max_size=4),
+        )
+    )
+    return CycleRule(variant, p, l, base), draw(st.integers(1, 300))
+
+
+@settings(deadline=None, max_examples=120)
+@given(_cycle_rules())
+@example((CycleRule("pi1", 2, 2, frozenset({2})), 60))  # zero counts at odd n
+@example((CycleRule("pi3", 3, 2, frozenset({1, 2})), 300))  # e(n) down to -1
+def test_permutation_violations_match_exact_counts(case):
+    rule, n_max = case
+    exact = permutation_count_series(n_max, rule.allowed_lengths())
+    expected = verify_bounds(exact, rule.bound_kind()).violations
+    assert verify_permutation_divisibility(rule, n_max).violations == expected
+
+
+def test_permutation_and_negative_bound_rows_need_no_exact_h(monkeypatch):
+    # neither call may run the recurrence without a modulus: thm3.7 at
+    # p = 3, l = 2 has e(n) < 0 at small n, and the counts of its pi3 rule
+    # on A = {1, 2} (lengths 1, 2, 3, 6, 9) have no zero residue
+    real = kernels.hall_exp
+
+    def modular_only(s, nmax, modulus=None):
+        assert modulus is not None, "exact h computed"
+        return real(s, nmax, modulus)
+
+    monkeypatch.setattr(kernels, "hall_exp", modular_only)
+    rule = CycleRule("pi3", 3, 2, frozenset({1, 2}))
+    s = series_from_map(dict.fromkeys(rule.allowed_lengths(), 1), 300)
+    report = verify_bounds_mod(s, rule.bound_kind(), 300)
+    assert report.ok and min(row.bound for row in report.rows) == -1
+    assert verify_permutation_divisibility(rule, 300).ok
+    rule = CycleRule("pi1", 2, 2, frozenset({2}))
+    assert verify_permutation_divisibility(rule, 60).violations == list(range(2, 61, 2))
 
 
 def test_supercongruence_examples():

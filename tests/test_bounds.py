@@ -194,12 +194,6 @@ def test_verify_bounds_ochiai_equality():
         assert vp(h[n], 2) == (n + 5) // 4
 
 
-def test_verify_bounds_range_errors():
-    h = [1, 1]
-    with pytest.raises(ValueError, match="exceeds truncation"):
-        verify_bounds(h, BoundKind("hnc2", 2), n_hi=5)
-
-
 def test_q_residues_c2():
     s = c2_series(40)
     h = exp_transform(s)
@@ -322,6 +316,8 @@ def _group_bound_cases(draw):
 @settings(deadline=None, max_examples=150)
 @given(_group_bound_cases())
 @example(([0, 1, 3, 0, 1] + [0] * 196, BoundKind("thm5.2", 2), 200))  # falls back
+# the pi3 cycle series of A = {1, 2} at p = 3, l = 2: thm3.7 reaches e(n) = -1
+@example((series_from_map(dict.fromkeys((1, 2, 3, 6, 9), 1), 300), BoundKind("thm3.7", 3, l=2), 300))
 def test_verify_bounds_mod_matches_exact(case):
     s, kind, n_max = case
     # rows, violations, tight set, min slack and Q_n mod p all agree
