@@ -129,6 +129,10 @@ CASES = [
     # product with 1 < P < C; neither N is a multiple of 64
     ("pd-a311c3-p2-n1200", ["periodicity", "--spec", "A[3;1,1]*C[3]", "--p", "2", "--n-max", "1200"], 0, "b28d55580d3bd523cd893857fe3c601f6fadd6bcbf423d88a7106099fb006240"),
     ("pd-c8c3a211-p3-n1000", ["periodicity", "--spec", "C[8]*C[3]*A[2;1,1]", "--p", "3", "--n-max", "1000"], 1, "661cea94fa7a7394d9197279f67d472a35b6617c74c780465c5bd3ff46899d73"),
+    # wide plans at the benchmark's scale: P = 893, D = 892 over C = 1193,
+    # and a three-factor p = 3 product with no 3-part, P = C = 499
+    ("pd-c6c9-p2-n1200", ["periodicity", "--spec", "C[6]*C[9]", "--p", "2", "--n-max", "1200"], 1, "7544933281e5b9176c57b2f2b1f2d5d2eafea8721ce2b9111ede520a5a57ca3b"),
+    ("pd-c16a221a211-p3-n1000", ["periodicity", "--spec", "C[16]*A[2;2,1]*A[2;1,1]", "--p", "3", "--n-max", "1000"], 1, "6fb306c9a2dee570b4cbce66beb677b40438cfa8e075ec9adebf2c6558470812"),
     ("lm-2-1", ["lemmas", "--p", "2", "--l", "1", "--i-max", "40", "--j-max", "10"], 0, "63d47e4ee52bcecbf181da07f4b23cd2ad77448acd7b9717f6b1889544a2e5c7"),
     ("lm-3-1-negative-j-tsv", ["lemmas", "--p", "3", "--l", "1", "--i-max", "30", "--j-max", "5", "--j-min", "-1", "--format", "tsv"], 1, "8bb19bab05f6f205d59b459681b3f647cdf47e86d24e8958585fcbb4526cd8d4"),
 ]
