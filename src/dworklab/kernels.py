@@ -26,7 +26,11 @@ modulo p, in `hall_log_mod_residues`.  That kernel reads its precision
 from h: row n keeps s_n only to the p-adic digits that later rows read of
 it, and the powers of p that the divisions by j! leave are factored out
 of the coefficients block by block, so each product carries only the
-digits its row needs.
+digits its row needs.  Its row sums are semi-relaxed: a row adds its 32
+nearest terms itself, and every other term arrives from a block product,
+formed as soon as its block of s_m is known, of two Kronecker-packed ints
+(van der Hoeven, "Relax, but don't be too lazy", 2002), so one C-level
+product of big ints replaces up to 256^2 Python products.
 """
 
 from __future__ import annotations
@@ -189,6 +193,11 @@ def _factorial_parts(p, stop):
 
 # consecutive j that share one scaling exponent in `hall_log_mod_residues`
 _BLOCK = 64
+# `hall_log_mod_residues` sums the terms j < _NEAR of a row in the row; every
+# other term goes through block products of s-blocks of length _NEAR,
+# 2 _NEAR, ... up to _CAP, a power-of-two multiple of _NEAR
+_NEAR = 32
+_CAP = 256
 
 
 def _precision_plan(hred, p, nmax):
@@ -197,22 +206,36 @@ def _precision_plan(hred, p, nmax):
     ``hred`` holds h_0..h_nmax modulo p**C, C = `log_residue_precision(nmax, p)`.
     delta[j] for 0 <= j < nmax and Delta[n] for 0 <= n <= nmax are as
     defined in the kernel's docstring (Delta[0] = Delta[1] = 0); the plan
-    (P, D) of that docstring is (1 + Delta[nmax], max(delta)).
+    (P, D) of that docstring is (1 + Delta[nmax], max(delta)).  Delta is
+    nondecreasing (delta_1 = 0), so a term Delta_(n-j) + delta_j is
+    dominated by that of an earlier i with delta_i >= delta_j: only the
+    record positions of delta, where it exceeds every earlier delta_i, are
+    taken.
     """
     delta = [0] * nmax
     for j, (w, _) in enumerate(_factorial_parts(p, nmax)):
         # h_j = 0 mod p**C has v_p(h_j) >= C > w, so delta_j = 0
         if hred[j]:
             delta[j] = max(w - vp_int(hred[j], p), 0)
-    support = [(j, d) for j, d in enumerate(delta) if d]
+    records = []
+    top = 0
+    for j, d in enumerate(delta):
+        if d > top:
+            records.append((j, d))
+            top = d
     loss = [0] * (nmax + 1)
-    below = 0  # support[:below] holds the j < n
+    below = 0  # records[:below] holds the j < n
     for n in range(2, nmax + 1):
-        if below < len(support) and support[below][0] < n:
+        if below < len(records) and records[below][0] < n:
             below += 1
         # delta_1 = 0 (w_1 = 0), so Delta_(n-1) itself is one of the terms
-        loss[n] = max(loss[n - 1], max([loss[n - j] + d for j, d in support[:below]], default=0))
+        loss[n] = max(loss[n - 1], max([loss[n - j] + d for j, d in records[:below]], default=0))
     return delta, loss
+
+
+def _pack(xs, width):
+    """The nonnegative xs as one int, ``width`` bytes per slot, lowest first."""
+    return int.from_bytes(b"".join([x.to_bytes(width, "little") for x in xs]), "little")
 
 
 def hall_log_mod_residues(h, p, nmax):
@@ -253,9 +276,33 @@ def hall_log_mod_residues(h, p, nmax):
       off by a multiple of p^(e_(n-j)), and e_(n-j) + v_p(beta_j) >=
       e_n + delta_j + delta~_j - delta_j, so beta_j s_(n-j) is right
       modulo p^(e_n + delta~_j), which the factor p^(d - delta~_j) lifts
-      to p^(e_n + d).  The sum runs by Horner over the runs of equal
-      delta~: one sum of products per run, then one multiplication by a
-      small p^(gap).  A D = 0 input has one run, and one sum per row.
+      to p^(e_n + d).
+    - The terms j < B0 = `_NEAR` (32) are summed in row n by Horner over
+      the runs of equal delta~: one sum of products per run, then one
+      multiplication by a small p^(gap).
+    - Every term j >= B0 comes from a block product, by the schedule of
+      semi-relaxed multiplication (van der Hoeven 2002).  When row n
+      completes the aligned block s_(n+1-L)..s_n, L | n+1, it is
+      multiplied by the beta_j with j in [L, 2L), for L = B0, 2 B0, ...
+      below the cap `_CAP` (256), and at the cap by every block
+      [c 256, (c+1) 256), c >= 1.  Each pair (j, m) with j >= B0 lies in
+      exactly one block product, which is formed before row j + m, and
+      each slot t of the product is added to an accumulator of row t.
+    - A block's beta_j are lifted to its top exponent dhi = delta~ of its
+      last j, as p^(dhi - delta~_j) beta_j.  Both operands are reduced
+      modulo p^(e_b + dhi), with b the first row the block reaches: every
+      later row t has e_t <= e_b.  The nonnegative residues are packed
+      with `to_bytes` into slots of bits(max beta) + bits(max s) +
+      bit_length(L) + 1 bits, rounded up to bytes, wide enough that no
+      slot of the product carries into the next, so the product is one
+      C-level Karatsuba multiplication, read back slot by slot with
+      `from_bytes`.  Slot t is then multiplied by p^(delta~_(t-1) - dhi),
+      or divided by p^(dhi - delta~_(t-1)), which is exact since each of
+      its terms has delta~_j <= delta~_(t-1) and the modulus keeps that
+      many digits.  So row t's sum agrees with the sum of all its terms
+      modulo p^(e_t + delta~_(t-1)), the only digits it reads, and every
+      s_n, residue and ``ValueError`` is bit for bit that of a row loop
+      that forms each product itself (the tests keep that loop).
     - L_n is p-integral whenever s_1..s_n are, because the sum is
       (v_p(a_j) >= -delta~_(n-1) for j < n), and L_n needs h_n modulo
       p^(w_(n-1) + e_n); beta_j needs h_j modulo p^(w_j + e_(j+1)).  The
@@ -324,20 +371,54 @@ def hall_log_mod_residues(h, p, nmax):
     beta = [scaled(h[j], j) for j in range(nmax)]
     s = [0] * (nmax + 1)  # s_n modulo p^(e_n)
     residues = [0] * (nmax + 1)
+    far = [0] * (nmax + 1)  # far[t]: row t's terms j >= _NEAR, scaled by p^(delta~_(t-1))
+
+    def add_block(m0, m1, j0, j1):
+        # far[t] += the terms beta_j s_m, j0 <= j < j1, m0 <= m < m1, t = j + m <= nmax
+        j1 = min(j1, nmax, nmax + 1 - m0)
+        if j1 <= j0:
+            return
+        base = m0 + j0  # the first row the block reaches
+        dhi = dt[j1 - 1]
+        mod = p ** (e[base] + dhi)
+        a = [beta[j] * pw[dhi - dt[j]] % mod for j in range(j0, j1)]
+        b = [x % mod for x in s[m0:m1]]
+        width = (max(a).bit_length() + max(b).bit_length() + len(b).bit_length() + 8) // 8
+        slots = len(a) + len(b) - 1
+        prod = (_pack(a, width) * _pack(b, width)).to_bytes(width * slots, "little")
+        for k in range(min(slots, nmax + 1 - base)):
+            x = int.from_bytes(prod[k * width : (k + 1) * width], "little")
+            if x:
+                t = base + k
+                shift = dt[t - 1] - dhi
+                # exact: each term of row t has delta~_j <= delta~_(t-1)
+                far[t] += x * pw[shift] if shift >= 0 else x // pw[-shift]
+
     for n in range(1, nmax + 1):
         acc = 0
         prev = 0
+        near = min(n, _NEAR)
         for lo, hi, d in runs:
-            if lo >= n:
+            if lo >= near:
                 break
-            hi = min(hi, n)
+            hi = min(hi, near)
             tail = sum([x * y for x, y in zip(beta[lo:hi], s[n - lo : n - hi : -1])])
             acc = acc * pw[d - prev] + tail
             prev = d
-        acc = (scaled(h[n], n - 1) - acc) % mods[n - 1]
-        q, r = divmod(acc, pw[dt[n - 1]])
+        d = dt[n - 1]
+        acc = (scaled(h[n], n - 1) - acc * pw[d - prev] - far[n]) % mods[n - 1]
+        q, r = divmod(acc, pw[d])
         if r:
             raise ValueError(f"inverse transform not integral at n={n}")
         s[n] = q
         residues[n] = q % p
+        # the aligned s-blocks that end at n: length L meets j in [L, 2L),
+        # length _CAP every [c _CAP, (c+1) _CAP), c >= 1
+        size = _NEAR
+        while size < _CAP and (n + 1) % size == 0:
+            add_block(n + 1 - size, n + 1, size, 2 * size)
+            size *= 2
+        if size == _CAP and (n + 1) % _CAP == 0:
+            for lo in range(_CAP, nmax - n + _CAP, _CAP):
+                add_block(n + 1 - _CAP, n + 1, lo, lo + _CAP)
     return residues

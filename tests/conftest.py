@@ -6,7 +6,10 @@ involution recurrence is the classical two-term one, the permutation
 counts enumerate S_n, the naive addition table adds digit tuples, and the
 series repair acts on raw coefficient lists.
 The Pochhammer loop, the kernel `dworklab.kernels.hall_exp`'s reference,
-steps (n-k+1)_(k-1) through every k of every row.
+steps (n-k+1)_(k-1) through every k of every row.  The row loop, the
+reference of `dworklab.kernels.hall_log_mod_residues`, forms every row's
+sum term by term, on a loss profile Delta taken from its max-plus
+definition over every j.
 Dwork's gap series, the corrected tail coefficients and the index-p
 normal subgroup count are restated from their definitions, sharing no
 code with the hypothesis checker's private forms.
@@ -27,7 +30,7 @@ from itertools import permutations
 from typing import Iterator, Sequence
 
 from dworklab.groups import GroupSpec, finite_subgroup_counts
-from dworklab.kernels import hall_exp, vp_int
+from dworklab.kernels import hall_exp, log_residue_precision, vp_int
 from dworklab.series import log_transform
 
 
@@ -102,6 +105,108 @@ def hall_exp_pochhammer(s, nmax, modulus=None):
             poch *= n - k
         h[n] = acc if modulus is None else acc % modulus
     return h
+
+
+def precision_loss_definition(delta: Sequence[int], nmax: int) -> list[int]:
+    """Delta_0..Delta_nmax by the max-plus recurrence as defined, over every k:
+    Delta_0 = Delta_1 = 0 and Delta_n = max(0, max_(0<k<n) Delta_k + delta_(n-k))."""
+    loss = [0] * (nmax + 1)
+    for n in range(2, nmax + 1):
+        loss[n] = max([0] + [loss[k] + delta[n - k] for k in range(1, n)])
+    return loss
+
+
+def precision_profile(hred: Sequence[int], p: int, nmax: int) -> tuple[list[int], list[int]]:
+    """(delta, Delta) of the inverse transform from h modulo p**C:
+    delta_j = max(0, v_p(j!) - v_p(h_j)) for 0 <= j < nmax, 0 where h_j
+    vanishes modulo p**C, and Delta by `precision_loss_definition`."""
+    delta = []
+    for j in range(nmax):
+        w = sum(j // p**i for i in range(1, j.bit_length() + 1))  # v_p(j!), Legendre
+        delta.append(max(w - vp_int(hred[j], p), 0) if hred[j] else 0)
+    return delta, precision_loss_definition(delta, nmax)
+
+
+def hall_log_mod_residues_rows(h, p, nmax, block=64):
+    """Residues of s_n modulo p from h, the kernel
+    `dworklab.kernels.hall_log_mod_residues` as a row loop: row n sums its
+    terms beta_j s_(n-j) for every j < n itself, by Horner over the runs of
+    equal delta~ (blocks of ``block`` consecutive j), with one Python
+    product per term.  Same plan, same row moduli and the same
+    ``ValueError`` at the same n as the kernel."""
+    C = log_residue_precision(nmax, p)
+    modulus = p**C
+    if len(h) <= nmax or h[0] % modulus != 1 % modulus:
+        raise ValueError("h must cover 0..nmax and have h_0 = 1")
+    delta, loss = precision_profile([x % modulus for x in h[: nmax + 1]], p, nmax)
+    e = [0] + [1 + loss[nmax - n + 1] for n in range(1, nmax + 1)]
+    # dt[j] = delta~_j; runs of equal delta~ as [first j, last j + 1, delta~]
+    dt = []
+    runs = []
+    top = 0
+    for lo in range(0, nmax, block):
+        chunk = delta[lo : lo + block]
+        top = max(top, *chunk)
+        dt += [top] * len(chunk)
+        if runs and runs[-1][2] == top:
+            runs[-1][1] = lo + len(chunk)
+        else:
+            runs.append([lo, lo + len(chunk), top])
+    if runs:
+        runs[0][0] = 1  # the sum over j starts at j = 1
+    pw = [p**i for i in range(top + 1)]
+    w, m = [], []
+    wj = 0
+    for j in range(nmax):
+        mj = j or 1
+        while mj % p == 0:
+            wj += 1
+            mj //= p
+        w.append(wj)
+        m.append(mj)
+    mods = [p ** (e[j + 1] + dt[j]) for j in range(nmax)]
+    work = p ** (e[1] + top) if nmax else 1  # p^(P+D), the widest of mods
+    u = 1
+    for mj in m:
+        u = u * mj % work
+    inv = [0] * nmax  # inv[j] = 1/u_j modulo mods[j]
+    iu = pow(u, -1, work)
+    for j in range(nmax - 1, -1, -1):
+        inv[j] = iu % mods[j]
+        iu = iu * m[j] % work
+
+    def scaled(x, j):
+        # x p^(delta~_j - w_j) / u_j modulo p^(e_(j+1) + delta~_j)
+        shift = dt[j] - w[j]
+        x %= p ** (e[j + 1] + w[j])
+        if shift >= 0:
+            x *= p**shift
+        else:
+            x, r = divmod(x, p**-shift)
+            if r:
+                raise ValueError(f"inverse transform not integral at n={j + 1}")
+        return x * inv[j] % mods[j]
+
+    beta = [scaled(h[j], j) for j in range(nmax)]
+    s = [0] * (nmax + 1)  # s_n modulo p^(e_n)
+    residues = [0] * (nmax + 1)
+    for n in range(1, nmax + 1):
+        acc = 0
+        prev = 0
+        for lo, hi, d in runs:
+            if lo >= n:
+                break
+            hi = min(hi, n)
+            tail = sum([x * y for x, y in zip(beta[lo:hi], s[n - lo : n - hi : -1])])
+            acc = acc * pw[d - prev] + tail
+            prev = d
+        acc = (scaled(h[n], n - 1) - acc) % mods[n - 1]
+        q, r = divmod(acc, pw[dt[n - 1]])
+        if r:
+            raise ValueError(f"inverse transform not integral at n={n}")
+        s[n] = q
+        residues[n] = q % p
+    return residues
 
 
 def involution_oracle(n_max: int) -> list[int]:

@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 
 from conftest import (
     hall_exp_pochhammer,
+    hall_log_mod_residues_rows,
     hom_count_ints,
     involution_oracle,
     naive_vp,
     poly_exp_oracle,
+    precision_loss_definition,
     subgroup_count_series,
 )
 from dworklab import kernels
@@ -281,6 +283,121 @@ def test_hall_log_mod_residues_inverts_hall_exp(s, p, block):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_BLOCK", block)
         assert kernels.hall_log_mod_residues(h, p, n) == [x % p for x in s]
+
+
+@st.composite
+def _delta_profiles(draw):
+    """(hred, p, N, delta): h modulo p**C built so that its loss profile is
+    a drawn delta, with 0 <= delta_j <= w_j = v_p(j!); h_j = 0 gives
+    delta_j = 0.  The draws give flat, sparse and stepped profiles."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    nmax = draw(st.integers(0, 200))
+    C = kernels.log_residue_precision(nmax, p)
+    shape = draw(st.sampled_from(["full", "sparse", "random", "zero"]))
+    rng = draw(st.randoms(use_true_random=False))
+    hred, delta = [1 % p**C], [0]
+    w = 0
+    for j in range(1, nmax):
+        w += naive_vp(j, p)
+        if shape == "full":
+            d = w
+        elif shape == "sparse":
+            d = w if rng.random() < 0.05 else 0
+        elif shape == "random":
+            d = rng.randint(0, w)
+        else:
+            d = 0
+        unit = rng.randrange(1, p**3)
+        while unit % p == 0:
+            unit += 1
+        # h_j of valuation w - d; a vanishing h_j where delta_j = 0 is drawn
+        x = 0 if d == 0 and rng.random() < 0.3 else unit * p ** (w - d) % p**C
+        hred.append(x)
+        delta.append(d)
+    return hred + [rng.randrange(p**C)], p, nmax, delta[:nmax]
+
+
+@settings(deadline=None, max_examples=60)
+@given(_delta_profiles())
+def test_precision_plan_matches_max_plus_definition(case):
+    # the record positions of delta give the Delta of the recurrence over every j
+    hred, p, nmax, delta = case
+    plan_delta, loss = kernels._precision_plan(hred, p, nmax)
+    assert plan_delta == delta
+    assert loss == precision_loss_definition(delta, nmax)
+
+
+def _outcome(f, *args):
+    """f(*args), or the message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+# (_NEAR, _CAP): the small ones run every level below the cap and several
+# blocks [c _CAP, (c+1) _CAP) at the cap within N <= 300; (32, 256) is the default
+_SCHEDULES = st.sampled_from([(1, 1), (1, 4), (2, 2), (2, 16), (4, 32), (8, 16), (32, 256)])
+
+
+@st.composite
+def _log_inputs(draw):
+    """(h, p, N) for the inverse transform: h of a dense or gapped integer
+    s, or the hom counts of a free product (P = 1 or 1 < P < C when it has
+    a p-part, P = C when it has none), reduced modulo p**(2C - 1); some are
+    then made inexact at one index by adding a power of p."""
+    kind = draw(st.sampled_from(["dense", "gapped", "group"]))
+    nmax = draw(st.integers(1, 300))
+    if kind == "group":
+        from dworklab.groups import hom_count_ints_mod, parse_group_spec
+
+        p = draw(st.sampled_from([2, 3]))
+        factors = draw(st.lists(st.sampled_from(_GROUP_FACTORS), min_size=2, max_size=3))
+        C = kernels.log_residue_precision(nmax, p)
+        h = hom_count_ints_mod(parse_group_spec("*".join(factors)), nmax, p ** (2 * C - 1))
+    else:
+        p = draw(st.sampled_from([2, 3, 5]))
+        rng = draw(st.randoms(use_true_random=False))
+        stride = 1 if kind == "dense" else draw(st.integers(2, 40))
+        s = [0] * (nmax + 1)
+        for k in range(1, nmax + 1, stride):
+            s[k] = rng.randint(-(10**4), 10**4)
+        C = kernels.log_residue_precision(nmax, p)
+        h = [x % p ** (2 * C - 1) for x in kernels.hall_exp(s, nmax)]
+    if draw(st.booleans()):
+        at = draw(st.integers(1, nmax))
+        h[at] += p ** draw(st.integers(0, 2 * C))
+    return h, p, nmax
+
+
+def _bumped_hom_counts(text, p, n, at):
+    h = _reduced_hom_counts(text, p, n)[0]
+    h[at] += 1
+    return h
+
+
+@settings(deadline=None, max_examples=60)
+@given(case=_log_inputs(), schedule=_SCHEDULES, block=_BLOCKS)
+@example(  # no 2-part: P = C; levels 4, 8 and 16, and eight blocks at the cap
+    case=(_reduced_hom_counts("C[3]*C[9]", 2, 300)[0], 2, 300), schedule=(4, 32), block=3
+)
+@example(case=(_reduced_hom_counts("C[4]*C[6]", 2, 300)[0], 2, 300), schedule=(2, 16), block=1)
+@example(case=(_reduced_hom_counts("C[2]*C[16]", 2, 300)[0], 2, 300), schedule=(1, 4), block=64)
+@example(  # h_150 made odd: both raise at n = 150, which far terms reach
+    case=(_bumped_hom_counts("C[2]*C[16]", 2, 300, 150), 2, 300),
+    schedule=(8, 16),
+    block=2,
+)
+def test_hall_log_mod_residues_matches_row_loop(case, schedule, block):
+    # the block products against the row loop that forms every product
+    # itself: the same residues, or the same ValueError at the same n
+    h, p, nmax = case
+    expected = _outcome(hall_log_mod_residues_rows, h, p, nmax, block)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_NEAR", schedule[0])
+        mp.setattr(kernels, "_CAP", schedule[1])
+        mp.setattr(kernels, "_BLOCK", block)
+        assert _outcome(kernels.hall_log_mod_residues, h, p, nmax) == expected
 
 
 def test_log_residue_precision(kern):
