@@ -27,35 +27,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import kernels
 from .exactcore import INFINITY, Valuation, check_prime, floor_log, residue_mod_p, vp
+from .groups import SubgroupCounts, partition_case
 from .kernels import vp_int
-
-if TYPE_CHECKING:
-    from .groups import SubgroupCounts
-
-
-def partition_case(parts: Sequence[int]) -> tuple[str, int, int]:
-    """Case of an abelian type (a_1 >= ... >= a_r) and its (l, m) parameters.
-
-    Case I  (a_1 > a_2+...+a_r):            l = a_1 + 1, m = a_2+...+a_r
-    Case II (a_1 <= rest, weight even):     l = A_1 + 1, m = A_1
-    Case III(a_1 <= rest, weight odd):      l = A_2 + 1, m = A_2 - 1
-    """
-    if not parts or any(a < 1 for a in parts) or list(parts) != sorted(parts, reverse=True):
-        raise ValueError("partition must be weakly decreasing positive integers")
-    weight = sum(parts)
-    a1 = parts[0]
-    rest = weight - a1
-    if a1 > rest:
-        return "I", a1 + 1, rest
-    if weight % 2 == 0:
-        half = weight // 2
-        return "II", half + 1, half
-    half = (weight + 1) // 2
-    return "III", half + 1, half - 1
 
 
 class _BoundKind(NamedTuple):
@@ -354,7 +331,11 @@ _GUARD = 64
 
 
 def _split_row(
-    x: Fraction | int, p: int, e: int, exact: bool = True
+    x: Fraction | int,
+    p: int,
+    e: int,
+    exact: bool = True,
+    powers: dict[int, tuple[int, int]] | None = None,
 ) -> tuple[Valuation, int | None] | None:
     """(v_p(x), Q mod p) for Q = x / p^e; the residue is None when v_p(x) < e.
 
@@ -373,6 +354,9 @@ def _split_row(
     since it lies below M.  A row with r == 0 (x == 0 included; for p = 2,
     v_2(x) >= e + 64) can be settled only by the exact h_n, and the result
     is None: the caller falls back to the exact series.
+
+    ``powers`` maps e to (p^e, p^(e+64)); a caller that reads many rows
+    passes one dict, so that each pair is formed once per distinct e.
     """
     if x == 0:
         return (INFINITY, 0) if exact else None
@@ -388,10 +372,15 @@ def _split_row(
         if not exact and val >= e + _GUARD:
             return None
         return val, (x >> e) & 1 if val >= e else None
-    r = x % p ** (e + _GUARD)
+    if powers is None:
+        powers = {}
+    if e not in powers:
+        powers[e] = p**e, p ** (e + _GUARD)
+    pe, pm = powers[e]
+    r = x % pm
     if r == 0:
         return (vp_int(x, p), 0) if exact else None
-    q, t = divmod(r, p**e)
+    q, t = divmod(r, pe)
     if t:
         return vp_int(t, p), None
     return e + vp_int(q, p), q % p
@@ -410,8 +399,9 @@ def _verify_rows(
     tight_set = []
     residues = []
     min_slack: Valuation = INFINITY
+    powers: dict[int, tuple[int, int]] = {}
     for n, bnd in enumerate(bounds):
-        split = _split_row(h[n], kind.p, bnd, exact)
+        split = _split_row(h[n], kind.p, bnd, exact, powers)
         if split is None:
             return None
         val, residue = split

@@ -26,7 +26,6 @@ from .bounds import (
     RULES,
     BoundKind,
     floor_lemma_checks,
-    partition_case,
     verify_bounds,
     verify_bounds_mod,
     verify_q_recurrence,
@@ -37,6 +36,7 @@ from .groups import (
     dihedral_subgroup_counts,
     finite_subgroup_counts,
     parse_group_spec,
+    partition_case,
     subgroup_residues_mod_p,
 )
 from .series import THEOREMS, check_hypotheses, exp_transform, load_log_series

@@ -9,9 +9,14 @@ arbitrary precision integer arithmetic.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .kernels import log_residue_precision, vp_int
+
+if TYPE_CHECKING:
+    # annotations only: `vp` and `residue_mod_p` read a rational's
+    # numerator and denominator, so the group layer never loads fractions
+    from fractions import Fraction
 
 
 #: The valuation of zero.  Python compares ints with floats exactly, so it

@@ -23,10 +23,9 @@ transform.
 from __future__ import annotations
 
 import re
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from . import kernels
-from .bounds import partition_case
 from .exactcore import check_prime, gauss_binom_at, vp
 
 ABELIAN_WEIGHT_CAP = 40
@@ -84,6 +83,27 @@ class PartitionType(_PartitionType):
     @property
     def group_order(self) -> int:
         return self.p**self.weight
+
+
+def partition_case(parts: Sequence[int]) -> tuple[str, int, int]:
+    """Case of an abelian type (a_1 >= ... >= a_r) and its (l, m) parameters.
+
+    Case I  (a_1 > a_2+...+a_r):            l = a_1 + 1, m = a_2+...+a_r
+    Case II (a_1 <= rest, weight even):     l = A_1 + 1, m = A_1
+    Case III(a_1 <= rest, weight odd):      l = A_2 + 1, m = A_2 - 1
+    """
+    if not parts or any(a < 1 for a in parts) or list(parts) != sorted(parts, reverse=True):
+        raise ValueError("partition must be weakly decreasing positive integers")
+    weight = sum(parts)
+    a1 = parts[0]
+    rest = weight - a1
+    if a1 > rest:
+        return "I", a1 + 1, rest
+    if weight % 2 == 0:
+        half = weight // 2
+        return "II", half + 1, half
+    half = (weight + 1) // 2
+    return "III", half + 1, half - 1
 
 
 class SubgroupCounts:

@@ -8,7 +8,8 @@ The central recurrence converts between the two coefficient sequences of
 where ``(a)_j`` is the rising factorial.  The recurrence contains no
 divisions, so it reduces exactly modulo any modulus.  `hall_exp` runs it
 in one loop, exactly or modulo a given modulus, which it applies to the
-s_k and once to each finished row.  Row n is a Horner sum over the
+s_k, to each finished row, and inside a row after each gap factor wider
+than 64.  Row n is a Horner sum over the
 nonzero s_k alone, highest k first; the (n-k+1)_(k-1) of a run of
 vanishing s_k between two nonzero ones fold into one `math.perm` gap
 factor, so no Pochhammer factor is ever multiplied by an h, and sparse
@@ -70,6 +71,12 @@ def vp_int(x: int, p: int) -> int:
     return v
 
 
+# with a modulus, `hall_exp` reduces a row's running sum after each gap
+# factor of more than this many small factors; a narrower one adds few
+# bits, and reducing after it would cost more than it saves
+_WIDE_GAP = 64
+
+
 def hall_exp(s, nmax, modulus=None):
     """Integer coefficients h_0..h_nmax from integer s_1..s_nmax.
 
@@ -85,9 +92,11 @@ def hall_exp(s, nmax, modulus=None):
     ints formed in C.  So every step multiplies the running sum by that
     factor and adds s_a h_(n-a): no Pochhammer factor is multiplied by an
     h.  With a positive ``modulus`` the s_k and each finished h_n are
-    reduced modulo it, and s_k counts as zero where it vanishes modulo it.
-    The recurrence is division free, so each entry is congruent to the
-    exact h_n modulo ``modulus``.
+    reduced modulo it, and s_k counts as zero where it vanishes modulo it;
+    within a row, the running sum is reduced too after each gap wider than
+    64, so on wide support it stays near the modulus in size instead of
+    growing by every gap factor.  The recurrence is division free, so each
+    entry is congruent to the exact h_n modulo ``modulus``.
     """
     if modulus is not None:
         if modulus <= 0:
@@ -104,6 +113,8 @@ def hall_exp(s, nmax, modulus=None):
         b = terms[0][0] if terms else 1
         for a, sa in terms:
             acc = acc * math.perm(n - a, b - a) + sa * h[n - a]
+            if b - a > _WIDE_GAP and modulus is not None:
+                acc %= modulus
             b = a
         if b > 1:
             acc *= math.perm(n - 1, b - 1)

@@ -34,7 +34,6 @@ from dworklab.bounds import (
     BoundKind,
     bound_value,
     floor_lemma_checks,
-    partition_case,
     verify_bounds,
     verify_q_recurrence,
 )
@@ -45,6 +44,7 @@ from dworklab.groups import (
     abelian_subgroup_counts_bruteforce,
     dihedral_subgroup_counts,
     parse_group_spec,
+    partition_case,
     subgroup_residues_mod_p,
 )
 from dworklab.series import check_hypotheses, exp_transform, log_transform

@@ -16,31 +16,18 @@ from dworklab.bounds import (
     floor_lemma_checks,
     floor_sum_gap,
     half_floor_inequality_holds,
-    partition_case,
     q_recurrence_parameters,
     verify_bounds,
     verify_bounds_mod,
     verify_q_recurrence,
 )
 from dworklab.exactcore import INFINITY, legendre_valuation, residue_mod_p, vp
-from dworklab.groups import PartitionType, abelian_subgroup_counts
+from dworklab.groups import PartitionType, abelian_subgroup_counts, partition_case
 from dworklab.series import exp_transform
 
 
 def c2_series(n_max):
     return [0, 1, 1] + [0] * (n_max - 2)
-
-
-def test_partition_case():
-    assert partition_case((2, 1)) == ("I", 3, 1)
-    assert partition_case((1, 1)) == ("II", 2, 1)
-    assert partition_case((1, 1, 1)) == ("III", 3, 1)
-    assert partition_case((5,)) == ("I", 6, 0)
-    assert partition_case((2, 2, 1)) == ("III", 4, 2)
-    with pytest.raises(ValueError):
-        partition_case((1, 2))
-    with pytest.raises(ValueError):
-        partition_case(())
 
 
 def test_bound_kind_validation():

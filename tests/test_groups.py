@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dworklab import groups, kernels
-from dworklab.bounds import BoundKind, partition_case, verify_bounds
+from dworklab.bounds import BoundKind, verify_bounds
 from dworklab.cli import main
 from dworklab.groups import (
     PartitionType,
@@ -20,6 +20,7 @@ from dworklab.groups import (
     finite_subgroup_counts,
     hom_count_ints_mod,
     parse_group_spec,
+    partition_case,
     partitions_fitting,
     subgroup_residues_mod_p,
     subgroup_type_count,
@@ -50,6 +51,18 @@ def test_partitions_of():
     assert sorted(partitions_of(4)) == sorted([(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)])
     assert len(list(partitions_of(6))) == 11
     assert list(partitions_of(0)) == [()]
+
+
+def test_partition_case():
+    assert partition_case((2, 1)) == ("I", 3, 1)
+    assert partition_case((1, 1)) == ("II", 2, 1)
+    assert partition_case((1, 1, 1)) == ("III", 3, 1)
+    assert partition_case((5,)) == ("I", 6, 0)
+    assert partition_case((2, 2, 1)) == ("III", 4, 2)
+    with pytest.raises(ValueError):
+        partition_case((1, 2))
+    with pytest.raises(ValueError):
+        partition_case(())
 
 
 def test_partitions_fitting():

@@ -2,6 +2,8 @@
 that module, and every module-private top-level name of the package is
 referenced in its own module.  No module of the package imports
 `dataclasses` or `inspect`, and importing the CLI loads neither.
+Importing the group layer loads neither the bound catalog nor
+`fractions`.
 
 No lint tool is part of the toolchain, so this is the check.  Names
 listed in ``__all__`` and the package's ``__init__`` (whose imports are
@@ -146,17 +148,33 @@ def test_no_heavy_imports(path):
     assert sorted(found.intersection(HEAVY_MODULES)) == []
 
 
-def test_cli_import_loads_no_heavy_module():
+def modules_loaded_by(module: str) -> list[str]:
+    """Every module a fresh interpreter holds after ``import module``."""
     # -S keeps the .pth files of site-packages, which may import anything,
     # out of the check
-    code = "import dworklab.cli, sys; print(*sorted(sys.modules))"
+    code = f"import {module}, sys; print(*sorted(sys.modules))"
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     run = subprocess.run(
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    loaded = run.stdout.split()
+    return run.stdout.split()
+
+
+def test_cli_import_loads_no_heavy_module():
+    loaded = modules_loaded_by("dworklab.cli")
     assert "dworklab.cli" in loaded
     assert [m for m in HEAVY_MODULES if m in loaded] == []
+
+
+# The lattice oracle runs each operation in a fresh interpreter that
+# imports only the group layer, and pays for every module that loads.  The
+# bound catalog, the series layer and `fractions` (which loads `decimal`)
+# are not part of that layer.
+def test_group_layer_import_loads_only_the_group_layer():
+    loaded = modules_loaded_by("dworklab.groups")
+    assert "dworklab.groups" in loaded
+    outside = ("dworklab.bounds", "dworklab.series", "dworklab.applications", "fractions", "decimal")
+    assert [m for m in outside if m in loaded] == []
 
 
 # Public names that nothing in the package or the benchmark calls, each

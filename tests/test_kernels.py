@@ -138,6 +138,22 @@ def test_hall_exp_matches_pochhammer_loop(case):
     assert kernels.hall_exp(s, nmax, modulus) == hall_exp_pochhammer(s, nmax, modulus)
 
 
+# support on the powers p^0..p^w, as for an Abelian p-group of weight w;
+# the top gaps exceed 64, so the modular kernel reduces its running sum
+# inside the row
+@pytest.mark.parametrize(
+    "p, w, nmax, modulus",
+    [(2, 8, 300, 2**150), (3, 5, 300, 3**90), (5, 3, 200, 7**40 + 2), (2, 8, 260, 10**30 + 57)],
+)
+def test_hall_exp_mod_reduces_across_wide_gaps(p, w, nmax, modulus):
+    s = [0] * (p**w + 1)
+    for i in range(w + 1):
+        s[p**i] = w + 1 - i
+    assert p**w <= nmax and p**w - p ** (w - 1) > 64
+    exact = hall_exp_pochhammer(s, nmax)
+    assert kernels.hall_exp(s, nmax, modulus) == [x % modulus for x in exact]
+
+
 def test_hall_log_mod_residues_matches_exact(kern):
     rng = random.Random(14)
     for p in (2, 3, 5):
