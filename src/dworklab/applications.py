@@ -10,7 +10,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from . import kernels
-from .bounds import BoundKind, bound_value
+from .bounds import BoundKind, bound_values
 from .exactcore import check_prime
 
 PI_VARIANTS = ("pi1", "pi2", "pi3")
@@ -119,7 +119,7 @@ def verify_permutation_divisibility(rule: CycleRule, n_max: int) -> PermDivisibi
     """
     kind = rule.bound_kind()
     p = kind.p
-    bounds = [bound_value(kind, n) for n in range(n_max + 1)]
+    bounds = bound_values(kind, n_max)
     residues = kernels.hall_exp(
         _cycle_series(n_max, rule.allowed_lengths()), n_max, p ** max(0, *bounds)
     )

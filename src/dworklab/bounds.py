@@ -9,11 +9,13 @@ each naming the rule whose exponent it proves together with its
 hypotheses, are `dworklab.series.THEOREMS`.
 
 `BoundKind` names one rule together with its parameters; `bound_value`
-evaluates e(n) exactly; `verify_bounds` compares v_p(h_n) against it row
-by row for n = 0..N on any sequence h_0..h_N, such as the list that
-`series.exp_transform` returns (violations are never dropped), and yields
-each row's valuation and Q_n mod p from one reduction of h_n modulo
-p^(e(n)+64); `verify_bounds_mod`, which `verify-group` runs, gives the
+evaluates e(n) exactly, and `bound_values` e(0)..e(N), working out the
+parameters a kind derives (a partition's (l, m)) once; `verify_bounds`
+compares v_p(h_n) against e(n) row by row for n = 0..N on any sequence
+h_0..h_N, such as the list that `series.exp_transform` returns
+(violations are never dropped), and yields each row's valuation and
+Q_n mod p from one reduction of h_n modulo p^(e(n)+64);
+`verify_bounds_mod`, which `verify-group` runs, gives the
 same report from h computed only modulo p^(max(E, 0)+64), E = max e(n),
 reading a row with e(n) < 0 from its nonzero residue too, and falls back
 to the exact h only when some residue is 0 modulo p^(e(n)+64) (both from
@@ -112,22 +114,22 @@ def _thm33_exponent(n: int) -> int:
     return _floor_sum(n, 3, 1) - _floor_sum(n // 2, 3, 1) - _ceil_div(n // 9, 2)
 
 
-def _thm34_exponent(kind: BoundKind, n: int) -> int:
+def _thm34_exponent(kind: BoundKind) -> Callable[[int], int]:
     l = kind.l
     if l == 1:
-        return n // 2 - n // 4
+        return lambda n: n // 2 - n // 4
     if l == 2:
-        return n // 2
-    return _floor_sum(n, 2, 1, l + 1) - (l - 1) * (n // 2**l)
+        return lambda n: n // 2
+    return lambda n: _floor_sum(n, 2, 1, l + 1) - (l - 1) * (n // 2**l)
 
 
-def _cor36_exponent(kind: BoundKind, n: int) -> int:
+def _cor36_exponent(kind: BoundKind) -> Callable[[int], int]:
     p = kind.p
     if p == 2:
-        return n // 2 - n // 4
+        return lambda n: n // 2 - n // 4
     if p == 3:
-        return _thm33_exponent(n)
-    return _floor_sum(n, p, 1) - _floor_sum(n // 2, p, 1)
+        return _thm33_exponent
+    return lambda n: _floor_sum(n, p, 1) - _floor_sum(n // 2, p, 1)
 
 
 def _first_family(p: int, l: int, m: int) -> tuple[int, int, int, int, int]:
@@ -150,8 +152,18 @@ def _thm61_recurrence(kind: BoundKind) -> tuple[int, int, int, int, int]:
     return _first_family(kind.p, l, m)
 
 
+def _thm61_exponent(kind: BoundKind) -> Callable[[int], int]:
+    _, l, m = partition_case(kind.partition)
+    return lambda n: _first_exponent(n, kind.p, l, m)
+
+
 def _thm62_l(kind: BoundKind) -> int:
     return sum(kind.partition) // 2 + 1  # A_1 + 1
+
+
+def _thm62_exponent(kind: BoundKind) -> Callable[[int], int]:
+    l = _thm62_l(kind)
+    return lambda n: _p2_exponent(n, l)
 
 
 def _odd_p_admissible(kind: BoundKind) -> bool:
@@ -164,16 +176,17 @@ _ODD_P_REQUIREMENT = "p >= 3, l >= 1, (p, l) != (3, 1)"
 class Rule(NamedTuple):
     """One bound kind of the catalog.
 
-    `exponent(kind, n)` is e(n).  `admissible(kind)` runs once every field
-    named in `needs` is set and says whether the kind lies in the rule's
-    range; `requirement` states that range in the error message.
-    `recurrence(kind)` gives (lo, hi, shift, step, sign) of the quotient
-    recurrence Q_n = rho Q_{n-step} (mod p), rho = sign (s_hi - s_lo) /
-    p^shift.  `tight_classes(kind)` lists the residues mod that step at
-    which the bound is claimed tight.
+    `exponent(kind)` is the function n -> e(n), with the parameters the
+    kind derives, such as a partition's (l, m), worked out once.
+    `admissible(kind)` runs once every field named in `needs` is set and
+    says whether the kind lies in the rule's range; `requirement` states
+    that range in the error message.  `recurrence(kind)` gives (lo, hi,
+    shift, step, sign) of the quotient recurrence Q_n = rho Q_{n-step}
+    (mod p), rho = sign (s_hi - s_lo) / p^shift.  `tight_classes(kind)`
+    lists the residues mod that step at which the bound is claimed tight.
     """
 
-    exponent: Callable[[BoundKind, int], int]
+    exponent: Callable[[BoundKind], Callable[[int], int]]
     needs: tuple[str, ...] = ()
     admissible: Callable[[BoundKind], bool] = lambda kind: True
     requirement: str = ""
@@ -183,28 +196,28 @@ class Rule(NamedTuple):
 
 RULES: dict[str, Rule] = {
     "thm2.1": Rule(
-        lambda k, n: _first_exponent(n, k.p, k.l, k.m),
+        lambda k: lambda n: _first_exponent(n, k.p, k.l, k.m),
         needs=("l", "m"),
         admissible=lambda k: 0 <= k.m < k.l,
         requirement="0 <= m < l",
         recurrence=lambda k: _first_family(k.p, k.l, k.m),
     ),
     "cor2.4": Rule(
-        lambda k, n: _first_exponent(n, k.p, k.l, 0),
+        lambda k: lambda n: _first_exponent(n, k.p, k.l, 0),
         needs=("l",),
         admissible=lambda k: k.l >= 1,
         requirement="l >= 1",
         recurrence=lambda k: _first_family(k.p, k.l, 0),
     ),
     "thm2.7": Rule(
-        lambda k, n: _p2_exponent(n, k.l),
+        lambda k: lambda n: _p2_exponent(n, k.l),
         needs=("l",),
         admissible=lambda k: k.p == 2 and k.l >= 2,
         requirement="p = 2 and l >= 2",
         recurrence=lambda k: _p2_family(k.l),
     ),
     "thm3.1": Rule(
-        lambda k, n: _floor_sum(n, k.p, 1)
+        lambda k: lambda n: _floor_sum(n, k.p, 1)
         - (k.l - 1) * (n // k.p**k.l)
         - _floor_sum(n // 2, k.p, k.l),
         needs=("l",),
@@ -212,7 +225,7 @@ RULES: dict[str, Rule] = {
         requirement=_ODD_P_REQUIREMENT,
     ),
     "thm3.3": Rule(
-        lambda k, n: _thm33_exponent(n),
+        lambda k: _thm33_exponent,
         admissible=lambda k: k.p == 3,
         requirement="p = 3",
     ),
@@ -224,27 +237,27 @@ RULES: dict[str, Rule] = {
     ),
     "cor3.6": Rule(_cor36_exponent),
     "thm3.7": Rule(
-        lambda k, n: _floor_sum(n, k.p, 1)
+        lambda k: lambda n: _floor_sum(n, k.p, 1)
         - (k.l - 1) * _ceil_div(n, 2 * k.p**k.l)
         - _floor_sum(n // 2, k.p, k.l),
         needs=("l",),
         admissible=_odd_p_admissible,
         requirement=_ODD_P_REQUIREMENT,
     ),
-    "thm5.2": Rule(lambda k, n: n // k.p - n // k.p**2),
+    "thm5.2": Rule(lambda k: lambda n: n // k.p - n // k.p**2),
     "thm5.3": Rule(
-        lambda k, n: n // k.p + n // k.p**2 - 2 * (n // k.p**3),
+        lambda k: lambda n: n // k.p + n // k.p**2 - 2 * (n // k.p**3),
         admissible=lambda k: k.p != 2,
         requirement="an odd p",
     ),
     "thm5.5": Rule(
-        lambda k, n: n // 2 if k.dihedral_m % 4 == 0 else n // 2 - n // 4,
+        lambda k: lambda n: n // 2 if k.dihedral_m % 4 == 0 else n // 2 - n // 4,
         needs=("dihedral_m",),
         admissible=lambda k: k.p == 2 and k.dihedral_m >= 1,
         requirement="p = 2 and dihedral_m >= 1",
     ),
     "thm6.1": Rule(
-        lambda k, n: _first_exponent(n, k.p, *partition_case(k.partition)[1:]),
+        _thm61_exponent,
         needs=("partition",),
         # partition_case raises on a malformed partition
         admissible=lambda k: bool(partition_case(k.partition)),
@@ -253,7 +266,7 @@ RULES: dict[str, Rule] = {
         tight_classes=lambda k: [0],
     ),
     "thm6.2": Rule(
-        lambda k, n: _p2_exponent(n, _thm62_l(k)),
+        _thm62_exponent,
         needs=("partition",),
         admissible=lambda k: partition_case(k.partition)[0] == "II" and k.p == 2,
         requirement="p = 2 and a case II partition",
@@ -261,13 +274,13 @@ RULES: dict[str, Rule] = {
         tight_classes=lambda k: [0, 2 ** _thm62_l(k), 2 ** (_thm62_l(k) + 1)],
     ),
     "kty": Rule(
-        lambda k, n: _first_exponent(n, k.p, k.l + 1, k.m),
+        lambda k: lambda n: _first_exponent(n, k.p, k.l + 1, k.m),
         needs=("l", "m"),
         admissible=lambda k: 0 <= k.m <= k.l,
         requirement="l >= m >= 0",
     ),
     "hnc2": Rule(
-        lambda k, n: (n + 2) // 4,
+        lambda k: lambda n: (n + 2) // 4,
         admissible=lambda k: k.p == 2,
         requirement="p = 2",
     ),
@@ -278,7 +291,14 @@ def bound_value(kind: BoundKind, n: int) -> int:
     """Exact integer value of the named exponent formula at n >= 0."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    return RULES[kind.tag].exponent(kind, n)
+    return RULES[kind.tag].exponent(kind)(n)
+
+
+def bound_values(kind: BoundKind, n_max: int) -> list[int]:
+    """[e(0), ..., e(n_max)], with the kind's derived parameters worked
+    out once, not once per n as repeated `bound_value` calls would."""
+    exponent = RULES[kind.tag].exponent(kind)
+    return [exponent(n) for n in range(n_max + 1)]
 
 
 class VerifyRow(NamedTuple):
@@ -424,7 +444,7 @@ def verify_bounds(h: Sequence[int | Fraction], kind: BoundKind) -> BoundReport:
     The report also keeps Q_n mod p of every row (`q_residues`), found in
     the same pass as the valuation.
     """
-    return _verify_rows(h, kind, [bound_value(kind, n) for n in range(len(h))])
+    return _verify_rows(h, kind, bound_values(kind, len(h) - 1))
 
 
 def verify_bounds_mod(s: Sequence[int], kind: BoundKind, n_max: int) -> BoundReport:
@@ -440,7 +460,7 @@ def verify_bounds_mod(s: Sequence[int], kind: BoundKind, n_max: int) -> BoundRep
     that row: the same kernel then runs once more without a modulus, and
     every row is read from the exact h.
     """
-    bounds = [bound_value(kind, n) for n in range(n_max + 1)]
+    bounds = bound_values(kind, n_max)
     modulus = kind.p ** (max(0, *bounds) + _GUARD)
     report = _verify_rows(kernels.hall_exp(s, n_max, modulus), kind, bounds, exact=False)
     if report is not None:

@@ -391,14 +391,21 @@ def hom_count_ints_mod(spec: GroupSpec, n_max: int, modulus: int) -> list[int]:
 
     Each factor's h runs through `kernels.hall_exp` modulo ``modulus``
     (division free, so exact), and a free product's counts are their
-    pointwise product.
+    pointwise product, reduced modulo ``modulus``: by the mask
+    ``modulus - 1`` when it is a power of two, since CPython's ``%`` runs
+    a full long division even then.
     """
     factors = spec.factors if spec.is_free_product() else (spec,)
     out = None
     for factor in factors:
         svals = finite_subgroup_counts(factor).values(n_max)
         h = kernels.hall_exp(svals, n_max, modulus)
-        out = h if out is None else [a * b % modulus for a, b in zip(out, h)]
+        if out is None:
+            out = h
+        elif modulus & (modulus - 1):
+            out = [a * b % modulus for a, b in zip(out, h)]
+        else:
+            out = [a * b & (modulus - 1) for a, b in zip(out, h)]
     return out
 
 

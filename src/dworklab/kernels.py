@@ -31,12 +31,18 @@ digits its row needs.  Its row sums are semi-relaxed: a row adds its 32
 nearest terms itself, and every other term arrives from a block product,
 formed as soon as its block of s_m is known, of two Kronecker-packed ints
 (van der Hoeven, "Relax, but don't be too lazy", 2002), so one C-level
-product of big ints replaces up to 256^2 Python products.
+product of big ints replaces up to 256^2 Python products.  CPython's int
+product stops at Karatsuba, so wide blocks are packed as decimal digit
+strings and multiplied by `decimal`, whose libmpdec multiplies large
+operands by a number-theoretic transform; `decimal` is imported only then.
+At p = 2 the kernel reduces modulo 2^k by the mask 2^k - 1.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import sys
 
 BACKEND = "pure-python"  # the kernel implementation that perfbench/run.py records
 
@@ -209,6 +215,13 @@ _BLOCK = 64
 # 2 _NEAR, ... up to _CAP, a power-of-two multiple of _NEAR
 _NEAR = 32
 _CAP = 256
+# a block product whose operands reach this many bits (slots times slot
+# bits) goes through `decimal`, whose large products use a number-theoretic
+# transform; CPython's int product stops at Karatsuba
+_DECIMAL_BITS = 80_000
+# CPython's default limit on the decimal digits of an int converted to or
+# from str; a block whose slots need more takes the int product
+_DIGIT_CAP = 4300
 
 
 def _precision_plan(hred, p, nmax):
@@ -247,6 +260,31 @@ def _precision_plan(hred, p, nmax):
 def _pack(xs, width):
     """The nonnegative xs as one int, ``width`` bytes per slot, lowest first."""
     return int.from_bytes(b"".join([x.to_bytes(width, "little") for x in xs]), "little")
+
+
+def _decimal_product(a, b, digits, slots):
+    """Slots 0..slots-1 of the product of a and b packed ``digits`` decimal
+    digits per slot, yielded as ints; higher slots that are 0 may be left
+    out.
+
+    The nonnegative a and b must be below 10**digits, and so must every
+    slot of the product.  The context traps `Inexact` and `Rounded`, so
+    the product is exact or raises.
+    """
+    import decimal
+
+    context = decimal.Context(
+        prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact, decimal.Rounded]
+    )
+    # the operands' digit strings are freed before the product's is read
+    prod = str(
+        context.multiply(
+            decimal.Decimal("".join([str(x).zfill(digits) for x in reversed(a)])),
+            decimal.Decimal("".join([str(x).zfill(digits) for x in reversed(b)])),
+        )
+    )
+    for end in range(len(prod), max(len(prod) - slots * digits, 0), -digits):
+        yield int(prod[max(end - digits, 0) : end])
 
 
 def hall_log_mod_residues(h, p, nmax):
@@ -302,12 +340,20 @@ def hall_log_mod_residues(h, p, nmax):
     - A block's beta_j are lifted to its top exponent dhi = delta~ of its
       last j, as p^(dhi - delta~_j) beta_j.  Both operands are reduced
       modulo p^(e_b + dhi), with b the first row the block reaches: every
-      later row t has e_t <= e_b.  The nonnegative residues are packed
-      with `to_bytes` into slots of bits(max beta) + bits(max s) +
-      bit_length(L) + 1 bits, rounded up to bytes, wide enough that no
-      slot of the product carries into the next, so the product is one
-      C-level Karatsuba multiplication, read back slot by slot with
-      `from_bytes`.  Slot t is then multiplied by p^(delta~_(t-1) - dhi),
+      later row t has e_t <= e_b.  Every slot of the product is below
+      2^k, k = bits(max beta) + bits(max s) + bit_length(L), so slots of
+      that width never carry into the next, and the product is one
+      C-level multiplication.  Below `_DECIMAL_BITS` (80,000) operand
+      bits (L times k) the nonnegative residues are packed with
+      `to_bytes` into slots of k + 1 bits rounded up to bytes, multiplied
+      as ints (Karatsuba) and read back with `from_bytes`.  From there
+      they are packed as zero-padded strings of floor(k log10(2)) + 1
+      decimal digits and multiplied as `Decimal`s in an exact context
+      (`_decimal_product`, a number-theoretic transform), and each slot
+      is read back with `int()`; a block whose slots need more than
+      `_DIGIT_CAP` (4,300) digits, CPython's int/str limit, takes the int
+      product, as does one past a lower limit that the interpreter
+      sets.  Slot t is then multiplied by p^(delta~_(t-1) - dhi),
       or divided by p^(dhi - delta~_(t-1)), which is exact since each of
       its terms has delta~_j <= delta~_(t-1) and the modulus keeps that
       many digits.  So row t's sum agrees with the sum of all its terms
@@ -332,10 +378,19 @@ def hall_log_mod_residues(h, p, nmax):
     p^(P + D) and the C + P - 1 digits read of h are both at most 2C - 1.
     """
     C = log_residue_precision(nmax, p)
+    if p == 2:
+        # x & (2^k - 1) is x mod 2^k; CPython's % runs a full long
+        # division even when the divisor is a power of two
+        cut, red = (lambda k: (1 << k) - 1), operator.and_
+    else:
+        cut, red = (lambda k: p**k), operator.mod
     modulus = p**C
     if len(h) <= nmax or h[0] % modulus != 1 % modulus:
         raise ValueError("h must cover 0..nmax and have h_0 = 1")
-    delta, loss = _precision_plan([x % modulus for x in h[: nmax + 1]], p, nmax)
+    cut_c = cut(C)
+    # the interpreter may lower the int/str limit (0: none, as before 3.11)
+    digit_cap = min(_DIGIT_CAP, getattr(sys, "get_int_max_str_digits", int)() or _DIGIT_CAP)
+    delta, loss = _precision_plan([red(x, cut_c) for x in h[: nmax + 1]], p, nmax)
     e = [0] + [1 + loss[nmax - n + 1] for n in range(1, nmax + 1)]
     # dt[j] = delta~_j; runs of equal delta~ as [first j, last j + 1, delta~]
     dt = []
@@ -356,28 +411,30 @@ def hall_log_mod_residues(h, p, nmax):
     for wj, mj in _factorial_parts(p, nmax):
         w.append(wj)
         m.append(mj)
-    mods = [p ** (e[j + 1] + dt[j]) for j in range(nmax)]
-    work = p ** (e[1] + top) if nmax else 1  # p^(P+D), the widest of mods
+    # red(x, mods[j]) is x modulo p^(e_(j+1) + delta~_j)
+    mods = [cut(e[j + 1] + dt[j]) for j in range(nmax)]
+    widest = e[1] + top if nmax else 0
+    work, cut_work = p**widest, cut(widest)  # p^(P+D), the widest of the moduli
     u = 1
     for mj in m:
-        u = u * mj % work
-    inv = [0] * nmax  # inv[j] = 1/u_j modulo mods[j]
+        u = red(u * mj, cut_work)
+    inv = [0] * nmax  # inv[j] = 1/u_j modulo p^(e_(j+1) + delta~_j)
     iu = pow(u, -1, work)
     for j in range(nmax - 1, -1, -1):
-        inv[j] = iu % mods[j]
-        iu = iu * m[j] % work
+        inv[j] = red(iu, mods[j])
+        iu = red(iu * m[j], cut_work)
 
     def scaled(x, j):
         # x p^(delta~_j - w_j) / u_j modulo p^(e_(j+1) + delta~_j)
         shift = dt[j] - w[j]
-        x %= p ** (e[j + 1] + w[j])
+        x = red(x, cut(e[j + 1] + w[j]))
         if shift >= 0:
             x *= p**shift
         else:
             x, r = divmod(x, p**-shift)
             if r:
                 raise ValueError(f"inverse transform not integral at n={j + 1}")
-        return x * inv[j] % mods[j]
+        return red(x * inv[j], mods[j])
 
     beta = [scaled(h[j], j) for j in range(nmax)]
     s = [0] * (nmax + 1)  # s_n modulo p^(e_n)
@@ -391,14 +448,20 @@ def hall_log_mod_residues(h, p, nmax):
             return
         base = m0 + j0  # the first row the block reaches
         dhi = dt[j1 - 1]
-        mod = p ** (e[base] + dhi)
-        a = [beta[j] * pw[dhi - dt[j]] % mod for j in range(j0, j1)]
-        b = [x % mod for x in s[m0:m1]]
-        width = (max(a).bit_length() + max(b).bit_length() + len(b).bit_length() + 8) // 8
-        slots = len(a) + len(b) - 1
-        prod = (_pack(a, width) * _pack(b, width)).to_bytes(width * slots, "little")
-        for k in range(min(slots, nmax + 1 - base)):
-            x = int.from_bytes(prod[k * width : (k + 1) * width], "little")
+        mod = cut(e[base] + dhi)
+        a = [red(beta[j] * pw[dhi - dt[j]], mod) for j in range(j0, j1)]
+        b = [red(x, mod) for x in s[m0:m1]]
+        # every slot of the product is below 2^bits
+        bits = max(a).bit_length() + max(b).bit_length() + len(b).bit_length()
+        slots = min(len(a) + len(b) - 1, nmax + 1 - base)
+        digits = bits * 30103 // 100000 + 1  # > bits log10(2)
+        if len(b) * bits >= _DECIMAL_BITS and digits <= digit_cap:
+            prod = _decimal_product(a, b, digits, slots)
+        else:
+            width = bits // 8 + 1
+            packed = (_pack(a, width) * _pack(b, width)).to_bytes(width * (len(a) + len(b) - 1), "little")
+            prod = (int.from_bytes(packed[k * width : (k + 1) * width], "little") for k in range(slots))
+        for k, x in enumerate(prod):
             if x:
                 t = base + k
                 shift = dt[t - 1] - dhi
@@ -417,7 +480,7 @@ def hall_log_mod_residues(h, p, nmax):
             acc = acc * pw[d - prev] + tail
             prev = d
         d = dt[n - 1]
-        acc = (scaled(h[n], n - 1) - acc * pw[d - prev] - far[n]) % mods[n - 1]
+        acc = red(scaled(h[n], n - 1) - acc * pw[d - prev] - far[n], mods[n - 1])
         q, r = divmod(acc, pw[d])
         if r:
             raise ValueError(f"inverse transform not integral at n={n}")

@@ -372,6 +372,17 @@ def test_hom_count_ints_mod():
     assert reduced == [x % 2**50 for x in exact]
 
 
+# a power-of-two modulus reduces the pointwise product by a mask, any other
+# by %; both against the exact counts reduced modulo it
+@pytest.mark.parametrize("text", ["C[4]*C[6]", "C[3]*A[2;2,1]*C[8]"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_hom_count_ints_mod_matches_exact_reduced(text, p):
+    spec = parse_group_spec(text)
+    exact = hom_count_ints(spec, 200)
+    modulus = p ** (2 * kernels.log_residue_precision(200, p) - 1)
+    assert hom_count_ints_mod(spec, 200, modulus) == [x % modulus for x in exact]
+
+
 def test_prop_42_dichotomy_on_generated_groups():
     # s_p(G) mod p avoids 2..p-1 on every generated group
     specs = ["A[3;1,1]", "A[3;2]", "C[6]", "C[9]", "D[3]", "D[6]", "D[8]", "C[2]*C[2]", "C[3]*C[3]",

@@ -2,8 +2,12 @@
 known counts."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -392,28 +396,94 @@ def _bumped_hom_counts(text, p, n, at):
     return h
 
 
+# operand bits from which block products go through `decimal`: always,
+# the default, or never (the int product)
+_DECIMAL_THRESHOLDS = st.sampled_from([0, kernels._DECIMAL_BITS, math.inf])
+
+
 @settings(deadline=None, max_examples=60)
-@given(case=_log_inputs(), schedule=_SCHEDULES, block=_BLOCKS)
+@given(case=_log_inputs(), schedule=_SCHEDULES, block=_BLOCKS, decimal_bits=_DECIMAL_THRESHOLDS)
 @example(  # no 2-part: P = C; levels 4, 8 and 16, and eight blocks at the cap
-    case=(_reduced_hom_counts("C[3]*C[9]", 2, 300)[0], 2, 300), schedule=(4, 32), block=3
+    case=(_reduced_hom_counts("C[3]*C[9]", 2, 300)[0], 2, 300), schedule=(4, 32), block=3,
+    decimal_bits=0,
 )
-@example(case=(_reduced_hom_counts("C[4]*C[6]", 2, 300)[0], 2, 300), schedule=(2, 16), block=1)
-@example(case=(_reduced_hom_counts("C[2]*C[16]", 2, 300)[0], 2, 300), schedule=(1, 4), block=64)
+@example(
+    case=(_reduced_hom_counts("C[4]*C[6]", 2, 300)[0], 2, 300), schedule=(2, 16), block=1,
+    decimal_bits=math.inf,
+)
+@example(
+    case=(_reduced_hom_counts("C[2]*C[16]", 2, 300)[0], 2, 300), schedule=(1, 4), block=64,
+    decimal_bits=0,
+)
 @example(  # h_150 made odd: both raise at n = 150, which far terms reach
     case=(_bumped_hom_counts("C[2]*C[16]", 2, 300, 150), 2, 300),
     schedule=(8, 16),
     block=2,
+    decimal_bits=0,
 )
-def test_hall_log_mod_residues_matches_row_loop(case, schedule, block):
-    # the block products against the row loop that forms every product
-    # itself: the same residues, or the same ValueError at the same n
+@example(  # p = 3 at the default schedule, every block product through decimal
+    case=(_reduced_hom_counts("C[2]*C[4]*A[2;1,1]", 3, 300)[0], 3, 300), schedule=(32, 256),
+    block=64, decimal_bits=0,
+)
+def test_hall_log_mod_residues_matches_row_loop(case, schedule, block, decimal_bits):
+    # the block products, through int or decimal, against the row loop that
+    # forms every product itself: the same residues, or the same ValueError
+    # at the same n
     h, p, nmax = case
     expected = _outcome(hall_log_mod_residues_rows, h, p, nmax, block)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_NEAR", schedule[0])
         mp.setattr(kernels, "_CAP", schedule[1])
         mp.setattr(kernels, "_BLOCK", block)
+        mp.setattr(kernels, "_DECIMAL_BITS", decimal_bits)
         assert _outcome(kernels.hall_log_mod_residues, h, p, nmax) == expected
+
+
+def test_decimal_products_keep_slots_under_the_digit_cap(monkeypatch):
+    # CPython converts ints of at most 4300 digits to and from str; with the
+    # cap lowered to 60 digits, the blocks whose slots need more take the
+    # int product, the rest go through decimal, and the residues are the
+    # row loop's
+    h = _reduced_hom_counts("C[3]*C[9]", 2, 300)[0]  # slots of 19 to 155 digits
+    expected = hall_log_mod_residues_rows(h, 2, 300)
+    digits, widths = [], []  # decimal digits and int bytes per slot
+    decimal_product, pack = kernels._decimal_product, kernels._pack
+
+    def spy_decimal(a, b, slot_digits, slots):
+        digits.append(slot_digits)
+        return decimal_product(a, b, slot_digits, slots)
+
+    def spy_pack(xs, width):
+        widths.append(width)
+        return pack(xs, width)
+
+    monkeypatch.setattr(kernels, "_decimal_product", spy_decimal)
+    monkeypatch.setattr(kernels, "_pack", spy_pack)
+    monkeypatch.setattr(kernels, "_DECIMAL_BITS", 0)
+    monkeypatch.setattr(kernels, "_DIGIT_CAP", 60)
+    monkeypatch.setattr(kernels, "_NEAR", 4)
+    monkeypatch.setattr(kernels, "_CAP", 32)
+    assert kernels.hall_log_mod_residues(h, 2, 300) == expected
+    assert digits and max(digits) <= 60
+    # a slot of more than 60 digits needs 200 bits or more: 25 bytes or more
+    assert widths and max(widths) >= 25
+
+
+def test_decimal_products_respect_a_lowered_int_str_limit():
+    # a child interpreter with PYTHONINTMAXSTRDIGITS=640, the least CPython
+    # allows: slots of up to 719 digits, every block product wide enough
+    # for decimal, and the residues of this interpreter
+    h = _reduced_hom_counts("C[3]*C[9]", 2, 1200)[0]
+    code = (
+        "import sys; from dworklab import kernels; kernels._DECIMAL_BITS = 0; "
+        "print(kernels.hall_log_mod_residues([int(x, 16) for x in sys.stdin.read().split()], 2, 1200))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(kernels.__file__).parents[1]), "PYTHONINTMAXSTRDIGITS": "640"}
+    child = subprocess.run(
+        [sys.executable, "-c", code],
+        input=" ".join(f"{x:x}" for x in h), env=env, capture_output=True, text=True, check=True,
+    )
+    assert child.stdout == f"{kernels.hall_log_mod_residues(h, 2, 1200)}\n"
 
 
 def test_log_residue_precision(kern):
