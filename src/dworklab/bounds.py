@@ -16,13 +16,14 @@ h_0..h_N, such as the list that `series.exp_transform` returns
 (violations are never dropped), and yields each row's valuation and
 Q_n mod p from one reduction of h_n modulo p^(e(n)+64);
 `verify_bounds_mod`, which `verify-group` runs, gives the
-same report from h computed only modulo p^(max(E, 0)+64), E = max e(n),
-reading a row with e(n) < 0 from its nonzero residue too, and falls back
-to the exact h only when some residue is 0 modulo p^(e(n)+64) (both from
-`kernels.hall_exp`, with and without the modulus); `verify_q_recurrence`
-checks on those residues the mod-p recurrence of the quotients that
-certifies tightness; and `floor_lemma_checks` exhaustively tests the two
-floor-sum inequalities the bound proofs rest on.
+same report from h computed only modulo p^(max(E, 0)+64), E = max e(n):
+a nonzero residue of h_n modulo p^M, M > max(e(n), 0), reads exactly as
+h_n does, so it falls back to the exact h only when some residue is 0
+(both from `kernels.hall_exp`, with and without the modulus);
+`verify_q_recurrence` checks on those residues the mod-p recurrence of
+the quotients that certifies tightness; and `floor_lemma_checks`
+exhaustively tests the two floor-sum inequalities the bound proofs rest
+on.
 """
 
 from __future__ import annotations
@@ -343,10 +344,14 @@ class BoundReport(NamedTuple):
         }
 
 
-# digits of p kept beyond p^e(n) when a row is reduced; the largest slack
-# of the tightness sweep over every small Abelian type up to n = 1024 is 18
-# (p = 2, type (3,3,2,1,1)); test_c04_tightness_scope_sweep checks that it
-# stays below this guard, so verify-group never falls back on those types
+# digits of p kept beyond p^e(n) when a row is reduced, and beyond
+# p^max(E, 0) when `verify_bounds_mod` reduces h.  A nonzero residue reads
+# exactly whatever the guard, so the guard only makes a zero residue, and
+# with it the exact fallback, rare: row n reads 0 only when its slack is at
+# least _GUARD + max(E, 0) - e(n) >= _GUARD.  The largest slack of the
+# tightness sweep over every small Abelian type up to n = 1024 is 18 (p = 2,
+# type (3,3,2,1,1)); test_c04_tightness_scope_sweep checks that it stays
+# below this guard, so verify-group never falls back on those types
 _GUARD = 64
 
 
@@ -354,10 +359,13 @@ def _split_row(
     x: Fraction | int,
     p: int,
     e: int,
-    exact: bool = True,
     powers: dict[int, tuple[int, int]] | None = None,
-) -> tuple[Valuation, int | None] | None:
+) -> tuple[Valuation, int | None]:
     """(v_p(x), Q mod p) for Q = x / p^e; the residue is None when v_p(x) < e.
+
+    x is h_n itself, or a nonzero residue of h_n modulo p^M with
+    M > max(e, 0).  Such a residue reads as h_n does: v_p(x) < M, so
+    v_p(x) = v_p(h_n), and x / p^e = h_n / p^e (mod p).
 
     For an int x and e >= 0 one reduction r = x mod p^(e+64) gives both:
     when r != 0, v_p(x) = v_p(r) < e + 64 and Q = r / p^e (mod p).  When
@@ -367,19 +375,11 @@ def _split_row(
     only for a non-integral coefficient, goes through the exact rational
     quotient.
 
-    With ``exact=False``, x is h_n known only modulo some p^M, M >= 64 and
-    M >= e + 64: `verify_bounds_mod`, which `verify-group` runs, computes h
-    modulo p^(max(E, 0)+64) with E = max e(n).  r, and so every row with
-    r != 0, is still exact, and so is v_p(x) of a nonzero x when e < 0,
-    since it lies below M.  A row with r == 0 (x == 0 included; for p = 2,
-    v_2(x) >= e + 64) can be settled only by the exact h_n, and the result
-    is None: the caller falls back to the exact series.
-
     ``powers`` maps e to (p^e, p^(e+64)); a caller that reads many rows
     passes one dict, so that each pair is formed once per distinct e.
     """
     if x == 0:
-        return (INFINITY, 0) if exact else None
+        return INFINITY, 0
     if not isinstance(x, int):
         val = vp(x, p)
         if val < e:
@@ -389,8 +389,6 @@ def _split_row(
         return vp_int(x, p), 0
     if p == 2:
         val = (x & -x).bit_length() - 1
-        if not exact and val >= e + _GUARD:
-            return None
         return val, (x >> e) & 1 if val >= e else None
     if powers is None:
         powers = {}
@@ -399,7 +397,7 @@ def _split_row(
     pe, pm = powers[e]
     r = x % pm
     if r == 0:
-        return (vp_int(x, p), 0) if exact else None
+        return vp_int(x, p), 0
     q, t = divmod(r, pe)
     if t:
         return vp_int(t, p), None
@@ -407,13 +405,9 @@ def _split_row(
 
 
 def _verify_rows(
-    h: Sequence[int | Fraction], kind: BoundKind, bounds: list[int], exact: bool = True
-) -> BoundReport | None:
-    """The report on rows n = 0..len(bounds)-1 of h against e(n) = bounds[n].
-
-    None when ``exact`` is False and some row needs the exact h_n (see
-    `_split_row`).
-    """
+    h: Sequence[int | Fraction], kind: BoundKind, bounds: list[int]
+) -> BoundReport:
+    """The report on rows n = 0..len(bounds)-1 of h against e(n) = bounds[n]."""
     rows = []
     violations = []
     tight_set = []
@@ -421,10 +415,7 @@ def _verify_rows(
     min_slack: Valuation = INFINITY
     powers: dict[int, tuple[int, int]] = {}
     for n, bnd in enumerate(bounds):
-        split = _split_row(h[n], kind.p, bnd, exact, powers)
-        if split is None:
-            return None
-        val, residue = split
+        val, residue = _split_row(h[n], kind.p, bnd, powers)
         residues.append(residue)
         slack = val - bnd
         tight = slack == 0
@@ -450,22 +441,20 @@ def verify_bounds(h: Sequence[int | Fraction], kind: BoundKind) -> BoundReport:
 def verify_bounds_mod(s: Sequence[int], kind: BoundKind, n_max: int) -> BoundReport:
     """`verify_bounds(exp_transform(s), kind)` from h modulo p^M.
 
-    ``s`` holds the integers s_0..s_n_max (s_0 is ignored).  A row needs
-    only the digits of h_n below p^(e(n)+64), so with E = max e(n) the
-    recurrence runs modulo p^M, M = max(E, 0) + 64 (`kernels.hall_exp`
-    with that modulus), on numbers far smaller than the exact h_n.  A row
-    with e(n) < 0 reads v_p(h_n) from its nonzero residue, which is exact
-    below p^M, and Q_n = 0 (mod p).  When some residue is 0 modulo
-    p^(e(n)+64), or 0 itself where e(n) < 0, only the exact h_n settles
-    that row: the same kernel then runs once more without a modulus, and
-    every row is read from the exact h.
+    ``s`` holds the integers s_0..s_n_max (s_0 is ignored).  With
+    E = max e(n), the recurrence runs modulo p^M, M = max(E, 0) + 64
+    (`kernels.hall_exp` with that modulus), on numbers far smaller than
+    the exact h_n.  Since M > max(e(n), 0), a nonzero residue of h_n gives
+    v_p(h_n) and Q_n mod p exactly (`_split_row`), negative e(n) included.
+    Only a residue equal to 0 needs more digits: when some residue is 0,
+    the same kernel runs once more without a modulus, and every row is
+    read from the exact h.
     """
     bounds = bound_values(kind, n_max)
-    modulus = kind.p ** (max(0, *bounds) + _GUARD)
-    report = _verify_rows(kernels.hall_exp(s, n_max, modulus), kind, bounds, exact=False)
-    if report is not None:
-        return report
-    return _verify_rows(kernels.hall_exp(s, n_max), kind, bounds)
+    h = kernels.hall_exp(s, n_max, kind.p ** (max(0, *bounds) + _GUARD))
+    if 0 in h:
+        h = kernels.hall_exp(s, n_max)
+    return _verify_rows(h, kind, bounds)
 
 
 class QRecurrenceReport(NamedTuple):

@@ -14,10 +14,10 @@ nonzero s_k alone, highest k first; the (n-k+1)_(k-1) of a run of
 vanishing s_k between two nonzero ones fold into one `math.perm` gap
 factor, so no Pochhammer factor is ever multiplied by an h, and sparse
 group and cycle series pay only for their support.
-`verify-group` runs it modulo p^(E+64), with E the largest bound exponent
-e(n), and reads every row from those residues, negative e(n) included;
-only when some residue is 0 modulo p^(e(n)+64) does it run it again
-without a modulus (`dworklab.bounds.verify_bounds_mod`).
+`verify-group` runs it modulo p^(max(E, 0)+64), with E the largest bound
+exponent e(n), and reads every nonzero residue as the exact h_n, negative
+e(n) included; only when some residue is 0 does it run it again without
+a modulus (`dworklab.bounds.verify_bounds_mod`).
 `verify-permutations` runs it modulo p^E and reads only whether p^e(n)
 divides each count (`dworklab.applications`).  `periodicity` runs it
 modulo p^(2C-1) (`dworklab.groups.hom_count_ints_mod`).  The inverse

@@ -245,12 +245,16 @@ def _split_row_cases(draw):
 @example((3**5 * 10**40, 3, 7))  # violated row
 def test_split_row_matches_rational_definition(case):
     x, p, e = case
-    assert _split_row(x, p, e) == _split_row_reference(x, p, e)
-    if isinstance(x, int) and e >= 0:
-        # read as a residue modulo p^(e+64) or finer, a row that is 0 there
-        # is left to the exact value and every other row reads the same
-        expected = None if x % p ** (e + 64) == 0 else _split_row_reference(x, p, e)
-        assert _split_row(x, p, e, exact=False) == expected
+    expected = _split_row_reference(x, p, e)
+    assert _split_row(x, p, e) == expected
+    if isinstance(x, int) and x:
+        # a nonzero residue modulo p^M, M > max(e, 0), reads as x does;
+        # M = v_p(x) + 1 is the coarsest modulus that leaves x nonzero
+        floor = max(e, 0)
+        k = vp(x, p)
+        for M in (floor + 1, floor + 64, k + 1, k + 2):
+            if M > floor and x % p**M:
+                assert _split_row(x % p**M, p, e) == expected
 
 
 @pytest.mark.parametrize(
@@ -303,12 +307,34 @@ def _group_bound_cases(draw):
 @settings(deadline=None, max_examples=150)
 @given(_group_bound_cases())
 @example(([0, 1, 3, 0, 1] + [0] * 196, BoundKind("thm5.2", 2), 200))  # falls back
+# the pi1 cycle series of A = {2} at p = 2, l = 2: h_n = 0 at every odd n,
+# so zero residues fall back to the exact h and give infinite valuations
+@example((series_from_map({2: 1}, 60), BoundKind("cor2.4", 2, l=2), 60))
 # the pi3 cycle series of A = {1, 2} at p = 3, l = 2: thm3.7 reaches e(n) = -1
 @example((series_from_map(dict.fromkeys((1, 2, 3, 6, 9), 1), 300), BoundKind("thm3.7", 3, l=2), 300))
 def test_verify_bounds_mod_matches_exact(case):
     s, kind, n_max = case
     # rows, violations, tight set, min slack and Q_n mod p all agree
     assert verify_bounds_mod(s, kind, n_max) == verify_bounds(exp_transform(s), kind)
+
+
+def test_wide_slack_reads_residues_without_exact_h(monkeypatch):
+    # row 186 has slack 64 and no residue modulo 2^(E+64) is 0, so the
+    # exact recurrence must not run
+    import dworklab.kernels as kernels
+
+    s = [0, 1, 3, 0, 1] + [0] * 193
+    kind = BoundKind("thm5.2", 2)
+    expected = verify_bounds(exp_transform(s), kind)
+    assert expected.rows[186].slack >= 64
+    real = kernels.hall_exp
+
+    def modular_only(s, nmax, modulus=None):
+        assert modulus is not None, "exact h computed"
+        return real(s, nmax, modulus)
+
+    monkeypatch.setattr(kernels, "hall_exp", modular_only)
+    assert verify_bounds_mod(s, kind, 197) == expected
 
 
 def test_q_recurrence_c2():

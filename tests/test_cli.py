@@ -187,8 +187,10 @@ def test_verify_group_counts_once_and_transforms_once(capsys, monkeypatch):
 
 @pytest.mark.parametrize("spec", ["A[3;2,1]", "A[2;2,1,1]"])
 def test_verify_group_falls_back_to_exact_h(capsys, monkeypatch, spec):
-    # with no guard digits every row with v_p(h_n) >= e(n) reads 0 modulo
-    # p^e(n), so only the exact h settles it; the reports must not change
+    # with no guard digits h is reduced modulo p^E, E = max e(n), so a row
+    # with v_p(h_n) >= E reads 0 and only the exact h settles it (n = 72,
+    # 75, 77-80 for A[3;2,1], n = 80 for A[2;2,1,1]); the reports must not
+    # change
     import dworklab.bounds as bounds
     import dworklab.kernels as kernels
 
