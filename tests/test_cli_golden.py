@@ -9,9 +9,13 @@ reworded without touching this file.
 
 The runs happen in a temporary working directory with relative `--input`
 names, because `analyze-series` echoes the input path in its report.
+
+The parser's own output, its help texts and its usage errors, is pinned
+the same way, by status and the SHA-256 of the one stream it writes.
 """
 
 import hashlib
+import sys
 
 import pytest
 
@@ -163,3 +167,42 @@ def test_cli_report_bytes(tmp_path, monkeypatch, capsys, argv, status, digest):
     else:
         assert err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# The parser's own output: help texts and the version, which exit 0 on
+# stdout, and usage errors, which exit 2 on stderr before any subcommand
+# runs (the unknown flag is the one the group-bounds benchmark passes).
+# argparse wraps to $COLUMNS, so the runs fix the width, and its layout
+# differs between Python minor versions, so the digests hold for CPython
+# 3.11, where they were recorded.
+# (id, argv, exit status, sha256 of the stream written; the other is empty)
+PARSER_CASES = [
+    ("help", ["--help"], 0, "666bc1f5a4a3efe5e9f6ea740d45c037206a759b9700937e6b543208d7a584a6"),
+    ("version", ["--version"], 0, "e9dd8507f4bf0c6f42458e41aea833ad0bd3f6127272335eee9bf4d58541ed67"),
+    ("help-analyze-series", ["analyze-series", "--help"], 0, "4dc91963c942cea24cc58b83979b27b22518b8b8c1e584bedd6d5e9b9d01b4fa"),
+    ("help-verify-group", ["verify-group", "--help"], 0, "5235917e8a8ace8a1cb19238c8cf1229005f5b002e634f5e2ea2647fedc2cc6b"),
+    ("help-verify-dihedral", ["verify-dihedral", "--help"], 0, "ae7c55732c8585f9b18e322e77b3ad4115a38c07fb1d6d63e9ec4a2a48e4ee6c"),
+    ("help-verify-permutations", ["verify-permutations", "--help"], 0, "c83bf7885f0351c91442924487e8906d43a7d01a55472157e8fac618e92c8701"),
+    ("help-supercongruence", ["supercongruence", "--help"], 0, "77243e96a977ce6920846c4b9ae23475d45411897ea3b0db4ff11981fa80d743"),
+    ("help-periodicity", ["periodicity", "--help"], 0, "664289a05ce50d881e7713d5bc31a3536526738c0a6f7c886b0bd85c81b06b00"),
+    ("help-lemmas", ["lemmas", "--help"], 0, "66757db527938abfa781e5591c8d17fbd0742a289d78873c0cf24544c830ef57"),
+    ("no-subcommand", [], 2, "210762c4771becbe133612aa38985ab41037cf5bdaa9d4e664d150b268ba4f03"),
+    ("missing-spec", ["verify-group"], 2, "5a4aa87a1bd780f65c2d05f1893dc3bbaa0a14ef7b028006da564a3d94b097fe"),
+    ("unknown-flag", ["verify-group", "--spec", "A[5;1,1]", "--n-max", "4096", "--cache-dir", "cache"], 2, "599b705ab0f8976224ea1841044d3bafeb016bbf0be9de2b71e1921891719edb"),
+    ("bad-theorem", ["analyze-series", "--input", "x.series", "--theorem", "thm9.9"], 2, "6479d9a4635325b0b9ff45121f0aa375a9d906c5b68719c8b7ecdb6fd29b36f2"),
+]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse's layout varies by Python version")
+@pytest.mark.parametrize(
+    "argv, status, digest", [case[1:] for case in PARSER_CASES], ids=[case[0] for case in PARSER_CASES]
+)
+def test_parser_text_bytes(monkeypatch, capsys, argv, status, digest):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == status
+    written, empty = (out, err) if status == 0 else (err, out)
+    assert empty == ""
+    assert hashlib.sha256(written.encode()).hexdigest() == digest
