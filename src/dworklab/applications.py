@@ -7,11 +7,14 @@ modulo p.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import kernels
-from .bounds import BoundKind, bound_values
 from .exactcore import check_prime
+
+if TYPE_CHECKING:
+    # annotations only: a periodicity run never loads the bound catalog
+    from .bounds import BoundKind
 
 PI_VARIANTS = ("pi1", "pi2", "pi3")
 
@@ -56,6 +59,8 @@ class CycleRule(_CycleRule):
 
     def bound_kind(self) -> BoundKind:
         """The exponent formula the counts are divisible by."""
+        from .bounds import BoundKind
+
         p, l = self.p, self.l
         if self.variant == "pi1":
             return BoundKind("cor2.4", p, l=l)
@@ -117,6 +122,8 @@ def verify_permutation_divisibility(rule: CycleRule, n_max: int) -> PermDivisibi
     counts are read only modulo p^E, E = max(e(n), 0), from
     `kernels.hall_exp` with that modulus; no exact count is built.
     """
+    from .bounds import bound_values
+
     kind = rule.bound_kind()
     p = kind.p
     bounds = bound_values(kind, n_max)

@@ -30,12 +30,15 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from . import kernels
 from .exactcore import INFINITY, Valuation, check_prime, floor_log, residue_mod_p, vp
-from .groups import SubgroupCounts, partition_case
 from .kernels import vp_int
+
+if TYPE_CHECKING:
+    # annotations only: the series layer loads the catalog, not the groups
+    from .groups import SubgroupCounts
 
 
 class _BoundKind(NamedTuple):
@@ -143,8 +146,16 @@ def _p2_family(l: int) -> tuple[int, int, int, int, int]:
     return 2**l, 2 ** (l + 1), l - 2, 2 ** (l + 2), 1
 
 
+def _partition_case(parts: tuple[int, ...]) -> tuple[str, int, int]:
+    """`groups.partition_case`; the group layer loads on the first call, so
+    only the rules that read a partition load it."""
+    from .groups import partition_case
+
+    return partition_case(parts)
+
+
 def _thm61_recurrence(kind: BoundKind) -> tuple[int, int, int, int, int]:
-    case, l, m = partition_case(kind.partition)
+    case, l, m = _partition_case(kind.partition)
     if case == "II" and kind.p == 2:
         raise ValueError(
             "p = 2 case II has no first-family quotient recurrence; "
@@ -154,7 +165,7 @@ def _thm61_recurrence(kind: BoundKind) -> tuple[int, int, int, int, int]:
 
 
 def _thm61_exponent(kind: BoundKind) -> Callable[[int], int]:
-    _, l, m = partition_case(kind.partition)
+    _, l, m = _partition_case(kind.partition)
     return lambda n: _first_exponent(n, kind.p, l, m)
 
 
@@ -261,7 +272,7 @@ RULES: dict[str, Rule] = {
         _thm61_exponent,
         needs=("partition",),
         # partition_case raises on a malformed partition
-        admissible=lambda k: bool(partition_case(k.partition)),
+        admissible=lambda k: bool(_partition_case(k.partition)),
         requirement="a partition",
         recurrence=_thm61_recurrence,
         tight_classes=lambda k: [0],
@@ -269,7 +280,7 @@ RULES: dict[str, Rule] = {
     "thm6.2": Rule(
         _thm62_exponent,
         needs=("partition",),
-        admissible=lambda k: partition_case(k.partition)[0] == "II" and k.p == 2,
+        admissible=lambda k: _partition_case(k.partition)[0] == "II" and k.p == 2,
         requirement="p = 2 and a case II partition",
         recurrence=lambda k: _p2_family(_thm62_l(k)),
         tight_classes=lambda k: [0, 2 ** _thm62_l(k), 2 ** (_thm62_l(k) + 1)],

@@ -5,6 +5,12 @@ or machine identifiers, so identical invocations produce byte-identical
 JSON documents.  Exit status is 0 exactly when no bound violation,
 hypothesis failure, tightness-claim failure, or oracle mismatch was
 found, and nonzero otherwise.
+
+Each `dworklab` process pays for every package module it loads (and,
+without a bytecode cache, compiles it), so this module imports only the
+package root at module level and each subcommand handler imports the
+layers it runs; README, "Layout", lists them.  A `periodicity` run loads
+neither the bound catalog nor the series layer.
 """
 
 from __future__ import annotations
@@ -12,34 +18,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from . import __version__
-from .applications import (
-    PI_VARIANTS,
-    CycleRule,
-    periodicity_detect,
-    supercongruence_sweep,
-    verify_permutation_divisibility,
-)
-from .bounds import (
-    RULES,
-    BoundKind,
-    floor_lemma_checks,
-    verify_bounds,
-    verify_bounds_mod,
-    verify_q_recurrence,
-)
-from .exactcore import check_prime
-from .groups import (
-    difference_valuation_profile,
-    dihedral_subgroup_counts,
-    finite_subgroup_counts,
-    parse_group_spec,
-    partition_case,
-    subgroup_residues_mod_p,
-)
-from .series import THEOREMS, check_hypotheses, exp_transform, load_log_series
+
+# `sorted(series.THEOREMS)` and `applications.PI_VARIANTS`, as literals so
+# that building the parser loads neither module; tests/test_cli.py pins both.
+_THEOREM_CHOICES = ("cor2.4", "cor2.5", "cor3.6", "thm2.1", "thm2.7", "thm3.1", "thm3.3", "thm3.4", "thm3.7")
+_VARIANT_CHOICES = ("pi1", "pi2", "pi3")
 
 DETERMINISM_NOTE = (
     "deterministic: no timestamps or machine identifiers; identical flags "
@@ -122,7 +107,8 @@ def _emit(doc: dict, fmt: str, output: str | None) -> None:
                 )
         text = "\n".join(lines) + ("\n" if lines else "")
     if output:
-        Path(output).write_text(text, encoding="utf-8")
+        with open(output, "w", encoding="utf-8") as f:
+            f.write(text)
     else:
         sys.stdout.write(text)
 
@@ -141,7 +127,12 @@ def _tsv_cell(value) -> str:
 
 
 def _cmd_analyze_series(args) -> dict:
-    s, file_p = load_log_series(Path(args.input).read_text(encoding="utf-8"))
+    from .bounds import verify_bounds
+    from .exactcore import check_prime
+    from .series import check_hypotheses, exp_transform, load_log_series
+
+    with open(args.input, encoding="utf-8") as f:
+        s, file_p = load_log_series(f.read())
     p = args.p if args.p is not None else file_p
     check_prime(p)
     hyp = check_hypotheses(s, p, args.theorem, l=args.l, m=args.m)
@@ -168,6 +159,15 @@ def _cmd_analyze_series(args) -> dict:
 
 
 def _cmd_verify_group(args) -> dict:
+    from .bounds import RULES, BoundKind, verify_bounds_mod, verify_q_recurrence
+    from .groups import (
+        difference_valuation_profile,
+        finite_subgroup_counts,
+        parse_group_spec,
+        partition_case,
+    )
+    from .series import check_hypotheses
+
     spec = parse_group_spec(args.spec)
     if spec.variant != "abelian":
         raise ValueError("verify-group expects a single abelian term A[p;...]")
@@ -240,6 +240,11 @@ def _int_list(flag: str, text: str) -> list[int]:
 
 
 def _cmd_verify_dihedral(args) -> dict:
+    from .bounds import BoundKind, verify_bounds
+    from .exactcore import check_prime
+    from .groups import dihedral_subgroup_counts
+    from .series import exp_transform
+
     m = args.m
     odd_primes = (
         [check_prime(q) for q in _int_list("--odd-primes", args.odd_primes)]
@@ -279,6 +284,8 @@ def _cmd_verify_dihedral(args) -> dict:
 
 
 def _cmd_verify_permutations(args) -> dict:
+    from .applications import CycleRule, verify_permutation_divisibility
+
     base = frozenset(_int_list("--A", args.base_set))
     rule = CycleRule(args.variant, args.p, args.l, base)
     report = verify_permutation_divisibility(rule, args.n_max)
@@ -300,6 +307,8 @@ def _cmd_verify_permutations(args) -> dict:
 
 
 def _cmd_supercongruence(args) -> dict:
+    from .applications import supercongruence_sweep
+
     instances = supercongruence_sweep(args.p, args.a_max)
     rows = [inst.summary() for inst in instances]
     failures = [
@@ -316,6 +325,9 @@ def _cmd_supercongruence(args) -> dict:
 
 
 def _cmd_periodicity(args) -> dict:
+    from .applications import periodicity_detect
+    from .groups import parse_group_spec, subgroup_residues_mod_p
+
     spec = parse_group_spec(args.spec)
     residues = subgroup_residues_mod_p(spec, args.n_max, args.p)
     result = periodicity_detect(residues[1:], args.confirm_window)
@@ -336,6 +348,8 @@ def _cmd_periodicity(args) -> dict:
 
 
 def _cmd_lemmas(args) -> dict:
+    from .bounds import floor_lemma_checks
+
     report = floor_lemma_checks(args.p, args.l, args.i_max, args.j_max, j_min=args.j_min)
     return _document(
         "lemmas",
@@ -383,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze-series", help="check hypotheses and bounds on a series file")
     p_an.add_argument("--input", required=True, help="series file: header 'N p', lines 'n num den'")
     p_an.add_argument("--p", type=int, help="prime (default: from the file header)")
-    p_an.add_argument("--theorem", required=True, choices=sorted(THEOREMS))
+    p_an.add_argument("--theorem", required=True, choices=_THEOREM_CHOICES)
     p_an.add_argument("--l", type=int)
     p_an.add_argument("--m", type=int)
     p_an.add_argument("--n-max", type=int, dest="n_max")
@@ -405,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_vd.set_defaults(func=_cmd_verify_dihedral)
 
     p_vp = sub.add_parser("verify-permutations", help="verify divisibility of restricted-cycle counts")
-    p_vp.add_argument("--variant", required=True, choices=PI_VARIANTS)
+    p_vp.add_argument("--variant", required=True, choices=_VARIANT_CHOICES)
     p_vp.add_argument("--p", type=int, required=True)
     p_vp.add_argument("--l", type=int, required=True)
     p_vp.add_argument("--A", dest="base_set", required=True, help="comma-separated base lengths")

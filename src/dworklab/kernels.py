@@ -101,13 +101,18 @@ def hall_exp(s, nmax, modulus=None):
     reduced modulo it, and s_k counts as zero where it vanishes modulo it;
     within a row, the running sum is reduced too after each gap wider than
     64, so on wide support it stays near the modulus in size instead of
-    growing by every gap factor.  The recurrence is division free, so each
-    entry is congruent to the exact h_n modulo ``modulus``.
+    growing by every gap factor.  A power-of-two modulus reduces the rows
+    by the mask ``modulus - 1``, since CPython's ``%`` runs a full long
+    division even then.  The recurrence is division free, so each entry is
+    congruent to the exact h_n modulo ``modulus``.
     """
+    mask = 0
     if modulus is not None:
         if modulus <= 0:
             raise ValueError("modulus must be positive")
         s = [x % modulus for x in s[: nmax + 1]]
+        if not modulus & (modulus - 1):
+            mask = modulus - 1
     h = [0] * (nmax + 1)
     h[0] = 1 if modulus is None else 1 % modulus
     terms = []  # (a, s_a) for the nonzero s_a with a <= n, highest a first
@@ -120,11 +125,13 @@ def hall_exp(s, nmax, modulus=None):
         for a, sa in terms:
             acc = acc * math.perm(n - a, b - a) + sa * h[n - a]
             if b - a > _WIDE_GAP and modulus is not None:
-                acc %= modulus
+                acc = acc & mask if mask else acc % modulus
             b = a
         if b > 1:
             acc *= math.perm(n - 1, b - 1)
-        h[n] = acc if modulus is None else acc % modulus
+        if modulus is not None:
+            acc = acc & mask if mask else acc % modulus
+        h[n] = acc
     return h
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dworklab import cli
+from dworklab import applications, cli
 from dworklab.cli import build_parser, main
 from dworklab.series import THEOREMS, dump_log_series
 
@@ -324,6 +324,12 @@ def test_analyze_series_theorem_choices_are_the_theorem_table():
     assert list(option.choices) == sorted(THEOREMS)
 
 
+def test_verify_permutations_variant_choices_are_the_rule_variants():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    option = next(a for a in sub.choices["verify-permutations"]._actions if a.dest == "variant")
+    assert tuple(option.choices) == applications.PI_VARIANTS
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["verify-group"])  # missing --spec
@@ -394,9 +400,9 @@ def test_every_subcommand_reports_flat_rows(monkeypatch, tmp_path):
     docs = []
     monkeypatch.setattr(cli, "_emit", lambda doc, fmt, output: docs.append(doc))
     # no permutation rule at hand is violated, so report two made-up violations
-    real = cli.verify_permutation_divisibility
+    real = applications.verify_permutation_divisibility
     monkeypatch.setattr(
-        cli,
+        applications,
         "verify_permutation_divisibility",
         lambda rule, n_max: real(rule, n_max)._replace(violations=[3, 5]),
     )

@@ -1,9 +1,11 @@
 """Every name a module of the package or of the tests imports is used in
 that module, and every module-private top-level name of the package is
 referenced in its own module.  No module of the package imports
-`dataclasses` or `inspect`, and importing the CLI loads neither.
-Importing the group layer loads neither the bound catalog nor
-`fractions`.
+`dataclasses` or `inspect`, and importing the CLI loads neither, nor
+any layer below the package root: each subcommand loads what it runs,
+and a periodicity run loads neither the bound catalog nor the series
+layer.  Importing the group layer loads neither the bound catalog nor
+`fractions`, and importing the series layer loads no group layer.
 
 No lint tool is part of the toolchain, so this is the check.  Names
 listed in ``__all__`` and the package's ``__init__`` (whose imports are
@@ -148,11 +150,12 @@ def test_no_heavy_imports(path):
     assert sorted(found.intersection(HEAVY_MODULES)) == []
 
 
-def modules_loaded_by(module: str) -> list[str]:
-    """Every module a fresh interpreter holds after ``import module``."""
+def modules_loaded_by(module: str, then: str = "") -> list[str]:
+    """Every module a fresh interpreter holds after ``import module`` and
+    then the statement ``then``."""
     # -S keeps the .pth files of site-packages, which may import anything,
     # out of the check
-    code = f"import {module}, sys; print(*sorted(sys.modules))"
+    code = f"import {module}, sys\n{then}\nprint(*sorted(sys.modules))"
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     run = subprocess.run(
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
@@ -164,6 +167,19 @@ def test_cli_import_loads_no_heavy_module():
     loaded = modules_loaded_by("dworklab.cli")
     assert "dworklab.cli" in loaded
     assert [m for m in HEAVY_MODULES if m in loaded] == []
+    # each layer below the package root loads in the subcommands that run
+    # it, since a process compiles every source it loads when no bytecode
+    # is cached
+    layers = ("dworklab.bounds", "dworklab.series", "dworklab.groups", "dworklab.applications")
+    assert [m for m in layers + ("fractions", "decimal") if m in loaded] == []
+
+
+def test_periodicity_run_loads_neither_bounds_nor_series():
+    argv = ["periodicity", "--spec", "C[2]*C[4]", "--p", "2", "--n-max", "60", "--output", os.devnull]
+    loaded = modules_loaded_by("dworklab.cli", f"assert dworklab.cli.main({argv!r}) == 0")
+    assert "dworklab.applications" in loaded and "dworklab.groups" in loaded
+    outside = ("dworklab.bounds", "dworklab.series", "fractions")
+    assert [m for m in outside if m in loaded] == []
 
 
 # The lattice oracle runs each operation in a fresh interpreter that
@@ -175,6 +191,14 @@ def test_group_layer_import_loads_only_the_group_layer():
     assert "dworklab.groups" in loaded
     outside = ("dworklab.bounds", "dworklab.series", "dworklab.applications", "fractions", "decimal")
     assert [m for m in outside if m in loaded] == []
+
+
+# `analyze-series` runs the series layer and the bound catalog, and reads
+# no partition, so it never needs the group layer.
+def test_series_import_loads_no_group_layer():
+    loaded = modules_loaded_by("dworklab.series")
+    assert "dworklab.bounds" in loaded
+    assert "dworklab.groups" not in loaded
 
 
 # Public names that nothing in the package or the benchmark calls, each

@@ -107,7 +107,7 @@ def _support_cases(draw):
     indices spread up to past N), or empty; where a modulus is drawn, some
     nonzero s_k may be multiples of it."""
     nmax = draw(st.integers(0, 300))
-    modulus = draw(st.sampled_from([None, 1, 2, 7, 3**5, 2**64 + 13, 5**90]))
+    modulus = draw(st.sampled_from([None, 1, 2, 7, 3**5, 2**64, 2**64 + 13, 5**90]))
     shape = draw(st.sampled_from(["dense", "gapped", "wide", "empty"]))
     if shape == "empty":
         return [], nmax, modulus
@@ -137,6 +137,7 @@ def _support_cases(draw):
 @example(([0, 0, 7, 0, 14, 0, 21, 1], 30, 7))  # all but s_7 vanish mod 7
 @example(([0] + [(7 * k * k) % 201 - 100 for k in range(1, 321)], 300, None))  # dense, wide
 @example(([0] + [(7 * k * k) % 201 - 100 for k in range(1, 321)], 300, 5**90))
+@example(([0, -3] + [0] * 80 + [-5], 200, 2**40))  # a power of two, masked after a gap of 81
 def test_hall_exp_matches_pochhammer_loop(case):
     s, nmax, modulus = case
     assert kernels.hall_exp(s, nmax, modulus) == hall_exp_pochhammer(s, nmax, modulus)
