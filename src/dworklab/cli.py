@@ -10,7 +10,8 @@ Each `dworklab` process pays for every package module it loads (and,
 without a bytecode cache, compiles it), so this module imports only the
 package root at module level and each subcommand handler imports the
 layers it runs; README, "Layout", lists them.  A `periodicity` run loads
-neither the bound catalog nor the series layer.
+neither the bound catalog nor the series layer, and a `verify-dihedral`
+run, which calls `kernels.hall_exp` itself, no series layer.
 """
 
 from __future__ import annotations
@@ -243,7 +244,7 @@ def _cmd_verify_dihedral(args) -> dict:
     from .bounds import BoundKind, verify_bounds
     from .exactcore import check_prime
     from .groups import dihedral_subgroup_counts
-    from .series import exp_transform
+    from .kernels import hall_exp
 
     m = args.m
     odd_primes = (
@@ -251,7 +252,7 @@ def _cmd_verify_dihedral(args) -> dict:
         if args.odd_primes
         else []
     )
-    h = exp_transform(dihedral_subgroup_counts(m).values(args.n_max))
+    h = hall_exp(dihedral_subgroup_counts(m).values(args.n_max), args.n_max)
     kind = BoundKind("thm5.5", 2, dihedral_m=m)
     report = verify_bounds(h, kind)
     exhibitions = {}

@@ -333,9 +333,14 @@ def hall_log_mod_residues(h, p, nmax):
       e_n + delta_j + delta~_j - delta_j, so beta_j s_(n-j) is right
       modulo p^(e_n + delta~_j), which the factor p^(d - delta~_j) lifts
       to p^(e_n + d).
-    - The terms j < B0 = `_NEAR` (32) are summed in row n by Horner over
-      the runs of equal delta~: one sum of products per run, then one
-      multiplication by a small p^(gap).
+    - The terms j < B0 = `_NEAR` (32) are summed in row n directly.
+      Their beta_j are lifted once, before the first row, to the top
+      exponent T = delta~_(B0-1) (or delta~_(nmax-1) when nmax < B0), as
+      p^(T - delta~_j) beta_j, so row n takes one sum of products and
+      multiplies it by p^(d - T), or divides it by p^(T - d).  The
+      division is exact, since each near term of row n has delta~_j <=
+      delta~_(n-1) = d, and so row n's integer is that of the sum of
+      p^(d - delta~_j) beta_j s_(n-j).
     - Every term j >= B0 comes from a block product, by the schedule of
       semi-relaxed multiplication (van der Hoeven 2002).  When row n
       completes the aligned block s_(n+1-L)..s_n, L | n+1, it is
@@ -391,28 +396,21 @@ def hall_log_mod_residues(h, p, nmax):
         cut, red = (lambda k: (1 << k) - 1), operator.and_
     else:
         cut, red = (lambda k: p**k), operator.mod
-    modulus = p**C
-    if len(h) <= nmax or h[0] % modulus != 1 % modulus:
-        raise ValueError("h must cover 0..nmax and have h_0 = 1")
     cut_c = cut(C)
+    hred = [red(x, cut_c) for x in h[: nmax + 1]]  # h modulo p**C
+    if len(hred) <= nmax or hred[0] != 1:
+        raise ValueError("h must cover 0..nmax and have h_0 = 1")
     # the interpreter may lower the int/str limit (0: none, as before 3.11)
     digit_cap = min(_DIGIT_CAP, getattr(sys, "get_int_max_str_digits", int)() or _DIGIT_CAP)
-    delta, loss = _precision_plan([red(x, cut_c) for x in h[: nmax + 1]], p, nmax)
+    delta, loss = _precision_plan(hred, p, nmax)
+    del hred  # C digits of every h_j, which no row reads: free them
     e = [0] + [1 + loss[nmax - n + 1] for n in range(1, nmax + 1)]
-    # dt[j] = delta~_j; runs of equal delta~ as [first j, last j + 1, delta~]
-    dt = []
-    runs = []
+    dt = []  # dt[j] = delta~_j
     top = 0
     for lo in range(0, nmax, _BLOCK):
         block = delta[lo : lo + _BLOCK]
         top = max(top, *block)
         dt += [top] * len(block)
-        if runs and runs[-1][2] == top:
-            runs[-1][1] = lo + len(block)
-        else:
-            runs.append([lo, lo + len(block), top])
-    if runs:
-        runs[0][0] = 1  # the sum over j starts at j = 1
     pw = [p**i for i in range(top + 1)]
     w, m = [], []
     for wj, mj in _factorial_parts(p, nmax):
@@ -444,8 +442,10 @@ def hall_log_mod_residues(h, p, nmax):
         return red(x * inv[j], mods[j])
 
     beta = [scaled(h[j], j) for j in range(nmax)]
+    # the near terms' beta_j lifted to one exponent T, as p^(T - delta~_j) beta_j
+    T = max(dt[:_NEAR], default=0)  # delta~ is nondecreasing
+    lifted = [x * pw[T - d] for x, d in zip(beta[:_NEAR], dt)]
     s = [0] * (nmax + 1)  # s_n modulo p^(e_n)
-    residues = [0] * (nmax + 1)
     far = [0] * (nmax + 1)  # far[t]: row t's terms j >= _NEAR, scaled by p^(delta~_(t-1))
 
     def add_block(m0, m1, j0, j1):
@@ -476,23 +476,16 @@ def hall_log_mod_residues(h, p, nmax):
                 far[t] += x * pw[shift] if shift >= 0 else x // pw[-shift]
 
     for n in range(1, nmax + 1):
-        acc = 0
-        prev = 0
         near = min(n, _NEAR)
-        for lo, hi, d in runs:
-            if lo >= near:
-                break
-            hi = min(hi, near)
-            tail = sum([x * y for x, y in zip(beta[lo:hi], s[n - lo : n - hi : -1])])
-            acc = acc * pw[d - prev] + tail
-            prev = d
+        acc = sum([x * y for x, y in zip(lifted[1:near], s[n - 1 : n - near : -1])])
         d = dt[n - 1]
-        acc = red(scaled(h[n], n - 1) - acc * pw[d - prev] - far[n], mods[n - 1])
+        # exact: each near term of row n has delta~_j <= delta~_(n-1)
+        acc = acc * pw[d - T] if d >= T else acc // pw[T - d]
+        acc = red(scaled(h[n], n - 1) - acc - far[n], mods[n - 1])
         q, r = divmod(acc, pw[d])
         if r:
             raise ValueError(f"inverse transform not integral at n={n}")
         s[n] = q
-        residues[n] = q % p
         # the aligned s-blocks that end at n: length L meets j in [L, 2L),
         # length _CAP every [c _CAP, (c+1) _CAP), c >= 1
         size = _NEAR
@@ -502,4 +495,4 @@ def hall_log_mod_residues(h, p, nmax):
         if size == _CAP and (n + 1) % _CAP == 0:
             for lo in range(_CAP, nmax - n + _CAP, _CAP):
                 add_block(n + 1 - _CAP, n + 1, lo, lo + _CAP)
-    return residues
+    return [x % p for x in s]

@@ -182,6 +182,35 @@ def test_periodicity_run_loads_neither_bounds_nor_series():
     assert [m for m in outside if m in loaded] == []
 
 
+# The layers below the package root that each subcommand loads, as README,
+# "Layout", lists them; every run loads the root (`exactcore`, `kernels`)
+# and the CLI besides.
+SUBCOMMAND_LAYERS = [
+    (["periodicity", "--spec", "C[2]*C[4]", "--p", "2", "--n-max", "60"], {"groups", "applications"}),
+    (["supercongruence", "--p", "3", "--a-max", "2"], {"applications"}),
+    (
+        ["verify-permutations", "--variant", "pi2", "--p", "3", "--l", "1", "--A", "1", "--n-max", "60"],
+        {"applications", "bounds"},
+    ),
+    (["lemmas", "--p", "2", "--l", "1", "--i-max", "10", "--j-max", "4"], {"bounds"}),
+    (["analyze-series", "--theorem", "cor2.4", "--l", "2"], {"series", "bounds"}),
+    (["verify-group", "--spec", "A[3;1,1]", "--n-max", "60"], {"groups", "series", "bounds"}),
+    (["verify-dihedral", "--m", "12", "--n-max", "64"], {"groups", "bounds"}),
+]
+
+
+@pytest.mark.parametrize("argv, layers", SUBCOMMAND_LAYERS, ids=[c[0][0] for c in SUBCOMMAND_LAYERS])
+def test_subcommand_loads_its_layers(tmp_path, argv, layers):
+    if argv[0] == "analyze-series":
+        series = tmp_path / "inv.series"
+        series.write_text("4 2\n1 1 1\n2 1 1\n3 0 1\n4 0 1\n", encoding="utf-8")
+        argv = argv + ["--input", str(series)]
+    argv = argv + ["--output", os.devnull]
+    loaded = modules_loaded_by("dworklab.cli", f"assert dworklab.cli.main({argv!r}) == 0")
+    root = {"dworklab", "dworklab.cli", "dworklab.exactcore", "dworklab.kernels"}
+    assert {m for m in loaded if m.split(".")[0] == "dworklab"} == root | {f"dworklab.{m}" for m in layers}
+
+
 # The lattice oracle runs each operation in a fresh interpreter that
 # imports only the group layer, and pays for every module that loads.  The
 # bound catalog, the series layer and `fractions` (which loads `decimal`)

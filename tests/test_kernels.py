@@ -260,6 +260,21 @@ def test_hall_log_mod_residues_rejects_inexact_scaling(kern):
         kern.hall_log_mod_residues(bad, 2, 200)
 
 
+@pytest.mark.parametrize("p", [2, 3])  # the mask path and the % path
+def test_hall_log_mod_residues_checks_its_input(kern, p):
+    nmax = 40
+    s = [0] + [k % 7 - 3 for k in range(1, nmax + 1)]
+    h = kern.hall_exp(s, nmax)
+    message = "h must cover 0..nmax and have h_0 = 1"
+    with pytest.raises(ValueError, match=message):
+        kern.hall_log_mod_residues(h[:nmax], p, nmax)
+    with pytest.raises(ValueError, match=message):
+        kern.hall_log_mod_residues([2] + h[1:], p, nmax)
+    # h_0 is read modulo p**C
+    C = kern.log_residue_precision(nmax, p)
+    assert kern.hall_log_mod_residues([1 + p**C] + h[1:], p, nmax) == [x % p for x in s]
+
+
 # block lengths for the scaling exponents: one run per j, short runs that
 # split at every step of delta, and the default
 _BLOCKS = st.sampled_from(sorted({1, 2, 3, kernels._BLOCK}))
