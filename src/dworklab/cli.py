@@ -4,7 +4,11 @@ Every run is fully determined by its flags: reports carry no timestamps
 or machine identifiers, so identical invocations produce byte-identical
 JSON documents.  Exit status is 0 exactly when no bound violation,
 hypothesis failure, tightness-claim failure, or oracle mismatch was
-found, and nonzero otherwise.
+found, and nonzero otherwise.  A report's `parameters` lists every flag
+except `--output`, which only chooses where the report goes, with the
+values the subcommand resolved in place of the raw ones: the prime read
+from a series file, the truncation used, a group spec in canonical form,
+the parsed odd primes and the sorted base set.
 
 Each `dworklab` process pays for every package module it loads (and,
 without a bytecode cache, compiles it), so this module imports only the
@@ -48,6 +52,14 @@ def _hypothesis_dict(report) -> dict:
         "overall": "pass" if report.overall else "fail",
         "fully_verified": report.fully_verified,
     }
+
+
+def _parameters(args, **resolved) -> dict:
+    """Every flag but ``--output``, which does not change the report, with
+    the values the subcommand resolved in place of the raw ones."""
+    params = {k: v for k, v in vars(args).items() if k not in ("func", "subcommand", "output")}
+    params.update(resolved)
+    return params
 
 
 def _document(command: str, parameters: dict, truncation, rows, summary, failed):
@@ -142,16 +154,8 @@ def _cmd_analyze_series(args) -> dict:
     report = verify_bounds(exp_transform(s[: n_hi + 1]), hyp.kind)
     failed = not (hyp.overall and report.ok)
     return _document(
-        "analyze-series",
-        {
-            "input": args.input,
-            "p": p,
-            "theorem": args.theorem,
-            "l": args.l,
-            "m": args.m,
-            "n_max": n_hi,
-            "format": args.format,
-        },
+        args.subcommand,
+        _parameters(args, p=p, n_max=n_hi),
         len(s) - 1,
         [row.as_dict() for row in report.rows],
         {"bounds": report.summary(), "hypothesis": _hypothesis_dict(hyp)},
@@ -212,8 +216,8 @@ def _cmd_verify_group(args) -> dict:
         or bool(profile_failures)
     )
     return _document(
-        "verify-group",
-        {"spec": spec.canonical(), "p": p, "n_max": n_max, "format": args.format},
+        args.subcommand,
+        _parameters(args, spec=spec.canonical(), p=p),
         n_max,
         [row.as_dict() for row in report.rows],
         {
@@ -265,14 +269,8 @@ def _cmd_verify_dihedral(args) -> dict:
         exhibitions[str(p)] = first
     failed = not report.ok or any(v is None for v in exhibitions.values())
     return _document(
-        "verify-dihedral",
-        {
-            "m": m,
-            "n_max": args.n_max,
-            "odd_primes": odd_primes,
-            "odd_n_max": args.odd_n_max,
-            "format": args.format,
-        },
+        args.subcommand,
+        _parameters(args, odd_primes=odd_primes),
         args.n_max,
         [row.as_dict() for row in report.rows],
         {
@@ -287,19 +285,12 @@ def _cmd_verify_dihedral(args) -> dict:
 def _cmd_verify_permutations(args) -> dict:
     from .applications import CycleRule, verify_permutation_divisibility
 
-    base = frozenset(_int_list("--A", args.base_set))
+    base = frozenset(_int_list("--A", args.A))
     rule = CycleRule(args.variant, args.p, args.l, base)
     report = verify_permutation_divisibility(rule, args.n_max)
     return _document(
-        "verify-permutations",
-        {
-            "variant": args.variant,
-            "p": args.p,
-            "l": args.l,
-            "A": sorted(base),
-            "n_max": args.n_max,
-            "format": args.format,
-        },
+        args.subcommand,
+        _parameters(args, A=sorted(base)),
         args.n_max,
         [{"n": n} for n in report.violations],
         report.summary(),
@@ -316,8 +307,8 @@ def _cmd_supercongruence(args) -> dict:
         {"a": i.a, "b": i.b, "c": i.c} for i in instances if not i.passed
     ]
     return _document(
-        "supercongruence",
-        {"p": args.p, "a_max": args.a_max, "format": args.format},
+        args.subcommand,
+        _parameters(args),
         None,
         rows,
         {"instances": len(instances), "failures": failures},
@@ -333,14 +324,8 @@ def _cmd_periodicity(args) -> dict:
     residues = subgroup_residues_mod_p(spec, args.n_max, args.p)
     result = periodicity_detect(residues[1:], args.confirm_window)
     return _document(
-        "periodicity",
-        {
-            "spec": spec.canonical(),
-            "p": args.p,
-            "n_max": args.n_max,
-            "confirm_window": args.confirm_window,
-            "format": args.format,
-        },
+        args.subcommand,
+        _parameters(args, spec=spec.canonical()),
         args.n_max,
         [{"n": n, "residue": r} for n, r in enumerate(residues[1:], start=1)],
         result.summary(),
@@ -353,15 +338,8 @@ def _cmd_lemmas(args) -> dict:
 
     report = floor_lemma_checks(args.p, args.l, args.i_max, args.j_max, j_min=args.j_min)
     return _document(
-        "lemmas",
-        {
-            "p": args.p,
-            "l": args.l,
-            "i_max": args.i_max,
-            "j_max": args.j_max,
-            "j_min": args.j_min,
-            "format": args.format,
-        },
+        args.subcommand,
+        _parameters(args),
         None,
         [
             {"lemma": "floor-sum-gap", "i": i, "j": j}
@@ -423,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_vp.add_argument("--variant", required=True, choices=_VARIANT_CHOICES)
     p_vp.add_argument("--p", type=int, required=True)
     p_vp.add_argument("--l", type=int, required=True)
-    p_vp.add_argument("--A", dest="base_set", required=True, help="comma-separated base lengths")
+    p_vp.add_argument("--A", dest="A", metavar="BASE_SET", required=True, help="comma-separated base lengths")
     p_vp.add_argument("--n-max", type=int, dest="n_max", default=200)
     _add_common(p_vp)
     p_vp.set_defaults(func=_cmd_verify_permutations)

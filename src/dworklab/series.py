@@ -348,10 +348,7 @@ def check_hypotheses(
             status = UNVERIFIABLE
         else:
             status = PASS
-        note = c.note
-        if c.beyond:
-            note = (note + "; " if note else "") + "indices beyond N unverifiable"
-        verdicts.append(ConditionVerdict(c.name, status, failure, note))
+        verdicts.append(ConditionVerdict(c.name, status, failure, c.note))
     overall = all(v.status != FAIL for v in verdicts)
     fully = overall and not any(c.beyond for c in conditions)
     return HypothesisReport(theorem, kind, tuple(verdicts), overall, fully)

@@ -421,7 +421,12 @@ def test_every_subcommand_reports_flat_rows(monkeypatch, tmp_path):
     assert set(argvs) == set(sub.choices)
     for name, flags in argvs.items():
         main([name, *flags])
-        rows = docs.pop()["rows"]
+        doc = docs.pop()
+        # a report names its subcommand and records every flag but --output
+        assert doc["command"] == name
+        dests = {a.dest for a in sub.choices[name]._actions} - {"help", "output"}
+        assert dests <= set(doc["parameters"]), name
+        rows = doc["rows"]
         assert rows, name
         for row in rows:
             assert type(row) is dict and row, name

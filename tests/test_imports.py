@@ -174,14 +174,6 @@ def test_cli_import_loads_no_heavy_module():
     assert [m for m in layers + ("fractions", "decimal") if m in loaded] == []
 
 
-def test_periodicity_run_loads_neither_bounds_nor_series():
-    argv = ["periodicity", "--spec", "C[2]*C[4]", "--p", "2", "--n-max", "60", "--output", os.devnull]
-    loaded = modules_loaded_by("dworklab.cli", f"assert dworklab.cli.main({argv!r}) == 0")
-    assert "dworklab.applications" in loaded and "dworklab.groups" in loaded
-    outside = ("dworklab.bounds", "dworklab.series", "fractions")
-    assert [m for m in outside if m in loaded] == []
-
-
 # The layers below the package root that each subcommand loads, as README,
 # "Layout", lists them; every run loads the root (`exactcore`, `kernels`)
 # and the CLI besides.
@@ -209,6 +201,8 @@ def test_subcommand_loads_its_layers(tmp_path, argv, layers):
     loaded = modules_loaded_by("dworklab.cli", f"assert dworklab.cli.main({argv!r}) == 0")
     root = {"dworklab", "dworklab.cli", "dworklab.exactcore", "dworklab.kernels"}
     assert {m for m in loaded if m.split(".")[0] == "dworklab"} == root | {f"dworklab.{m}" for m in layers}
+    # `fractions` loads with `bounds` or `series` and with nothing else
+    assert ("fractions" in loaded) == bool(layers & {"bounds", "series"})
 
 
 # The lattice oracle runs each operation in a fresh interpreter that

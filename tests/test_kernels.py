@@ -26,46 +26,40 @@ from conftest import (
 from dworklab import kernels
 
 
-# one parameter, so that each test id names the kernel implementation
-@pytest.fixture(params=[kernels], ids=[kernels.BACKEND])
-def kern(request):
-    return request.param
-
-
-def test_hall_exp_matches_polynomial_exponential(kern):
+def test_hall_exp_matches_polynomial_exponential():
     rng = random.Random(11)
     for _ in range(5):
         svals = [0] + [rng.randint(-9, 9) for _ in range(40)]
         expected = poly_exp_oracle(svals)
-        got = kern.hall_exp(svals, 40)
+        got = kernels.hall_exp(svals, 40)
         assert all(e.denominator == 1 for e in expected)
         assert got == [e.numerator for e in expected]
 
 
-def test_hall_exp_involutions(kern):
-    h = kern.hall_exp([0, 1, 1], 100)
+def test_hall_exp_involutions():
+    h = kernels.hall_exp([0, 1, 1], 100)
     assert h == involution_oracle(100)
 
 
-def test_hall_exp_short_series(kern):
+def test_hall_exp_short_series():
     # entries beyond len(s)-1 count as zero
-    assert kern.hall_exp([0, 1], 5) == [1, 1, 1, 1, 1, 1]
-    assert kern.hall_exp([], 3) == [1, 0, 0, 0]
+    assert kernels.hall_exp([0, 1], 5) == [1, 1, 1, 1, 1, 1]
+    assert kernels.hall_exp([], 3) == [1, 0, 0, 0]
 
 
 # the modular path of hall_exp against its own exact path, at 80 terms
-def test_hall_exp_mod_matches_exact(kern):
+def test_hall_exp_mod_matches_exact():
     rng = random.Random(13)
     svals = [0] + [rng.randint(-30, 30) for _ in range(80)]
-    h = kern.hall_exp(svals, 80)
+    h = kernels.hall_exp(svals, 80)
     for modulus in (2**20, 3**13, 997):
-        assert kern.hall_exp(svals, 80, modulus) == [x % modulus for x in h]
+        assert kernels.hall_exp(svals, 80, modulus) == [x % modulus for x in h]
 
 
-def test_hall_exp_rejects_nonpositive_modulus(kern):
+def test_hall_exp_rejects_nonpositive_modulus():
     for modulus in (0, -3):
         with pytest.raises(ValueError, match="modulus must be positive"):
-            kern.hall_exp([0, 1, 1], 4, modulus)
+            kernels.hall_exp([0, 1, 1], 4, modulus)
 
 
 @st.composite
@@ -159,20 +153,20 @@ def test_hall_exp_mod_reduces_across_wide_gaps(p, w, nmax, modulus):
     assert kernels.hall_exp(s, nmax, modulus) == [x % modulus for x in exact]
 
 
-def test_hall_log_mod_residues_matches_exact(kern):
+def test_hall_log_mod_residues_matches_exact():
     rng = random.Random(14)
     for p in (2, 3, 5):
         svals = [0] + [rng.randint(-50, 50) for _ in range(80)]
-        h = kern.hall_exp(svals, 80)
-        residues = kern.hall_log_mod_residues(h, p, 80)
+        h = kernels.hall_exp(svals, 80)
+        residues = kernels.hall_log_mod_residues(h, p, 80)
         assert residues == [x % p for x in svals]
-        C = kern.log_residue_precision(80, p)
+        C = kernels.log_residue_precision(80, p)
         # the single scaled path is always feasible
         P, D = _plan([x % p**C for x in h], p, 80)
         assert 1 <= P <= C and 0 <= D <= C - 1
         # h reduced modulo p**(2C - 1) must give the same answer
         reduced = [x % p ** (2 * C - 1) for x in h]
-        assert kern.hall_log_mod_residues(reduced, p, 80) == residues
+        assert kernels.hall_log_mod_residues(reduced, p, 80) == residues
 
 
 def _plan(hred, p, n):
@@ -219,15 +213,15 @@ def test_row_precision_covers_the_loss(text, p, n):
 
 
 @pytest.mark.parametrize("text, p, n", [case[:3] for case in _PLAN_CASES])
-def test_hall_log_mod_residues_reads_2c_minus_1_digits(kern, text, p, n):
+def test_hall_log_mod_residues_reads_2c_minus_1_digits(text, p, n):
     # exact h and h modulo p**(2C - 1) give the same residues at P = 1,
     # at P > 1 and at P = C
     h, C, _ = _reduced_hom_counts(text, p, n)
     reduced = [x % p ** (2 * C - 1) for x in h]
-    assert kern.hall_log_mod_residues(reduced, p, n) == kern.hall_log_mod_residues(h, p, n)
+    assert kernels.hall_log_mod_residues(reduced, p, n) == kernels.hall_log_mod_residues(h, p, n)
 
 
-def test_hall_log_mod_residues_rejects_inexact_scaling(kern):
+def test_hall_log_mod_residues_rejects_inexact_scaling():
     # P = 1, D = 0: an odd h_N makes h_N / p^(w_(N-1)) inexact
     h, C, hred = _reduced_hom_counts("C[2]*C[16]", 2, 200)
     assert _plan(hred, 2, 200) == (1, 0)
@@ -235,7 +229,7 @@ def test_hall_log_mod_residues_rejects_inexact_scaling(kern):
     bad[200] += 1
     assert _plan(bad, 2, 200) == (1, 0)
     with pytest.raises(ValueError, match="not integral at n=200"):
-        kern.hall_log_mod_residues(bad, 2, 200)
+        kernels.hall_log_mod_residues(bad, 2, 200)
 
     # D > 0: adding p^(w_(N-1) - 1) to h_N keeps the division by
     # p^(w_(N-1) - D) exact but leaves s_N with valuation -1, so the final
@@ -247,7 +241,7 @@ def test_hall_log_mod_residues_rejects_inexact_scaling(kern):
     bad[200] += 2 ** (C - 2)  # C - 1 = v_2(199!)
     assert _plan(bad, 2, 200) == (P, D)
     with pytest.raises(ValueError, match="not integral at n=200"):
-        kern.hall_log_mod_residues(bad, 2, 200)
+        kernels.hall_log_mod_residues(bad, 2, 200)
 
     # no 2-part: P = C and D = C - 1, so the leading term of n = N is
     # h_N * 2^(D - w_(N-1)) = h_N and the final division by 2^D = 2^(C-1)
@@ -257,26 +251,27 @@ def test_hall_log_mod_residues_rejects_inexact_scaling(kern):
     bad = h[:]
     bad[200] += 1
     with pytest.raises(ValueError, match="not integral at n=200"):
-        kern.hall_log_mod_residues(bad, 2, 200)
+        kernels.hall_log_mod_residues(bad, 2, 200)
 
 
 @pytest.mark.parametrize("p", [2, 3])  # the mask path and the % path
-def test_hall_log_mod_residues_checks_its_input(kern, p):
+def test_hall_log_mod_residues_checks_its_input(p):
     nmax = 40
     s = [0] + [k % 7 - 3 for k in range(1, nmax + 1)]
-    h = kern.hall_exp(s, nmax)
+    h = kernels.hall_exp(s, nmax)
     message = "h must cover 0..nmax and have h_0 = 1"
     with pytest.raises(ValueError, match=message):
-        kern.hall_log_mod_residues(h[:nmax], p, nmax)
+        kernels.hall_log_mod_residues(h[:nmax], p, nmax)
     with pytest.raises(ValueError, match=message):
-        kern.hall_log_mod_residues([2] + h[1:], p, nmax)
+        kernels.hall_log_mod_residues([2] + h[1:], p, nmax)
     # h_0 is read modulo p**C
-    C = kern.log_residue_precision(nmax, p)
-    assert kern.hall_log_mod_residues([1 + p**C] + h[1:], p, nmax) == [x % p for x in s]
+    C = kernels.log_residue_precision(nmax, p)
+    assert kernels.hall_log_mod_residues([1 + p**C] + h[1:], p, nmax) == [x % p for x in s]
 
 
-# block lengths for the scaling exponents: one run per j, short runs that
-# split at every step of delta, and the default
+# block lengths of delta~, the scaling exponent shared by `_BLOCK`
+# consecutive j: 1, where delta~ is the running maximum of delta and can
+# step at every j, blocks of 2 and 3, and the default
 _BLOCKS = st.sampled_from(sorted({1, 2, 3, kernels._BLOCK}))
 _GROUP_FACTORS = ["C[2]", "C[3]", "C[4]", "C[6]", "C[9]", "C[16]", "D[3]", "A[2;1,1]", "A[3;1,1]"]
 
@@ -502,14 +497,14 @@ def test_decimal_products_respect_a_lowered_int_str_limit():
     assert child.stdout == f"{kernels.hall_log_mod_residues(h, 2, 1200)}\n"
 
 
-def test_log_residue_precision(kern):
+def test_log_residue_precision():
     # C = v_p((n-1)!) + 1, against the valuation of the factorial itself
     for p in (2, 3, 7):
         for n in (1, 10, 401):
-            assert kern.log_residue_precision(n, p) == naive_vp(math.factorial(n - 1), p) + 1
+            assert kernels.log_residue_precision(n, p) == naive_vp(math.factorial(n - 1), p) + 1
 
 
-def test_vp_int(kern):
+def test_vp_int():
     rng = random.Random(15)
     for p in (2, 3, 5, 97):
         for _ in range(50):
@@ -518,10 +513,10 @@ def test_vp_int(kern):
                 unit += 1
             v = rng.randint(0, 300)
             x = unit * p**v
-            assert kern.vp_int(x, p) == v == naive_vp(x, p)
-            assert kern.vp_int(-x, p) == v
+            assert kernels.vp_int(x, p) == v == naive_vp(x, p)
+            assert kernels.vp_int(-x, p) == v
     with pytest.raises(ValueError):
-        kern.vp_int(0, 3)
+        kernels.vp_int(0, 3)
 
 
 @settings(deadline=None, max_examples=300)
@@ -542,12 +537,12 @@ def _klein_table():
     return _addition_table((1, 1), 2)
 
 
-def test_subgroup_lattice_sizes_klein(kern):
+def test_subgroup_lattice_sizes_klein():
     order, flat = _klein_table()
-    assert kern.subgroup_lattice_sizes(order, 2, flat) == [1, 2, 2, 2, 4]
+    assert kernels.subgroup_lattice_sizes(order, 2, flat) == [1, 2, 2, 2, 4]
     for bad in (flat[:-1], flat + b"\0"):
         with pytest.raises(ValueError, match="wrong size"):
-            kern.subgroup_lattice_sizes(order, 2, bad)
+            kernels.subgroup_lattice_sizes(order, 2, bad)
 
 
 class _Untouchable:
@@ -559,10 +554,10 @@ class _Untouchable:
     __getitem__ = __len__
 
 
-def test_subgroup_lattice_sizes_order_cap(kern):
+def test_subgroup_lattice_sizes_order_cap():
     for table in (bytes(257 * 257), _Untouchable()):
         with pytest.raises(ValueError, match="capped at order 256"):
-            kern.subgroup_lattice_sizes(257, 257, table)
+            kernels.subgroup_lattice_sizes(257, 257, table)
 
 
 # padded odd orders 49, 121 and 169 (and 7, 11, 13 inside them), which the
@@ -574,31 +569,31 @@ LATTICE_CASES = [(p, parts) for p in (7, 11, 13) for parts in ((1, 1), (2,))] + 
 @pytest.mark.parametrize(
     "p,parts", LATTICE_CASES, ids=[f"p{p}-" + ",".join(map(str, parts)) for p, parts in LATTICE_CASES]
 )
-def test_subgroup_lattice_sizes_match_formula(kern, p, parts):
+def test_subgroup_lattice_sizes_match_formula(p, parts):
     from dworklab.groups import PartitionType, _addition_table, abelian_subgroup_counts
 
     order, flat = _addition_table(parts, p)
-    sizes = kern.subgroup_lattice_sizes(order, p, flat)
+    sizes = kernels.subgroup_lattice_sizes(order, p, flat)
     assert sizes == sorted(sizes)
     counts = Counter(order // size for size in sizes)
     assert counts == dict(abelian_subgroup_counts(PartitionType(parts, p)).counts)
     for bad in (flat[:-1], flat + b"\0"):
         with pytest.raises(ValueError, match="wrong size"):
-            kern.subgroup_lattice_sizes(order, p, bad)
+            kernels.subgroup_lattice_sizes(order, p, bad)
 
 
-def test_subgroup_lattice_sizes_c9(kern):
+def test_subgroup_lattice_sizes_c9():
     from dworklab.groups import _addition_table
 
     order, flat = _addition_table((2,), 3)
-    assert kern.subgroup_lattice_sizes(order, 3, flat) == [1, 3, 9]
+    assert kernels.subgroup_lattice_sizes(order, 3, flat) == [1, 3, 9]
 
 
-def test_subgroup_lattice_sizes_elementary27(kern):
+def test_subgroup_lattice_sizes_elementary27():
     from dworklab.groups import _addition_table
 
     order, flat = _addition_table((1, 1, 1), 3)
-    sizes = kern.subgroup_lattice_sizes(order, 3, flat)
+    sizes = kernels.subgroup_lattice_sizes(order, 3, flat)
     # subspace counts of F_3^3: 1, 13, 13, 1
     assert sizes.count(1) == 1
     assert sizes.count(3) == 13
