@@ -379,21 +379,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--theorem", required=True, choices=_THEOREM_CHOICES)
     p_an.add_argument("--l", type=int)
     p_an.add_argument("--m", type=int)
-    p_an.add_argument("--n-max", type=int, dest="n_max")
+    p_an.add_argument("--n-max", type=int)
     _add_common(p_an)
     p_an.set_defaults(func=_cmd_analyze_series)
 
     p_vg = sub.add_parser("verify-group", help="verify bounds/tightness for an abelian p-group")
     p_vg.add_argument("--spec", required=True, help="abelian term, e.g. A[2;1,1]")
-    p_vg.add_argument("--n-max", type=int, dest="n_max", default=512)
+    p_vg.add_argument("--n-max", type=int, default=512)
     _add_common(p_vg)
     p_vg.set_defaults(func=_cmd_verify_group)
 
     p_vd = sub.add_parser("verify-dihedral", help="verify the dihedral 2-adic bound")
     p_vd.add_argument("--m", type=int, required=True, help="dihedral group of order 2m")
-    p_vd.add_argument("--n-max", type=int, dest="n_max", default=512)
-    p_vd.add_argument("--odd-primes", dest="odd_primes", default="3,5")
-    p_vd.add_argument("--odd-n-max", type=int, dest="odd_n_max", default=200)
+    p_vd.add_argument("--n-max", type=int, default=512)
+    p_vd.add_argument("--odd-primes", default="3,5")
+    p_vd.add_argument("--odd-n-max", type=int, default=200)
     _add_common(p_vd)
     p_vd.set_defaults(func=_cmd_verify_dihedral)
 
@@ -401,31 +401,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_vp.add_argument("--variant", required=True, choices=_VARIANT_CHOICES)
     p_vp.add_argument("--p", type=int, required=True)
     p_vp.add_argument("--l", type=int, required=True)
-    p_vp.add_argument("--A", dest="A", metavar="BASE_SET", required=True, help="comma-separated base lengths")
-    p_vp.add_argument("--n-max", type=int, dest="n_max", default=200)
+    p_vp.add_argument("--A", metavar="BASE_SET", required=True, help="comma-separated base lengths")
+    p_vp.add_argument("--n-max", type=int, default=200)
     _add_common(p_vp)
     p_vp.set_defaults(func=_cmd_verify_permutations)
 
     p_sc = sub.add_parser("supercongruence", help="run the binomial-sum supercongruence sweep")
     p_sc.add_argument("--p", type=int, required=True)
-    p_sc.add_argument("--a-max", type=int, dest="a_max", default=4)
+    p_sc.add_argument("--a-max", type=int, default=4)
     _add_common(p_sc)
     p_sc.set_defaults(func=_cmd_supercongruence)
 
     p_pd = sub.add_parser("periodicity", help="detect ultimate periodicity of s_n mod p")
     p_pd.add_argument("--spec", required=True, help="group spec, e.g. C[2]*C[16]")
     p_pd.add_argument("--p", type=int, required=True)
-    p_pd.add_argument("--n-max", type=int, dest="n_max", default=400)
-    p_pd.add_argument("--confirm-window", type=int, dest="confirm_window", default=3)
+    p_pd.add_argument("--n-max", type=int, default=400)
+    p_pd.add_argument("--confirm-window", type=int, default=3)
     _add_common(p_pd)
     p_pd.set_defaults(func=_cmd_periodicity)
 
     p_lm = sub.add_parser("lemmas", help="exhaustively check the floor-sum inequalities")
     p_lm.add_argument("--p", type=int, required=True)
     p_lm.add_argument("--l", type=int, required=True)
-    p_lm.add_argument("--i-max", type=int, dest="i_max", default=200)
-    p_lm.add_argument("--j-max", type=int, dest="j_max", default=50)
-    p_lm.add_argument("--j-min", type=int, dest="j_min", default=0)
+    p_lm.add_argument("--i-max", type=int, default=200)
+    p_lm.add_argument("--j-max", type=int, default=50)
+    p_lm.add_argument("--j-min", type=int, default=0)
     _add_common(p_lm)
     p_lm.set_defaults(func=_cmd_lemmas)
 

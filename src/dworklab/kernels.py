@@ -26,12 +26,13 @@ integers, is `dworklab.series.log_transform`, and here it runs only
 modulo p, in `hall_log_mod_residues`.  That kernel reads its precision
 from h: row n keeps s_n only to the p-adic digits that later rows read of
 it, and the powers of p that the divisions by j! leave are factored out
-of the coefficients block by block, so each product carries only the
-digits its row needs.  Its row sums are semi-relaxed: a row adds its 32
-nearest terms itself, and every other term arrives from a block product,
-formed as soon as its block of s_m is known, of two Kronecker-packed ints
-(van der Hoeven, "Relax, but don't be too lazy", 2002), so one C-level
-product of big ints replaces up to 256^2 Python products.  CPython's int
+of coefficient j up to the running maximum of their losses over i <= j,
+so each product carries only the digits its row needs.  Its row sums are
+semi-relaxed: a row adds its 32 nearest terms itself, and every other
+term arrives from a block product, formed as soon as its block of s_m is
+known, of two Kronecker-packed ints (van der Hoeven, "Relax, but don't be
+too lazy", 2002), so one C-level product of big ints replaces up to 256^2
+Python products.  CPython's int
 product stops at Karatsuba, so wide blocks are packed as decimal digit
 strings and multiplied by `decimal`, whose libmpdec multiplies large
 operands by a number-theoretic transform; `decimal` is imported only then.
@@ -215,8 +216,6 @@ def _factorial_parts(p, stop):
         yield w, m
 
 
-# consecutive j that share one scaling exponent in `hall_log_mod_residues`
-_BLOCK = 64
 # `hall_log_mod_residues` sums the terms j < _NEAR of a row in the row; every
 # other term goes through block products of s-blocks of length _NEAR,
 # 2 _NEAR, ... up to _CAP, a power-of-two multiple of _NEAR
@@ -232,28 +231,28 @@ _DIGIT_CAP = 4300
 
 
 def _precision_plan(hred, p, nmax):
-    """The loss profile (delta, Delta) that `hall_log_mod_residues` runs on.
+    """The scaling exponents and loss profile (delta~, Delta) that
+    `hall_log_mod_residues` runs on.
 
     ``hred`` holds h_0..h_nmax modulo p**C, C = `log_residue_precision(nmax, p)`.
-    delta[j] for 0 <= j < nmax and Delta[n] for 0 <= n <= nmax are as
+    delta~[j] for 0 <= j < nmax and Delta[n] for 0 <= n <= nmax are as
     defined in the kernel's docstring (Delta[0] = Delta[1] = 0); the plan
-    (P, D) of that docstring is (1 + Delta[nmax], max(delta)).  Delta is
-    nondecreasing (delta_1 = 0), so a term Delta_(n-j) + delta_j is
-    dominated by that of an earlier i with delta_i >= delta_j: only the
-    record positions of delta, where it exceeds every earlier delta_i, are
-    taken.
+    (P, D) of that docstring is (1 + Delta[nmax], delta~[-1]).
+    Delta is nondecreasing (delta_1 = 0), so a term Delta_(n-j) + delta_j
+    is dominated by that of an earlier i with delta_i >= delta_j: only the
+    record positions of delta, where it exceeds every earlier delta_i and
+    so where delta~ steps, are taken.
     """
-    delta = [0] * nmax
-    for j, (w, _) in enumerate(_factorial_parts(p, nmax)):
-        # h_j = 0 mod p**C has v_p(h_j) >= C > w, so delta_j = 0
-        if hred[j]:
-            delta[j] = max(w - vp_int(hred[j], p), 0)
+    dt = []
     records = []
     top = 0
-    for j, d in enumerate(delta):
+    for j, (w, _) in enumerate(_factorial_parts(p, nmax)):
+        # h_j = 0 mod p**C has v_p(h_j) >= C > w, so delta_j = 0
+        d = max(w - vp_int(hred[j], p), 0) if hred[j] else 0
         if d > top:
             records.append((j, d))
             top = d
+        dt.append(top)
     loss = [0] * (nmax + 1)
     below = 0  # records[:below] holds the j < n
     for n in range(2, nmax + 1):
@@ -261,7 +260,7 @@ def _precision_plan(hred, p, nmax):
             below += 1
         # delta_1 = 0 (w_1 = 0), so Delta_(n-1) itself is one of the terms
         loss[n] = max(loss[n - 1], max([loss[n - j] + d for j, d in records[:below]], default=0))
-    return delta, loss
+    return dt, loss
 
 
 def _pack(xs, width):
@@ -318,9 +317,8 @@ def hall_log_mod_residues(h, p, nmax):
       Then e_1 = P, e_nmax = 1, e is nonincreasing, and the loss
       recurrence, shifted, gives e_k >= e_n + delta_(n-k) for k < n: the
       digits s_k keeps are the digits every later row reads of it.
-    - delta~_j is the largest delta_i with i at most the end of j's block
-      of `_BLOCK` consecutive j, so delta_j <= delta~_j <= D and delta~ is
-      a nondecreasing step function.  beta_j = p^(delta~_j) a_j
+    - delta~_j = max(delta_0..delta_j), so delta_j <= delta~_j <= D and
+      delta~ is nondecreasing.  beta_j = p^(delta~_j) a_j
       = h_j p^(delta~_j - w_j) / u_j is p-integral, with v_p(beta_j) >=
       delta~_j - delta_j, and is kept modulo p^(e_(j+1) + delta~_j).
     - Row n multiplies the recurrence by p^(d), d = delta~_(n-1):
@@ -402,23 +400,18 @@ def hall_log_mod_residues(h, p, nmax):
         raise ValueError("h must cover 0..nmax and have h_0 = 1")
     # the interpreter may lower the int/str limit (0: none, as before 3.11)
     digit_cap = min(_DIGIT_CAP, getattr(sys, "get_int_max_str_digits", int)() or _DIGIT_CAP)
-    delta, loss = _precision_plan(hred, p, nmax)
+    dt, loss = _precision_plan(hred, p, nmax)  # dt[j] = delta~_j
     del hred  # C digits of every h_j, which no row reads: free them
     e = [0] + [1 + loss[nmax - n + 1] for n in range(1, nmax + 1)]
-    dt = []  # dt[j] = delta~_j
-    top = 0
-    for lo in range(0, nmax, _BLOCK):
-        block = delta[lo : lo + _BLOCK]
-        top = max(top, *block)
-        dt += [top] * len(block)
-    pw = [p**i for i in range(top + 1)]
+    D = dt[-1] if nmax else 0
+    pw = [p**i for i in range(D + 1)]
     w, m = [], []
     for wj, mj in _factorial_parts(p, nmax):
         w.append(wj)
         m.append(mj)
     # red(x, mods[j]) is x modulo p^(e_(j+1) + delta~_j)
     mods = [cut(e[j + 1] + dt[j]) for j in range(nmax)]
-    widest = e[1] + top if nmax else 0
+    widest = e[1] + D if nmax else 0
     work, cut_work = p**widest, cut(widest)  # p^(P+D), the widest of the moduli
     u = 1
     for mj in m:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import accumulate, permutations
 from typing import Iterator, Sequence
 
 from dworklab.groups import GroupSpec, finite_subgroup_counts
@@ -127,12 +127,12 @@ def precision_profile(hred: Sequence[int], p: int, nmax: int) -> tuple[list[int]
     return delta, precision_loss_definition(delta, nmax)
 
 
-def hall_log_mod_residues_rows(h, p, nmax, block=64):
+def hall_log_mod_residues_rows(h, p, nmax):
     """Residues of s_n modulo p from h, the kernel
     `dworklab.kernels.hall_log_mod_residues` as a row loop: row n sums its
     terms beta_j s_(n-j) for every j < n itself, by Horner over the runs of
-    equal delta~ (blocks of ``block`` consecutive j), with one Python
-    product per term.  Same plan, same row moduli and the same
+    equal delta~ (the running maximum of delta), with one Python product
+    per term.  Same plan, same row moduli and the same
     ``ValueError`` at the same n as the kernel."""
     C = log_residue_precision(nmax, p)
     modulus = p**C
@@ -141,19 +141,16 @@ def hall_log_mod_residues_rows(h, p, nmax, block=64):
     delta, loss = precision_profile([x % modulus for x in h[: nmax + 1]], p, nmax)
     e = [0] + [1 + loss[nmax - n + 1] for n in range(1, nmax + 1)]
     # dt[j] = delta~_j; runs of equal delta~ as [first j, last j + 1, delta~]
-    dt = []
+    dt = list(accumulate(delta, max))
     runs = []
-    top = 0
-    for lo in range(0, nmax, block):
-        chunk = delta[lo : lo + block]
-        top = max(top, *chunk)
-        dt += [top] * len(chunk)
-        if runs and runs[-1][2] == top:
-            runs[-1][1] = lo + len(chunk)
+    for j, d in enumerate(dt):
+        if runs and runs[-1][2] == d:
+            runs[-1][1] = j + 1
         else:
-            runs.append([lo, lo + len(chunk), top])
+            runs.append([j, j + 1, d])
     if runs:
         runs[0][0] = 1  # the sum over j starts at j = 1
+    top = dt[-1] if dt else 0
     pw = [p**i for i in range(top + 1)]
     w, m = [], []
     wj = 0

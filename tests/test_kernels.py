@@ -1,6 +1,7 @@
 """Kernel tests: each kernel is checked against an independent oracle or
 known counts."""
 
+import itertools
 import math
 import os
 import random
@@ -269,10 +270,6 @@ def test_hall_log_mod_residues_checks_its_input(p):
     assert kernels.hall_log_mod_residues([1 + p**C] + h[1:], p, nmax) == [x % p for x in s]
 
 
-# block lengths of delta~, the scaling exponent shared by `_BLOCK`
-# consecutive j: 1, where delta~ is the running maximum of delta and can
-# step at every j, blocks of 2 and 3, and the default
-_BLOCKS = st.sampled_from(sorted({1, 2, 3, kernels._BLOCK}))
 _GROUP_FACTORS = ["C[2]", "C[3]", "C[4]", "C[6]", "C[9]", "C[16]", "D[3]", "A[2;1,1]", "A[3;1,1]"]
 
 
@@ -281,39 +278,33 @@ _GROUP_FACTORS = ["C[2]", "C[3]", "C[4]", "C[6]", "C[9]", "C[16]", "D[3]", "A[2;
     factors=st.lists(st.sampled_from(_GROUP_FACTORS), min_size=2, max_size=3),
     p=st.sampled_from([2, 3]),
     n=st.integers(1, 160),
-    block=_BLOCKS,
 )
-@example(factors=["C[4]", "C[6]"], p=2, n=160, block=1)  # 1 < P < C
-@example(factors=["C[3]", "C[9]"], p=2, n=130, block=3)  # no 2-part: P = C
-@example(factors=["C[2]", "C[16]"], p=2, n=160, block=2)  # P = 1, D = 0
-def test_hall_log_mod_residues_matches_exact_subgroup_counts(factors, p, n, block):
+@example(factors=["C[4]", "C[6]"], p=2, n=160)  # 1 < P < C
+@example(factors=["C[3]", "C[9]"], p=2, n=130)  # no 2-part: P = C
+@example(factors=["C[2]", "C[16]"], p=2, n=160)  # P = 1, D = 0
+def test_hall_log_mod_residues_matches_exact_subgroup_counts(factors, p, n):
     from dworklab.groups import hom_count_ints_mod, parse_group_spec
 
     spec = parse_group_spec("*".join(factors))
     exact = subgroup_count_series(spec, n)
     C = kernels.log_residue_precision(n, p)
     h = hom_count_ints_mod(spec, n, p ** (2 * C - 1))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "_BLOCK", block)
-        assert kernels.hall_log_mod_residues(h, p, n) == [x % p for x in exact]
+    assert kernels.hall_log_mod_residues(h, p, n) == [x % p for x in exact]
 
 
 @settings(deadline=None, max_examples=60)
 @given(
     s=st.lists(st.integers(-60, 60), min_size=1, max_size=150),
     p=st.sampled_from([2, 3, 5, 7]),
-    block=_BLOCKS,
 )
-def test_hall_log_mod_residues_inverts_hall_exp(s, p, block):
+def test_hall_log_mod_residues_inverts_hall_exp(s, p):
     # random integer s: h = hall_exp(s) exactly, then reduced to the 2C - 1
     # digits the kernel reads; its delta is mostly w, so D and P are large
     s = [0] + s
     n = len(s) - 1
     C = kernels.log_residue_precision(n, p)
     h = [x % p ** (2 * C - 1) for x in kernels.hall_exp(s, n)]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernels, "_BLOCK", block)
-        assert kernels.hall_log_mod_residues(h, p, n) == [x % p for x in s]
+    assert kernels.hall_log_mod_residues(h, p, n) == [x % p for x in s]
 
 
 @st.composite
@@ -351,10 +342,11 @@ def _delta_profiles(draw):
 @settings(deadline=None, max_examples=60)
 @given(_delta_profiles())
 def test_precision_plan_matches_max_plus_definition(case):
-    # the record positions of delta give the Delta of the recurrence over every j
+    # the record positions of delta give the Delta of the recurrence over
+    # every j, and the scaling exponents are the running maximum of delta
     hred, p, nmax, delta = case
-    plan_delta, loss = kernels._precision_plan(hred, p, nmax)
-    assert plan_delta == delta
+    dt, loss = kernels._precision_plan(hred, p, nmax)
+    assert dt == list(itertools.accumulate(delta, max))
     assert loss == precision_loss_definition(delta, nmax)
 
 
@@ -413,39 +405,29 @@ _DECIMAL_THRESHOLDS = st.sampled_from([0, kernels._DECIMAL_BITS, math.inf])
 
 
 @settings(deadline=None, max_examples=60)
-@given(case=_log_inputs(), schedule=_SCHEDULES, block=_BLOCKS, decimal_bits=_DECIMAL_THRESHOLDS)
+@given(case=_log_inputs(), schedule=_SCHEDULES, decimal_bits=_DECIMAL_THRESHOLDS)
 @example(  # no 2-part: P = C; levels 4, 8 and 16, and eight blocks at the cap
-    case=(_reduced_hom_counts("C[3]*C[9]", 2, 300)[0], 2, 300), schedule=(4, 32), block=3,
-    decimal_bits=0,
+    case=(_reduced_hom_counts("C[3]*C[9]", 2, 300)[0], 2, 300), schedule=(4, 32), decimal_bits=0
 )
 @example(
-    case=(_reduced_hom_counts("C[4]*C[6]", 2, 300)[0], 2, 300), schedule=(2, 16), block=1,
-    decimal_bits=math.inf,
+    case=(_reduced_hom_counts("C[4]*C[6]", 2, 300)[0], 2, 300), schedule=(2, 16), decimal_bits=math.inf
 )
-@example(
-    case=(_reduced_hom_counts("C[2]*C[16]", 2, 300)[0], 2, 300), schedule=(1, 4), block=64,
-    decimal_bits=0,
-)
+@example(case=(_reduced_hom_counts("C[2]*C[16]", 2, 300)[0], 2, 300), schedule=(1, 4), decimal_bits=0)
 @example(  # h_150 made odd: both raise at n = 150, which far terms reach
-    case=(_bumped_hom_counts("C[2]*C[16]", 2, 300, 150), 2, 300),
-    schedule=(8, 16),
-    block=2,
-    decimal_bits=0,
+    case=(_bumped_hom_counts("C[2]*C[16]", 2, 300, 150), 2, 300), schedule=(8, 16), decimal_bits=0
 )
 @example(  # p = 3 at the default schedule, every block product through decimal
-    case=(_reduced_hom_counts("C[2]*C[4]*A[2;1,1]", 3, 300)[0], 3, 300), schedule=(32, 256),
-    block=64, decimal_bits=0,
+    case=(_reduced_hom_counts("C[2]*C[4]*A[2;1,1]", 3, 300)[0], 3, 300), schedule=(32, 256), decimal_bits=0
 )
-def test_hall_log_mod_residues_matches_row_loop(case, schedule, block, decimal_bits):
+def test_hall_log_mod_residues_matches_row_loop(case, schedule, decimal_bits):
     # the block products, through int or decimal, against the row loop that
     # forms every product itself: the same residues, or the same ValueError
     # at the same n
     h, p, nmax = case
-    expected = _outcome(hall_log_mod_residues_rows, h, p, nmax, block)
+    expected = _outcome(hall_log_mod_residues_rows, h, p, nmax)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_NEAR", schedule[0])
         mp.setattr(kernels, "_CAP", schedule[1])
-        mp.setattr(kernels, "_BLOCK", block)
         mp.setattr(kernels, "_DECIMAL_BITS", decimal_bits)
         assert _outcome(kernels.hall_log_mod_residues, h, p, nmax) == expected
 
