@@ -129,8 +129,6 @@ def _emit(doc: dict, fmt: str, output: str | None) -> None:
 def _tsv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (list, tuple, dict)):
-        return json.dumps(value, sort_keys=True)
     return str(value)
 
 

@@ -203,17 +203,20 @@ def log_residue_precision(nmax: int, p: int) -> int:
 
 
 def _factorial_parts(p, stop):
-    """(w_j, m_j) for 0 <= j < stop, with w_j = v_p(j!) and m_j = j / p^(v_p(j)).
+    """The lists (w, m) for 0 <= j < stop: w_j = v_p(j!) and m_j = j / p^(v_p(j)).
 
     m_0 = 1, so the unit part u_j = j! / p^(w_j) is m_0 * m_1 * ... * m_j.
     """
-    w = 0
+    w, m = [], []
+    wj = 0
     for j in range(stop):
-        m = j or 1
-        while m % p == 0:
-            w += 1
-            m //= p
-        yield w, m
+        mj = j or 1
+        while mj % p == 0:
+            wj += 1
+            mj //= p
+        w.append(wj)
+        m.append(mj)
+    return w, m
 
 
 # `hall_log_mod_residues` sums the terms j < _NEAR of a row in the row; every
@@ -230,36 +233,33 @@ _DECIMAL_BITS = 80_000
 _DIGIT_CAP = 4300
 
 
-def _precision_plan(hred, p, nmax):
+def _precision_plan(hred, p, w):
     """The scaling exponents and loss profile (delta~, Delta) that
-    `hall_log_mod_residues` runs on.
+    `hall_log_mod_residues` runs on, in one pass over j.
 
-    ``hred`` holds h_0..h_nmax modulo p**C, C = `log_residue_precision(nmax, p)`.
+    ``w`` holds w_j = v_p(j!) for 0 <= j < nmax, and ``hred`` holds
+    h_0..h_nmax modulo p**C, C = `log_residue_precision(nmax, p)`.
     delta~[j] for 0 <= j < nmax and Delta[n] for 0 <= n <= nmax are as
     defined in the kernel's docstring (Delta[0] = Delta[1] = 0); the plan
     (P, D) of that docstring is (1 + Delta[nmax], delta~[-1]).
-    Delta is nondecreasing (delta_1 = 0), so a term Delta_(n-j) + delta_j
-    is dominated by that of an earlier i with delta_i >= delta_j: only the
-    record positions of delta, where it exceeds every earlier delta_i and
-    so where delta~ steps, are taken.
+    Delta_n is the best sum of delta_j over parts j with total at most
+    n - 1 (delta_1 = 0 pads), an unbounded knapsack.  Part j is kept only
+    if delta_j beats the best of the parts below it at total j; a dropped
+    part can be swapped, in any sum, for parts below j that weigh at most
+    j and give at least delta_j, so Delta from the kept parts is exact.
     """
-    dt = []
-    records = []
+    dt, loss, kept = [], [0], []
     top = 0
-    for j, (w, _) in enumerate(_factorial_parts(p, nmax)):
-        # h_j = 0 mod p**C has v_p(h_j) >= C > w, so delta_j = 0
-        d = max(w - vp_int(hred[j], p), 0) if hred[j] else 0
-        if d > top:
-            records.append((j, d))
-            top = d
+    for j, wj in enumerate(w):
+        # h_j = 0 mod p**C has v_p(h_j) >= C > w_j, so delta_j = 0
+        d = max(wj - vp_int(hred[j], p), 0) if hred[j] else 0
+        top = max(top, d)
         dt.append(top)
-    loss = [0] * (nmax + 1)
-    below = 0  # records[:below] holds the j < n
-    for n in range(2, nmax + 1):
-        if below < len(records) and records[below][0] < n:
-            below += 1
-        # delta_1 = 0 (w_1 = 0), so Delta_(n-1) itself is one of the terms
-        loss[n] = max(loss[n - 1], max([loss[n - j] + d for j, d in records[:below]], default=0))
+        # Delta_(j+1) without part j; part 1 (delta_1 = 0) gives Delta_j
+        best = max([loss[j]] + [loss[j + 1 - i] + di for i, di in kept])
+        if d > best:
+            kept.append((j, d))
+        loss.append(max(best, d))
     return dt, loss
 
 
@@ -321,6 +321,8 @@ def hall_log_mod_residues(h, p, nmax):
       delta~ is nondecreasing.  beta_j = p^(delta~_j) a_j
       = h_j p^(delta~_j - w_j) / u_j is p-integral, with v_p(beta_j) >=
       delta~_j - delta_j, and is kept modulo p^(e_(j+1) + delta~_j).
+      delta~_j <= w_j, since delta_i <= w_i <= w_j for i <= j, so scaling
+      h_j is one exact division by p^(w_j - delta~_j).
     - Row n multiplies the recurrence by p^(d), d = delta~_(n-1):
 
           p^d s_n = L_n - sum_{0<j<n} p^(d - delta~_j) beta_j s_(n-j),
@@ -376,8 +378,9 @@ def hall_log_mod_residues(h, p, nmax):
       largest is w_(nmax-1) + e_1 = C + P - 1, so the kernel reads h
       modulo p**(C + P - 1).
     - beta_j and L_(j+1) share the factor 1/u_j modulo p^(e_(j+1) +
-      delta~_j).  u_(nmax-1) is inverted once; inv(u_(j-1)) =
-      inv(u_j) m_j with m_j = j / p^(v_p(j)) walks down from it.
+      delta~_j).  u_(nmax-1) = m_0 m_1 ... m_(nmax-1), with m_j = j /
+      p^(v_p(j)), is one product, inverted once; inv(u_(j-1)) = inv(u_j)
+      m_j walks down from it.
 
     Every scaling division by a power of p, and the final one of row n by
     p^d, is checked exact; an inexact one means some s_n is not
@@ -400,38 +403,27 @@ def hall_log_mod_residues(h, p, nmax):
         raise ValueError("h must cover 0..nmax and have h_0 = 1")
     # the interpreter may lower the int/str limit (0: none, as before 3.11)
     digit_cap = min(_DIGIT_CAP, getattr(sys, "get_int_max_str_digits", int)() or _DIGIT_CAP)
-    dt, loss = _precision_plan(hred, p, nmax)  # dt[j] = delta~_j
+    w, m = _factorial_parts(p, nmax)
+    dt, loss = _precision_plan(hred, p, w)  # dt[j] = delta~_j
     del hred  # C digits of every h_j, which no row reads: free them
     e = [0] + [1 + loss[nmax - n + 1] for n in range(1, nmax + 1)]
     D = dt[-1] if nmax else 0
     pw = [p**i for i in range(D + 1)]
-    w, m = [], []
-    for wj, mj in _factorial_parts(p, nmax):
-        w.append(wj)
-        m.append(mj)
     # red(x, mods[j]) is x modulo p^(e_(j+1) + delta~_j)
     mods = [cut(e[j + 1] + dt[j]) for j in range(nmax)]
     widest = e[1] + D if nmax else 0
     work, cut_work = p**widest, cut(widest)  # p^(P+D), the widest of the moduli
-    u = 1
-    for mj in m:
-        u = red(u * mj, cut_work)
     inv = [0] * nmax  # inv[j] = 1/u_j modulo p^(e_(j+1) + delta~_j)
-    iu = pow(u, -1, work)
+    iu = pow(math.prod(m), -1, work)  # 1/u_(nmax-1)
     for j in range(nmax - 1, -1, -1):
         inv[j] = red(iu, mods[j])
         iu = red(iu * m[j], cut_work)
 
     def scaled(x, j):
-        # x p^(delta~_j - w_j) / u_j modulo p^(e_(j+1) + delta~_j)
-        shift = dt[j] - w[j]
-        x = red(x, cut(e[j + 1] + w[j]))
-        if shift >= 0:
-            x *= p**shift
-        else:
-            x, r = divmod(x, p**-shift)
-            if r:
-                raise ValueError(f"inverse transform not integral at n={j + 1}")
+        # x / (p^(w_j - delta~_j) u_j) modulo p^(e_(j+1) + delta~_j)
+        x, r = divmod(red(x, cut(e[j + 1] + w[j])), p ** (w[j] - dt[j]))
+        if r:
+            raise ValueError(f"inverse transform not integral at n={j + 1}")
         return red(x * inv[j], mods[j])
 
     beta = [scaled(h[j], j) for j in range(nmax)]

@@ -172,7 +172,7 @@ def test_hall_log_mod_residues_matches_exact():
 
 def _plan(hred, p, n):
     """(P, D) of `kernels._precision_plan`'s profile: 1 + Delta_N and max delta."""
-    delta, loss = kernels._precision_plan(hred, p, n)
+    delta, loss = kernels._precision_plan(hred, p, kernels._factorial_parts(p, n)[0])
     return 1 + loss[n], max(delta, default=0)
 
 
@@ -204,7 +204,7 @@ def test_row_precision_covers_the_loss(text, p, n):
     # e_n = 1 + Delta_(N-n+1): e_1 = P, e_N = 1, and e_k >= e_n + delta_(n-k)
     # for k < n, checked pair by pair (delta_j = 0 leaves e nonincreasing)
     hred = _reduced_hom_counts(text, p, n)[2]
-    delta, loss = kernels._precision_plan(hred, p, n)
+    delta, loss = kernels._precision_plan(hred, p, kernels._factorial_parts(p, n)[0])
     e = [None] + [1 + loss[n - k + 1] for k in range(1, n + 1)]
     assert (e[1], e[n]) == (_plan(hred, p, n)[0], 1)
     assert all(e[k] >= e[k + 1] for k in range(1, n))
@@ -341,12 +341,17 @@ def _delta_profiles(draw):
 
 @settings(deadline=None, max_examples=60)
 @given(_delta_profiles())
+# part 5 (delta_5 = 2) is beaten by two copies of part 2 (Delta_6 = 2), so
+# both a kept and a dropped part occur
+@example(case=([1, 1, 1, 2, 8, 2, 16, 16, 1], 2, 8, [0, 0, 1, 0, 0, 2, 0, 0]))
 def test_precision_plan_matches_max_plus_definition(case):
-    # the record positions of delta give the Delta of the recurrence over
-    # every j, and the scaling exponents are the running maximum of delta
+    # the kept parts give the Delta of the recurrence over every j, and the
+    # scaling exponents are the running maximum of delta, at most w_j
     hred, p, nmax, delta = case
-    dt, loss = kernels._precision_plan(hred, p, nmax)
+    w = kernels._factorial_parts(p, nmax)[0]
+    dt, loss = kernels._precision_plan(hred, p, w)
     assert dt == list(itertools.accumulate(delta, max))
+    assert all(d <= wj for d, wj in zip(dt, w))
     assert loss == precision_loss_definition(delta, nmax)
 
 
@@ -477,6 +482,19 @@ def test_decimal_products_respect_a_lowered_int_str_limit():
         input=" ".join(f"{x:x}" for x in h), env=env, capture_output=True, text=True, check=True,
     )
     assert child.stdout == f"{kernels.hall_log_mod_residues(h, 2, 1200)}\n"
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("stop", [0, 1, 2, 5, 30, 200])
+def test_factorial_parts_split_j_factorial(p, stop):
+    # j! = u_j p^(w_j) with u_j = m_0 ... m_j prime to p
+    w, m = kernels._factorial_parts(p, stop)
+    assert len(w) == len(m) == stop
+    for j in range(stop):
+        u = math.prod(m[: j + 1])
+        assert u * p ** w[j] == math.factorial(j)
+        assert u % p
+    assert (w[-1] if w else 0) + 1 == kernels.log_residue_precision(stop, p)
 
 
 def test_log_residue_precision():
