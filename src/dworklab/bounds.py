@@ -13,8 +13,9 @@ evaluates e(n) exactly, and `bound_values` e(0)..e(N), working out the
 parameters a kind derives (a partition's (l, m)) once; `verify_bounds`
 compares v_p(h_n) against e(n) row by row for n = 0..N on any sequence
 h_0..h_N, such as the list that `series.exp_transform` returns
-(violations are never dropped), and yields each row's valuation and
-Q_n mod p from one reduction of h_n modulo p^(e(n)+64);
+(violations are never dropped), keeps each row once, as the dict the
+report prints, and yields each row's valuation and Q_n mod p from one
+reduction of h_n modulo p^(e(n)+64);
 `verify_bounds_mod`, which `verify-group` runs, gives the
 same report from h computed only modulo p^(max(E, 0)+64), E = max e(n):
 a nonzero residue of h_n modulo p^M, M > max(e(n), 0), reads exactly as
@@ -313,33 +314,22 @@ def bound_values(kind: BoundKind, n_max: int) -> list[int]:
     return [exponent(n) for n in range(n_max + 1)]
 
 
-class VerifyRow(NamedTuple):
-    n: int
-    valuation: Valuation
-    bound: int
-    slack: Valuation
-    tight: bool
-
-    def as_dict(self) -> dict:
-        enc = lambda v: "infinity" if v == INFINITY else v
-        return {
-            "n": self.n,
-            "valuation": enc(self.valuation),
-            "bound": self.bound,
-            "slack": enc(self.slack),
-            "tight": self.tight,
-        }
+def _encode(v: Valuation) -> int | str:
+    """A valuation or slack as the report prints it."""
+    return "infinity" if v == INFINITY else v
 
 
 class BoundReport(NamedTuple):
     kind: BoundKind
-    rows: list[VerifyRow]
+    # one dict per row n, as the report prints it: n, valuation, bound,
+    # slack and tight, with an infinite valuation or slack as "infinity"
+    rows: list[dict]
     violations: list[int]
     tight_set: list[int]
-    min_slack: Valuation = INFINITY
+    min_slack: Valuation
     # Q_n mod p for each row, None where the bound is violated; not part
     # of the report document
-    q_residues: tuple[int | None, ...] = ()
+    q_residues: tuple[int | None, ...]
 
     @property
     def ok(self) -> bool:
@@ -350,7 +340,7 @@ class BoundReport(NamedTuple):
             "kind": self.kind.describe(),
             "rows_checked": len(self.rows),
             "violations": self.violations,
-            "min_slack": "infinity" if self.min_slack == INFINITY else self.min_slack,
+            "min_slack": _encode(self.min_slack),
             "tight": self.tight_set,
         }
 
@@ -430,7 +420,9 @@ def _verify_rows(
         residues.append(residue)
         slack = val - bnd
         tight = slack == 0
-        rows.append(VerifyRow(n, val, bnd, slack, tight))
+        rows.append(
+            {"n": n, "valuation": _encode(val), "bound": bnd, "slack": _encode(slack), "tight": tight}
+        )
         if val < bnd:
             violations.append(n)
         if tight:
@@ -522,8 +514,8 @@ def verify_q_recurrence(
     if not report.ok:
         row = report.rows[report.violations[0]]
         raise ValueError(
-            f"bound violated at n={row.n}: v_{p}(h_n) = {row.valuation} "
-            f"< {row.bound}; Q_{row.n} undefined"
+            f"bound violated at n={row['n']}: v_{p}(h_n) = {row['valuation']} "
+            f"< {row['bound']}; Q_{row['n']} undefined"
         )
     step, rho = q_recurrence_parameters(kind, s)
     q = report.q_residues

@@ -155,7 +155,7 @@ def _cmd_analyze_series(args) -> dict:
         args.subcommand,
         _parameters(args, p=p, n_max=n_hi),
         len(s) - 1,
-        [row.as_dict() for row in report.rows],
+        report.rows,
         {"bounds": report.summary(), "hypothesis": _hypothesis_dict(hyp)},
         failed,
     )
@@ -217,7 +217,7 @@ def _cmd_verify_group(args) -> dict:
         args.subcommand,
         _parameters(args, spec=spec.canonical(), p=p),
         n_max,
-        [row.as_dict() for row in report.rows],
+        report.rows,
         {
             "case": case,
             "l": l,
@@ -270,7 +270,7 @@ def _cmd_verify_dihedral(args) -> dict:
         args.subcommand,
         _parameters(args, odd_primes=odd_primes),
         args.n_max,
-        [row.as_dict() for row in report.rows],
+        report.rows,
         {
             "bounds": report.summary(),
             "branch": "n/2" if m % 4 == 0 else "n/2 - n/4",

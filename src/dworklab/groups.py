@@ -22,6 +22,7 @@ transform.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -241,11 +242,20 @@ def abelian_subgroup_counts_bruteforce(t: PartitionType) -> SubgroupCounts:
     return SubgroupCounts.from_map(counts)
 
 
+def _divisors(m: int) -> list[int]:
+    """The divisors of m >= 1, by trial division up to sqrt(m)."""
+    out = []
+    for d in range(1, math.isqrt(m) + 1):
+        if m % d == 0:
+            out += {d, m // d}
+    return out
+
+
 def cyclic_subgroup_counts(m: int) -> SubgroupCounts:
     """One subgroup per divisor: s_d(C_m) = 1 iff d divides m."""
     if m < 1:
         raise ValueError("cyclic order must be positive")
-    return SubgroupCounts.from_map({d: 1 for d in range(1, m + 1) if m % d == 0})
+    return SubgroupCounts.from_map({d: 1 for d in _divisors(m)})
 
 
 def dihedral_subgroup_counts(m: int) -> SubgroupCounts:
@@ -259,12 +269,10 @@ def dihedral_subgroup_counts(m: int) -> SubgroupCounts:
     """
     if m < 1:
         raise ValueError("dihedral order parameter must be positive")
-    counts = {}
-    for d in range(1, 2 * m + 1):
-        count = d if m % d == 0 else 0
-        if d % 2 == 0 and m % (d // 2) == 0:
-            count += 1
-        counts[d] = count
+    divisors = _divisors(m)
+    counts = {d: d for d in divisors}
+    for d in divisors:
+        counts[2 * d] = counts.get(2 * d, 0) + 1
     return SubgroupCounts.from_map(counts)
 
 

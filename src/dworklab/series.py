@@ -123,7 +123,6 @@ class ConditionVerdict(NamedTuple):
     name: str
     status: str
     first_failure: int | None = None
-    note: str = ""
 
 
 class HypothesisReport(NamedTuple):
@@ -158,7 +157,6 @@ class Condition(NamedTuple):
     indices: Sequence[int]
     holds: Callable[[int], bool] = lambda i: True
     beyond: bool = False
-    note: str = ""
 
 
 class Theorem(NamedTuple):
@@ -296,13 +294,8 @@ def _cor36_hypotheses(s: _Coeffs, k: BoundKind) -> list[Condition]:
     p = k.p
     if p >= len(s):
         return [_integrality(s, p), Condition("dividing-line branch", [], beyond=True)]
-    branch = dividing_line_branch(s, p)
-    sign = "=" if branch == "divisibility" else "!="
-    out = [
-        _integrality(s, p),
-        Condition("dividing-line branch", [], note=f"s_1 {sign} s_p (mod p): {branch} branch"),
-    ]
-    if branch == "divisibility":
+    out = [_integrality(s, p), Condition("dividing-line branch", [])]
+    if dividing_line_branch(s, p) == "divisibility":
         out.append(_gap(s, p, p, "low-order gap through z^p"))
     return out
 
@@ -348,7 +341,7 @@ def check_hypotheses(
             status = UNVERIFIABLE
         else:
             status = PASS
-        verdicts.append(ConditionVerdict(c.name, status, failure, c.note))
+        verdicts.append(ConditionVerdict(c.name, status, failure))
     overall = all(v.status != FAIL for v in verdicts)
     fully = overall and not any(c.beyond for c in conditions)
     return HypothesisReport(theorem, kind, tuple(verdicts), overall, fully)
@@ -393,7 +386,8 @@ def load_log_series(text: str) -> tuple[list[int | Fraction], int]:
             raise ValueError(f"series index {n}, expected {len(s)}")
         if den <= 0:
             raise ValueError(f"non-positive denominator in line {ln!r}")
-        s.append(_exact(Fraction(num, den)))
+        q, r = divmod(num, den)
+        s.append(Fraction(num, den) if r else q)
     if len(s) != n_max + 1:
         raise ValueError(f"series ends at {len(s) - 1}, header claims {n_max}")
     return s, p

@@ -37,7 +37,7 @@ from dworklab.bounds import (
     verify_bounds,
     verify_q_recurrence,
 )
-from dworklab.exactcore import INFINITY, vp
+from dworklab.exactcore import vp
 from dworklab.groups import (
     PartitionType,
     abelian_subgroup_counts,
@@ -47,7 +47,7 @@ from dworklab.groups import (
     partition_case,
     subgroup_residues_mod_p,
 )
-from dworklab.series import check_hypotheses, exp_transform, log_transform
+from dworklab.series import check_hypotheses, dividing_line_branch, exp_transform, log_transform
 
 
 def _line(ok: bool, label: str, detail: str = ""):
@@ -247,7 +247,7 @@ def test_c04_tightness_scope_sweep():
             assert report.ok, (parts, p, report.violations[:5])
             qrec = verify_q_recurrence(report, abelian_subgroup_counts(PartitionType(parts, p)))
             assert qrec.ok, (parts, p, qrec.failures[:5])
-            slack = max(row.slack for row in report.rows if row.slack != INFINITY)
+            slack = max(row["slack"] for row in report.rows if row["slack"] != "infinity")
             if slack > widest[0]:
                 widest = (slack, p, parts)
             tight = set(report.tight_set)
@@ -355,7 +355,7 @@ def test_c06_dividing_line():
             svals = repaired_integer_series(rng, p, n_max, p)
             rep = check_hypotheses(svals, p, "cor3.6")
             assert rep.overall
-            assert rep.condition("dividing-line branch").note.startswith("s_1 =")
+            assert dividing_line_branch(svals, p) == "divisibility"
             h = kernels.hall_exp(svals, n_max, modulus)
             for n in range(n_max + 1):
                 if bounds[n] > 0:

@@ -129,7 +129,7 @@ def test_permutation_and_negative_bound_rows_need_no_exact_h(monkeypatch):
     rule = CycleRule("pi3", 3, 2, frozenset({1, 2}))
     s = series_from_map(dict.fromkeys(rule.allowed_lengths(), 1), 300)
     report = verify_bounds_mod(s, rule.bound_kind(), 300)
-    assert report.ok and min(row.bound for row in report.rows) == -1
+    assert report.ok and min(row["bound"] for row in report.rows) == -1
     assert verify_permutation_divisibility(rule, 300).ok
     rule = CycleRule("pi1", 2, 2, frozenset({2}))
     assert verify_permutation_divisibility(rule, 60).violations == list(range(2, 61, 2))

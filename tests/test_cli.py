@@ -5,8 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dworklab import applications, cli
+from dworklab import applications, bounds, cli
+from dworklab.bounds import BoundKind
 from dworklab.cli import build_parser, main
+from dworklab.groups import PartitionType, abelian_subgroup_counts
 from dworklab.series import THEOREMS, dump_log_series
 
 
@@ -47,6 +49,14 @@ def test_verify_group_case_i(capsys):
     assert doc["summary"]["case"] == "I"
     assert doc["summary"]["q_recurrence"]["step"] == 27
     assert doc["summary"]["q_recurrence"]["multiplier_mod_p"] == 1  # (-1)^{a_1} = 1
+
+
+def test_verify_group_prints_the_report_rows(capsys):
+    # the report holds each row as the dict the document prints
+    s = abelian_subgroup_counts(PartitionType((2, 1), 3)).values(256)
+    kind = BoundKind("thm6.1", 3, partition=(2, 1))
+    _, doc, _ = run_json(capsys, ["verify-group", "--spec", "A[3;2,1]", "--n-max", "256"])
+    assert doc["rows"] == bounds.verify_bounds_mod(s, kind, 256).rows
 
 
 @pytest.mark.parametrize(

@@ -171,6 +171,28 @@ def test_dihedral_counts_match_enumeration():
     assert h[3] == 10
 
 
+def test_cyclic_and_dihedral_tables_match_the_scan_definition():
+    for m in range(1, 301):
+        # s_d over d = 1..2m: [d | m] for C_m, [d | m] d + [2 | d and d/2 | m] for D_m
+        cyclic = {d: 1 for d in range(1, m + 1) if m % d == 0}
+        dihedral = {
+            d: (d if m % d == 0 else 0) + (d % 2 == 0 and m % (d // 2) == 0)
+            for d in range(1, 2 * m + 1)
+        }
+        assert dict(cyclic_subgroup_counts(m).counts) == cyclic, m
+        assert dict(dihedral_subgroup_counts(m).counts) == {d: c for d, c in dihedral.items() if c}, m
+    # m = 2^12 5^12: the supports are the divisors of m and of 2m
+    m = 10**12
+    assert dict(cyclic_subgroup_counts(m).counts) == {
+        2**a * 5**b: 1 for a in range(13) for b in range(13)
+    }
+    dihedral = dihedral_subgroup_counts(m)
+    assert [d for d, _ in dihedral.counts] == sorted(
+        2**a * 5**b for a in range(14) for b in range(13)
+    )
+    assert (dihedral[1], dihedral[m], dihedral[2 * m]) == (1, m + 1, 1)
+
+
 def test_classification(capsys):
     # verify-group reports the type's case, its (l, m), and whether it is
     # routed to the p = 2 case II bound

@@ -33,7 +33,6 @@ def _records():
     return [
         (kind, "tag"),
         (RULES["thm2.1"], "needs"),
-        (report.rows[0], "n"),
         (report, "violations"),
         (verify_q_recurrence(report, C2), "failures"),
         (floor_lemma_checks(2, 1, 4, 2), "ij_checked"),
