@@ -32,10 +32,11 @@ semi-relaxed: a row adds its 32 nearest terms itself, and every other
 term arrives from a block product, formed as soon as its block of s_m is
 known, of two Kronecker-packed ints (van der Hoeven, "Relax, but don't be
 too lazy", 2002), so one C-level product of big ints replaces up to 256^2
-Python products.  CPython's int
-product stops at Karatsuba, so wide blocks are packed as decimal digit
-strings and multiplied by `decimal`, whose libmpdec multiplies large
-operands by a number-theoretic transform; `decimal` is imported only then.
+Python products.  CPython's int product stops at Karatsuba, so wide
+blocks are multiplied by the system GMP (``libgmp.so.10``, through
+`ctypes`), whose large products use Toom-Cook and FFT multiplication;
+`ctypes` is imported only then, and without libgmp every block takes the
+int product.
 At p = 2 the kernel reduces modulo 2^k by the mask 2^k - 1.
 """
 
@@ -43,7 +44,6 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 
 BACKEND = "pure-python"  # the kernel implementation that perfbench/run.py records
 
@@ -225,12 +225,13 @@ def _factorial_parts(p, stop):
 _NEAR = 32
 _CAP = 256
 # a block product whose operands reach this many bits (slots times slot
-# bits) goes through `decimal`, whose large products use a number-theoretic
-# transform; CPython's int product stops at Karatsuba
-_DECIMAL_BITS = 80_000
-# CPython's default limit on the decimal digits of an int converted to or
-# from str; a block whose slots need more takes the int product
-_DIGIT_CAP = 4300
+# bits) goes through GMP.  With packing and read-back (2 shared cores,
+# CPython 3.11), the int product wins below about 3,000 bits (32 slots at
+# 1,500 bits: 47 us against 55 us) and GMP from about 5,000; at 8,000 GMP
+# wins at every block length from 32 (38 us against 74 us) to 256 slots
+# (201 us against 225 us).  The blocks of P = 1 `periodicity` runs stay
+# below 3,000 bits at N <= 1200, so those runs never load `ctypes`
+_GMP_BITS = 8_000
 
 
 def _precision_plan(hred, p, w):
@@ -263,34 +264,74 @@ def _precision_plan(hred, p, w):
     return dt, loss
 
 
-def _pack(xs, width):
-    """The nonnegative xs as one int, ``width`` bytes per slot, lowest first."""
-    return int.from_bytes(b"".join([x.to_bytes(width, "little") for x in xs]), "little")
+def _gmp_product():
+    """GMP's product of two nonnegative ints given as little-endian bytes of
+    whole 8-byte words, as a function that returns the product's bytes, or
+    None when libgmp does not load."""
+    import ctypes
+
+    try:
+        gmp = ctypes.CDLL("libgmp.so.10")  # a fixed soname: find_library starts a subprocess
+    except OSError:
+        return None
+
+    class Mpz(ctypes.Structure):  # mpz_t: alloc, size, limb pointer
+        _fields_ = [("alloc", ctypes.c_int), ("size", ctypes.c_int), ("limbs", ctypes.c_void_p)]
+
+    mpz, size, order = ctypes.POINTER(Mpz), ctypes.c_size_t, ctypes.c_int
+    init, clear, mul = gmp.__gmpz_init, gmp.__gmpz_clear, gmp.__gmpz_mul
+    load, store = gmp.__gmpz_import, gmp.__gmpz_export
+    init.argtypes = clear.argtypes = [mpz]
+    mul.argtypes = [mpz, mpz, mpz]
+    # (rop, count, order, size, endian, nails, op)
+    load.argtypes = [mpz, size, order, size, order, size, ctypes.c_char_p]
+    store.argtypes = [ctypes.c_char_p, ctypes.POINTER(size), order, size, order, size, mpz]
+    init.restype = clear.restype = mul.restype = load.restype = None
+    store.restype = ctypes.c_void_p
+
+    def product(xa, xb):
+        # ctypes releases the GIL, so each call owns its three mpz_t
+        za, zb, zc = Mpz(), Mpz(), Mpz()
+        for z in (za, zb, zc):
+            init(z)
+        try:
+            # whole 8-byte words, least significant first, each little-endian
+            load(za, len(xa) // 8, -1, 8, -1, 0, xa)
+            load(zb, len(xb) // 8, -1, 8, -1, 0, xb)
+            mul(zc, za, zb)
+            # the product is below 2^(8 (len(xa) + len(xb))), so its words
+            # fit in this zeroed buffer and the export cannot write past it
+            out = ctypes.create_string_buffer(len(xa) + len(xb))
+            store(out, None, -1, 8, -1, 0, zc)
+        finally:
+            for z in (za, zb, zc):
+                clear(z)
+        return out.raw
+
+    return product
 
 
-def _decimal_product(a, b, digits, slots):
-    """Slots 0..slots-1 of the product of a and b packed ``digits`` decimal
-    digits per slot, yielded as ints; higher slots that are 0 may be left
-    out.
+def _block_product(a, b, bits, slots, gmp=None):
+    """Slots 0..slots-1 of the product of the blocks a and b as polynomials,
+    as a list of ints.
 
-    The nonnegative a and b must be below 10**digits, and so must every
-    slot of the product.  The context traps `Inexact` and `Rounded`, so
-    the product is exact or raises.
+    Every entry of a and b and every slot of the product must be
+    nonnegative and below 2^bits.  The blocks are Kronecker-packed with
+    `to_bytes` into slots of more than ``bits`` bits, so no slot carries
+    into the next, and multiplied as one pair of big ints: by ``gmp``, a
+    function from `_gmp_product`, with slots of whole 8-byte words, or,
+    without it, as Python ints with slots of whole bytes.  Each slot is
+    read back with `from_bytes`.
     """
-    import decimal
-
-    context = decimal.Context(
-        prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact, decimal.Rounded]
-    )
-    # the operands' digit strings are freed before the product's is read
-    prod = str(
-        context.multiply(
-            decimal.Decimal("".join([str(x).zfill(digits) for x in reversed(a)])),
-            decimal.Decimal("".join([str(x).zfill(digits) for x in reversed(b)])),
-        )
-    )
-    for end in range(len(prod), max(len(prod) - slots * digits, 0), -digits):
-        yield int(prod[max(end - digits, 0) : end])
+    width = (bits // 64 + 1) * 8 if gmp else bits // 8 + 1
+    xa = b"".join([x.to_bytes(width, "little") for x in a])
+    xb = b"".join([x.to_bytes(width, "little") for x in b])
+    if gmp is None:
+        x = int.from_bytes(xa, "little") * int.from_bytes(xb, "little")
+        prod = x.to_bytes(len(xa) + len(xb), "little")
+    else:
+        prod = gmp(xa, xb)
+    return [int.from_bytes(prod[k * width : (k + 1) * width], "little") for k in range(slots)]
 
 
 def hall_log_mod_residues(h, p, nmax):
@@ -355,23 +396,19 @@ def hall_log_mod_residues(h, p, nmax):
       later row t has e_t <= e_b.  Every slot of the product is below
       2^k, k = bits(max beta) + bits(max s) + bit_length(L), so slots of
       that width never carry into the next, and the product is one
-      C-level multiplication.  Below `_DECIMAL_BITS` (80,000) operand
-      bits (L times k) the nonnegative residues are packed with
-      `to_bytes` into slots of k + 1 bits rounded up to bytes, multiplied
-      as ints (Karatsuba) and read back with `from_bytes`.  From there
-      they are packed as zero-padded strings of floor(k log10(2)) + 1
-      decimal digits and multiplied as `Decimal`s in an exact context
-      (`_decimal_product`, a number-theoretic transform), and each slot
-      is read back with `int()`; a block whose slots need more than
-      `_DIGIT_CAP` (4,300) digits, CPython's int/str limit, takes the int
-      product, as does one past a lower limit that the interpreter
-      sets.  Slot t is then multiplied by p^(delta~_(t-1) - dhi),
-      or divided by p^(dhi - delta~_(t-1)), which is exact since each of
-      its terms has delta~_j <= delta~_(t-1) and the modulus keeps that
-      many digits.  So row t's sum agrees with the sum of all its terms
-      modulo p^(e_t + delta~_(t-1)), the only digits it reads, and every
-      s_n, residue and ``ValueError`` is bit for bit that of a row loop
-      that forms each product itself (the tests keep that loop).
+      C-level multiplication (`_block_product`): the nonnegative residues
+      are packed with `to_bytes` into slots of k + 1 bits rounded up to
+      bytes and multiplied as ints (Karatsuba), or, from `_GMP_BITS`
+      (8,000) operand bits (L times k), rounded up to 8-byte words and
+      multiplied by GMP's `mpz_mul` when libgmp loads; each slot is read
+      back with `from_bytes`.  Slot t is then multiplied by
+      p^(delta~_(t-1) - dhi), or divided by p^(dhi - delta~_(t-1)), which
+      is exact since each of its terms has delta~_j <= delta~_(t-1) and
+      the modulus keeps that many digits.  So row t's sum agrees with the
+      sum of all its terms modulo p^(e_t + delta~_(t-1)), the only digits
+      it reads, and every s_n, residue and ``ValueError`` is bit for bit
+      that of a row loop that forms each product itself (the tests keep
+      that loop).
     - L_n is p-integral whenever s_1..s_n are, because the sum is
       (v_p(a_j) >= -delta~_(n-1) for j < n), and L_n needs h_n modulo
       p^(w_(n-1) + e_n); beta_j needs h_j modulo p^(w_j + e_(j+1)).  The
@@ -401,8 +438,6 @@ def hall_log_mod_residues(h, p, nmax):
     hred = [red(x, cut_c) for x in h[: nmax + 1]]  # h modulo p**C
     if len(hred) <= nmax or hred[0] != 1:
         raise ValueError("h must cover 0..nmax and have h_0 = 1")
-    # the interpreter may lower the int/str limit (0: none, as before 3.11)
-    digit_cap = min(_DIGIT_CAP, getattr(sys, "get_int_max_str_digits", int)() or _DIGIT_CAP)
     w, m = _factorial_parts(p, nmax)
     dt, loss = _precision_plan(hred, p, w)  # dt[j] = delta~_j
     del hred  # C digits of every h_j, which no row reads: free them
@@ -433,7 +468,10 @@ def hall_log_mod_residues(h, p, nmax):
     s = [0] * (nmax + 1)  # s_n modulo p^(e_n)
     far = [0] * (nmax + 1)  # far[t]: row t's terms j >= _NEAR, scaled by p^(delta~_(t-1))
 
+    gmp = False  # GMP's product from the first wide block on; None without libgmp
+
     def add_block(m0, m1, j0, j1):
+        nonlocal gmp
         # far[t] += the terms beta_j s_m, j0 <= j < j1, m0 <= m < m1, t = j + m <= nmax
         j1 = min(j1, nmax, nmax + 1 - m0)
         if j1 <= j0:
@@ -445,14 +483,10 @@ def hall_log_mod_residues(h, p, nmax):
         b = [red(x, mod) for x in s[m0:m1]]
         # every slot of the product is below 2^bits
         bits = max(a).bit_length() + max(b).bit_length() + len(b).bit_length()
-        slots = min(len(a) + len(b) - 1, nmax + 1 - base)
-        digits = bits * 30103 // 100000 + 1  # > bits log10(2)
-        if len(b) * bits >= _DECIMAL_BITS and digits <= digit_cap:
-            prod = _decimal_product(a, b, digits, slots)
-        else:
-            width = bits // 8 + 1
-            packed = (_pack(a, width) * _pack(b, width)).to_bytes(width * (len(a) + len(b) - 1), "little")
-            prod = (int.from_bytes(packed[k * width : (k + 1) * width], "little") for k in range(slots))
+        wide = len(b) * bits >= _GMP_BITS
+        if wide and gmp is False:
+            gmp = _gmp_product()
+        prod = _block_product(a, b, bits, min(len(a) + len(b) - 1, nmax + 1 - base), gmp if wide else None)
         for k, x in enumerate(prod):
             if x:
                 t = base + k

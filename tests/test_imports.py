@@ -6,6 +6,8 @@ any layer below the package root: each subcommand loads what it runs,
 and a periodicity run loads neither the bound catalog nor the series
 layer.  Importing the group layer loads neither the bound catalog nor
 `fractions`, and importing the series layer loads no group layer.
+Importing the CLI or the group layer, or a small periodicity run, loads
+neither `ctypes` nor `decimal`.
 
 No lint tool is part of the toolchain, so this is the check.  Names
 listed in ``__all__`` and the package's ``__init__`` (whose imports are
@@ -171,7 +173,7 @@ def test_cli_import_loads_no_heavy_module():
     # it, since a process compiles every source it loads when no bytecode
     # is cached
     layers = ("dworklab.bounds", "dworklab.series", "dworklab.groups", "dworklab.applications")
-    assert [m for m in layers + ("fractions", "decimal") if m in loaded] == []
+    assert [m for m in layers + ("fractions", "decimal", "ctypes") if m in loaded] == []
 
 
 # The layers below the package root that each subcommand loads, as README,
@@ -201,18 +203,23 @@ def test_subcommand_loads_its_layers(tmp_path, argv, layers):
     loaded = modules_loaded_by("dworklab.cli", f"assert dworklab.cli.main({argv!r}) == 0")
     root = {"dworklab", "dworklab.cli", "dworklab.exactcore", "dworklab.kernels"}
     assert {m for m in loaded if m.split(".")[0] == "dworklab"} == root | {f"dworklab.{m}" for m in layers}
-    # `fractions` loads with `bounds` or `series` and with nothing else
-    assert ("fractions" in loaded) == bool(layers & {"bounds", "series"})
+    # `fractions`, and `decimal` through it, load with `bounds` or `series`
+    # and with nothing else; `ctypes` loads only for the wide block products
+    # of a long periodicity run
+    assert ("fractions" in loaded) == ("decimal" in loaded) == bool(layers & {"bounds", "series"})
+    assert "ctypes" not in loaded
 
 
 # The lattice oracle runs each operation in a fresh interpreter that
 # imports only the group layer, and pays for every module that loads.  The
-# bound catalog, the series layer and `fractions` (which loads `decimal`)
-# are not part of that layer.
+# bound catalog, the series layer, `fractions` (which loads `decimal`) and
+# `ctypes` are not part of that layer.
 def test_group_layer_import_loads_only_the_group_layer():
     loaded = modules_loaded_by("dworklab.groups")
     assert "dworklab.groups" in loaded
-    outside = ("dworklab.bounds", "dworklab.series", "dworklab.applications", "fractions", "decimal")
+    outside = (
+        "dworklab.bounds", "dworklab.series", "dworklab.applications", "fractions", "decimal", "ctypes"
+    )
     assert [m for m in outside if m in loaded] == []
 
 

@@ -3,12 +3,9 @@ known counts."""
 
 import itertools
 import math
-import os
 import random
-import subprocess
 import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -404,84 +401,135 @@ def _bumped_hom_counts(text, p, n, at):
     return h
 
 
-# operand bits from which block products go through `decimal`: always,
-# the default, or never (the int product)
-_DECIMAL_THRESHOLDS = st.sampled_from([0, kernels._DECIMAL_BITS, math.inf])
+# operand bits from which block products go through GMP: always, the
+# default, or never (the int product)
+_GMP_THRESHOLDS = st.sampled_from([0, kernels._GMP_BITS, math.inf])
 
 
 @settings(deadline=None, max_examples=60)
-@given(case=_log_inputs(), schedule=_SCHEDULES, decimal_bits=_DECIMAL_THRESHOLDS)
+@given(case=_log_inputs(), schedule=_SCHEDULES, gmp_bits=_GMP_THRESHOLDS, libgmp=st.booleans())
 @example(  # no 2-part: P = C; levels 4, 8 and 16, and eight blocks at the cap
-    case=(_reduced_hom_counts("C[3]*C[9]", 2, 300)[0], 2, 300), schedule=(4, 32), decimal_bits=0
+    case=(_reduced_hom_counts("C[3]*C[9]", 2, 300)[0], 2, 300), schedule=(4, 32), gmp_bits=0, libgmp=True
+)
+@example(  # libgmp absent: every block takes the int product
+    case=(_reduced_hom_counts("C[3]*C[9]", 2, 300)[0], 2, 300), schedule=(4, 32), gmp_bits=0, libgmp=False
 )
 @example(
-    case=(_reduced_hom_counts("C[4]*C[6]", 2, 300)[0], 2, 300), schedule=(2, 16), decimal_bits=math.inf
+    case=(_reduced_hom_counts("C[4]*C[6]", 2, 300)[0], 2, 300),
+    schedule=(2, 16),
+    gmp_bits=math.inf,
+    libgmp=True,
 )
-@example(case=(_reduced_hom_counts("C[2]*C[16]", 2, 300)[0], 2, 300), schedule=(1, 4), decimal_bits=0)
+@example(
+    case=(_reduced_hom_counts("C[2]*C[16]", 2, 300)[0], 2, 300), schedule=(1, 4), gmp_bits=0, libgmp=True
+)
 @example(  # h_150 made odd: both raise at n = 150, which far terms reach
-    case=(_bumped_hom_counts("C[2]*C[16]", 2, 300, 150), 2, 300), schedule=(8, 16), decimal_bits=0
+    case=(_bumped_hom_counts("C[2]*C[16]", 2, 300, 150), 2, 300), schedule=(8, 16), gmp_bits=0, libgmp=True
 )
-@example(  # p = 3 at the default schedule, every block product through decimal
-    case=(_reduced_hom_counts("C[2]*C[4]*A[2;1,1]", 3, 300)[0], 3, 300), schedule=(32, 256), decimal_bits=0
+@example(  # p = 3 at the default schedule, every block product through GMP
+    case=(_reduced_hom_counts("C[2]*C[4]*A[2;1,1]", 3, 300)[0], 3, 300),
+    schedule=(32, 256),
+    gmp_bits=0,
+    libgmp=True,
 )
-def test_hall_log_mod_residues_matches_row_loop(case, schedule, decimal_bits):
-    # the block products, through int or decimal, against the row loop that
+def test_hall_log_mod_residues_matches_row_loop(case, schedule, gmp_bits, libgmp):
+    # the block products, through int or GMP, against the row loop that
     # forms every product itself: the same residues, or the same ValueError
-    # at the same n
+    # at the same n; with the loader made to fail, wide blocks take the int
+    # product
     h, p, nmax = case
     expected = _outcome(hall_log_mod_residues_rows, h, p, nmax)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "_NEAR", schedule[0])
         mp.setattr(kernels, "_CAP", schedule[1])
-        mp.setattr(kernels, "_DECIMAL_BITS", decimal_bits)
+        mp.setattr(kernels, "_GMP_BITS", gmp_bits)
+        if not libgmp:
+            mp.setattr(kernels, "_gmp_product", lambda: None)
         assert _outcome(kernels.hall_log_mod_residues, h, p, nmax) == expected
 
 
-def test_decimal_products_keep_slots_under_the_digit_cap(monkeypatch):
-    # CPython converts ints of at most 4300 digits to and from str; with the
-    # cap lowered to 60 digits, the blocks whose slots need more take the
-    # int product, the rest go through decimal, and the residues are the
-    # row loop's
-    h = _reduced_hom_counts("C[3]*C[9]", 2, 300)[0]  # slots of 19 to 155 digits
-    expected = hall_log_mod_residues_rows(h, 2, 300)
-    digits, widths = [], []  # decimal digits and int bytes per slot
-    decimal_product, pack = kernels._decimal_product, kernels._pack
-
-    def spy_decimal(a, b, slot_digits, slots):
-        digits.append(slot_digits)
-        return decimal_product(a, b, slot_digits, slots)
-
-    def spy_pack(xs, width):
-        widths.append(width)
-        return pack(xs, width)
-
-    monkeypatch.setattr(kernels, "_decimal_product", spy_decimal)
-    monkeypatch.setattr(kernels, "_pack", spy_pack)
-    monkeypatch.setattr(kernels, "_DECIMAL_BITS", 0)
-    monkeypatch.setattr(kernels, "_DIGIT_CAP", 60)
-    monkeypatch.setattr(kernels, "_NEAR", 4)
-    monkeypatch.setattr(kernels, "_CAP", 32)
-    assert kernels.hall_log_mod_residues(h, 2, 300) == expected
-    assert digits and max(digits) <= 60
-    # a slot of more than 60 digits needs 200 bits or more: 25 bytes or more
-    assert widths and max(widths) >= 25
+def _gmp_or_skip():
+    gmp = kernels._gmp_product()
+    if gmp is None:
+        pytest.skip("libgmp.so.10 does not load")
+    return gmp
 
 
-def test_decimal_products_respect_a_lowered_int_str_limit():
-    # a child interpreter with PYTHONINTMAXSTRDIGITS=640, the least CPython
-    # allows: slots of up to 719 digits, every block product wide enough
-    # for decimal, and the residues of this interpreter
+@pytest.mark.parametrize(
+    "x, y",
+    [(0, 0), (0, 3**200), (1, 2**64 - 1), (2**64 - 1, 2**64 - 1), (2**640 - 1, 2**64 + 1), (7**500, 5**30)],
+)
+def test_gmp_product_matches_int_product(x, y):
+    gmp = _gmp_or_skip()
+    # each operand in the fewest whole 8-byte words that hold it (one for
+    # 0), so 2^64 - 1 and 2^640 - 1 fill their top word and the product
+    # can reach the last byte of the export buffer
+    xa = x.to_bytes(max(-(-x.bit_length() // 64), 1) * 8, "little")
+    xb = y.to_bytes(max(-(-y.bit_length() // 64), 1) * 8, "little")
+    prod = gmp(xa, xb)
+    assert len(prod) == len(xa) + len(xb)
+    assert int.from_bytes(prod, "little") == x * y
+
+
+def _convolution(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+# (len(a), len(b), slot bits): one-slot blocks, blocks of unequal length,
+# and slots of 63 and 127 bits, which fill their top 64-bit word, or of 64
+# and 128 bits, which open one more
+@pytest.mark.parametrize(
+    "la, lb, bits",
+    [(1, 1, 63), (1, 1, 64), (1, 40, 127), (40, 3, 128), (32, 32, 63), (256, 256, 127), (5, 200, 301)],
+)
+@pytest.mark.parametrize("fill", ["zero", "ones", "random"])
+def test_block_product_matches_the_convolution(la, lb, bits, fill):
+    # entries of ea and eb bits with ea + eb + bit_length(lb) = bits, as
+    # `hall_log_mod_residues` sizes its slots; "ones" makes the top slots
+    # as wide as that allows, and "zero" makes block a all zeros
+    gmp = _gmp_or_skip()
+    eb = (bits - lb.bit_length()) // 2
+    ea = bits - lb.bit_length() - eb
+    rng = random.Random(bits * la + lb)
+    a = {"zero": [0] * la, "ones": [2**ea - 1] * la, "random": [rng.getrandbits(ea) for _ in range(la)]}[fill]
+    b = [2**eb - 1] * lb if fill == "ones" else [rng.getrandbits(eb) for _ in range(lb)]
+    expected = _convolution(a, b)
+    assert max(expected) < 2**bits
+    for slots in (len(expected), min(len(expected), 3)):
+        assert kernels._block_product(a, b, bits, slots, gmp) == expected[:slots]
+        assert kernels._block_product(a, b, bits, slots) == expected[:slots]
+
+
+def test_block_products_ignore_a_lowered_int_str_limit(monkeypatch):
+    # the kernel converts no int to or from str: at 640 digits, the least
+    # limit CPython allows, slots of more than 640 digits give the residues
+    # of the default limit, through GMP and through the int product
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int/str digit limit before Python 3.11")
     h = _reduced_hom_counts("C[3]*C[9]", 2, 1200)[0]
-    code = (
-        "import sys; from dworklab import kernels; kernels._DECIMAL_BITS = 0; "
-        "print(kernels.hall_log_mod_residues([int(x, 16) for x in sys.stdin.read().split()], 2, 1200))"
-    )
-    env = {**os.environ, "PYTHONPATH": str(Path(kernels.__file__).parents[1]), "PYTHONINTMAXSTRDIGITS": "640"}
-    child = subprocess.run(
-        [sys.executable, "-c", code],
-        input=" ".join(f"{x:x}" for x in h), env=env, capture_output=True, text=True, check=True,
-    )
-    assert child.stdout == f"{kernels.hall_log_mod_residues(h, 2, 1200)}\n"
+    expected = kernels.hall_log_mod_residues(h, 2, 1200)
+    widest = []
+    block_product = kernels._block_product
+
+    def spy(a, b, bits, slots, gmp=None):
+        widest.append(bits)
+        return block_product(a, b, bits, slots, gmp)
+
+    monkeypatch.setattr(kernels, "_block_product", spy)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert kernels.hall_log_mod_residues(h, 2, 1200) == expected
+        monkeypatch.setattr(kernels, "_GMP_BITS", math.inf)
+        assert kernels.hall_log_mod_residues(h, 2, 1200) == expected
+    finally:
+        sys.set_int_max_str_digits(limit)
+    # slots wider than 2,200 bits hold more than 640 decimal digits (2,127 bits)
+    assert max(widest) > 2200
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
