@@ -504,10 +504,33 @@ def test_block_product_matches_the_convolution(la, lb, bits, fill):
         assert kernels._block_product(a, b, bits, slots) == expected[:slots]
 
 
-def test_block_products_ignore_a_lowered_int_str_limit(monkeypatch):
-    # the kernel converts no int to or from str: at 640 digits, the least
-    # limit CPython allows, slots of more than 640 digits give the residues
-    # of the default limit, through GMP and through the int product
+def test_decimal_products_keep_slots_under_the_digit_cap(monkeypatch):
+    # (named for the decimal product that GMP replaced) one transform mixes
+    # both products: blocks of fewer than _GMP_BITS operand bits take the
+    # int product, the rest GMP, and the residues are the row loop's
+    _gmp_or_skip()
+    h = _reduced_hom_counts("C[3]*C[9]", 2, 300)[0]  # operands of 36 to 15,392 bits
+    expected = hall_log_mod_residues_rows(h, 2, 300)
+    taken = []  # (operand bits of block b, the GMP product or None)
+    block_product = kernels._block_product
+
+    def spy(a, b, bits, slots, gmp=None):
+        taken.append((len(b) * bits, gmp))
+        return block_product(a, b, bits, slots, gmp)
+
+    monkeypatch.setattr(kernels, "_block_product", spy)
+    monkeypatch.setattr(kernels, "_NEAR", 4)
+    monkeypatch.setattr(kernels, "_CAP", 32)
+    assert kernels.hall_log_mod_residues(h, 2, 300) == expected
+    assert {prod is None for _, prod in taken} == {True, False}
+    assert all((prod is None) == (width < kernels._GMP_BITS) for width, prod in taken)
+
+
+def test_decimal_products_respect_a_lowered_int_str_limit(monkeypatch):
+    # (named for the decimal product that GMP replaced) the kernel converts
+    # no int to or from str: at 640 digits, the least limit CPython allows,
+    # slots of more than 640 digits give the residues of the default limit,
+    # through GMP and through the int product
     if not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("no int/str digit limit before Python 3.11")
     h = _reduced_hom_counts("C[3]*C[9]", 2, 1200)[0]
