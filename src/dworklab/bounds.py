@@ -171,7 +171,7 @@ def _thm61_exponent(kind: BoundKind) -> Callable[[int], int]:
 
 
 def _thm62_l(kind: BoundKind) -> int:
-    return sum(kind.partition) // 2 + 1  # A_1 + 1
+    return _partition_case(kind.partition)[1]  # case II: A_1 + 1
 
 
 def _thm62_exponent(kind: BoundKind) -> Callable[[int], int]:
@@ -556,8 +556,8 @@ def _default_x_grid() -> list[Fraction]:
 class FloorLemmaReport(NamedTuple):
     ij_counterexamples: list[tuple[int, int]]
     half_counterexamples: list[tuple[int, Fraction]]
-    ij_checked: int = 0
-    half_checked: int = 0
+    ij_checked: int
+    half_checked: int
 
     @property
     def ok(self) -> bool:

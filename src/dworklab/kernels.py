@@ -33,10 +33,10 @@ term arrives from a block product, formed as soon as its block of s_m is
 known, of two Kronecker-packed ints (van der Hoeven, "Relax, but don't be
 too lazy", 2002), so one C-level product of big ints replaces up to 256^2
 Python products.  CPython's int product stops at Karatsuba, so wide
-blocks are multiplied by the system GMP (``libgmp.so.10``, through
-`ctypes`), whose large products use Toom-Cook and FFT multiplication;
-`ctypes` is imported only then, and without libgmp every block takes the
-int product.
+blocks are multiplied by the system GMP's `mpn_mul` (``libgmp.so.10``,
+through `ctypes`), which reads the packed bytes as its limbs and uses
+Toom-Cook and FFT multiplication on large products; `ctypes` is imported
+only then, and without libgmp every block takes the int product.
 At p = 2 the kernel reduces modulo 2^k by the mask 2^k - 1.
 """
 
@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 
 BACKEND = "pure-python"  # the kernel implementation that perfbench/run.py records
 
@@ -226,11 +227,13 @@ _NEAR = 32
 _CAP = 256
 # a block product whose operands reach this many bits (slots times slot
 # bits) goes through GMP.  With packing and read-back (2 shared cores,
-# CPython 3.11), the int product wins below about 3,000 bits (32 slots at
-# 1,500 bits: 47 us against 55 us) and GMP from about 5,000; at 8,000 GMP
-# wins at every block length from 32 (38 us against 74 us) to 256 slots
-# (201 us against 225 us).  The blocks of P = 1 `periodicity` runs stay
-# below 3,000 bits at N <= 1200, so those runs never load `ctypes`
+# CPython 3.11), `mpn_mul` about ties the int product at 1,300 bits (32
+# slots: 22 us against 23 us), leads at 3,200 (32 slots: 24 against 33 us;
+# 256: 153 against 165 us) and at 8,000 (32 slots: 30 against 68 us; 256:
+# 156 against 192 us).  A switch at 3,200 bits was no faster on the
+# `free-product-periodicity` operations.  Loading `ctypes` and libgmp takes
+# about 2 ms, so the switch stays above 2,816 bits, the widest block of a
+# P = 1 `periodicity` run at N <= 1200, and those runs never load `ctypes`
 _GMP_BITS = 8_000
 
 
@@ -265,65 +268,49 @@ def _precision_plan(hred, p, w):
 
 
 def _gmp_product():
-    """GMP's product of two nonnegative ints given as little-endian bytes of
-    whole 8-byte words, as a function that returns the product's bytes, or
-    None when libgmp does not load."""
+    """GMP's product of two nonempty nonnegative ints given as little-endian
+    bytes, as a function that returns the product as little-endian bytes,
+    8 (ceil(len(xa) / 8) + ceil(len(xb) / 8)) of them; or None when libgmp
+    does not load or its limbs are not little-endian 8-byte words, since
+    `mpn_mul` reads the bytes as limbs."""
     import ctypes
 
     try:
         gmp = ctypes.CDLL("libgmp.so.10")  # a fixed soname: find_library starts a subprocess
     except OSError:
         return None
-
-    class Mpz(ctypes.Structure):  # mpz_t: alloc, size, limb pointer
-        _fields_ = [("alloc", ctypes.c_int), ("size", ctypes.c_int), ("limbs", ctypes.c_void_p)]
-
-    mpz, size, order = ctypes.POINTER(Mpz), ctypes.c_size_t, ctypes.c_int
-    init, clear, mul = gmp.__gmpz_init, gmp.__gmpz_clear, gmp.__gmpz_mul
-    load, store = gmp.__gmpz_import, gmp.__gmpz_export
-    init.argtypes = clear.argtypes = [mpz]
-    mul.argtypes = [mpz, mpz, mpz]
-    # (rop, count, order, size, endian, nails, op)
-    load.argtypes = [mpz, size, order, size, order, size, ctypes.c_char_p]
-    store.argtypes = [ctypes.c_char_p, ctypes.POINTER(size), order, size, order, size, mpz]
-    init.restype = clear.restype = mul.restype = load.restype = None
-    store.restype = ctypes.c_void_p
+    if ctypes.c_int.in_dll(gmp, "__gmp_bits_per_limb").value != 64 or sys.byteorder != "little":
+        return None
+    mul = gmp.__gmpn_mul  # (rp, s1p, s1n, s2p, s2n), s1n >= s2n >= 1
+    mul.argtypes = [ctypes.c_char_p, ctypes.c_char_p, ctypes.c_long, ctypes.c_char_p, ctypes.c_long]
+    mul.restype = None  # the top limb it returns is also written to rp
 
     def product(xa, xb):
-        # ctypes releases the GIL, so each call owns its three mpz_t
-        za, zb, zc = Mpz(), Mpz(), Mpz()
-        for z in (za, zb, zc):
-            init(z)
-        try:
-            # whole 8-byte words, least significant first, each little-endian
-            load(za, len(xa) // 8, -1, 8, -1, 0, xa)
-            load(zb, len(xb) // 8, -1, 8, -1, 0, xb)
-            mul(zc, za, zb)
-            # the product is below 2^(8 (len(xa) + len(xb))), so its words
-            # fit in this zeroed buffer and the export cannot write past it
-            out = ctypes.create_string_buffer(len(xa) + len(xb))
-            store(out, None, -1, 8, -1, 0, zc)
-        finally:
-            for z in (za, zb, zc):
-                clear(z)
+        xa += bytes(-len(xa) % 8)
+        xb += bytes(-len(xb) % 8)
+        if len(xa) < len(xb):
+            xa, xb = xb, xa
+        # mpn_mul writes exactly s1n + s2n limbs to this fresh buffer, and
+        # never touches its sources, so the immutable bytes can be passed
+        out = ctypes.create_string_buffer(len(xa) + len(xb))
+        mul(out, xa, len(xa) // 8, xb, len(xb) // 8)
         return out.raw
 
     return product
 
 
 def _block_product(a, b, bits, slots, gmp=None):
-    """Slots 0..slots-1 of the product of the blocks a and b as polynomials,
-    as a list of ints.
+    """Slots 0..slots-1 of the product of the nonempty blocks a and b as
+    polynomials, as a list of ints.
 
     Every entry of a and b and every slot of the product must be
     nonnegative and below 2^bits.  The blocks are Kronecker-packed with
-    `to_bytes` into slots of more than ``bits`` bits, so no slot carries
-    into the next, and multiplied as one pair of big ints: by ``gmp``, a
-    function from `_gmp_product`, with slots of whole 8-byte words, or,
-    without it, as Python ints with slots of whole bytes.  Each slot is
-    read back with `from_bytes`.
+    `to_bytes` into slots of whole bytes, more than ``bits`` bits, so no
+    slot carries into the next, and multiplied as one pair of big ints: by
+    ``gmp``, a function from `_gmp_product`, or, without it, as Python
+    ints.  Each slot is read back with `from_bytes`.
     """
-    width = (bits // 64 + 1) * 8 if gmp else bits // 8 + 1
+    width = bits // 8 + 1
     xa = b"".join([x.to_bytes(width, "little") for x in a])
     xb = b"".join([x.to_bytes(width, "little") for x in b])
     if gmp is None:
@@ -398,17 +385,16 @@ def hall_log_mod_residues(h, p, nmax):
       that width never carry into the next, and the product is one
       C-level multiplication (`_block_product`): the nonnegative residues
       are packed with `to_bytes` into slots of k + 1 bits rounded up to
-      bytes and multiplied as ints (Karatsuba), or, from `_GMP_BITS`
-      (8,000) operand bits (L times k), rounded up to 8-byte words and
-      multiplied by GMP's `mpz_mul` when libgmp loads; each slot is read
-      back with `from_bytes`.  Slot t is then multiplied by
-      p^(delta~_(t-1) - dhi), or divided by p^(dhi - delta~_(t-1)), which
-      is exact since each of its terms has delta~_j <= delta~_(t-1) and
-      the modulus keeps that many digits.  So row t's sum agrees with the
-      sum of all its terms modulo p^(e_t + delta~_(t-1)), the only digits
-      it reads, and every s_n, residue and ``ValueError`` is bit for bit
-      that of a row loop that forms each product itself (the tests keep
-      that loop).
+      whole bytes and multiplied as ints (Karatsuba), or, from
+      `_GMP_BITS` (8,000) operand bits (L times k), by GMP's `mpn_mul`
+      when libgmp loads; each slot is read back with `from_bytes`.  Slot
+      t is then multiplied by p^(delta~_(t-1) - dhi), or divided by
+      p^(dhi - delta~_(t-1)), which is exact since each of its terms has
+      delta~_j <= delta~_(t-1) and the modulus keeps that many digits.
+      So row t's sum agrees with the sum of all its terms modulo
+      p^(e_t + delta~_(t-1)), the only digits it reads, and every s_n,
+      residue and ``ValueError`` is bit for bit that of a row loop that
+      forms each product itself (the tests keep that loop).
     - L_n is p-integral whenever s_1..s_n are, because the sum is
       (v_p(a_j) >= -delta~_(n-1) for j < n), and L_n needs h_n modulo
       p^(w_(n-1) + e_n); beta_j needs h_j modulo p^(w_j + e_(j+1)).  The

@@ -457,18 +457,34 @@ def _gmp_or_skip():
 
 @pytest.mark.parametrize(
     "x, y",
-    [(0, 0), (0, 3**200), (1, 2**64 - 1), (2**64 - 1, 2**64 - 1), (2**640 - 1, 2**64 + 1), (7**500, 5**30)],
+    [
+        (0, 0),
+        (0, 3**200),
+        (1, 2**64 - 1),
+        (2**64 - 1, 2**64 - 1),
+        (2**640 - 1, 2**64 + 1),
+        (7**500, 5**30),
+        (255, 2**100 - 1),
+        (2**56 - 1, 2**72 - 1),
+    ],
 )
 def test_gmp_product_matches_int_product(x, y):
     gmp = _gmp_or_skip()
-    # each operand in the fewest whole 8-byte words that hold it (one for
-    # 0), so 2^64 - 1 and 2^640 - 1 fill their top word and the product
-    # can reach the last byte of the export buffer
-    xa = x.to_bytes(max(-(-x.bit_length() // 64), 1) * 8, "little")
-    xb = y.to_bytes(max(-(-y.bit_length() // 64), 1) * 8, "little")
-    prod = gmp(xa, xb)
-    assert len(prod) == len(xa) + len(xb)
-    assert int.from_bytes(prod, "little") == x * y
+    # each operand in the fewest whole units that hold it (one for 0): of
+    # one byte, as `_block_product` packs, so most lengths are not whole
+    # 8-byte limbs, or of 8 bytes, so 2^64 - 1 and 2^640 - 1 fill their top
+    # limb and the product can reach the last byte it returns; each pair
+    # in both orders, since GMP takes the longer operand first
+    for unit in (1, 8):
+        xa = x.to_bytes(max(-(-x.bit_length() // (8 * unit)), 1) * unit, "little")
+        xb = y.to_bytes(max(-(-y.bit_length() // (8 * unit)), 1) * unit, "little")
+        limbs = -(-len(xa) // 8) + -(-len(xb) // 8)
+        for u, v in ((xa, xb), (xb, xa)):
+            prod = gmp(u, v)
+            assert len(prod) == 8 * limbs
+            assert int.from_bytes(prod, "little") == x * y
+        # GMP wrote nothing to its sources
+        assert (int.from_bytes(xa, "little"), int.from_bytes(xb, "little")) == (x, y)
 
 
 def _convolution(a, b):
@@ -480,11 +496,25 @@ def _convolution(a, b):
 
 
 # (len(a), len(b), slot bits): one-slot blocks, blocks of unequal length,
-# and slots of 63 and 127 bits, which fill their top 64-bit word, or of 64
-# and 128 bits, which open one more
+# and slots of 7, 15, 63 and 127 bits, which fill their top byte, or of 8,
+# 16, 64 and 128 bits, which open one more; most blocks pack to a length
+# that is not whole 8-byte limbs
 @pytest.mark.parametrize(
     "la, lb, bits",
-    [(1, 1, 63), (1, 1, 64), (1, 40, 127), (40, 3, 128), (32, 32, 63), (256, 256, 127), (5, 200, 301)],
+    [
+        (1, 1, 7),
+        (3, 5, 8),
+        (9, 2, 15),
+        (13, 13, 16),
+        (1, 1, 63),
+        (1, 1, 64),
+        (1, 40, 127),
+        (40, 3, 128),
+        (32, 32, 63),
+        (256, 256, 127),
+        (5, 200, 301),
+        (7, 3, 301),
+    ],
 )
 @pytest.mark.parametrize("fill", ["zero", "ones", "random"])
 def test_block_product_matches_the_convolution(la, lb, bits, fill):
@@ -502,6 +532,19 @@ def test_block_product_matches_the_convolution(la, lb, bits, fill):
     for slots in (len(expected), min(len(expected), 3)):
         assert kernels._block_product(a, b, bits, slots, gmp) == expected[:slots]
         assert kernels._block_product(a, b, bits, slots) == expected[:slots]
+
+
+def test_gmp_product_needs_little_endian_limbs(monkeypatch):
+    # `mpn_mul` reads the packed bytes as limbs, so on a big-endian host the
+    # loader gives None and every block takes the int product
+    _gmp_or_skip()
+    monkeypatch.setattr(sys, "byteorder", "big")
+    assert kernels._gmp_product() is None
+    h = _reduced_hom_counts("C[3]*C[9]", 2, 300)[0]
+    monkeypatch.setattr(kernels, "_NEAR", 4)
+    monkeypatch.setattr(kernels, "_CAP", 32)
+    monkeypatch.setattr(kernels, "_GMP_BITS", 0)
+    assert kernels.hall_log_mod_residues(h, 2, 300) == hall_log_mod_residues_rows(h, 2, 300)
 
 
 def test_decimal_products_keep_slots_under_the_digit_cap(monkeypatch):
