@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from . import kernels
 from .exactcore import INFINITY, Valuation, check_prime, floor_log, residue_mod_p, vp
-from .kernels import vp_int
+from .kernels import floor_sum, vp_int
 
 if TYPE_CHECKING:
     # annotations only: the series layer loads the catalog, not the groups
@@ -78,22 +78,6 @@ class BoundKind(_BoundKind):
         return out
 
 
-def _floor_sum(n: int, base: int, lo: int, hi: int | None = None) -> int:
-    """sum_{s=lo}^{hi} floor(n / base^s); hi=None runs until terms vanish.
-
-    The half sums sum_s floor(n / (2 base^s)) are _floor_sum(n // 2, ...),
-    since floor(floor(n / 2) / q) = floor(n / (2 q)).
-    """
-    total = 0
-    q = base**lo
-    s = lo
-    while n // q and (hi is None or s <= hi):
-        total += n // q
-        q *= base
-        s += 1
-    return total
-
-
 def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
@@ -104,37 +88,42 @@ def _first_exponent(n: int, p: int, l: int, m: int) -> int:
     cor2.4 is m = 0, kty is (l+1, m), and thm6.1 is the (l, m) of the
     partition's case.
     """
-    return _floor_sum(n, p, 1, l - 1) - (l - m - 1) * (n // p**l)
+    return floor_sum(n, p, 1, l - 1) - (l - m - 1) * (n // p**l)
 
 
 def _p2_exponent(n: int, l: int) -> int:
     """thm2.7; thm6.2 is l = A_1 + 1."""
-    return _floor_sum(n, 2, 1, l - 1) + n // 2 ** (l + 1) - n // 2 ** (l + 2)
+    return floor_sum(n, 2, 1, l - 1) + n // 2 ** (l + 1) - n // 2 ** (l + 2)
 
 
 def _thm33_exponent(n: int) -> int:
     # the correction term is ceil(floor(n/9)/2): up to floor(n/9) tail
     # indices at 3^2 each cost half a digit, rounded up since the
     # valuation is an integer (floor(n/18) is too small at n = 9)
-    return _floor_sum(n, 3, 1) - _floor_sum(n // 2, 3, 1) - _ceil_div(n // 9, 2)
+    return floor_sum(n, 3) - floor_sum(n // 2, 3) - _ceil_div(n // 9, 2)
 
 
-def _thm34_exponent(kind: BoundKind) -> Callable[[int], int]:
-    l = kind.l
+def _thm31_exponent(p: int, l: int) -> Callable[[int], int]:
+    """thm3.1; cor3.6 at p >= 5 is l = 1."""
+    return lambda n: floor_sum(n, p) - (l - 1) * (n // p**l) - floor_sum(n // 2, p, l)
+
+
+def _thm34_exponent(l: int) -> Callable[[int], int]:
+    """thm3.4; cor3.6 at p = 2 is l = 1."""
     if l == 1:
         return lambda n: n // 2 - n // 4
     if l == 2:
         return lambda n: n // 2
-    return lambda n: _floor_sum(n, 2, 1, l + 1) - (l - 1) * (n // 2**l)
+    return lambda n: floor_sum(n, 2, 1, l + 1) - (l - 1) * (n // 2**l)
 
 
 def _cor36_exponent(kind: BoundKind) -> Callable[[int], int]:
-    p = kind.p
-    if p == 2:
-        return lambda n: n // 2 - n // 4
-    if p == 3:
+    """thm3.4 at l = 1 for p = 2, thm3.3 for p = 3, thm3.1 at l = 1 for p >= 5."""
+    if kind.p == 2:
+        return _thm34_exponent(1)
+    if kind.p == 3:
         return _thm33_exponent
-    return lambda n: _floor_sum(n, p, 1) - _floor_sum(n // 2, p, 1)
+    return _thm31_exponent(kind.p, 1)
 
 
 def _first_family(p: int, l: int, m: int) -> tuple[int, int, int, int, int]:
@@ -230,9 +219,7 @@ RULES: dict[str, Rule] = {
         recurrence=lambda k: _p2_family(k.l),
     ),
     "thm3.1": Rule(
-        lambda k: lambda n: _floor_sum(n, k.p, 1)
-        - (k.l - 1) * (n // k.p**k.l)
-        - _floor_sum(n // 2, k.p, k.l),
+        lambda k: _thm31_exponent(k.p, k.l),
         needs=("l",),
         admissible=_odd_p_admissible,
         requirement=_ODD_P_REQUIREMENT,
@@ -243,16 +230,16 @@ RULES: dict[str, Rule] = {
         requirement="p = 3",
     ),
     "thm3.4": Rule(
-        _thm34_exponent,
+        lambda k: _thm34_exponent(k.l),
         needs=("l",),
         admissible=lambda k: k.p == 2 and k.l >= 1,
         requirement="p = 2 and l >= 1",
     ),
     "cor3.6": Rule(_cor36_exponent),
     "thm3.7": Rule(
-        lambda k: lambda n: _floor_sum(n, k.p, 1)
+        lambda k: lambda n: floor_sum(n, k.p)
         - (k.l - 1) * _ceil_div(n, 2 * k.p**k.l)
-        - _floor_sum(n // 2, k.p, k.l),
+        - floor_sum(n // 2, k.p, k.l),
         needs=("l",),
         admissible=_odd_p_admissible,
         requirement=_ODD_P_REQUIREMENT,
@@ -533,16 +520,8 @@ def verify_q_recurrence(
 
 
 def floor_sum_gap(i: int, j: int, p: int, l: int) -> int:
-    """sum_{s>=1} (floor(ij / p^{s+l}) - floor(j / p^s)), exactly."""
-    total = 0
-    s = 1
-    while True:
-        a = i * j // p ** (s + l)
-        b = j // p**s
-        if a == 0 and b == 0:
-            return total
-        total += a - b
-        s += 1
+    """sum_{s>=1} (floor(ij / p^{s+l}) - floor(j / p^s)), exactly, for i, j >= 0."""
+    return floor_sum(i * j, p, l + 1) - floor_sum(j, p)
 
 
 def _default_x_grid() -> list[Fraction]:

@@ -254,6 +254,8 @@ def _cmd_verify_dihedral(args) -> dict:
         if args.odd_primes
         else []
     )
+    if 2 in odd_primes:
+        raise ValueError("--odd-primes expects odd primes, got 2")
     h = hall_exp(dihedral_subgroup_counts(m).values(args.n_max), args.n_max)
     kind = BoundKind("thm5.5", 2, dihedral_m=m)
     report = verify_bounds(h, kind)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .kernels import log_residue_precision, vp_int
+from .kernels import floor_sum, vp_int
 
 if TYPE_CHECKING:
     # annotations only: `vp` and `residue_mod_p` read a rational's
@@ -65,11 +65,11 @@ def vp(x: Fraction | int, p: int) -> Valuation:
 
 
 def legendre_valuation(n: int, p: int) -> int:
-    """v_p(n!) as the floor sum over powers of p (`kernels.log_residue_precision`)."""
+    """v_p(n!) as the floor sum over powers of p (`kernels.floor_sum`)."""
     check_prime(p)
     if n < 0:
         raise ValueError("n must be non-negative")
-    return log_residue_precision(n + 1, p) - 1
+    return floor_sum(n, p)
 
 
 def gauss_binom_at(m: int, k: int, q: int) -> int:

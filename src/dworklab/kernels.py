@@ -193,14 +193,28 @@ def subgroup_lattice_sizes(order: int, p: int, add_flat: bytes) -> list[int]:
     return sizes
 
 
-def log_residue_precision(nmax: int, p: int) -> int:
-    """Digits C = v_p((nmax-1)!) + 1 of h that `hall_log_mod_residues` reads."""
+def floor_sum(n: int, p: int, lo: int = 1, hi: int | None = None) -> int:
+    """sum_{s=lo}^{hi} floor(n / p^s) for n >= 0; hi=None runs until the terms vanish.
+
+    Legendre's v_p(n!) is floor_sum(n, p).  Each term is the last divided
+    by p, as floor(floor(n / q) / p) = floor(n / (q p)); so the half sums
+    sum_s floor(n / (2 p^s)) are floor_sum(n // 2, p, ...).
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
     total = 0
-    q = (nmax - 1) // p if nmax >= 1 else 0
-    while q:
-        total += q
-        q //= p
-    return total + 1
+    t = n // p**lo
+    while t and (hi is None or lo <= hi):
+        total += t
+        t //= p
+        lo += 1
+    return total
+
+
+def log_residue_precision(nmax: int, p: int) -> int:
+    """Digits C = v_p((nmax-1)!) + 1 of h that `hall_log_mod_residues` reads:
+    `floor_sum`(nmax - 1, p) + 1, and 1 for nmax <= 0."""
+    return floor_sum(max(nmax - 1, 0), p) + 1
 
 
 def _factorial_parts(p, stop):

@@ -138,6 +138,16 @@ def test_bound_value_cor36_branches():
     assert bound_value(BoundKind("cor3.6", 3), n) == bound_value(BoundKind("thm3.3", 3), n)
     expected5 = (n // 5 + n // 25) - (n // 10 + n // 50)
     assert bound_value(BoundKind("cor3.6", 5), n) == expected5
+    # each branch is another rule's exponent
+    for p, kind in [
+        (2, BoundKind("thm3.4", 2, l=1)),
+        (3, BoundKind("thm3.3", 3)),
+        (5, BoundKind("thm3.1", 5, l=1)),
+        (7, BoundKind("thm3.1", 7, l=1)),
+    ]:
+        cor36 = BoundKind("cor3.6", p)
+        for n in range(1001):
+            assert bound_value(cor36, n) == bound_value(kind, n), (p, n)
     # the general-bound family is never vacuously negative at n = 0
     for tag, kind in [
         ("thm3.1", BoundKind("thm3.1", 5, l=2)),
@@ -452,6 +462,17 @@ def test_floor_sum_gap_example():
     # i=4, j=3, p=2, l=1: (floor(12/4)-floor(3/2)) + (floor(12/8)-floor(3/4)) = 2+1... computed exactly:
     assert floor_sum_gap(4, 3, 2, 1) == (3 - 1) + (1 - 0)
     assert floor_sum_gap(4, 0, 2, 1) == 0
+    # the defining sum over the grid of `lemmas`' defaults, i <= 200, j <= 50,
+    # where every term beyond s = 14 vanishes (2^14 > 200 * 50)
+    for p in (2, 3, 5):
+        for l in (0, 1, 2):
+            for i in range(p**l, 201):
+                for j in range(51):
+                    direct = sum(i * j // p ** (s + l) - j // p**s for s in range(1, 15))
+                    assert floor_sum_gap(i, j, p, l) == direct, (i, j, p, l)
+    # a negative j raises: floor(j / p^s) stays at -1, so the sum has no end
+    with pytest.raises(ValueError, match="non-negative"):
+        floor_sum_gap(2, -1, 2, 1)
 
 
 def test_half_floor_examples():

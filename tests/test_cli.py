@@ -165,6 +165,9 @@ def test_verify_dihedral_checks_odd_primes_before_h(capsys, monkeypatch):
     code, out, err = run(capsys, ["verify-dihedral", "--m", "6", "--odd-primes", "4"])
     assert code == 2 and out == ""
     assert err == "error: p must be prime\n"
+    code, out, err = run(capsys, ["verify-dihedral", "--m", "6", "--n-max", "8", "--odd-primes", "2"])
+    assert code == 2 and out == ""
+    assert err == "error: --odd-primes expects odd primes, got 2\n"
 
 
 def test_verify_group_counts_once_and_transforms_once(capsys, monkeypatch):

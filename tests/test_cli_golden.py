@@ -112,6 +112,8 @@ CASES = [
     ("vd-9-n512", ["verify-dihedral", "--m", "9", "--n-max", "512"], 0, "41e2239e9684b7b5c220a7ea11f19215d7392b91d2a8418ce995f0d3c40e13ac"),
     # wide support: s_n != 0 up to n = 2m = 2048
     ("vd-1024-n2048", ["verify-dihedral", "--m", "1024", "--n-max", "2048"], 0, "2b704168f3f1d24c365c7c4635099a55016809a25ae370eeb3ab84a912457cf8"),
+    # 2 is not an odd prime, so it is rejected before h is built
+    ("vd-odd-primes-2", ["verify-dihedral", "--m", "6", "--n-max", "8", "--odd-primes", "2"], 2, None),
     ("vp-pi2-3-1", ["verify-permutations", "--variant", "pi2", "--p", "3", "--l", "1", "--A", "1", "--n-max", "60"], 0, "eb87f41fd7971452b06eeb0ea3a473600e6932d73fe9f0e567ddb636931c5889"),
     ("vp-pi3-5-1", ["verify-permutations", "--variant", "pi3", "--p", "5", "--l", "1", "--A", "1,2", "--n-max", "60"], 0, "f902577eb5ddd42c6400abdf460eb16e72069322b6dd92d0d414f03c8120184a"),
     # gapped cycle lengths a 2^i (a in A, i <= 11) up to n = 1024

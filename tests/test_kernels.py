@@ -22,6 +22,7 @@ from conftest import (
     subgroup_count_series,
 )
 from dworklab import kernels
+from dworklab.exactcore import legendre_valuation
 
 
 def test_hall_exp_matches_polynomial_exponential():
@@ -616,6 +617,24 @@ def test_log_residue_precision():
     for p in (2, 3, 7):
         for n in (1, 10, 401):
             assert kernels.log_residue_precision(n, p) == naive_vp(math.factorial(n - 1), p) + 1
+    # and against Legendre's sum; C = 1 for n <= 0, where (n-1)! is undefined
+    for p in (2, 3, 5, 7):
+        for n in range(-3, 1):
+            assert kernels.log_residue_precision(n, p) == 1
+        for n in range(1, 1001):
+            assert kernels.log_residue_precision(n, p) == legendre_valuation(n - 1, p) + 1
+
+
+def test_floor_sum_matches_the_direct_sum():
+    for p in (2, 3, 5, 7):
+        for lo in (1, 2, 3):
+            for hi in (None, lo - 1, lo, lo + 2):
+                last = 12 if hi is None else hi  # p^12 > 3000
+                for n in range(3001):
+                    direct = sum(n // p**s for s in range(lo, last + 1))
+                    assert kernels.floor_sum(n, p, lo, hi) == direct, (n, p, lo, hi)
+    with pytest.raises(ValueError, match="non-negative"):
+        kernels.floor_sum(-1, 2)
 
 
 def test_vp_int():
