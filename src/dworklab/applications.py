@@ -87,7 +87,7 @@ def _cycle_series(n_max: int, lengths: Sequence[int]) -> list[int]:
 def permutation_count_series(n_max: int, lengths: Sequence[int]) -> list[int]:
     """Exact counts of permutations of {1..n} with all cycle lengths in the
     set, for n = 0..n_max; `supercongruence` cross-checks its sums on them."""
-    return kernels.hall_exp(_cycle_series(n_max, lengths), n_max)
+    return kernels.hall_exp(_cycle_series(n_max, lengths))
 
 
 class PermDivisibilityReport(NamedTuple):
@@ -127,9 +127,7 @@ def verify_permutation_divisibility(rule: CycleRule, n_max: int) -> PermDivisibi
     kind = rule.bound_kind()
     p = kind.p
     bounds = bound_values(kind, n_max)
-    residues = kernels.hall_exp(
-        _cycle_series(n_max, rule.allowed_lengths()), n_max, p ** max(0, *bounds)
-    )
+    residues = kernels.hall_exp(_cycle_series(n_max, rule.allowed_lengths()), modulus=p ** max(0, *bounds))
     violations = [n for n, e in enumerate(bounds) if e > 0 and residues[n] % p**e]
     return PermDivisibilityReport(rule, kind, n_max, violations)
 

@@ -16,8 +16,8 @@ h_0..h_N, such as the list that `series.exp_transform` returns
 (violations are never dropped), keeps each row once, as the dict the
 report prints, and yields each row's valuation and Q_n mod p from one
 reduction of h_n modulo p^(e(n)+64);
-`verify_bounds_mod`, which `verify-group` runs, gives the
-same report from h computed only modulo p^(max(E, 0)+64), E = max e(n):
+`verify_bounds_mod`, which `verify-group` runs, gives the same report
+from s_0..s_N, computing h only modulo p^(max(E, 0)+64), E = max e(n):
 a nonzero residue of h_n modulo p^M, M > max(e(n), 0), reads exactly as
 h_n does, so it falls back to the exact h only when some residue is 0
 (both from `kernels.hall_exp`, with and without the modulus);
@@ -347,7 +347,7 @@ def _split_row(
     x: Fraction | int,
     p: int,
     e: int,
-    powers: dict[int, tuple[int, int]] | None = None,
+    powers: dict[int, tuple[int, int]],
 ) -> tuple[Valuation, int | None]:
     """(v_p(x), Q mod p) for Q = x / p^e; the residue is None when v_p(x) < e.
 
@@ -378,8 +378,6 @@ def _split_row(
     if p == 2:
         val = (x & -x).bit_length() - 1
         return val, (x >> e) & 1 if val >= e else None
-    if powers is None:
-        powers = {}
     if e not in powers:
         powers[e] = p**e, p ** (e + _GUARD)
     pe, pm = powers[e]
@@ -428,22 +426,22 @@ def verify_bounds(h: Sequence[int | Fraction], kind: BoundKind) -> BoundReport:
     return _verify_rows(h, kind, bound_values(kind, len(h) - 1))
 
 
-def verify_bounds_mod(s: Sequence[int], kind: BoundKind, n_max: int) -> BoundReport:
+def verify_bounds_mod(s: Sequence[int], kind: BoundKind) -> BoundReport:
     """`verify_bounds(exp_transform(s), kind)` from h modulo p^M.
 
-    ``s`` holds the integers s_0..s_n_max (s_0 is ignored).  With
-    E = max e(n), the recurrence runs modulo p^M, M = max(E, 0) + 64
+    ``s`` holds the integers s_0..s_N, N = len(s) - 1 (s_0 is ignored).
+    With E = max e(n), the recurrence runs modulo p^M, M = max(E, 0) + 64
     (`kernels.hall_exp` with that modulus), on numbers far smaller than
     the exact h_n.  Since M > max(e(n), 0), a nonzero residue of h_n gives
     v_p(h_n) and Q_n mod p exactly (`_split_row`), negative e(n) included.
     Only a residue equal to 0 needs more digits: when some residue is 0,
     the same kernel runs once more without a modulus, and every row is
-    read from the exact h.
+    read from the exact h.  An empty ``s`` raises ``ValueError``.
     """
-    bounds = bound_values(kind, n_max)
-    h = kernels.hall_exp(s, n_max, kind.p ** (max(0, *bounds) + _GUARD))
+    bounds = bound_values(kind, len(s) - 1)
+    h = kernels.hall_exp(s, modulus=kind.p ** (max([0, *bounds]) + _GUARD))
     if 0 in h:
-        h = kernels.hall_exp(s, n_max)
+        h = kernels.hall_exp(s)
     return _verify_rows(h, kind, bounds)
 
 

@@ -189,7 +189,7 @@ def _cmd_verify_group(args) -> dict:
         kind = BoundKind("thm6.1", p, partition=t.parts)
         hyp = check_hypotheses(s, p, "cor2.5", l=l, m=m)
 
-    report = verify_bounds_mod(s, kind, n_max)
+    report = verify_bounds_mod(s, kind)
     tight_failures: list[int] = []
     qrec_summary = None
     claimed = RULES[kind.tag].tight_classes(kind)
@@ -256,7 +256,7 @@ def _cmd_verify_dihedral(args) -> dict:
     )
     if 2 in odd_primes:
         raise ValueError("--odd-primes expects odd primes, got 2")
-    h = hall_exp(dihedral_subgroup_counts(m).values(args.n_max), args.n_max)
+    h = hall_exp(dihedral_subgroup_counts(m).values(args.n_max))
     kind = BoundKind("thm5.5", 2, dihedral_m=m)
     report = verify_bounds(h, kind)
     exhibitions = {}

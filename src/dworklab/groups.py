@@ -407,7 +407,7 @@ def hom_count_ints_mod(spec: GroupSpec, n_max: int, modulus: int) -> list[int]:
     out = None
     for factor in factors:
         svals = finite_subgroup_counts(factor).values(n_max)
-        h = kernels.hall_exp(svals, n_max, modulus)
+        h = kernels.hall_exp(svals, modulus=modulus)
         if out is None:
             out = h
         elif modulus & (modulus - 1):
@@ -428,4 +428,4 @@ def subgroup_residues_mod_p(spec: GroupSpec, n_max: int, p: int) -> list[int]:
     check_prime(p)
     C = kernels.log_residue_precision(n_max, p)
     h = hom_count_ints_mod(spec, n_max, p ** (2 * C - 1))
-    return kernels.hall_log_mod_residues(h, p, n_max)
+    return kernels.hall_log_mod_residues(h, p)

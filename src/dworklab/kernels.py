@@ -63,6 +63,8 @@ def vp_int(x: int, p: int) -> int:
         raise ValueError("vp_int is undefined at 0")
     if p == 2:
         return (x & -x).bit_length() - 1
+    if p < 2:
+        raise ValueError("p must be at least 2")
     v = 0
     # strip p^64 at a time so huge valuations cost few divisions; the
     # first remainder that is not zero lies below p^64 and carries the
@@ -85,12 +87,12 @@ def vp_int(x: int, p: int) -> int:
 _WIDE_GAP = 64
 
 
-def hall_exp(s, nmax, modulus=None):
-    """Integer coefficients h_0..h_nmax from integer s_1..s_nmax.
+def hall_exp(s, *, modulus=None):
+    """Integer coefficients h_0..h_N from integer s_1..s_N, N = len(s) - 1.
 
-    ``s`` is indexed by position (s[0] is ignored); entries beyond
-    ``len(s)-1`` count as zero.  Row n runs the recurrence by Horner over
-    the nonzero s_k with k <= n, from the highest k down:
+    ``s`` is indexed by position (s[0] is ignored).  Row n runs the
+    recurrence by Horner over the nonzero s_k with k <= n, from the
+    highest k down:
 
         h_n = s_1 h_(n-1) + (n-1) (s_2 h_(n-2) + (n-2) (s_3 h_(n-3) + ...)).
 
@@ -108,18 +110,20 @@ def hall_exp(s, nmax, modulus=None):
     division even then.  The recurrence is division free, so each entry is
     congruent to the exact h_n modulo ``modulus``.
     """
+    if not s:
+        raise ValueError("s must hold s_0..s_N, N >= 0, and is empty")
     mask = 0
     if modulus is not None:
         if modulus <= 0:
             raise ValueError("modulus must be positive")
-        s = [x % modulus for x in s[: nmax + 1]]
+        s = [x % modulus for x in s]
         if not modulus & (modulus - 1):
             mask = modulus - 1
-    h = [0] * (nmax + 1)
+    h = [0] * len(s)
     h[0] = 1 if modulus is None else 1 % modulus
     terms = []  # (a, s_a) for the nonzero s_a with a <= n, highest a first
-    for n in range(1, nmax + 1):
-        if n < len(s) and s[n]:
+    for n in range(1, len(s)):
+        if s[n]:
             terms.insert(0, (n, s[n]))
         acc = 0
         # b: the a of the previous step; the first step's factor is perm(., 0) = 1
@@ -162,6 +166,8 @@ def subgroup_lattice_sizes(order: int, p: int, add_flat: bytes) -> list[int]:
     """
     if order > 256:
         raise ValueError("subgroup enumeration is capped at order 256")
+    if p < 2:
+        raise ValueError("p must be at least 2")
     if len(add_flat) != order * order:
         raise ValueError("addition table has the wrong size")
     pad = bytes(256 - order)
@@ -202,6 +208,8 @@ def floor_sum(n: int, p: int, lo: int = 1, hi: int | None = None) -> int:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
+    if p < 2:
+        raise ValueError("p must be at least 2")
     total = 0
     t = n // p**lo
     while t and (hi is None or lo <= hi):
@@ -313,7 +321,7 @@ def _gmp_product():
     return product
 
 
-def _block_product(a, b, bits, slots, gmp=None):
+def _block_product(a, b, bits, slots, gmp):
     """Slots 0..slots-1 of the product of the nonempty blocks a and b as
     polynomials, as a list of ints.
 
@@ -321,8 +329,8 @@ def _block_product(a, b, bits, slots, gmp=None):
     nonnegative and below 2^bits.  The blocks are Kronecker-packed with
     `to_bytes` into slots of whole bytes, more than ``bits`` bits, so no
     slot carries into the next, and multiplied as one pair of big ints: by
-    ``gmp``, a function from `_gmp_product`, or, without it, as Python
-    ints.  Each slot is read back with `from_bytes`.
+    ``gmp``, a function from `_gmp_product`, or, when it is None, as
+    Python ints.  Each slot is read back with `from_bytes`.
     """
     width = bits // 8 + 1
     xa = b"".join([x.to_bytes(width, "little") for x in a])
@@ -335,12 +343,12 @@ def _block_product(a, b, bits, slots, gmp=None):
     return [int.from_bytes(prod[k * width : (k + 1) * width], "little") for k in range(slots)]
 
 
-def hall_log_mod_residues(h, p, nmax):
+def hall_log_mod_residues(h, p):
     """Residues of s_n modulo p from h values known modulo p**(2C - 1).
 
-    ``h`` must contain integers congruent to the exact h_n modulo
-    p**(2C - 1) with C = `log_residue_precision(nmax, p)`; exact values
-    work too.
+    ``h`` = [h_0, ..., h_nmax], nmax = len(h) - 1, must hold integers
+    congruent to the exact h_n modulo p**(2C - 1) with
+    C = `log_residue_precision(nmax, p)`; exact values work too.
 
     With a_j = h_j / j!, the derivative of H = exp(S) gives
 
@@ -427,6 +435,7 @@ def hall_log_mod_residues(h, p, nmax):
     w_(n-1).  Hence P <= C and D <= C - 1: the widest row modulus
     p^(P + D) and the C + P - 1 digits read of h are both at most 2C - 1.
     """
+    nmax = len(h) - 1
     C = log_residue_precision(nmax, p)
     if p == 2:
         # x & (2^k - 1) is x mod 2^k; CPython's % runs a full long
@@ -435,9 +444,9 @@ def hall_log_mod_residues(h, p, nmax):
     else:
         cut, red = (lambda k: p**k), operator.mod
     cut_c = cut(C)
-    hred = [red(x, cut_c) for x in h[: nmax + 1]]  # h modulo p**C
-    if len(hred) <= nmax or hred[0] != 1:
-        raise ValueError("h must cover 0..nmax and have h_0 = 1")
+    hred = [red(x, cut_c) for x in h]  # h modulo p**C
+    if not hred or hred[0] != 1:
+        raise ValueError("h must hold h_0..h_N, N >= 0, with h_0 = 1")
     w, m = _factorial_parts(p, nmax)
     dt, loss = _precision_plan(hred, p, w)  # dt[j] = delta~_j
     del hred  # C digits of every h_j, which no row reads: free them

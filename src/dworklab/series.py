@@ -1,10 +1,11 @@
 """Truncated formal-power-series layer.
 
 Connects the two coefficient lists of H(z) = exp(S(z)), the ones
-`kernels.hall_exp` takes and returns:
+`kernels.hall_exp` takes and returns, each with N = len - 1, which every
+function that is handed such a list reads from it instead of taking an N:
 
 * s = [s_0, s_1, ..., s_N] with S(z) = sum s_n z^n / n, where s_0 = 0
-  and is never read, so N = len(s) - 1;
+  and is never read;
 * h = [h_0, h_1, ..., h_N] with H(z) = sum h_n z^n / n!,
 
 and provides the transforms between them and `THEOREMS`, one record per
@@ -54,7 +55,7 @@ def exp_transform(s: _Coeffs) -> list[int | Fraction]:
     """
     d = math.lcm(*(c.denominator for c in s))
     scaled = [c.numerator * (d**k // c.denominator) for k, c in enumerate(s)]
-    big_h = kernels.hall_exp(scaled, len(s) - 1)
+    big_h = kernels.hall_exp(scaled)
     if d == 1:
         return big_h
     return [_exact(Fraction(x, d**n)) for n, x in enumerate(big_h)]
@@ -122,15 +123,15 @@ UNVERIFIABLE = "unverifiable at this truncation"
 class ConditionVerdict(NamedTuple):
     name: str
     status: str
-    first_failure: int | None = None
+    first_failure: int | None
 
 
 class HypothesisReport(NamedTuple):
     theorem: str
     kind: BoundKind  # the validated kind of the theorem's rule
-    conditions: tuple[ConditionVerdict, ...] = ()
-    overall: bool = True
-    fully_verified: bool = True
+    conditions: tuple[ConditionVerdict, ...]
+    overall: bool
+    fully_verified: bool
 
     @property
     def p(self) -> int:

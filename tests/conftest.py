@@ -390,7 +390,7 @@ def hom_count_ints(spec: GroupSpec, n_max: int) -> list[int]:
     """h_0..h_{n_max} of the group as exact integers; the counts of a free
     product are the pointwise product of its factors' counts."""
     factors = spec.factors if spec.is_free_product() else (spec,)
-    hs = [hall_exp(finite_subgroup_counts(f).values(n_max), n_max) for f in factors]
+    hs = [hall_exp(finite_subgroup_counts(f).values(n_max)) for f in factors]
     return [math.prod(col) for col in zip(*hs)]
 
 

@@ -256,7 +256,7 @@ def _split_row_cases(draw):
 def test_split_row_matches_rational_definition(case):
     x, p, e = case
     expected = _split_row_reference(x, p, e)
-    assert _split_row(x, p, e) == expected
+    assert _split_row(x, p, e, {}) == expected
     if isinstance(x, int) and x:
         # a nonzero residue modulo p^M, M > max(e, 0), reads as x does;
         # M = v_p(x) + 1 is the coarsest modulus that leaves x nonzero
@@ -264,7 +264,7 @@ def test_split_row_matches_rational_definition(case):
         k = vp(x, p)
         for M in (floor + 1, floor + 64, k + 1, k + 2):
             if M > floor and x % p**M:
-                assert _split_row(x % p**M, p, e) == expected
+                assert _split_row(x % p**M, p, e, {}) == expected
 
 
 @pytest.mark.parametrize(
@@ -296,7 +296,7 @@ def test_verify_bounds_keeps_no_residue_on_violated_rows():
 
 @st.composite
 def _group_bound_cases(draw):
-    """(s_0..s_N, kind, N) of an Abelian p-group of weight <= 4.
+    """(s_0..s_N, kind) of an Abelian p-group of weight <= 4.
 
     The kind is the group's own (thm6.2 for p = 2 case II, else thm6.1),
     or the weaker thm5.2, whose slack reaches 64 at p = 2 from weight 2 on,
@@ -310,22 +310,21 @@ def _group_bound_cases(draw):
         kind = BoundKind(own, p, partition=parts)
     else:
         kind = BoundKind("thm5.2", p)
-    s = abelian_subgroup_counts(PartitionType(parts, p)).values(n_max)
-    return s, kind, n_max
+    return abelian_subgroup_counts(PartitionType(parts, p)).values(n_max), kind
 
 
 @settings(deadline=None, max_examples=150)
 @given(_group_bound_cases())
-@example(([0, 1, 3, 0, 1] + [0] * 196, BoundKind("thm5.2", 2), 200))  # falls back
+@example(([0, 1, 3, 0, 1] + [0] * 196, BoundKind("thm5.2", 2)))  # falls back
 # the pi1 cycle series of A = {2} at p = 2, l = 2: h_n = 0 at every odd n,
 # so zero residues fall back to the exact h and give infinite valuations
-@example((series_from_map({2: 1}, 60), BoundKind("cor2.4", 2, l=2), 60))
+@example((series_from_map({2: 1}, 60), BoundKind("cor2.4", 2, l=2)))
 # the pi3 cycle series of A = {1, 2} at p = 3, l = 2: thm3.7 reaches e(n) = -1
-@example((series_from_map(dict.fromkeys((1, 2, 3, 6, 9), 1), 300), BoundKind("thm3.7", 3, l=2), 300))
+@example((series_from_map(dict.fromkeys((1, 2, 3, 6, 9), 1), 300), BoundKind("thm3.7", 3, l=2)))
 def test_verify_bounds_mod_matches_exact(case):
-    s, kind, n_max = case
+    s, kind = case
     # rows, violations, tight set, min slack and Q_n mod p all agree
-    assert verify_bounds_mod(s, kind, n_max) == verify_bounds(exp_transform(s), kind)
+    assert verify_bounds_mod(s, kind) == verify_bounds(exp_transform(s), kind)
 
 
 def test_wide_slack_reads_residues_without_exact_h(monkeypatch):
@@ -339,12 +338,27 @@ def test_wide_slack_reads_residues_without_exact_h(monkeypatch):
     assert expected.rows[186]["slack"] >= 64
     real = kernels.hall_exp
 
-    def modular_only(s, nmax, modulus=None):
+    def modular_only(s, *, modulus=None):
         assert modulus is not None, "exact h computed"
-        return real(s, nmax, modulus)
+        return real(s, modulus=modulus)
 
     monkeypatch.setattr(kernels, "hall_exp", modular_only)
-    assert verify_bounds_mod(s, kind, 197) == expected
+    assert verify_bounds_mod(s, kind) == expected
+
+
+def test_verify_bounds_mod_reads_n_from_the_series():
+    # the report on s_0..s_20 of A[3;2,1] is the first 21 rows of the report
+    # on s_0..s_60: no s_n past the list is read as 0, which would give
+    # violations at n = 27, 28, 29, ... that the group's series does not have
+    counts = abelian_subgroup_counts(PartitionType((2, 1), 3))
+    kind = BoundKind("thm6.1", 3, partition=(2, 1))
+    short = verify_bounds_mod(counts.values(20), kind)
+    full = verify_bounds_mod(counts.values(60), kind)
+    assert full.ok and len(full.rows) == 61
+    assert short.rows == full.rows[:21]
+    assert short.q_residues == full.q_residues[:21]
+    with pytest.raises(ValueError, match="empty"):
+        verify_bounds_mod([], kind)
 
 
 def test_q_recurrence_c2():

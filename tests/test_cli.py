@@ -56,7 +56,7 @@ def test_verify_group_prints_the_report_rows(capsys):
     s = abelian_subgroup_counts(PartitionType((2, 1), 3)).values(256)
     kind = BoundKind("thm6.1", 3, partition=(2, 1))
     _, doc, _ = run_json(capsys, ["verify-group", "--spec", "A[3;2,1]", "--n-max", "256"])
-    assert doc["rows"] == bounds.verify_bounds_mod(s, kind, 256).rows
+    assert doc["rows"] == bounds.verify_bounds_mod(s, kind).rows
 
 
 @pytest.mark.parametrize(
@@ -158,7 +158,7 @@ def test_verify_dihedral(capsys):
 def test_verify_dihedral_checks_odd_primes_before_h(capsys, monkeypatch):
     import dworklab.kernels as kernels
 
-    def spy(s, n_max):
+    def spy(s):
         raise AssertionError("h computed before --odd-primes was checked")
 
     monkeypatch.setattr(kernels, "hall_exp", spy)
@@ -185,9 +185,9 @@ def test_verify_group_counts_once_and_transforms_once(capsys, monkeypatch):
         calls.append("abelian_subgroup_counts")
         return abelian_subgroup_counts(*args)
 
-    def spy_exp(s, n_max, modulus=None):
+    def spy_exp(s, *, modulus=None):
         calls.append(("hall_exp", modulus))
-        return hall_exp(s, n_max, modulus)
+        return hall_exp(s, modulus=modulus)
 
     monkeypatch.setattr(groups, "abelian_subgroup_counts", spy_counts)
     monkeypatch.setattr(kernels, "hall_exp", spy_exp)
@@ -215,9 +215,9 @@ def test_verify_group_falls_back_to_exact_h(capsys, monkeypatch, spec):
     runs = []
     hall_exp = kernels.hall_exp
 
-    def spy(s, n_max, modulus=None):
-        runs.append((n_max, modulus is None))
-        return hall_exp(s, n_max, modulus)
+    def spy(s, *, modulus=None):
+        runs.append((len(s) - 1, modulus is None))
+        return hall_exp(s, modulus=modulus)
 
     monkeypatch.setattr(kernels, "hall_exp", spy)
     monkeypatch.setattr(bounds, "_GUARD", 0)

@@ -19,6 +19,7 @@ from conftest import (
     naive_vp,
     poly_exp_oracle,
     precision_loss_definition,
+    series_from_map,
     subgroup_count_series,
 )
 from dworklab import kernels
@@ -30,41 +31,48 @@ def test_hall_exp_matches_polynomial_exponential():
     for _ in range(5):
         svals = [0] + [rng.randint(-9, 9) for _ in range(40)]
         expected = poly_exp_oracle(svals)
-        got = kernels.hall_exp(svals, 40)
+        got = kernels.hall_exp(svals)
         assert all(e.denominator == 1 for e in expected)
         assert got == [e.numerator for e in expected]
 
 
 def test_hall_exp_involutions():
-    h = kernels.hall_exp([0, 1, 1], 100)
+    h = kernels.hall_exp(series_from_map({1: 1, 2: 1}, 100))
     assert h == involution_oracle(100)
 
 
 def test_hall_exp_short_series():
-    # entries beyond len(s)-1 count as zero
-    assert kernels.hall_exp([0, 1], 5) == [1, 1, 1, 1, 1, 1]
-    assert kernels.hall_exp([], 3) == [1, 0, 0, 0]
+    # the list holds N = len(s) - 1: h has as many entries as s, and the
+    # empty list, which has no s_0, has no h_0 either
+    assert kernels.hall_exp([0, 1]) == [1, 1]
+    assert kernels.hall_exp([0]) == [1]
+    with pytest.raises(ValueError, match="empty"):
+        kernels.hall_exp([])
+    # a modulus is passed by keyword, so an N passed the old way fails
+    with pytest.raises(TypeError):
+        kernels.hall_exp([0, 1], 5)
 
 
 # the modular path of hall_exp against its own exact path, at 80 terms
 def test_hall_exp_mod_matches_exact():
     rng = random.Random(13)
     svals = [0] + [rng.randint(-30, 30) for _ in range(80)]
-    h = kernels.hall_exp(svals, 80)
+    h = kernels.hall_exp(svals)
     for modulus in (2**20, 3**13, 997):
-        assert kernels.hall_exp(svals, 80, modulus) == [x % modulus for x in h]
+        assert kernels.hall_exp(svals, modulus=modulus) == [x % modulus for x in h]
 
 
 def test_hall_exp_rejects_nonpositive_modulus():
     for modulus in (0, -3):
         with pytest.raises(ValueError, match="modulus must be positive"):
-            kernels.hall_exp([0, 1, 1], 4, modulus)
+            kernels.hall_exp([0, 1, 1], modulus=modulus)
 
 
 @st.composite
 def _exp_inputs(draw):
     """(s, N) with s indexed by position; its last nonzero index lies
-    below or above N/4, or past N, or s is all zero."""
+    below or above N/4, or past N, or s is all zero.  The kernel gets s
+    cut or padded with zeros to s_0..s_N."""
     nmax = draw(st.integers(0, 32))
     last = draw(st.one_of(st.integers(0, nmax // 4), st.integers(0, nmax + 6)))
     s = [0] * (last + 1 + draw(st.integers(0, 4)))
@@ -91,7 +99,7 @@ def test_hall_exp_property_matches_polynomial_exponential(case, modulus):
     expected = [e.numerator for e in poly_exp_oracle(padded)]
     if modulus is not None:
         expected = [x % modulus for x in expected]
-    assert kernels.hall_exp(s, nmax, modulus) == expected
+    assert kernels.hall_exp(padded, modulus=modulus) == expected
 
 
 @st.composite
@@ -133,7 +141,8 @@ def _support_cases(draw):
 @example(([0, -3] + [0] * 80 + [-5], 200, 2**40))  # a power of two, masked after a gap of 81
 def test_hall_exp_matches_pochhammer_loop(case):
     s, nmax, modulus = case
-    assert kernels.hall_exp(s, nmax, modulus) == hall_exp_pochhammer(s, nmax, modulus)
+    fitted = series_from_map(dict(enumerate(s)), nmax)  # s cut or padded to s_0..s_N
+    assert kernels.hall_exp(fitted, modulus=modulus) == hall_exp_pochhammer(s, nmax, modulus)
 
 
 # support on the powers p^0..p^w, as for an Abelian p-group of weight w;
@@ -149,15 +158,15 @@ def test_hall_exp_mod_reduces_across_wide_gaps(p, w, nmax, modulus):
         s[p**i] = w + 1 - i
     assert p**w <= nmax and p**w - p ** (w - 1) > 64
     exact = hall_exp_pochhammer(s, nmax)
-    assert kernels.hall_exp(s, nmax, modulus) == [x % modulus for x in exact]
+    assert kernels.hall_exp(s + [0] * (nmax - p**w), modulus=modulus) == [x % modulus for x in exact]
 
 
 def test_hall_log_mod_residues_matches_exact():
     rng = random.Random(14)
     for p in (2, 3, 5):
         svals = [0] + [rng.randint(-50, 50) for _ in range(80)]
-        h = kernels.hall_exp(svals, 80)
-        residues = kernels.hall_log_mod_residues(h, p, 80)
+        h = kernels.hall_exp(svals)
+        residues = kernels.hall_log_mod_residues(h, p)
         assert residues == [x % p for x in svals]
         C = kernels.log_residue_precision(80, p)
         # the single scaled path is always feasible
@@ -165,7 +174,7 @@ def test_hall_log_mod_residues_matches_exact():
         assert 1 <= P <= C and 0 <= D <= C - 1
         # h reduced modulo p**(2C - 1) must give the same answer
         reduced = [x % p ** (2 * C - 1) for x in h]
-        assert kernels.hall_log_mod_residues(reduced, p, 80) == residues
+        assert kernels.hall_log_mod_residues(reduced, p) == residues
 
 
 def _plan(hred, p, n):
@@ -217,7 +226,7 @@ def test_hall_log_mod_residues_reads_2c_minus_1_digits(text, p, n):
     # at P > 1 and at P = C
     h, C, _ = _reduced_hom_counts(text, p, n)
     reduced = [x % p ** (2 * C - 1) for x in h]
-    assert kernels.hall_log_mod_residues(reduced, p, n) == kernels.hall_log_mod_residues(h, p, n)
+    assert kernels.hall_log_mod_residues(reduced, p) == kernels.hall_log_mod_residues(h, p)
 
 
 def test_hall_log_mod_residues_rejects_inexact_scaling():
@@ -228,7 +237,7 @@ def test_hall_log_mod_residues_rejects_inexact_scaling():
     bad[200] += 1
     assert _plan(bad, 2, 200) == (1, 0)
     with pytest.raises(ValueError, match="not integral at n=200"):
-        kernels.hall_log_mod_residues(bad, 2, 200)
+        kernels.hall_log_mod_residues(bad, 2)
 
     # D > 0: adding p^(w_(N-1) - 1) to h_N keeps the division by
     # p^(w_(N-1) - D) exact but leaves s_N with valuation -1, so the final
@@ -240,7 +249,7 @@ def test_hall_log_mod_residues_rejects_inexact_scaling():
     bad[200] += 2 ** (C - 2)  # C - 1 = v_2(199!)
     assert _plan(bad, 2, 200) == (P, D)
     with pytest.raises(ValueError, match="not integral at n=200"):
-        kernels.hall_log_mod_residues(bad, 2, 200)
+        kernels.hall_log_mod_residues(bad, 2)
 
     # no 2-part: P = C and D = C - 1, so the leading term of n = N is
     # h_N * 2^(D - w_(N-1)) = h_N and the final division by 2^D = 2^(C-1)
@@ -250,22 +259,22 @@ def test_hall_log_mod_residues_rejects_inexact_scaling():
     bad = h[:]
     bad[200] += 1
     with pytest.raises(ValueError, match="not integral at n=200"):
-        kernels.hall_log_mod_residues(bad, 2, 200)
+        kernels.hall_log_mod_residues(bad, 2)
 
 
 @pytest.mark.parametrize("p", [2, 3])  # the mask path and the % path
 def test_hall_log_mod_residues_checks_its_input(p):
     nmax = 40
     s = [0] + [k % 7 - 3 for k in range(1, nmax + 1)]
-    h = kernels.hall_exp(s, nmax)
-    message = "h must cover 0..nmax and have h_0 = 1"
+    h = kernels.hall_exp(s)
+    message = "h must hold h_0..h_N, N >= 0, with h_0 = 1"
     with pytest.raises(ValueError, match=message):
-        kernels.hall_log_mod_residues(h[:nmax], p, nmax)
+        kernels.hall_log_mod_residues([], p)
     with pytest.raises(ValueError, match=message):
-        kernels.hall_log_mod_residues([2] + h[1:], p, nmax)
+        kernels.hall_log_mod_residues([2] + h[1:], p)
     # h_0 is read modulo p**C
     C = kernels.log_residue_precision(nmax, p)
-    assert kernels.hall_log_mod_residues([1 + p**C] + h[1:], p, nmax) == [x % p for x in s]
+    assert kernels.hall_log_mod_residues([1 + p**C] + h[1:], p) == [x % p for x in s]
 
 
 _GROUP_FACTORS = ["C[2]", "C[3]", "C[4]", "C[6]", "C[9]", "C[16]", "D[3]", "A[2;1,1]", "A[3;1,1]"]
@@ -287,7 +296,7 @@ def test_hall_log_mod_residues_matches_exact_subgroup_counts(factors, p, n):
     exact = subgroup_count_series(spec, n)
     C = kernels.log_residue_precision(n, p)
     h = hom_count_ints_mod(spec, n, p ** (2 * C - 1))
-    assert kernels.hall_log_mod_residues(h, p, n) == [x % p for x in exact]
+    assert kernels.hall_log_mod_residues(h, p) == [x % p for x in exact]
 
 
 @settings(deadline=None, max_examples=60)
@@ -301,8 +310,8 @@ def test_hall_log_mod_residues_inverts_hall_exp(s, p):
     s = [0] + s
     n = len(s) - 1
     C = kernels.log_residue_precision(n, p)
-    h = [x % p ** (2 * C - 1) for x in kernels.hall_exp(s, n)]
-    assert kernels.hall_log_mod_residues(h, p, n) == [x % p for x in s]
+    h = [x % p ** (2 * C - 1) for x in kernels.hall_exp(s)]
+    assert kernels.hall_log_mod_residues(h, p) == [x % p for x in s]
 
 
 @st.composite
@@ -389,7 +398,7 @@ def _log_inputs(draw):
         for k in range(1, nmax + 1, stride):
             s[k] = rng.randint(-(10**4), 10**4)
         C = kernels.log_residue_precision(nmax, p)
-        h = [x % p ** (2 * C - 1) for x in kernels.hall_exp(s, nmax)]
+        h = [x % p ** (2 * C - 1) for x in kernels.hall_exp(s)]
     if draw(st.booleans()):
         at = draw(st.integers(1, nmax))
         h[at] += p ** draw(st.integers(0, 2 * C))
@@ -446,7 +455,7 @@ def test_hall_log_mod_residues_matches_row_loop(case, schedule, gmp_bits, libgmp
         mp.setattr(kernels, "_GMP_BITS", gmp_bits)
         if not libgmp:
             mp.setattr(kernels, "_gmp_product", lambda: None)
-        assert _outcome(kernels.hall_log_mod_residues, h, p, nmax) == expected
+        assert _outcome(kernels.hall_log_mod_residues, h, p) == expected
 
 
 def _gmp_or_skip():
@@ -532,7 +541,7 @@ def test_block_product_matches_the_convolution(la, lb, bits, fill):
     assert max(expected) < 2**bits
     for slots in (len(expected), min(len(expected), 3)):
         assert kernels._block_product(a, b, bits, slots, gmp) == expected[:slots]
-        assert kernels._block_product(a, b, bits, slots) == expected[:slots]
+        assert kernels._block_product(a, b, bits, slots, None) == expected[:slots]
 
 
 def test_gmp_product_needs_little_endian_limbs(monkeypatch):
@@ -545,7 +554,7 @@ def test_gmp_product_needs_little_endian_limbs(monkeypatch):
     monkeypatch.setattr(kernels, "_NEAR", 4)
     monkeypatch.setattr(kernels, "_CAP", 32)
     monkeypatch.setattr(kernels, "_GMP_BITS", 0)
-    assert kernels.hall_log_mod_residues(h, 2, 300) == hall_log_mod_residues_rows(h, 2, 300)
+    assert kernels.hall_log_mod_residues(h, 2) == hall_log_mod_residues_rows(h, 2, 300)
 
 
 def test_decimal_products_keep_slots_under_the_digit_cap(monkeypatch):
@@ -558,14 +567,14 @@ def test_decimal_products_keep_slots_under_the_digit_cap(monkeypatch):
     taken = []  # (operand bits of block b, the GMP product or None)
     block_product = kernels._block_product
 
-    def spy(a, b, bits, slots, gmp=None):
+    def spy(a, b, bits, slots, gmp):
         taken.append((len(b) * bits, gmp))
         return block_product(a, b, bits, slots, gmp)
 
     monkeypatch.setattr(kernels, "_block_product", spy)
     monkeypatch.setattr(kernels, "_NEAR", 4)
     monkeypatch.setattr(kernels, "_CAP", 32)
-    assert kernels.hall_log_mod_residues(h, 2, 300) == expected
+    assert kernels.hall_log_mod_residues(h, 2) == expected
     assert {prod is None for _, prod in taken} == {True, False}
     assert all((prod is None) == (width < kernels._GMP_BITS) for width, prod in taken)
 
@@ -578,11 +587,11 @@ def test_decimal_products_respect_a_lowered_int_str_limit(monkeypatch):
     if not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("no int/str digit limit before Python 3.11")
     h = _reduced_hom_counts("C[3]*C[9]", 2, 1200)[0]
-    expected = kernels.hall_log_mod_residues(h, 2, 1200)
+    expected = kernels.hall_log_mod_residues(h, 2)
     widest = []
     block_product = kernels._block_product
 
-    def spy(a, b, bits, slots, gmp=None):
+    def spy(a, b, bits, slots, gmp):
         widest.append(bits)
         return block_product(a, b, bits, slots, gmp)
 
@@ -590,9 +599,9 @@ def test_decimal_products_respect_a_lowered_int_str_limit(monkeypatch):
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
-        assert kernels.hall_log_mod_residues(h, 2, 1200) == expected
+        assert kernels.hall_log_mod_residues(h, 2) == expected
         monkeypatch.setattr(kernels, "_GMP_BITS", math.inf)
-        assert kernels.hall_log_mod_residues(h, 2, 1200) == expected
+        assert kernels.hall_log_mod_residues(h, 2) == expected
     finally:
         sys.set_int_max_str_digits(limit)
     # slots wider than 2,200 bits hold more than 640 decimal digits (2,127 bits)
@@ -635,6 +644,16 @@ def test_floor_sum_matches_the_direct_sum():
                     assert kernels.floor_sum(n, p, lo, hi) == direct, (n, p, lo, hi)
     with pytest.raises(ValueError, match="non-negative"):
         kernels.floor_sum(-1, 2)
+    # p < 2 would loop forever or divide by zero; the callers that take p
+    # pass it on, and raise the same error
+    for p in (-2, 0, 1):
+        for call in (
+            lambda: kernels.floor_sum(5, p),
+            lambda: kernels.log_residue_precision(10, p),
+            lambda: kernels.hall_log_mod_residues([1, 1, 2], p),
+        ):
+            with pytest.raises(ValueError, match="at least 2"):
+                call()
 
 
 def test_vp_int():
@@ -650,6 +669,9 @@ def test_vp_int():
             assert kernels.vp_int(-x, p) == v
     with pytest.raises(ValueError):
         kernels.vp_int(0, 3)
+    for p in (-2, 0, 1):
+        with pytest.raises(ValueError, match="at least 2"):
+            kernels.vp_int(5, p)
 
 
 @settings(deadline=None, max_examples=300)
@@ -676,6 +698,9 @@ def test_subgroup_lattice_sizes_klein():
     for bad in (flat[:-1], flat + b"\0"):
         with pytest.raises(ValueError, match="wrong size"):
             kernels.subgroup_lattice_sizes(order, 2, bad)
+    for p in (-2, 0, 1):
+        with pytest.raises(ValueError, match="at least 2"):
+            kernels.subgroup_lattice_sizes(order, p, flat)
 
 
 class _Untouchable:
