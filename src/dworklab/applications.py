@@ -42,13 +42,10 @@ class CycleRule(_CycleRule):
             raise ValueError("base set entries must be positive")
         return super().__new__(cls, variant, p, l, base_set)
 
-    def length_cap(self) -> int:
-        """Smallest integer strictly above every allowed length."""
-        pl = self.p**self.l
-        return {"pi1": pl, "pi2": pl + 1, "pi3": 2 * pl}[self.variant]
-
     def allowed_lengths(self) -> tuple[int, ...]:
-        cap = self.length_cap()
+        pl = self.p**self.l
+        # the smallest integer strictly above every allowed length
+        cap = {"pi1": pl, "pi2": pl + 1, "pi3": 2 * pl}[self.variant]
         lengths = set()
         for a in self.base_set:
             length = a

@@ -24,7 +24,8 @@ h_n does, so it falls back to the exact h only when some residue is 0
 `verify_q_recurrence` checks on those residues the mod-p recurrence of
 the quotients that certifies tightness; and `floor_lemma_checks`
 exhaustively tests the two floor-sum inequalities the bound proofs rest
-on.
+on.  The partition rules read the case split from `exactcore`, so the
+catalog never loads the group layer.
 """
 
 from __future__ import annotations
@@ -34,11 +35,11 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from . import kernels
-from .exactcore import INFINITY, Valuation, check_prime, floor_log, residue_mod_p, vp
+from .exactcore import INFINITY, Valuation, check_prime, floor_log, partition_case, vp
 from .kernels import floor_sum, vp_int
 
 if TYPE_CHECKING:
-    # annotations only: the series layer loads the catalog, not the groups
+    # annotations only: the catalog never loads the group layer
     from .groups import SubgroupCounts
 
 
@@ -136,16 +137,8 @@ def _p2_family(l: int) -> tuple[int, int, int, int, int]:
     return 2**l, 2 ** (l + 1), l - 2, 2 ** (l + 2), 1
 
 
-def _partition_case(parts: tuple[int, ...]) -> tuple[str, int, int]:
-    """`groups.partition_case`; the group layer loads on the first call, so
-    only the rules that read a partition load it."""
-    from .groups import partition_case
-
-    return partition_case(parts)
-
-
 def _thm61_recurrence(kind: BoundKind) -> tuple[int, int, int, int, int]:
-    case, l, m = _partition_case(kind.partition)
+    case, l, m = partition_case(kind.partition)
     if case == "II" and kind.p == 2:
         raise ValueError(
             "p = 2 case II has no first-family quotient recurrence; "
@@ -155,12 +148,12 @@ def _thm61_recurrence(kind: BoundKind) -> tuple[int, int, int, int, int]:
 
 
 def _thm61_exponent(kind: BoundKind) -> Callable[[int], int]:
-    _, l, m = _partition_case(kind.partition)
+    _, l, m = partition_case(kind.partition)
     return lambda n: _first_exponent(n, kind.p, l, m)
 
 
 def _thm62_l(kind: BoundKind) -> int:
-    return _partition_case(kind.partition)[1]  # case II: A_1 + 1
+    return partition_case(kind.partition)[1]  # case II: A_1 + 1
 
 
 def _thm62_exponent(kind: BoundKind) -> Callable[[int], int]:
@@ -260,7 +253,7 @@ RULES: dict[str, Rule] = {
         _thm61_exponent,
         needs=("partition",),
         # partition_case raises on a malformed partition
-        admissible=lambda k: bool(_partition_case(k.partition)),
+        admissible=lambda k: bool(partition_case(k.partition)),
         requirement="a partition",
         recurrence=_thm61_recurrence,
         tight_classes=lambda k: [0],
@@ -268,7 +261,7 @@ RULES: dict[str, Rule] = {
     "thm6.2": Rule(
         _thm62_exponent,
         needs=("partition",),
-        admissible=lambda k: _partition_case(k.partition)[0] == "II" and k.p == 2,
+        admissible=lambda k: partition_case(k.partition)[0] == "II" and k.p == 2,
         requirement="p = 2 and a case II partition",
         recurrence=lambda k: _p2_family(_thm62_l(k)),
         tight_classes=lambda k: [0, 2 ** _thm62_l(k), 2 ** (_thm62_l(k) + 1)],
@@ -361,7 +354,7 @@ def _split_row(
     p = 2 both come from the bits of x.  For an int x and e < 0,
     Q = x p^(-e) is 0 (mod p).  Only a Fraction x, which a series holds
     only for a non-integral coefficient, goes through the exact rational
-    quotient.
+    quotient, whose denominator is prime to p once v_p(x) >= e.
 
     ``powers`` maps e to (p^e, p^(e+64)); a caller that reads many rows
     passes one dict, so that each pair is formed once per distinct e.
@@ -372,7 +365,8 @@ def _split_row(
         val = vp(x, p)
         if val < e:
             return val, None
-        return val, residue_mod_p(x / p**e if e >= 0 else x * p**-e, p)
+        q = x / p**e if e >= 0 else x * p**-e
+        return val, q.numerator * pow(q.denominator, -1, p) % p
     if e < 0:
         return vp_int(x, p), 0
     if p == 2:

@@ -139,13 +139,11 @@ def _tsv_cell(value) -> str:
 
 def _cmd_analyze_series(args) -> dict:
     from .bounds import verify_bounds
-    from .exactcore import check_prime
     from .series import check_hypotheses, exp_transform, load_log_series
 
     with open(args.input, encoding="utf-8") as f:
         s, file_p = load_log_series(f.read())
     p = args.p if args.p is not None else file_p
-    check_prime(p)
     hyp = check_hypotheses(s, p, args.theorem, l=args.l, m=args.m)
     n_hi = len(s) - 1 if args.n_max is None else min(args.n_max, len(s) - 1)
     # row n reads only s_1..s_n, so the transform stops at the last row reported

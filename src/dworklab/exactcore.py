@@ -3,19 +3,21 @@
 Everything here is exact: rationals are `fractions.Fraction` (always in
 lowest terms with positive denominator), valuations are integers or
 :data:`INFINITY` (``math.inf``) for zero, and all helper functions use
-arbitrary precision integer arithmetic.
+arbitrary precision integer arithmetic.  `partition_case`, the case
+I/II/III split of an Abelian type, lives here too, so that the bound
+catalog and the group layer both read it without loading each other.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .kernels import floor_sum, vp_int
 
 if TYPE_CHECKING:
-    # annotations only: `vp` and `residue_mod_p` read a rational's
-    # numerator and denominator, so the group layer never loads fractions
+    # annotations only: `vp` reads a rational's numerator and
+    # denominator, so the group layer never loads fractions
     from fractions import Fraction
 
 
@@ -67,8 +69,6 @@ def vp(x: Fraction | int, p: int) -> Valuation:
 def legendre_valuation(n: int, p: int) -> int:
     """v_p(n!) as the floor sum over powers of p (`kernels.floor_sum`)."""
     check_prime(p)
-    if n < 0:
-        raise ValueError("n must be non-negative")
     return floor_sum(n, p)
 
 
@@ -106,16 +106,22 @@ def floor_log(base: int, n: int) -> int:
     return e
 
 
-def residue_mod_p(x: Fraction | int, p: int) -> int:
-    """Reduce a p-integral rational modulo p.
+def partition_case(parts: Sequence[int]) -> tuple[str, int, int]:
+    """Case of an abelian type (a_1 >= ... >= a_r) and its (l, m) parameters.
 
-    Requires vp(x) >= 0, i.e. the denominator in lowest terms is coprime
-    to p; the denominator is then inverted modulo p.
+    Case I  (a_1 > a_2+...+a_r):            l = a_1 + 1, m = a_2+...+a_r
+    Case II (a_1 <= rest, weight even):     l = A_1 + 1, m = A_1
+    Case III(a_1 <= rest, weight odd):      l = A_2 + 1, m = A_2 - 1
     """
-    check_prime(p)
-    if isinstance(x, int):
-        return x % p
-    den = x.denominator
-    if den % p == 0:
-        raise ValueError("rational is not p-integral, no residue mod p")
-    return x.numerator * pow(den, -1, p) % p
+    if not parts or any(a < 1 for a in parts) or list(parts) != sorted(parts, reverse=True):
+        raise ValueError("partition must be weakly decreasing positive integers")
+    weight = sum(parts)
+    a1 = parts[0]
+    rest = weight - a1
+    if a1 > rest:
+        return "I", a1 + 1, rest
+    if weight % 2 == 0:
+        half = weight // 2
+        return "II", half + 1, half
+    half = (weight + 1) // 2
+    return "III", half + 1, half - 1

@@ -17,17 +17,18 @@ per cyclic generator, and closes subgroups one coset at a time (hard size
 cap 256, so that every element fits in a byte).  Free products are
 represented through their homomorphism-count sequences, which multiply
 pointwise; their subgroup counts are recovered modulo p by the inverse
-transform.
+transform.  The case I/II/III classification of a type, `partition_case`,
+comes from `dworklab.exactcore`, where the bound catalog reads it too.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple
 
 from . import kernels
-from .exactcore import check_prime, gauss_binom_at, vp
+from .exactcore import check_prime, gauss_binom_at, partition_case, vp
 
 ABELIAN_WEIGHT_CAP = 40
 BRUTEFORCE_ORDER_CAP = 256
@@ -84,27 +85,6 @@ class PartitionType(_PartitionType):
     @property
     def group_order(self) -> int:
         return self.p**self.weight
-
-
-def partition_case(parts: Sequence[int]) -> tuple[str, int, int]:
-    """Case of an abelian type (a_1 >= ... >= a_r) and its (l, m) parameters.
-
-    Case I  (a_1 > a_2+...+a_r):            l = a_1 + 1, m = a_2+...+a_r
-    Case II (a_1 <= rest, weight even):     l = A_1 + 1, m = A_1
-    Case III(a_1 <= rest, weight odd):      l = A_2 + 1, m = A_2 - 1
-    """
-    if not parts or any(a < 1 for a in parts) or list(parts) != sorted(parts, reverse=True):
-        raise ValueError("partition must be weakly decreasing positive integers")
-    weight = sum(parts)
-    a1 = parts[0]
-    rest = weight - a1
-    if a1 > rest:
-        return "I", a1 + 1, rest
-    if weight % 2 == 0:
-        half = weight // 2
-        return "II", half + 1, half
-    half = (weight + 1) // 2
-    return "III", half + 1, half - 1
 
 
 class SubgroupCounts:
@@ -404,16 +384,17 @@ def hom_count_ints_mod(spec: GroupSpec, n_max: int, modulus: int) -> list[int]:
     a full long division even then.
     """
     factors = spec.factors if spec.is_free_product() else (spec,)
+    mask = 0 if modulus & (modulus - 1) else modulus - 1
     out = None
     for factor in factors:
         svals = finite_subgroup_counts(factor).values(n_max)
         h = kernels.hall_exp(svals, modulus=modulus)
         if out is None:
             out = h
-        elif modulus & (modulus - 1):
-            out = [a * b % modulus for a, b in zip(out, h)]
+        elif mask:
+            out = [a * b & mask for a, b in zip(out, h)]
         else:
-            out = [a * b & (modulus - 1) for a, b in zip(out, h)]
+            out = [a * b % modulus for a, b in zip(out, h)]
     return out
 
 

@@ -38,14 +38,6 @@ from .exactcore import check_prime, floor_log, vp
 _Coeffs = Sequence[int | Fraction]  # s_0..s_N or h_0..h_N
 
 
-def _exact(v) -> int | Fraction:
-    """v as an int when it is integral, else as a Fraction."""
-    if type(v) is int:
-        return v
-    v = Fraction(v)
-    return v.numerator if v.denominator == 1 else v
-
-
 def exp_transform(s: _Coeffs) -> list[int | Fraction]:
     """h_n = sum_{k=1}^{n} (n-k+1)_{k-1} s_k h_{n-k}, with h_0 = 1.
 
@@ -58,7 +50,8 @@ def exp_transform(s: _Coeffs) -> list[int | Fraction]:
     big_h = kernels.hall_exp(scaled)
     if d == 1:
         return big_h
-    return [_exact(Fraction(x, d**n)) for n, x in enumerate(big_h)]
+    h = [Fraction(x, d**n) for n, x in enumerate(big_h)]
+    return [v.numerator if v.denominator == 1 else v for v in h]
 
 
 def log_transform(h: _Coeffs) -> list[int | Fraction]:

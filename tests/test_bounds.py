@@ -21,7 +21,7 @@ from dworklab.bounds import (
     verify_bounds_mod,
     verify_q_recurrence,
 )
-from dworklab.exactcore import legendre_valuation, residue_mod_p, vp
+from dworklab.exactcore import legendre_valuation, vp
 from dworklab.groups import PartitionType, abelian_subgroup_counts, partition_case
 from dworklab.series import exp_transform
 
@@ -214,12 +214,13 @@ def test_q_recurrence_violation_aborts():
 
 
 def _split_row_reference(x, p, e):
-    """v_p(x), and Q = x / p^e reduced mod p through the exact rational."""
+    """v_p(x), and Q = x / p^e reduced mod p through the exact rational:
+    the one r in 0..p-1 with v_p(Q - r) >= 1."""
     val = vp(x, p)
     if val < e:
         return val, None
     q = x / Fraction(p**e) if e >= 0 else x * Fraction(p ** (-e))
-    return val, residue_mod_p(q, p)
+    return val, next(r for r in range(p) if vp(q - r, p) >= 1)
 
 
 @st.composite
@@ -252,6 +253,7 @@ def _split_row_cases(draw):
 @example((Fraction(9, 4), 3, 1))
 @example((Fraction(4, 9), 3, -2))
 @example((Fraction(4, 9), 3, -3))
+@example((Fraction(10, 3), 7, 0))  # Q = 10/3 = 1 (mod 7)
 @example((3**5 * 10**40, 3, 7))  # violated row
 def test_split_row_matches_rational_definition(case):
     x, p, e = case

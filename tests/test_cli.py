@@ -128,6 +128,21 @@ def test_analyze_series_non_integer_token_exits_2(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "header, flags",
+    [("2 3", ["--p", "9"]), ("2 4", [])],
+    ids=["flag", "header"],
+)
+def test_analyze_series_composite_p_exits_2(capsys, tmp_path, header, flags):
+    path = tmp_path / "composite.series"
+    path.write_text(f"{header}\n1 1 1\n2 1 1\n")
+    code, out, err = run(
+        capsys, ["analyze-series", "--input", str(path), "--theorem", "cor2.4", "--l", "1", *flags]
+    )
+    assert code == 2 and out == ""
+    assert err == "error: p must be prime\n"
+
+
+@pytest.mark.parametrize(
     "argv, flag",
     [
         (["verify-group", "--spec", "A[2;1,1]"], "--cache-dir"),

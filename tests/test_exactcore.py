@@ -12,7 +12,6 @@ from dworklab.exactcore import (
     gauss_binom_at,
     is_prime,
     legendre_valuation,
-    residue_mod_p,
     vp,
 )
 
@@ -69,6 +68,8 @@ def test_vp_multiplicative_and_ultrametric():
 def test_legendre_examples():
     assert legendre_valuation(10, 2) == 8
     assert legendre_valuation(0, 7) == 0
+    with pytest.raises(ValueError, match="^n must be non-negative$"):
+        legendre_valuation(-1, 2)
     # 9! = 362880 = 2^7 * 3^4 * 5 * 7
     assert legendre_valuation(9, 3) == 4
 
@@ -123,10 +124,3 @@ def test_floor_log():
             assert floor_log(base, n) == int(math.log(n, base) + 1e-9) or base ** floor_log(base, n) <= n < base ** (floor_log(base, n) + 1)
     with pytest.raises(ValueError):
         floor_log(2, 0)
-
-
-def test_residue_mod_p():
-    assert residue_mod_p(Fraction(10, 3), 7) == 10 * pow(3, -1, 7) % 7
-    assert residue_mod_p(-5, 3) == 1
-    with pytest.raises(ValueError):
-        residue_mod_p(Fraction(1, 2), 2)

@@ -5,7 +5,8 @@ referenced in its own module.  No module of the package imports
 any layer below the package root: each subcommand loads what it runs,
 and a periodicity run loads neither the bound catalog nor the series
 layer.  Importing the group layer loads neither the bound catalog nor
-`fractions`, and importing the series layer loads no group layer.
+`fractions`, and neither importing the series layer nor building and
+evaluating the catalog's partition rules loads the group layer.
 Importing the CLI or the group layer, or a small periodicity run, loads
 neither `ctypes` nor `decimal`.
 
@@ -224,9 +225,23 @@ def test_group_layer_import_loads_only_the_group_layer():
 
 
 # `analyze-series` runs the series layer and the bound catalog, and reads
-# no partition, so it never needs the group layer.
+# no partition, so it never needs the group layer; the catalog's partition
+# rules read the case split from `exactcore`, so building and evaluating
+# them does not load it either.
 def test_series_import_loads_no_group_layer():
-    loaded = modules_loaded_by("dworklab.series")
+    then = (
+        "from dworklab.bounds import RULES, BoundKind, bound_values, q_recurrence_parameters\n"
+        "first = BoundKind('thm6.1', 3, partition=(2, 1))\n"
+        "second = BoundKind('thm6.2', 2, partition=(2, 1, 1))\n"
+        "for kind in (first, second):\n"
+        "    bound_values(kind, 20)\n"
+        # the subgroup counts of A[3;2,1] by index, written out
+        "s = [0] * 28\n"
+        "s[1], s[3], s[9], s[27] = 1, 4, 4, 1\n"
+        "assert q_recurrence_parameters(first, s) == (27, 1)\n"
+        "assert RULES['thm6.2'].tight_classes(second) == [0, 8, 16]\n"
+    )
+    loaded = modules_loaded_by("dworklab.series", then)
     assert "dworklab.bounds" in loaded
     assert "dworklab.groups" not in loaded
 
