@@ -173,9 +173,7 @@ def _binomial_half_sum(p: int, outer: int, c: int) -> int:
     return total
 
 
-def supercongruence_check(
-    p: int, a: int, b: int, c: int, h: Sequence[int] | None = None
-) -> SupercongInstance:
+def supercongruence_check(p: int, a: int, b: int, c: int, h: Sequence[int]) -> SupercongInstance:
     """Exact check of the three-parameter congruence
 
         sum_{s=0}^{pa+b} (p^2 a + p b + c)! / (p^{pa+b-s} (pa+b-s)! (ps+c)!)
@@ -184,7 +182,7 @@ def supercongruence_check(
 
     cross-checking that the left side equals h_{p^2 a + p b + c} for the
     series with s_1 = s_p = 1.  ``h`` holds that series' h_0, h_1, ... at
-    least up to that index; it is computed when omitted.
+    least up to that index (`permutation_count_series(n, (1, p))`).
     """
     check_prime(p)
     if a < 1:
@@ -196,8 +194,6 @@ def supercongruence_check(
     modulus = p ** ((p - 1) * a + b + 1)
 
     n = p * p * a + p * b + c
-    if h is None:
-        h = permutation_count_series(n, (1, p))
     if h[n] != lhs:
         raise ArithmeticError(
             f"direct sum and exp-transform disagree at n={n} (p={p})"

@@ -71,12 +71,7 @@ class BoundKind(_BoundKind):
         return self
 
     def describe(self) -> dict:
-        out = {"tag": self.tag, "p": self.p}
-        for key in ("l", "m", "partition", "dihedral_m"):
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = list(val) if isinstance(val, tuple) else val
-        return out
+        return {key: val for key, val in self._asdict().items() if val is not None}
 
 
 def _ceil_div(a: int, b: int) -> int:

@@ -169,8 +169,8 @@ def _cmd_verify_group(args) -> dict:
     )
     from .series import check_hypotheses
 
-    spec = parse_group_spec(args.spec)
-    if spec.variant != "abelian":
+    spec, *others = parse_group_spec(args.spec)
+    if others or spec.variant != "abelian":
         raise ValueError("verify-group expects a single abelian term A[p;...]")
     t = spec.partition
     p = t.p
@@ -194,12 +194,9 @@ def _cmd_verify_group(args) -> dict:
     if report.ok:
         qrec = verify_q_recurrence(report, counts)
         qrec_summary = qrec.summary()
-        step = qrec.step
-        if qrec.multiplier == 0:
-            claimed = []  # tightness precondition (non-congruence) fails
         tight = set(report.tight_set)
         for cls_residue in claimed:
-            for n in range(cls_residue, n_max + 1, step):
+            for n in range(cls_residue, n_max + 1, qrec.step):
                 if n not in tight:
                     tight_failures.append(n)
     profile_failures = difference_valuation_profile(counts, t)
@@ -318,12 +315,12 @@ def _cmd_periodicity(args) -> dict:
     from .applications import periodicity_detect
     from .groups import parse_group_spec, subgroup_residues_mod_p
 
-    spec = parse_group_spec(args.spec)
-    residues = subgroup_residues_mod_p(spec, args.n_max, args.p)
+    factors = parse_group_spec(args.spec)
+    residues = subgroup_residues_mod_p(factors, args.n_max, args.p)
     result = periodicity_detect(residues[1:], args.confirm_window)
     return _document(
         args.subcommand,
-        _parameters(args, spec=spec.canonical()),
+        _parameters(args, spec="*".join(f.canonical() for f in factors)),
         args.n_max,
         [{"n": n, "residue": r} for n, r in enumerate(residues[1:], start=1)],
         result.summary(),

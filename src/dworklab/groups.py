@@ -14,11 +14,12 @@ number of subgroups of index n, in the list format that `kernels.hall_exp`
 and `dworklab.series` take.  A brute-force enumerator serves as ground
 truth: it builds the group's addition table from one byte translate table
 per cyclic generator, and closes subgroups one coset at a time (hard size
-cap 256, so that every element fits in a byte).  Free products are
-represented through their homomorphism-count sequences, which multiply
-pointwise; their subgroup counts are recovered modulo p by the inverse
-transform.  The case I/II/III classification of a type, `partition_case`,
-comes from `dworklab.exactcore`, where the bound catalog reads it too.
+cap 256, so that every element fits in a byte).  A group spec parses to
+the tuple of its finite factors, a single group being a 1-tuple.  A free
+product's homomorphism counts are the pointwise product of its factors',
+and its subgroup counts are recovered modulo p by the inverse transform.
+The case I/II/III classification of a type, `partition_case`, comes from
+`dworklab.exactcore`, where the bound catalog reads it too.
 """
 
 from __future__ import annotations
@@ -77,10 +78,6 @@ class PartitionType(_PartitionType):
     @property
     def weight(self) -> int:
         return sum(self.parts)
-
-    @property
-    def rank(self) -> int:
-        return len(self.parts)
 
     @property
     def group_order(self) -> int:
@@ -312,10 +309,11 @@ _TERM_RE = re.compile(r"^([ACD])\[([^\]]*)\]$")
 
 
 class GroupSpec(NamedTuple):
-    variant: str  # "abelian" | "cyclic" | "dihedral" | "free-product"
+    """One finite term of a group spec: A[p;...], C[m] or D[m]."""
+
+    variant: str  # "abelian" | "cyclic" | "dihedral"
     partition: PartitionType | None = None
     order_param: int | None = None
-    factors: tuple["GroupSpec", ...] = ()
 
     def canonical(self) -> str:
         if self.variant == "abelian":
@@ -323,12 +321,7 @@ class GroupSpec(NamedTuple):
             return f"A[{self.partition.p};{parts}]"
         if self.variant == "cyclic":
             return f"C[{self.order_param}]"
-        if self.variant == "dihedral":
-            return f"D[{self.order_param}]"
-        return "*".join(sorted(f.canonical() for f in self.factors))
-
-    def is_free_product(self) -> bool:
-        return self.variant == "free-product"
+        return f"D[{self.order_param}]"
 
 
 def _parse_term(text: str) -> GroupSpec:
@@ -353,29 +346,28 @@ def _parse_term(text: str) -> GroupSpec:
     return GroupSpec("cyclic" if head == "C" else "dihedral", order_param=order)
 
 
-def parse_group_spec(text: str) -> GroupSpec:
+def parse_group_spec(text: str) -> tuple[GroupSpec, ...]:
+    """The finite factors of a spec, in canonical order; a single group is
+    a 1-tuple.  The spec's canonical text is the factors' canonical texts
+    joined with "*"."""
     pieces = [piece.strip() for piece in text.split("*")]
     if any(not piece for piece in pieces):
         raise ValueError(f"malformed group spec {text!r}")
-    terms = [_parse_term(piece) for piece in pieces]
-    if len(terms) == 1:
-        return terms[0]
-    return GroupSpec("free-product", factors=tuple(terms))
+    return tuple(sorted((_parse_term(piece) for piece in pieces), key=GroupSpec.canonical))
 
 
 def finite_subgroup_counts(spec: GroupSpec) -> SubgroupCounts:
-    """Subgroup counts of a single finite group (not a free product)."""
+    """Subgroup counts of one finite factor."""
     if spec.variant == "abelian":
         return abelian_subgroup_counts(spec.partition)
     if spec.variant == "cyclic":
         return cyclic_subgroup_counts(spec.order_param)
-    if spec.variant == "dihedral":
-        return dihedral_subgroup_counts(spec.order_param)
-    raise ValueError("free products have no finite subgroup-count table")
+    return dihedral_subgroup_counts(spec.order_param)
 
 
-def hom_count_ints_mod(spec: GroupSpec, n_max: int, modulus: int) -> list[int]:
-    """h_0..h_{n_max} reduced modulo ``modulus``.
+def hom_count_ints_mod(factors: tuple[GroupSpec, ...], n_max: int, modulus: int) -> list[int]:
+    """h_0..h_{n_max} of the free product of ``factors`` reduced modulo
+    ``modulus``.
 
     Each factor's h runs through `kernels.hall_exp` modulo ``modulus``
     (division free, so exact), and a free product's counts are their
@@ -383,7 +375,6 @@ def hom_count_ints_mod(spec: GroupSpec, n_max: int, modulus: int) -> list[int]:
     ``modulus - 1`` when it is a power of two, since CPython's ``%`` runs
     a full long division even then.
     """
-    factors = spec.factors if spec.is_free_product() else (spec,)
     mask = 0 if modulus & (modulus - 1) else modulus - 1
     out = None
     for factor in factors:
@@ -398,8 +389,9 @@ def hom_count_ints_mod(spec: GroupSpec, n_max: int, modulus: int) -> list[int]:
     return out
 
 
-def subgroup_residues_mod_p(spec: GroupSpec, n_max: int, p: int) -> list[int]:
-    """s_n mod p for 0 <= n <= n_max, from h modulo p**(2C - 1).
+def subgroup_residues_mod_p(factors: tuple[GroupSpec, ...], n_max: int, p: int) -> list[int]:
+    """s_n mod p of the free product of ``factors`` for 0 <= n <= n_max,
+    from h modulo p**(2C - 1).
 
     The tests check it against the exact inverse transform of the exact
     hom counts.
@@ -408,5 +400,5 @@ def subgroup_residues_mod_p(spec: GroupSpec, n_max: int, p: int) -> list[int]:
     """
     check_prime(p)
     C = kernels.log_residue_precision(n_max, p)
-    h = hom_count_ints_mod(spec, n_max, p ** (2 * C - 1))
+    h = hom_count_ints_mod(factors, n_max, p ** (2 * C - 1))
     return kernels.hall_log_mod_residues(h, p)

@@ -134,12 +134,6 @@ class HypothesisReport(NamedTuple):
     def params(self) -> dict:
         return {name: getattr(self.kind, name) for name in RULES[self.kind.tag].needs}
 
-    def condition(self, name: str) -> ConditionVerdict:
-        for c in self.conditions:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
 
 class Condition(NamedTuple):
     """One hypothesis of a theorem: `holds(i)` at every index of `indices`,

@@ -386,10 +386,9 @@ def partitions_of(weight: int, max_part: int | None = None) -> Iterator[tuple[in
             yield (first,) + rest
 
 
-def hom_count_ints(spec: GroupSpec, n_max: int) -> list[int]:
-    """h_0..h_{n_max} of the group as exact integers; the counts of a free
-    product are the pointwise product of its factors' counts."""
-    factors = spec.factors if spec.is_free_product() else (spec,)
+def hom_count_ints(factors: tuple[GroupSpec, ...], n_max: int) -> list[int]:
+    """h_0..h_{n_max} of the free product of ``factors`` as exact integers:
+    the pointwise product of its factors' counts."""
     hs = [hall_exp(finite_subgroup_counts(f).values(n_max)) for f in factors]
     return [math.prod(col) for col in zip(*hs)]
 
@@ -436,22 +435,21 @@ def _finite_hom_count_bruteforce(spec: GroupSpec, n: int) -> int:
     return tuples(0, [])
 
 
-def hom_count_bruteforce(spec: GroupSpec, n_max: int) -> list[int]:
+def hom_count_bruteforce(factors: tuple[GroupSpec, ...], n_max: int) -> list[int]:
     """|Hom(G, S_n)| for 0 <= n <= n_max by enumerating the images of the
     generators in S_n (n_max <= 6 runs in well under a second); a free
     product's counts are the pointwise product of its factors' counts."""
-    factors = spec.factors if spec.is_free_product() else (spec,)
     return [
         math.prod(_finite_hom_count_bruteforce(f, n) for f in factors) for n in range(n_max + 1)
     ]
 
 
-def subgroup_count_series(spec: GroupSpec, n_max: int) -> list[int]:
+def subgroup_count_series(factors: tuple[GroupSpec, ...], n_max: int) -> list[int]:
     """s_0..s_{n_max} exactly; for free products recovered by the exact
     inverse transform of `hom_count_ints`."""
-    if not spec.is_free_product():
-        return finite_subgroup_counts(spec).values(n_max)
-    s = log_transform(hom_count_ints(spec, n_max))
+    if len(factors) == 1:
+        return finite_subgroup_counts(factors[0]).values(n_max)
+    s = log_transform(hom_count_ints(factors, n_max))
     if not all(type(c) is int for c in s):
         raise ValueError("inverse transform of the hom counts is not integral")
     return s

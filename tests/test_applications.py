@@ -136,14 +136,15 @@ def test_permutation_and_negative_bound_rows_need_no_exact_h(monkeypatch):
 
 
 def test_supercongruence_examples():
-    inst = supercongruence_check(2, 1, 0, 0)
+    inst = supercongruence_check(2, 1, 0, 0, permutation_count_series(4, (1, 2)))
     assert (inst.lhs, inst.rhs, inst.modulus, inst.passed) == (10, -2, 4, True)
-    inst = supercongruence_check(3, 1, 0, 0)
+    h = permutation_count_series(9, (1, 3))
+    inst = supercongruence_check(3, 1, 0, 0, h)
     assert (inst.lhs, inst.rhs, inst.modulus, inst.passed) == (5769, -9, 27, True)
     with pytest.raises(ValueError):
-        supercongruence_check(3, 0, 0, 0)
+        supercongruence_check(3, 0, 0, 0, h)
     with pytest.raises(ValueError):
-        supercongruence_check(3, 1, 3, 0)
+        supercongruence_check(3, 1, 3, 0, h)
 
 
 def test_supercongruence_sweep_small():

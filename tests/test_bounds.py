@@ -22,7 +22,12 @@ from dworklab.bounds import (
     verify_q_recurrence,
 )
 from dworklab.exactcore import legendre_valuation, vp
-from dworklab.groups import PartitionType, abelian_subgroup_counts, partition_case
+from dworklab.groups import (
+    PartitionType,
+    abelian_subgroup_counts,
+    difference_valuation_profile,
+    partition_case,
+)
 from dworklab.series import exp_transform
 
 
@@ -405,6 +410,33 @@ def test_q_recurrence_undefined_for_other_kinds():
         q_recurrence_parameters(BoundKind("hnc2", 2), s)
 
 
+# p = 2 up to weight 12, p = 3 up to 8, p = 5 up to 5 and p = 7 up to 4
+GROUP_TYPES = [
+    (parts, p)
+    for p, weight_max in ((2, 12), (3, 8), (5, 5), (7, 4))
+    for weight in range(1, weight_max + 1)
+    for parts in partitions_of(weight)
+]
+
+
+def test_group_route_multiplier_is_a_unit():
+    # verify-group checks every claimed tight class on the kind it routes a
+    # type to.  That needs rho != 0 mod p, and rho is (-1)^(l+1) whenever
+    # the difference profile holds: its leading term gives
+    # s_{p^l} - s_{p^(l-1)} = -p^m mod p^(m+1) for thm6.1, and its falling
+    # branch makes s_{2^(l+1)} - s_{2^l} exactly divisible by 2^(l-2) for
+    # thm6.2.
+    assert len(GROUP_TYPES) == 366
+    for parts, p in GROUP_TYPES:
+        t = PartitionType(parts, p)
+        case, l, _ = partition_case(parts)
+        tag = "thm6.2" if case == "II" and p == 2 else "thm6.1"
+        counts = abelian_subgroup_counts(t)
+        kind = BoundKind(tag, p, partition=parts)
+        assert q_recurrence_parameters(kind, counts)[1] == (-1) ** (l + 1) % p, (parts, p)
+        assert difference_valuation_profile(counts, t) == [], (parts, p)
+
+
 def test_pgroup_and_kulakoff_bounds_on_instances():
     # nontrivial p-group bound and the odd non-cyclic strengthening
     from dworklab.groups import PartitionType, abelian_subgroup_counts
@@ -510,6 +542,12 @@ def test_floor_lemma_checks_report_negative_j_counterexamples():
     rep = floor_lemma_checks(2, 1, i_max=4, j_max=4, j_min=-4)
     assert not rep.ok
     assert (-1, Fraction(0)) in rep.half_counterexamples
+
+
+def test_bound_kind_describe_lists_the_set_parameters():
+    described = BoundKind("thm6.1", 3, partition=(2, 1)).describe()
+    assert list(described) == ["tag", "p", "partition"]
+    assert json.dumps(described) == json.dumps({"tag": "thm6.1", "p": 3, "partition": [2, 1]})
 
 
 def test_report_serialization_shape():

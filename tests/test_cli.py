@@ -74,6 +74,13 @@ def test_verify_group_rejects_bad_spec(capsys):
     assert code == 2 and "abelian" in err
 
 
+@pytest.mark.parametrize("spec", ["C[3]*A[3;1,1]", "C[3]"])
+def test_verify_group_takes_one_abelian_factor(capsys, spec):
+    code, out, err = run(capsys, ["verify-group", "--spec", spec])
+    assert (code, out) == (2, "")
+    assert err == "error: verify-group expects a single abelian term A[p;...]\n"
+
+
 def test_determinism_byte_identical(capsys):
     argv = ["verify-group", "--spec", "A[2;1,1]", "--n-max", "32"]
     code1, out1, _ = run(capsys, argv)

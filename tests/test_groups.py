@@ -9,6 +9,7 @@ from dworklab import groups, kernels
 from dworklab.bounds import BoundKind, verify_bounds
 from dworklab.cli import main
 from dworklab.groups import (
+    GroupSpec,
     PartitionType,
     SubgroupCounts,
     abelian_subgroup_counts,
@@ -81,7 +82,7 @@ def test_partition_type_validation():
     with pytest.raises(ValueError, match="prime"):
         PartitionType((1,), 4)
     t = PartitionType((3, 1), 2)
-    assert t.weight == 4 and t.rank == 2 and t.group_order == 16
+    assert t.weight == 4 and len(t.parts) == 2 and t.group_order == 16
 
 
 def test_abelian_counts_examples():
@@ -221,14 +222,19 @@ def test_difference_profile_catches_corruption():
     assert difference_valuation_profile(bad, t)
 
 
+def canonical(text: str) -> str:
+    """The spec's canonical text, as `periodicity` reports it."""
+    return "*".join(f.canonical() for f in parse_group_spec(text))
+
+
 def test_parse_group_spec():
-    spec = parse_group_spec("A[3;1,1]")
+    (spec,) = parse_group_spec("A[3;1,1]")
     assert spec.variant == "abelian" and spec.partition.parts == (1, 1)
-    spec = parse_group_spec(" C[3] * A[3;1,1] ")
-    assert spec.is_free_product() and len(spec.factors) == 2
-    assert spec.canonical() == "A[3;1,1]*C[3]"  # canonical order is sorted
-    assert parse_group_spec("A[2;1,2]").partition.parts == (2, 1)  # normalized
-    assert parse_group_spec("D[4]").canonical() == "D[4]"
+    factors = parse_group_spec(" C[3] * A[3;1,1] ")
+    assert type(factors) is tuple and all(type(f) is GroupSpec for f in factors)
+    assert [f.canonical() for f in factors] == ["A[3;1,1]", "C[3]"]  # canonical order is sorted
+    assert parse_group_spec("A[2;1,2]")[0].partition.parts == (2, 1)  # normalized
+    assert canonical("D[4]") == "D[4]"
     for bad in ["", "X[2]", "A[2]", "A[4;1]", "C[0]", "C[2]**C[2]", "A[2;]"]:
         with pytest.raises(ValueError):
             parse_group_spec(bad)
@@ -247,8 +253,8 @@ _term = st.one_of(
 @settings(deadline=None, max_examples=200)
 @given(st.lists(_term, min_size=1, max_size=3).map(" * ".join))
 def test_parse_group_spec_canonical_round_trip(text):
-    canonical = parse_group_spec(text).canonical()
-    assert parse_group_spec(canonical).canonical() == canonical
+    text = canonical(text)
+    assert canonical(text) == text
 
 
 # short strings over the spec alphabet; the length cap keeps the prime of
@@ -263,16 +269,15 @@ def test_parse_group_spec_raises_only_value_error(text):
 
 
 def test_finite_subgroup_counts_dispatch():
-    assert dict(finite_subgroup_counts(parse_group_spec("C[4]")).counts) == {1: 1, 2: 1, 4: 1}
-    assert dict(finite_subgroup_counts(parse_group_spec("A[2;1]")).counts) == {1: 1, 2: 1}
-    with pytest.raises(ValueError):
-        finite_subgroup_counts(parse_group_spec("C[2]*C[2]"))
+    assert dict(finite_subgroup_counts(*parse_group_spec("C[4]")).counts) == {1: 1, 2: 1, 4: 1}
+    assert dict(finite_subgroup_counts(*parse_group_spec("A[2;1]")).counts) == {1: 1, 2: 1}
+    assert dict(finite_subgroup_counts(*parse_group_spec("D[2]")).counts) == {1: 1, 2: 3, 4: 1}
 
 
 def test_hom_count_ints_matches_series_path():
-    spec = parse_group_spec("A[2;2,1]")
-    h = hom_count_ints(spec, 40)
-    s = finite_subgroup_counts(spec).values(40)
+    factors = parse_group_spec("A[2;2,1]")
+    h = hom_count_ints(factors, 40)
+    s = finite_subgroup_counts(*factors).values(40)
     assert h == [int(x) for x in exp_transform(s)]
     # the trivial group C_1 has one homomorphism from each C_n, so it is a
     # neutral factor of a free product
@@ -290,17 +295,18 @@ def test_hom_counts_match_permutation_enumeration(text):
     # |Hom(G, S_n)| by enumerating the generators' images in S_n, against
     # kernels.hall_exp of G's subgroup counts; the finite group's own bound
     # kind holds on the enumerated h
-    spec = parse_group_spec(text)
-    h = hom_count_bruteforce(spec, 6)
-    assert h == hom_count_ints(spec, 6)
+    factors = parse_group_spec(text)
+    h = hom_count_bruteforce(factors, 6)
+    assert h == hom_count_ints(factors, 6)
+    if len(factors) > 1:
+        return
+    (spec,) = factors
     if spec.variant == "dihedral":
         kind = BoundKind("thm5.5", 2, dihedral_m=spec.order_param)
-    elif spec.variant == "abelian":
+    else:
         t = spec.partition
         tag = "thm6.2" if partition_case(t.parts)[0] == "II" and t.p == 2 else "thm6.1"
         kind = BoundKind(tag, t.p, partition=t.parts)
-    else:
-        return
     assert verify_bounds(h, kind).ok
 
 
@@ -323,11 +329,11 @@ def test_subgroup_count_series_rejects_non_integral_inverse(monkeypatch):
 
 
 def test_group_and_cycle_coefficients_are_plain_ints():
-    spec = parse_group_spec("A[3;1,1]")
+    factors = parse_group_spec("A[3;1,1]")
     series = {
-        "values": finite_subgroup_counts(spec).values(40),
+        "values": finite_subgroup_counts(*factors).values(40),
         # the h of verify-group and verify-dihedral
-        "hom_count_ints": hom_count_ints(spec, 40),
+        "hom_count_ints": hom_count_ints(factors, 40),
         "subgroup_count_series": subgroup_count_series(parse_group_spec("C[2]*C[3]"), 40),
         # cycle lengths 1 and 2: the involution counts
         "exp_transform": exp_transform([0, 1, 1] + [0] * 38),
@@ -376,9 +382,9 @@ def test_subgroup_residues_compute_h_once(monkeypatch):
     # P > 1 here, and h is still computed in one pass, at 2C - 1 digits
     calls = []
 
-    def spy(spec, n_max, modulus):
+    def spy(factors, n_max, modulus):
         calls.append(modulus)
-        return hom_count_ints_mod(spec, n_max, modulus)
+        return hom_count_ints_mod(factors, n_max, modulus)
 
     monkeypatch.setattr(groups, "hom_count_ints_mod", spy)
     spec = parse_group_spec("C[4]*C[6]")
@@ -411,11 +417,7 @@ def test_prop_42_dichotomy_on_generated_groups():
              "A[5;1,1]", "D[5]", "C[10]"]
     for p in (2, 3, 5):
         for text in specs:
-            spec = parse_group_spec(text)
-            if spec.is_free_product():
-                sp = int(subgroup_count_series(spec, p)[p])
-            else:
-                sp = finite_subgroup_counts(spec)[p]
+            sp = subgroup_count_series(parse_group_spec(text), p)[p]
             assert sp % p in (0, 1), (text, p, sp)
 
 
@@ -424,7 +426,7 @@ def test_normal_count_formula_matches_abelian_counts():
     for parts, p in [((1, 1), 2), ((2, 1), 3), ((1, 1, 1), 2), ((2, 2), 5), ((3,), 3)]:
         t = PartitionType(parts, p)
         counts = abelian_subgroup_counts(t)
-        assert counts[p] == normal_count_index_p(t.rank, p)
+        assert counts[p] == normal_count_index_p(len(t.parts), p)
     # free product: abelianization of C_2 * C_2 has 2-rank 2
     s = subgroup_count_series(parse_group_spec("C[2]*C[2]"), 4)
     assert int(s[2]) == normal_count_index_p(2, 2) == 3

@@ -22,7 +22,7 @@ from dworklab.series import check_hypotheses
 
 
 def _counts(spec: str, n_max: int) -> list[int]:
-    return finite_subgroup_counts(parse_group_spec(spec)).values(n_max)
+    return finite_subgroup_counts(*parse_group_spec(spec)).values(n_max)
 
 
 # 5-integral with denominators 3 and 7; 3- and 7-adically non-integral

@@ -354,6 +354,95 @@ def test_public_names_have_a_caller():
     assert sorted(set(ORACLES) - defined) == []
 
 
+def public_members(source: str) -> dict[str, ast.stmt]:
+    """``Class.member`` for each public method and property of the
+    module's top-level classes; dunders and record fields are no members."""
+    members = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef):
+            members.update(
+                (f"{node.name}.{item.name}", item)
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not item.name.startswith("_")
+            )
+    return members
+
+
+def loaded_attributes(source: str, code_in_strings: bool = False) -> set[str]:
+    """Attribute names the module loads, each outside the functions of that
+    name enclosing the load (a recursive call is no caller).  With
+    ``code_in_strings``, string literals that parse as Python count too."""
+    loaded = set()
+
+    def visit(node: ast.AST, enclosing: frozenset) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing = enclosing | {node.name}
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            if node.attr not in enclosing:
+                loaded.add(node.attr)
+        elif code_in_strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                loaded.update(loaded_attributes(node.value, code_in_strings))
+            except SyntaxError:
+                pass
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(ast.parse(source), frozenset())
+    return loaded
+
+
+def uncalled_members(modules: dict[str, str], benchmark: list[str]) -> list[str]:
+    """Public members of the top-level classes of ``modules`` (file name ->
+    source) that no module and no benchmark source loads as an attribute,
+    matched by name."""
+    loaded = set()
+    for source in modules.values():
+        loaded |= loaded_attributes(source)
+    for source in benchmark:
+        loaded |= loaded_attributes(source, code_in_strings=True)
+    return sorted(
+        f"{name} ({path}, line {node.lineno})"
+        for path, source in modules.items()
+        for name, node in public_members(source).items()
+        if name.rsplit(".", 1)[1] not in loaded
+    )
+
+
+def test_detector_flags_uncalled_members():
+    modules = {
+        "a.py": (
+            "from typing import NamedTuple\n"
+            "class K(NamedTuple):\n"
+            "    field: int\n"
+            "    def used(self): return self.field\n"
+            "    def recursive(self): return self.recursive()\n"
+            "    @property\n"
+            "    def gone(self): return 1\n"
+            "    def _private(self): pass\n"
+            "    def __len__(self): return 0\n"
+            "    def probed(self): pass\n"
+            "    @classmethod\n"
+            "    def make(cls): return cls(0)\n"
+            "def caller(): return K.make().used\n"
+        ),
+        "b.py": "class L:\n    def unread(self): pass\n    def used(self): pass\n",
+    }
+    benchmark = ['PROBE = "k.probed()"\n']
+    assert uncalled_members(modules, benchmark) == [
+        "K.gone (a.py, line 7)",
+        "K.recursive (a.py, line 5)",
+        "L.unread (b.py, line 2)",
+    ]
+
+
+def test_public_members_have_a_caller():
+    modules = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE_MODULES}
+    benchmark = [p.read_text(encoding="utf-8") for p in sorted(BENCHMARK.glob("*.py"))]
+    assert uncalled_members(modules, benchmark) == []
+
+
 # In-process memos of the package, each with the reason it stays.  A memo
 # can hand back a value that no longer matches its inputs and leave no
 # trace in the report, so a new one is named here, where review sees it.

@@ -14,6 +14,7 @@ import pytest
 from dworklab.applications import (
     CycleRule,
     periodicity_detect,
+    permutation_count_series,
     supercongruence_check,
     verify_permutation_divisibility,
 )
@@ -38,14 +39,14 @@ def _records():
         (floor_lemma_checks(2, 1, 4, 2), "ij_checked"),
         (PartitionType((2, 1), 3), "parts"),
         (abelian_subgroup_counts(PartitionType((1, 1), 2)), "counts"),
-        (parse_group_spec("C[2]*C[4]"), "variant"),
+        (parse_group_spec("C[2]*C[4]")[0], "variant"),
         (hyp, "theorem"),
         (hyp.conditions[0], "status"),
         (Condition("x", []), "name"),
         (THEOREMS["thm2.1"], "rule"),
         (rule, "variant"),
         (verify_permutation_divisibility(rule, 5), "violations"),
-        (supercongruence_check(3, 1, 0, 0), "passed"),
+        (supercongruence_check(3, 1, 0, 0, permutation_count_series(9, (1, 3))), "passed"),
         (periodicity_detect([0, 1] * 8, 2), "period"),
     ]
 

@@ -241,7 +241,7 @@ def test_check_hypotheses_failure_and_first_index():
     s = [0, 0, 1, 0, 0, 0, 0, 0, 0]
     rep = check_hypotheses(s, 2, "cor2.4", l=2)
     assert not rep.overall
-    gap_cond = rep.condition("gap integrality below z^(p^l)")
+    gap_cond = {c.name: c for c in rep.conditions}["gap integrality below z^(p^l)"]
     assert gap_cond.status == FAIL and gap_cond.first_failure == 2
 
 
@@ -255,7 +255,7 @@ def test_check_hypotheses_klein_p2_route():
 def test_check_hypotheses_unverifiable_flag():
     s = [0, 1, 1, 0]
     rep = check_hypotheses(s, 2, "thm2.1", l=2, m=0)
-    cond = rep.condition("difference congruence mod p^m")
+    cond = {c.name: c for c in rep.conditions}["difference congruence mod p^m"]
     assert cond.status == UNVERIFIABLE
     assert not rep.fully_verified
 
