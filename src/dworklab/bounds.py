@@ -352,7 +352,7 @@ def _split_row(
     quotient, whose denominator is prime to p once v_p(x) >= e.
 
     ``powers`` maps e to (p^e, p^(e+64)); a caller that reads many rows
-    passes one dict, so that each pair is formed once per distinct e.
+    passes one dict, so that a pair is not formed again for each row.
     """
     if x == 0:
         return INFINITY, 0
@@ -379,19 +379,33 @@ def _split_row(
     return e + vp_int(q, p), q % p
 
 
+def _read_rows(
+    h: Sequence[int | Fraction], p: int, bounds: list[int]
+) -> list[tuple[Valuation, int | None]]:
+    """`_split_row` of h_n against e(n) = bounds[n] for n = 0..len(bounds)-1.
+
+    Only the powers of the last e are kept: e(n) seldom falls as n grows,
+    so each pair is still formed about once per distinct e, and the
+    pairs, each as large as a residue of h_n, never pile up beside h.
+    """
+    reads = []
+    powers: dict[int, tuple[int, int]] = {}
+    for n, bnd in enumerate(bounds):
+        if bnd not in powers:
+            powers.clear()
+        reads.append(_split_row(h[n], p, bnd, powers))
+    return reads
+
+
 def _verify_rows(
-    h: Sequence[int | Fraction], kind: BoundKind, bounds: list[int]
+    kind: BoundKind, bounds: list[int], reads: list[tuple[Valuation, int | None]]
 ) -> BoundReport:
-    """The report on rows n = 0..len(bounds)-1 of h against e(n) = bounds[n]."""
+    """The report on rows n = 0..len(bounds)-1 from (v_p(h_n), Q_n mod p) = reads[n]."""
     rows = []
     violations = []
     tight_set = []
-    residues = []
     min_slack: Valuation = INFINITY
-    powers: dict[int, tuple[int, int]] = {}
-    for n, bnd in enumerate(bounds):
-        val, residue = _split_row(h[n], kind.p, bnd, powers)
-        residues.append(residue)
+    for n, (bnd, (val, _)) in enumerate(zip(bounds, reads)):
         slack = val - bnd
         tight = slack == 0
         rows.append(
@@ -403,7 +417,8 @@ def _verify_rows(
             tight_set.append(n)
         if slack < min_slack:
             min_slack = slack
-    return BoundReport(kind, rows, violations, tight_set, min_slack, tuple(residues))
+    residues = tuple(residue for _, residue in reads)
+    return BoundReport(kind, rows, violations, tight_set, min_slack, residues)
 
 
 def verify_bounds(h: Sequence[int | Fraction], kind: BoundKind) -> BoundReport:
@@ -412,7 +427,8 @@ def verify_bounds(h: Sequence[int | Fraction], kind: BoundKind) -> BoundReport:
     The report also keeps Q_n mod p of every row (`q_residues`), found in
     the same pass as the valuation.
     """
-    return _verify_rows(h, kind, bound_values(kind, len(h) - 1))
+    bounds = bound_values(kind, len(h) - 1)
+    return _verify_rows(kind, bounds, _read_rows(h, kind.p, bounds))
 
 
 def verify_bounds_mod(s: Sequence[int], kind: BoundKind) -> BoundReport:
@@ -425,13 +441,18 @@ def verify_bounds_mod(s: Sequence[int], kind: BoundKind) -> BoundReport:
     v_p(h_n) and Q_n mod p exactly (`_split_row`), negative e(n) included.
     Only a residue equal to 0 needs more digits: when some residue is 0,
     the same kernel runs once more without a modulus, and every row is
-    read from the exact h.  An empty ``s`` raises ``ValueError``.
+    read from the exact h.  Every row's (valuation, Q_n mod p) is read
+    before the row dicts are built and h is dropped in between, so the
+    report takes the memory h held instead of adding to it.  An empty
+    ``s`` raises ``ValueError``.
     """
     bounds = bound_values(kind, len(s) - 1)
     h = kernels.hall_exp(s, modulus=kind.p ** (max([0, *bounds]) + _GUARD))
     if 0 in h:
         h = kernels.hall_exp(s)
-    return _verify_rows(h, kind, bounds)
+    reads = _read_rows(h, kind.p, bounds)
+    del h
+    return _verify_rows(kind, bounds, reads)
 
 
 class QRecurrenceReport(NamedTuple):

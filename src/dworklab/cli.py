@@ -8,7 +8,10 @@ found, and nonzero otherwise.  A report's `parameters` lists every flag
 except `--output`, which only chooses where the report goes, with the
 values the subcommand resolved in place of the raw ones: the prime read
 from a series file, the truncation used, a group spec in canonical form,
-the parsed odd primes and the sorted base set.
+the parsed odd primes and the sorted base set.  A report is written to
+stdout or to `--output` as it is encoded, a block of rows at a time, so
+its whole text is never held in memory; a reader that closes stdout
+early (`| head`) ends the output, not the run's exit status.
 
 Each `dworklab` process pays for every package module it loads (and,
 without a bytecode cache, compiles it), so this module imports only the
@@ -22,7 +25,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from typing import Iterator
 
 from . import __version__
 
@@ -78,52 +83,61 @@ def _document(command: str, parameters: dict, truncation, rows, summary, failed)
 # separator of `_ROW_SEPARATORS`, and the same text in the indent=2 layout
 _ROW_SEPARATORS = (",\n      ", ": ")
 _ROW_BOUNDARY = ("},\n      {", "\n    },\n    {\n      ")
+# rows encoded per call of the C encoder
+_ROW_BLOCK = 256
 
 
-def _json_text(doc: dict) -> str:
-    """``json.dumps(doc, sort_keys=True, indent=2)``, with the rows encoded in C.
+def _json_pieces(doc: dict) -> Iterator[str]:
+    """``json.dumps(doc, sort_keys=True, indent=2) + "\\n"``, in pieces.
 
     CPython runs its C encoder only when ``indent`` is None, so the rows,
-    the bulk of a report, are encoded in one call with an item separator
-    that already holds the indentation of a row's items, and only the row
-    boundaries are rewritten.  This relies on every row being a non-empty
-    dict of scalars (str, int, bool or None): then the boundary text can
-    only occur between two rows, since an encoded string never holds a
-    raw newline.  The other top-level values are small and are encoded
-    with ``indent=2`` and shifted one level.
+    the bulk of a report, are encoded `_ROW_BLOCK` at a time with an item
+    separator that already holds the indentation of a row's items, and
+    only the row boundaries are rewritten.  This relies on every row being
+    a non-empty dict of scalars (str, int, bool or None): then the
+    boundary text can only occur between two rows, since an encoded
+    string never holds a raw newline.  The other top-level values are
+    small and are encoded with ``indent=2`` and shifted one level.
     """
-    items = []
-    for key in sorted(doc):
-        if key == "rows" and doc[key]:
-            body = json.dumps(doc[key], sort_keys=True, separators=_ROW_SEPARATORS)
-            value = "[\n    {\n      " + body[2:-2].replace(*_ROW_BOUNDARY) + "\n    }\n  ]"
+    for i, key in enumerate(sorted(doc)):
+        yield f"{',' if i else '{'}\n  {json.dumps(key)}: "
+        value = doc[key]
+        if key == "rows" and value:
+            yield "[\n    {\n      "
+            for start in range(0, len(value), _ROW_BLOCK):
+                body = json.dumps(
+                    value[start : start + _ROW_BLOCK], sort_keys=True, separators=_ROW_SEPARATORS
+                )
+                yield (_ROW_BOUNDARY[1] if start else "") + body[2:-2].replace(*_ROW_BOUNDARY)
+            yield "\n    }\n  ]"
         else:
-            value = json.dumps(doc[key], sort_keys=True, indent=2).replace("\n", "\n  ")
-        items.append(f"  {json.dumps(key)}: {value}")
-    return "{\n" + ",\n".join(items) + "\n}\n"
+            yield json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+    yield "\n}\n"
+
+
+def _tsv_pieces(rows: list[dict]) -> Iterator[str]:
+    """The rows as TSV under a header of their sorted keys, a line at a time."""
+    if rows:
+        keys = sorted(rows[0])
+        yield "\t".join(keys) + "\n"
+        for row in rows:
+            yield "\t".join(_tsv_cell(row.get(k)) for k in keys) + "\n"
 
 
 # Every subcommand's rows are non-empty dicts of scalars (str, int, bool or
-# None): `_json_text` relies on it, and tests/test_cli.py checks it.
+# None): `_json_pieces` relies on it, and tests/test_cli.py checks it.
 def _emit(doc: dict, fmt: str, output: str | None) -> None:
-    if fmt == "json":
-        text = _json_text(doc)
-    else:
-        rows = doc["rows"]
-        lines = []
-        if rows:
-            keys = sorted(rows[0])
-            lines.append("\t".join(keys))
-            for row in rows:
-                lines.append(
-                    "\t".join(_tsv_cell(row.get(k)) for k in keys)
-                )
-        text = "\n".join(lines) + ("\n" if lines else "")
+    pieces = _json_pieces(doc) if fmt == "json" else _tsv_pieces(doc["rows"])
     if output:
         with open(output, "w", encoding="utf-8") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+            f.writelines(pieces)
+        return
+    try:
+        sys.stdout.writelines(pieces)
+    except BrokenPipeError:
+        # the reader closed the pipe early (`| head`); send what is still
+        # buffered, and the flush at exit, to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _tsv_cell(value) -> str:

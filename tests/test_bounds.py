@@ -1,5 +1,7 @@
 import hashlib
 import json
+import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -11,8 +13,10 @@ from conftest import partitions_of, series_from_map
 from dworklab.bounds import (
     RULES,
     BoundKind,
+    _GUARD,
     _split_row,
     bound_value,
+    bound_values,
     floor_lemma_checks,
     floor_sum_gap,
     half_floor_inequality_holds,
@@ -28,6 +32,7 @@ from dworklab.groups import (
     difference_valuation_profile,
     partition_case,
 )
+from dworklab.kernels import hall_exp
 from dworklab.series import exp_transform
 
 
@@ -366,6 +371,25 @@ def test_verify_bounds_mod_reads_n_from_the_series():
     assert short.q_residues == full.q_residues[:21]
     with pytest.raises(ValueError, match="empty"):
         verify_bounds_mod([], kind)
+
+
+def test_verify_bounds_mod_drops_h_before_the_rows():
+    # the row dicts are built once h is gone, so the pass never holds h
+    # and the report at once
+    kind = BoundKind("thm6.1", 3, partition=(1, 1, 1))
+    s = abelian_subgroup_counts(PartitionType((1, 1, 1), 3)).values(4096)
+    h = hall_exp(s, modulus=3 ** (max(bound_values(kind, 4096)) + _GUARD))
+    assert 0 not in h
+    h_size = sys.getsizeof(h) + sum(map(sys.getsizeof, h))
+    del h
+    tracemalloc.start()
+    try:
+        report = verify_bounds_mod(s, kind)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok and len(report.rows) == 4097
+    assert peak < h_size + retained
 
 
 def test_q_recurrence_c2():

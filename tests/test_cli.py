@@ -1,5 +1,10 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -342,6 +347,56 @@ def test_output_file(capsys, tmp_path):
     assert doc["command"] == "verify-group"
 
 
+@pytest.mark.parametrize("fmt", ["json", "tsv"])
+def test_output_file_holds_the_stdout_bytes(capsys, tmp_path, fmt):
+    # 601 rows: past two blocks of rows
+    argv = ["verify-group", "--spec", "A[2;1,1]", "--n-max", "600", "--format", fmt]
+    code, out, _ = run(capsys, argv)
+    path = tmp_path / "report"
+    assert run(capsys, [*argv, "--output", str(path)]) == (code, "", "")
+    assert path.read_bytes() == out.encode()
+    if fmt == "tsv":
+        rows = json.loads(run(capsys, argv[:-2])[1])["rows"]
+        keys = sorted(rows[0])
+        lines = ["\t".join(keys)]
+        lines += ["\t".join(cli._tsv_cell(row[k]) for k in keys) for row in rows]
+        assert out == "\n".join(lines) + "\n"
+
+
+def test_emit_holds_less_than_the_report_text(monkeypatch, tmp_path):
+    docs = []
+    monkeypatch.setattr(cli, "_emit", lambda doc, fmt, output: docs.append(doc))
+    main(["verify-group", "--spec", "A[3;1,1,1]", "--n-max", "4096"])
+    monkeypatch.undo()
+    (doc,) = docs
+    text_length = len(json.dumps(doc, sort_keys=True, indent=2)) + 1
+    tracemalloc.start()
+    try:
+        cli._emit(doc, "json", str(tmp_path / "report.json"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "report.json").stat().st_size == text_length
+    assert peak < text_length
+
+
+def test_reader_closing_early_keeps_the_exit_status():
+    # the report is far longer than a pipe's buffer, so writes go on
+    # after the reader has closed the pipe
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dworklab.cli", "verify-group", "--spec", "A[3;3]", "--n-max", "4096"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.read(10) == b'{\n  "comma'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (0, b"")
+
+
 def test_output_into_missing_directory_exits_2(capsys, tmp_path):
     out_path = tmp_path / "missing" / "report.json"
     code, out, err = run(
@@ -427,11 +482,27 @@ _NESTED = st.recursive(
 )
 def test_json_text_is_indented_json(command, parameters, truncation, rows, summary, failed):
     doc = cli._document(command, parameters, truncation, rows, summary, failed)
-    assert cli._json_text(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert "".join(cli._json_pieces(doc)) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+_B = cli._ROW_BLOCK
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, _B - 1, _B, _B + 1, 2 * _B + 1])
+def test_json_pieces_cross_row_blocks(n_rows):
+    rows = [
+        {"n": n, "text": '},\n      {"b": 1', "tight": n % 3 == 0, "slack": None}
+        for n in range(n_rows)
+    ]
+    doc = cli._document("c", {"n_max": n_rows}, n_rows, rows, {"x": [1, {"y": 2}]}, False)
+    pieces = list(cli._json_pieces(doc))
+    assert "".join(pieces) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    # no piece holds more than one block of rows
+    assert max(piece.count('"n": ') for piece in pieces) == min(n_rows, _B)
 
 
 def test_every_subcommand_reports_flat_rows(monkeypatch, tmp_path):
-    # `cli._json_text` requires every row to be a non-empty dict of scalars
+    # `cli._json_pieces` requires every row to be a non-empty dict of scalars
     docs = []
     monkeypatch.setattr(cli, "_emit", lambda doc, fmt, output: docs.append(doc))
     # no permutation rule at hand is violated, so report two made-up violations
